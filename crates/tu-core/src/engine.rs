@@ -17,7 +17,7 @@ use tu_common::{
 use tu_compress::agg::{self, AggKind, AggState, ChunkStats};
 use tu_compress::{gorilla, nullxor};
 use tu_index::{InvertedIndex, Selector};
-use tu_lsm::wal::{Wal, WalRecord};
+use tu_lsm::wal::Wal;
 use tu_lsm::{TimeTree, TreeOptions};
 use tu_mmap::pagecache::PageCache;
 use tu_mmap::ChunkArena;
@@ -27,7 +27,7 @@ use crate::group::{self, GroupInsert, GroupObject};
 use crate::model;
 use crate::profile::QueryProfile;
 use crate::query::{aggregate_step, QueryResult, SampleMerger, SeriesResult, StepWindows};
-use crate::series::{self, HeadInsert, SeriesObject};
+use crate::series::{self, SeriesObject, ROW};
 use crate::shard::ShardedMap;
 
 /// Engine configuration.
@@ -46,9 +46,12 @@ pub struct Options {
     /// Retention window; samples older than `now - retention` are purged
     /// by [`TimeUnion::apply_retention`]. `None` keeps everything.
     pub retention_ms: Option<i64>,
-    /// Flush the WAL after this many buffered records (group commit).
+    /// Flush the WAL after this many buffered records (group commit); a
+    /// run of one series' samples in a `put_batch` is one record.
     pub wal_batch_records: usize,
-    /// Purge the WAL when it exceeds this size.
+    /// Obsolete WAL segments are deleted at every checkpoint. Past this
+    /// size the log also moves what quiet series still pin in its oldest
+    /// segment to the tail, so that segment can go too.
     pub wal_purge_bytes: u64,
     /// Storage latency modelling for the cloud tiers.
     pub latency: LatencyMode,
@@ -145,6 +148,14 @@ struct PendingCheckpoint {
 /// Pending checkpoints past this mark flag the `flush_backlog` health
 /// check as degraded: maintenance is falling behind ingest.
 const PENDING_CKPT_DEGRADED: usize = 1 << 16;
+
+/// Most rows one WAL record carries. A longer run is logged as several
+/// records, so no record grows with the batch that contains it.
+const RUN_RECORD_ROWS: usize = 4096;
+
+/// A writer nudges a group-commit wave once this much is queued, however
+/// few records it is: the byte twin of `Options::wal_batch_records`.
+const WAL_PENDING_MAX_BYTES: usize = 1 << 20;
 
 /// The TimeUnion timeseries engine.
 pub struct TimeUnion {
@@ -756,44 +767,52 @@ impl TimeUnion {
                 self.max_chunk_span.fetch_max(span, Ordering::Relaxed);
             }
         }
-        // 3. WAL: reapply records newer than their stream's checkpoint.
-        let records = self.wal.replay()?;
-        let mut watermark: HashMap<u64, u64> = HashMap::new();
-        for r in &records {
-            if r.checkpoint {
-                let w = watermark.entry(r.stream).or_insert(0);
-                *w = (*w).max(r.seq);
-            }
-        }
+        // 3. WAL. Checkpoints first: an object's `seq` becomes the newest
+        //    sequence number a checkpoint covers, so numbering carries on
+        //    above it even when every record below is gone and nothing
+        //    logged after this recovery can read as obsolete. Then the
+        //    data: `seq` is also the newest number that must not be
+        //    applied again (checkpointed, or replayed already from an
+        //    earlier copy of the record), and each record is trimmed
+        //    against it sample by sample.
         self.replaying.store(true, Ordering::SeqCst);
-        let result = (|| -> Result<()> {
-            for r in &records {
-                if r.checkpoint || watermark.get(&r.stream).is_some_and(|&w| r.seq <= w) {
-                    continue;
+        let result = self.wal.recover(
+            |stream, seq| {
+                if is_group_id(stream) {
+                    if let Some(obj) = self.groups.get(&stream) {
+                        let mut g = obj.lock();
+                        g.seq = g.seq.max(seq);
+                    }
+                } else if let Some(obj) = self.series.get(&stream) {
+                    let mut o = obj.lock();
+                    o.seq = o.seq.max(seq);
                 }
+            },
+            |r| {
                 if is_group_id(r.stream) {
-                    let Some((t, entries)) = decode_group_row(&r.payload) else {
-                        continue; // records for members lost to a torn catalog
+                    let Some((t, entries)) = decode_group_row(r.payload) else {
+                        return Ok(()); // records for members lost to a torn catalog
                     };
                     if let Some(obj) = self.groups.get(&r.stream) {
                         let valid = {
                             let g = obj.lock();
-                            entries
-                                .iter()
-                                .all(|(slot, _)| (*slot as usize) < g.member_count())
+                            r.seq > g.seq
+                                && entries
+                                    .iter()
+                                    .all(|(slot, _)| (*slot as usize) < g.member_count())
                         };
                         if valid {
                             self.apply_group_row(r.stream, t, &entries, r.seq)?;
                         }
                     }
-                } else if let Some((t, v)) = decode_sample(&r.payload) {
-                    if self.series.contains_key(&r.stream) {
-                        self.apply_sample(r.stream, t, v, r.seq)?;
+                } else if let Some(obj) = self.series.get(&r.stream) {
+                    if r.payload.len().is_multiple_of(ROW) {
+                        self.apply_run(&obj, r.payload, Some(r.seq))?;
                     }
                 }
-            }
-            Ok(())
-        })();
+                Ok(())
+            },
+        );
         self.replaying.store(false, Ordering::SeqCst);
         result
     }
@@ -811,67 +830,69 @@ impl TimeUnion {
         Ok(id)
     }
 
-    /// Fast-path insert by series ID (§3.4), skipping tag comparison.
-    /// Safe to call from many threads at once: writers on distinct series
-    /// contend only on their map shard and the shared WAL buffer.
+    /// Fast-path insert by series ID (§3.4), skipping tag comparison: a
+    /// run of one sample. Safe to call from many threads at once: writers
+    /// on distinct series contend only on their map shard and the shared
+    /// WAL buffer.
     pub fn put_by_id(&self, id: SeriesId, t: Timestamp, v: Value) -> Result<()> {
-        self.obs.ingest_samples.inc();
-        let seq = {
-            let obj = self
-                .series
-                .get(&id)
-                .ok_or_else(|| Error::not_found(format!("series {id}")))?;
-            let mut obj = obj.lock();
-            obj.seq += 1;
-            let seq = obj.seq;
-            self.log(WalRecord {
-                stream: id,
-                seq,
-                checkpoint: false,
-                payload: encode_sample(t, v),
-            })?;
-            let outcome = obj.insert(&self.series_arena, t, v, self.opts.chunk_samples)?;
-            drop(obj);
-            self.handle_series_outcome(id, t, v, seq, outcome)?;
-            seq
-        };
-        let _ = seq;
-        Ok(())
+        self.put_run(id, &series::encode_row(t, v))
+    }
+
+    fn put_run(&self, id: SeriesId, rows: &[u8]) -> Result<()> {
+        let obj = self
+            .series
+            .get(&id)
+            .ok_or_else(|| Error::not_found(format!("series {id}")))?;
+        self.apply_run(&obj, rows, None)
     }
 
     /// Batched parallel ingest: groups `samples` by series and fans the
     /// per-series runs across the engine's ingest pool (see
-    /// [`TimeUnion::set_ingest_threads`]). Samples of one series are
-    /// applied by one worker in their given order, so per-series sample
-    /// order — and with it the resulting chunk and tree state — is
-    /// identical for every thread count. Returns once every sample in the
-    /// batch is durable in the WAL (one group-commit wave, shared with
-    /// concurrent batches).
+    /// [`TimeUnion::set_ingest_threads`]). A run — the samples of one
+    /// series, in their given order — is applied by one worker under one
+    /// hold of the series' lock and logged as one WAL record, so
+    /// per-series sample order — and with it the resulting chunk and tree
+    /// state — is identical for every thread count. Returns once every
+    /// sample in the batch is durable in the WAL (one group-commit wave,
+    /// shared with concurrent batches).
     pub fn put_batch(&self, samples: &[(SeriesId, Timestamp, Value)]) -> Result<()> {
-        // Group by series, preserving first-seen series order and the
-        // in-batch sample order within each series.
-        let mut order: Vec<SeriesId> = Vec::new();
-        let mut by_series: HashMap<SeriesId, Vec<(Timestamp, Value)>> = HashMap::new();
-        for &(id, t, v) in samples {
-            by_series
-                .entry(id)
-                .or_insert_with(|| {
-                    order.push(id);
-                    Vec::new()
-                })
-                .push((t, v));
+        // Number the runs in first-seen series order and count their rows.
+        let mut run_of: HashMap<SeriesId, u32> = HashMap::new();
+        let mut runs: Vec<(SeriesId, usize)> = Vec::new();
+        let mut run_of_sample: Vec<u32> = Vec::with_capacity(samples.len());
+        for &(id, _, _) in samples {
+            let run = *run_of.entry(id).or_insert_with(|| {
+                runs.push((id, 0));
+                runs.len() as u32 - 1
+            });
+            runs[run as usize].1 += 1;
+            run_of_sample.push(run);
+        }
+        // Scatter the samples into one buffer of rows, each run contiguous
+        // and in batch order: the bytes the WAL and the head slots take.
+        let mut next_row: Vec<usize> = runs
+            .iter()
+            .scan(0, |start, &(_, rows)| {
+                let first = *start;
+                *start += rows;
+                Some(first)
+            })
+            .collect();
+        let mut rows = vec![0u8; samples.len() * ROW];
+        for (&(_, t, v), &run) in samples.iter().zip(&run_of_sample) {
+            let at = next_row[run as usize] * ROW;
+            rows[at..at + ROW].copy_from_slice(&series::encode_row(t, v));
+            next_row[run as usize] += 1;
         }
         let pool = tu_common::pool::WorkerPool::new(self.ingest_threads.load(Ordering::Relaxed));
-        if pool.threads() > 1 && order.len() > 1 {
+        if pool.threads() > 1 && runs.len() > 1 {
             self.obs.parallel_batches.inc();
-            self.obs.parallel_ingest_tasks.add(order.len() as u64);
+            self.obs.parallel_ingest_tasks.add(runs.len() as u64);
         }
-        let results = pool.run(order.len(), |i| -> Result<()> {
-            let id = order[i];
-            for &(t, v) in &by_series[&id] {
-                self.put_by_id(id, t, v)?;
-            }
-            Ok(())
+        let results = pool.run(runs.len(), |i| {
+            let (id, len) = runs[i];
+            let end = next_row[i];
+            self.put_run(id, &rows[(end - len) * ROW..end * ROW])
         });
         for r in results {
             r?;
@@ -893,40 +914,51 @@ impl TimeUnion {
         self.ingest_threads.load(Ordering::Relaxed)
     }
 
-    fn apply_sample(&self, id: SeriesId, t: Timestamp, v: Value, seq: u64) -> Result<()> {
-        let obj = self
-            .series
-            .get(&id)
-            .ok_or_else(|| Error::not_found(format!("series {id}")))?;
-        let mut o = obj.lock();
-        o.seq = o.seq.max(seq);
-        let outcome = o.insert(&self.series_arena, t, v, self.opts.chunk_samples)?;
-        drop(o);
-        self.handle_series_outcome(id, t, v, seq, outcome)
-    }
-
-    fn handle_series_outcome(
+    /// Applies a run of one series' samples, given as rows: one hold of
+    /// the object lock, one WAL record per [`RUN_RECORD_ROWS`] rows. The record carries the sequence number
+    /// of its last sample; row `i` of `n` has `seq - (n - 1 - i)`.
+    /// Chunks that leave the head go to the tree after the lock is
+    /// dropped.
+    ///
+    /// `replayed` is the sequence number of a record read back from the
+    /// WAL: nothing is logged, and rows the object has already seen — up
+    /// to its `seq` — are skipped.
+    fn apply_run(
         &self,
-        id: SeriesId,
-        t: Timestamp,
-        v: Value,
-        seq: u64,
-        outcome: HeadInsert,
+        obj: &Mutex<SeriesObject>,
+        mut rows: &[u8],
+        replayed: Option<u64>,
     ) -> Result<()> {
-        match outcome {
-            HeadInsert::Buffered => Ok(()),
-            HeadInsert::Sealed {
-                first_ts,
-                last_ts,
-                chunk,
-            } => self.flush_chunk(id, first_ts, last_ts, chunk, seq),
-            HeadInsert::OlderThanHead => {
-                // Early flush (§3.1 case 4): a one-sample chunk goes to the
-                // tree's corresponding time partition directly.
-                let chunk = gorilla::compress_chunk_framed(&[Sample::new(t, v)])?;
-                self.flush_chunk(id, t, t, chunk, seq)
-            }
+        let mut flushes = Vec::new();
+        let mut obj = obj.lock();
+        let id = obj.id;
+        if let Some(last_seq) = replayed {
+            let first_seq = (last_seq + 1).saturating_sub((rows.len() / ROW) as u64);
+            let seen = (obj.seq + 1).saturating_sub(first_seq) as usize;
+            rows = rows.get(seen * ROW..).unwrap_or_default();
+            obj.seq = obj.seq.max(first_seq.saturating_sub(1));
+        } else {
+            self.obs.ingest_samples.add((rows.len() / ROW) as u64);
         }
+        for part in rows.chunks(RUN_RECORD_ROWS * ROW) {
+            let first_seq = obj.seq + 1;
+            obj.seq += (part.len() / ROW) as u64;
+            if replayed.is_none() {
+                self.log(id, obj.seq, part)?;
+            }
+            obj.insert_run(
+                &self.series_arena,
+                part,
+                self.opts.chunk_samples,
+                first_seq,
+                &mut flushes,
+            )?;
+        }
+        drop(obj);
+        for f in flushes {
+            self.flush_chunk(id, f.first_ts, f.last_ts, f.chunk, f.seq)?;
+        }
+        Ok(())
     }
 
     fn flush_chunk(
@@ -1031,12 +1063,7 @@ impl TimeUnion {
         self.obs.ingest_samples.add(entries.len() as u64);
         g.seq += 1;
         let seq = g.seq;
-        self.log(WalRecord {
-            stream: gid,
-            seq,
-            checkpoint: false,
-            payload: encode_group_row(t, &entries),
-        })?;
+        self.log(gid, seq, &encode_group_row(t, &entries))?;
         let member_count = g.member_count();
         let outcome = g.insert_row(
             &self.group_ts_arena,
@@ -1071,12 +1098,7 @@ impl TimeUnion {
         let mut g = obj.lock();
         g.seq += 1;
         let seq = g.seq;
-        self.log(WalRecord {
-            stream: gid,
-            seq,
-            checkpoint: false,
-            payload: encode_group_row(t, &entries),
-        })?;
+        self.log(gid, seq, &encode_group_row(t, &entries))?;
         let member_count = g.member_count();
         let outcome = g.insert_row(
             &self.group_ts_arena,
@@ -1170,13 +1192,15 @@ impl TimeUnion {
 
     // --- logging ----------------------------------------------------------------
 
-    fn log(&self, record: WalRecord) -> Result<()> {
+    /// Queues one data record (a run counts as one) and nudges a wave
+    /// when the queue is over its record or byte threshold.
+    fn log(&self, stream: u64, seq: u64, payload: &[u8]) -> Result<()> {
         if self.replaying.load(Ordering::SeqCst) {
             return Ok(());
         }
-        self.wal.append(&record);
+        let queued_bytes = self.wal.append_data(stream, seq, payload);
         let n = self.wal_unflushed.fetch_add(1, Ordering::Relaxed) + 1;
-        if n as usize >= self.opts.wal_batch_records {
+        if n as usize >= self.opts.wal_batch_records || queued_bytes >= WAL_PENDING_MAX_BYTES {
             self.wal_unflushed.store(0, Ordering::Relaxed);
             // Opportunistic group commit: if another writer is already
             // leading a flush wave, our records ride a later one instead
@@ -1187,7 +1211,8 @@ impl TimeUnion {
     }
 
     /// Blocks until every WAL record queued so far is durable on the fast
-    /// tier (one group-commit wave, shared with concurrent callers).
+    /// tier (one group-commit wave, shared with concurrent callers), and
+    /// with it every series and group created so far.
     pub fn sync_wal(&self) -> Result<()> {
         self.wal_unflushed.store(0, Ordering::Relaxed);
         self.flush_wal()
@@ -1195,7 +1220,12 @@ impl TimeUnion {
 
     /// Flushes the WAL, mirroring the outcome into the `wal` health check
     /// (and logging the first failure of a failure streak).
+    ///
+    /// The catalog goes first: a sample is only recoverable if its series
+    /// is, so an acknowledged wave never holds records of a series whose
+    /// catalog record could still be lost.
     fn flush_wal(&self) -> Result<()> {
+        self.catalog.flush()?;
         self.wal_health(self.wal.flush())
     }
 
@@ -1242,17 +1272,10 @@ impl TimeUnion {
         };
         if !ready.is_empty() && !self.replaying.load(Ordering::SeqCst) {
             for c in &ready {
-                self.wal.append(&WalRecord {
-                    stream: c.stream,
-                    seq: c.seq,
-                    checkpoint: true,
-                    payload: Vec::new(),
-                });
+                self.wal.append_checkpoint(c.stream, c.seq);
             }
             self.flush_wal()?;
-            if self.wal.len() > self.opts.wal_purge_bytes {
-                self.wal.purge()?;
-            }
+            self.wal.truncate(self.opts.wal_purge_bytes)?;
         }
         self.catalog.flush()?;
         self.env.block.write_file(
@@ -1295,7 +1318,6 @@ impl TimeUnion {
     /// Flushes logs/indexes; call before dropping for durability.
     pub fn sync(&self) -> Result<()> {
         self.flush_wal()?;
-        self.catalog.flush()?;
         self.index.sync()?;
         self.maintain()
     }
@@ -2178,23 +2200,6 @@ impl Drop for TimeUnion {
 }
 
 // --- WAL payload codecs ------------------------------------------------------
-
-fn encode_sample(t: Timestamp, v: Value) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
-    out.extend_from_slice(&t.to_le_bytes());
-    out.extend_from_slice(&v.to_le_bytes());
-    out
-}
-
-fn decode_sample(payload: &[u8]) -> Option<(Timestamp, Value)> {
-    if payload.len() != 16 {
-        return None;
-    }
-    Some((
-        i64::from_le_bytes(payload[..8].try_into().ok()?),
-        f64::from_le_bytes(payload[8..].try_into().ok()?),
-    ))
-}
 
 fn encode_group_row(t: Timestamp, entries: &[(SeriesRef, Value)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + entries.len() * 12);

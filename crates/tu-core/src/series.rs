@@ -9,13 +9,44 @@
 //! Slot layout: `count × (i64 LE timestamp, f64 LE value)`, row-sorted by
 //! timestamp. Raw (uncompressed) storage is used for the open chunk so
 //! out-of-order samples within the head range can be inserted or replaced
-//! in place (§3.1 case 4); compression happens once, at seal time.
+//! in place (§3.1 case 4); compression happens once, at seal time. The
+//! engine logs a sample to the WAL as the same 16-byte row, so a run of
+//! samples is one byte string for the log and for the slot.
 
 use tu_common::{Error, Labels, Result, Sample, SeriesId, Timestamp, Value};
 use tu_compress::gorilla;
 use tu_mmap::{ChunkArena, ChunkHandle};
 
-const ROW: usize = 16;
+/// Bytes of one sample row, in the head slot and in a WAL payload.
+pub const ROW: usize = 16;
+
+/// One sample as a row.
+pub fn encode_row(t: Timestamp, v: Value) -> [u8; ROW] {
+    let mut row = [0u8; ROW];
+    row[..8].copy_from_slice(&t.to_le_bytes());
+    row[8..].copy_from_slice(&v.to_le_bytes());
+    row
+}
+
+fn decode_row(row: &[u8]) -> Sample {
+    Sample::new(
+        tu_common::bytes::i64_le(&row[..8]),
+        tu_common::bytes::f64_le(&row[8..]),
+    )
+}
+
+/// A chunk leaving the head for the LSM-tree, keyed `(first_ts, chunk)`:
+/// a full head that sealed, or one sample older than the head flushed
+/// early (§3.1 case 4). `seq` is the WAL sequence number of the sample
+/// that caused it; `last_ts` lets the engine track the maximum chunk time
+/// span for query slack.
+#[derive(Debug, PartialEq)]
+pub struct Flush {
+    pub seq: u64,
+    pub first_ts: Timestamp,
+    pub last_ts: Timestamp,
+    pub chunk: Vec<u8>,
+}
 
 /// Result of inserting one sample into a series head.
 #[derive(Debug, PartialEq)]
@@ -55,22 +86,13 @@ fn decode_rows(payload: &[u8]) -> Result<Vec<Sample>> {
     if payload.len() % ROW != 0 {
         return Err(Error::corruption("series head slot misaligned"));
     }
-    Ok(payload
-        .chunks_exact(ROW)
-        .map(|r| {
-            Sample::new(
-                tu_common::bytes::i64_le(&r[..8]),
-                tu_common::bytes::f64_le(&r[8..]),
-            )
-        })
-        .collect())
+    Ok(payload.chunks_exact(ROW).map(decode_row).collect())
 }
 
 fn encode_rows(samples: &[Sample]) -> Vec<u8> {
     let mut out = Vec::with_capacity(samples.len() * ROW);
     for s in samples {
-        out.extend_from_slice(&s.t.to_le_bytes());
-        out.extend_from_slice(&s.v.to_le_bytes());
+        out.extend_from_slice(&encode_row(s.t, s.v));
     }
     out
 }
@@ -108,7 +130,88 @@ impl SeriesObject {
         (self.head_count > 0).then_some(self.head_first)
     }
 
-    /// Inserts a sample. `cap` is the seal threshold (32 in the paper).
+    /// Inserts a run of samples, given as rows in arrival order, and
+    /// pushes onto `out` every chunk that leaves the head on the way.
+    /// `first_seq` is the WAL sequence number of the first row; `cap` is
+    /// the seal threshold (32 in the paper). A stretch of rows with rising
+    /// timestamps that continues the head is one arena write, up to the
+    /// chunk boundary; a row out of order takes [`SeriesObject::insert`].
+    /// The head ends up exactly as if the rows had been inserted one by one.
+    pub fn insert_run(
+        &mut self,
+        arena: &ChunkArena,
+        rows: &[u8],
+        cap: usize,
+        first_seq: u64,
+        out: &mut Vec<Flush>,
+    ) -> Result<()> {
+        if !rows.len().is_multiple_of(ROW) {
+            return Err(Error::invalid("sample rows misaligned"));
+        }
+        let n = rows.len() / ROW;
+        let ts = |i: usize| tu_common::bytes::i64_le(&rows[i * ROW..i * ROW + 8]);
+        let mut i = 0;
+        while i < n {
+            let t = ts(i);
+            let seq = first_seq + i as u64;
+            if self.head_count > 0 && t <= self.head_last {
+                let v = decode_row(&rows[i * ROW..(i + 1) * ROW]).v;
+                match self.insert(arena, t, v, cap)? {
+                    HeadInsert::Buffered => {}
+                    HeadInsert::Sealed {
+                        first_ts,
+                        last_ts,
+                        chunk,
+                    } => out.push(Flush {
+                        seq,
+                        first_ts,
+                        last_ts,
+                        chunk,
+                    }),
+                    HeadInsert::OlderThanHead => out.push(Flush {
+                        seq,
+                        first_ts: t,
+                        last_ts: t,
+                        chunk: gorilla::compress_chunk_framed(&[Sample::new(t, v)])?,
+                    }),
+                }
+                i += 1;
+                continue;
+            }
+            let room = cap.saturating_sub(self.head_count as usize).max(1);
+            let mut end = i + 1;
+            let mut last = t;
+            while end < n && end - i < room && ts(end) > last {
+                last = ts(end);
+                end += 1;
+            }
+            let stretch = &rows[i * ROW..end * ROW];
+            if self.head_count == 0 {
+                arena.write(self.handle, stretch)?;
+                self.head_first = t;
+            } else {
+                arena.append(self.handle, self.head_count as usize * ROW, stretch)?;
+            }
+            self.head_count += (end - i) as u16;
+            self.head_last = last;
+            self.last_ts = self.last_ts.max(last);
+            if self.head_count as usize >= cap {
+                let (first_ts, last_ts, chunk) = self.seal_head(arena)?;
+                out.push(Flush {
+                    seq: first_seq + (end - 1) as u64,
+                    first_ts,
+                    last_ts,
+                    chunk,
+                });
+            }
+            i = end;
+        }
+        Ok(())
+    }
+
+    /// Inserts one sample that does not simply continue the head: out of
+    /// order within the head range, a duplicate timestamp, or older than
+    /// the head altogether (§3.1 case 4). Handles the in-order case too.
     pub fn insert(
         &mut self,
         arena: &ChunkArena,
@@ -120,11 +223,7 @@ impl SeriesObject {
             return Ok(HeadInsert::OlderThanHead);
         }
         if self.head_count == 0 || t > self.head_last {
-            // In-order append (the overwhelmingly common case): write just
-            // the new row, no read-modify-write of the slot.
-            let mut row = [0u8; ROW];
-            row[..8].copy_from_slice(&t.to_le_bytes());
-            row[8..].copy_from_slice(&v.to_le_bytes());
+            let row = encode_row(t, v);
             if self.head_count == 0 {
                 arena.write(self.handle, &row)?;
                 self.head_first = t;
@@ -134,8 +233,7 @@ impl SeriesObject {
             self.head_count += 1;
             self.head_last = t;
         } else {
-            // Out-of-order within the head range, or duplicate timestamp:
-            // decode, fix up, rewrite (rare path, §3.1 case 4).
+            // Decode, fix up, rewrite (rare path).
             let mut rows = decode_rows(&arena.read(self.handle)?)?;
             match rows.binary_search_by_key(&t, |s| s.t) {
                 Ok(i) => rows[i].v = v, // duplicate timestamp: replace
@@ -152,13 +250,7 @@ impl SeriesObject {
         }
         self.last_ts = self.last_ts.max(t);
         if (self.head_count as usize) >= cap {
-            let rows = decode_rows(&arena.read(self.handle)?)?;
-            let chunk = gorilla::compress_chunk_framed(&rows)?;
-            let first_ts = self.head_first;
-            let last_ts = self.head_last;
-            arena.write(self.handle, &[])?;
-            self.head_count = 0;
-            self.head_last = i64::MIN;
+            let (first_ts, last_ts, chunk) = self.seal_head(arena)?;
             return Ok(HeadInsert::Sealed {
                 first_ts,
                 last_ts,
@@ -168,20 +260,24 @@ impl SeriesObject {
         Ok(HeadInsert::Buffered)
     }
 
+    /// Compresses the (non-empty) head and empties the slot.
+    fn seal_head(&mut self, arena: &ChunkArena) -> Result<(Timestamp, Timestamp, Vec<u8>)> {
+        let rows = decode_rows(&arena.read(self.handle)?)?;
+        let chunk = gorilla::compress_chunk_framed(&rows)?;
+        let (first_ts, last_ts) = (self.head_first, self.head_last);
+        arena.write(self.handle, &[])?;
+        self.head_count = 0;
+        self.head_last = i64::MIN;
+        Ok((first_ts, last_ts, chunk))
+    }
+
     /// Seals whatever is buffered (shutdown, forced flush). Returns
     /// `(first_ts, last_ts, chunk)`, or `None` when the head is empty.
     pub fn seal(&mut self, arena: &ChunkArena) -> Result<Option<(Timestamp, Timestamp, Vec<u8>)>> {
         if self.head_count == 0 {
             return Ok(None);
         }
-        let rows = decode_rows(&arena.read(self.handle)?)?;
-        let chunk = gorilla::compress_chunk_framed(&rows)?;
-        let first_ts = self.head_first;
-        let last_ts = self.head_last;
-        arena.write(self.handle, &[])?;
-        self.head_count = 0;
-        self.head_last = i64::MIN;
-        Ok(Some((first_ts, last_ts, chunk)))
+        self.seal_head(arena).map(Some)
     }
 
     /// The buffered samples (for queries over recent data).

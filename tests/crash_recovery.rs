@@ -123,26 +123,34 @@ fn groups_survive_restart_with_slots_intact() {
 fn wal_shrinks_after_checkpointed_flushes() {
     let dir = tempfile::tempdir().unwrap();
     let mut opts = options();
-    opts.wal_purge_bytes = 1; // purge at every maintenance round
+    opts.wal_purge_bytes = 1; // over the limit at every maintenance round
     let db = TimeUnion::open(dir.path().join("db"), opts).unwrap();
     let id = db
         .put(&Labels::from_pairs([("metric", "m")]), 0, 0.0)
         .unwrap();
+    let wal_len = || -> u64 {
+        // The directory appears with the first group-commit wave.
+        std::fs::read_dir(dir.path().join("db").join("block").join("wal"))
+            .into_iter()
+            .flatten()
+            .map(|e| e.unwrap())
+            .filter(|e| e.file_name().to_string_lossy().starts_with("engine.log"))
+            .map(|e| e.metadata().unwrap().len())
+            .sum()
+    };
+    let mut peak = 0;
     for i in 1..2_000i64 {
         db.put_by_id(id, i * 1000, i as f64).unwrap();
+        peak = peak.max(wal_len());
     }
+    assert!(
+        peak > 2_000 * 16 / 4,
+        "samples are logged before they flush"
+    );
     db.flush_all().unwrap();
     // Everything sealed + flushed: the WAL should be nearly empty (only
     // checkpoints and the unsealed tail survive the purge).
-    let wal_len = std::fs::metadata(
-        dir.path()
-            .join("db")
-            .join("block")
-            .join("wal")
-            .join("engine.log"),
-    )
-    .map(|m| m.len())
-    .unwrap_or(0);
+    let wal_len = wal_len();
     assert!(
         wal_len < 2_000 * 16 / 4,
         "wal should shrink after checkpoints, still {wal_len} bytes"
@@ -154,4 +162,55 @@ fn wal_shrinks_after_checkpointed_flushes() {
         .query(&[Selector::exact("metric", "m")], 0, 3_000_000)
         .unwrap();
     assert_eq!(res[0].samples.len(), 2_000);
+}
+
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// A crash image is the data directory as `kill -9` would leave it: copied
+/// while the engine is open, no `sync`, no `Drop`.
+#[test]
+fn series_acknowledged_by_sync_wal_survive_a_crash_image() {
+    let dir = tempfile::tempdir().unwrap();
+    let db = TimeUnion::open(dir.path().join("db"), options()).unwrap();
+    // Created by label set and acknowledged by `sync_wal` alone...
+    let ids: Vec<u64> = (0..8)
+        .map(|i| db.put(&labels(i, 0), 1_000, i as f64).unwrap())
+        .collect();
+    db.sync_wal().unwrap();
+    copy_dir(&dir.path().join("db"), &dir.path().join("crash1"));
+    // ...and created, then acknowledged by the `put_batch` that follows.
+    let late = db.put(&labels(9, 9), 1_000, 9.0).unwrap();
+    let batch: Vec<(u64, i64, f64)> = ids
+        .iter()
+        .chain([&late])
+        .map(|&id| (id, 2_000, 0.5))
+        .collect();
+    db.put_batch(&batch).unwrap();
+    copy_dir(&dir.path().join("db"), &dir.path().join("crash2"));
+
+    let recovered = TimeUnion::open(dir.path().join("crash1"), options()).unwrap();
+    assert_eq!(recovered.series_count(), 8);
+    for i in 0..8 {
+        let sel = vec![Selector::exact("hostname", format!("host_{i}"))];
+        let res = recovered.query(&sel, 0, 10_000).unwrap();
+        assert_eq!(res.len(), 1, "series {i} lost by the crash");
+        assert_eq!(res[0].samples.len(), 1, "series {i}");
+    }
+    let recovered = TimeUnion::open(dir.path().join("crash2"), options()).unwrap();
+    assert_eq!(recovered.series_count(), 9);
+    let res = recovered
+        .query(&[Selector::exact("metric", "m9")], 0, 10_000)
+        .unwrap();
+    assert_eq!(res[0].samples.len(), 2);
 }
