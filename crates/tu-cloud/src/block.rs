@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use tu_common::lockdep::{self, Mutex};
 
-use crate::cost::{CostClock, LatencyModel, StorageStats, TierCounters};
+use crate::cost::{CostClock, LatencyModel, RangesRead, StorageStats, TierCounters};
 use tu_common::{Error, Result};
 
 /// Directory-backed fast block storage with an EBS-like cost model.
@@ -192,35 +192,22 @@ impl BlockStore {
         Ok(buf)
     }
 
-    /// Reads several `(offset, len)` ranges with a single billable request:
-    /// the covering span is fetched once and sliced per range. The SSTable
-    /// readahead path uses this to turn a run of adjacent block fetches
-    /// into one Get. Ranges past end-of-file yield their available prefix;
-    /// an empty range list issues no request at all.
-    pub fn read_multi_range(&self, name: &str, ranges: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
-        let Some(span_start) = ranges.iter().map(|&(o, _)| o).min() else {
-            return Ok(Vec::new());
-        };
-        let span_end = ranges
-            .iter()
-            .map(|&(o, l)| o + l as u64)
-            .max()
-            .unwrap_or(span_start);
-        let mut f = File::open(self.path_of(name)).map_err(|e| self.map_nf(e, name))?;
-        f.seek(SeekFrom::Start(span_start))?;
-        let want = (span_end - span_start) as usize;
-        let mut buf = vec![0u8; want];
-        let mut filled = 0;
-        while filled < want {
-            let n = f.read(&mut buf[filled..])?;
-            if n == 0 {
-                break;
-            }
-            filled += n;
+    /// Reads the wanted `(offset, len)` ranges (sorted by offset) with the
+    /// requests this tier's latency model prices cheapest
+    /// ([`LatencyModel::plan_requests`]). Each request issued is billed its
+    /// whole covering span, gaps included, as one request; only the wanted
+    /// ranges are materialised. Ranges past end-of-file yield their
+    /// available prefix; an empty range list issues no request at all.
+    pub fn read_ranges(&self, name: &str, ranges: &[(u64, usize)]) -> Result<RangesRead> {
+        if ranges.is_empty() {
+            return Ok(RangesRead::default());
         }
-        buf.truncate(filled);
-        self.charge_read(name, filled as u64);
-        Ok(slice_ranges(&buf, span_start, ranges))
+        let mut f = File::open(self.path_of(name)).map_err(|e| self.map_nf(e, name))?;
+        let read = read_planned(&mut f, &self.model, ranges)?;
+        for request in &read.requests {
+            self.charge_read(name, request.len);
+        }
+        Ok(read)
     }
 
     fn charge_read(&self, name: &str, len: u64) {
@@ -303,21 +290,36 @@ impl BlockStore {
     }
 }
 
-/// Cuts each requested `(offset, len)` range out of a covering-span buffer
-/// that starts at absolute offset `span_start`. Shared by the multi-range
-/// readers of both tiers.
-pub(crate) fn slice_ranges(buf: &[u8], span_start: u64, ranges: &[(u64, usize)]) -> Vec<Vec<u8>> {
-    ranges
-        .iter()
-        .map(|&(o, l)| {
-            let rel = (o - span_start) as usize;
-            if rel >= buf.len() {
-                Vec::new()
-            } else {
-                buf[rel..(rel + l).min(buf.len())].to_vec()
-            }
-        })
-        .collect()
+/// Plans the requests for `ranges` under `model` and reads the wanted
+/// bytes from `f`. The returned requests carry the span each one
+/// transfers, clipped at end-of-file — what the caller bills. Shared by
+/// the range readers of both tiers.
+pub(crate) fn read_planned(
+    f: &mut File,
+    model: &LatencyModel,
+    ranges: &[(u64, usize)],
+) -> Result<RangesRead> {
+    if ranges.windows(2).any(|w| w[1].0 < w[0].0) {
+        return Err(Error::invalid("read ranges must be sorted by offset"));
+    }
+    let file_len = f.metadata()?.len();
+    let mut requests = model.plan_requests(ranges);
+    for r in &mut requests {
+        r.len = r.end().min(file_len).saturating_sub(r.offset);
+    }
+    let mut parts = Vec::with_capacity(ranges.len());
+    let mut pos = None;
+    for &(offset, len) in ranges {
+        let avail = file_len.saturating_sub(offset).min(len as u64);
+        let mut buf = vec![0u8; avail as usize];
+        if pos != Some(offset) {
+            f.seek(SeekFrom::Start(offset))?;
+        }
+        f.read_exact(&mut buf)?;
+        pos = Some(offset + avail);
+        parts.push(buf);
+    }
+    Ok(RangesRead { parts, requests })
 }
 
 #[cfg(test)]
@@ -356,23 +358,38 @@ mod tests {
     }
 
     #[test]
-    fn multi_range_read_bills_one_request() {
+    fn ranges_read_bills_the_covering_span_of_each_request() {
         let (_d, s) = store();
-        s.write_file("f", b"0123456789abcdef").unwrap();
+        let data: Vec<u8> = (0..100_000u32).map(|i| i as u8).collect();
+        s.write_file("f", &data).unwrap();
         let before = s.stats();
-        let parts = s.read_multi_range("f", &[(0, 4), (4, 4), (8, 4)]).unwrap();
+        // Two ranges 92 bytes apart share a request (the gap is billed,
+        // not returned); the third sits ~90 KB on — past what one EBS
+        // request latency buys — and gets its own.
+        let read = s.read_ranges("f", &[(0, 4), (96, 4), (90_000, 8)]).unwrap();
         assert_eq!(
-            parts,
-            vec![b"0123".to_vec(), b"4567".to_vec(), b"89ab".to_vec()]
+            read.parts,
+            vec![
+                data[0..4].to_vec(),
+                data[96..100].to_vec(),
+                data[90_000..90_008].to_vec()
+            ]
         );
+        let spans: Vec<(u64, u64)> = read.requests.iter().map(|r| (r.offset, r.len)).collect();
+        assert_eq!(spans, vec![(0, 100), (90_000, 8)]);
+        assert_eq!(read.requests[0].ranges, 0..2);
         let d = s.stats().since(&before);
-        assert_eq!(d.get_requests, 1, "coalesced ranges share one request");
-        assert_eq!(d.bytes_read, 12);
-        // Past-EOF ranges degrade to their available prefix, empty input is free.
-        let tail = s.read_multi_range("f", &[(14, 8), (30, 4)]).unwrap();
-        assert_eq!(tail, vec![b"ef".to_vec(), Vec::new()]);
-        assert!(s.read_multi_range("f", &[]).unwrap().is_empty());
-        assert_eq!(s.stats().since(&before).get_requests, 2);
+        assert_eq!(d.get_requests, 2);
+        assert_eq!(d.bytes_read, 108);
+        // Past-EOF ranges degrade to their available prefix and are billed
+        // what exists; empty input is free; unsorted input is refused.
+        let tail = s.read_ranges("f", &[(99_998, 8), (100_030, 4)]).unwrap();
+        assert_eq!(tail.parts, vec![data[99_998..].to_vec(), Vec::new()]);
+        assert_eq!(tail.requests.len(), 1);
+        assert_eq!(tail.requests[0].len, 2);
+        assert!(s.read_ranges("f", &[]).unwrap().parts.is_empty());
+        assert_eq!(s.stats().since(&before).get_requests, 3);
+        assert!(s.read_ranges("f", &[(8, 4), (0, 4)]).is_err());
     }
 
     #[test]

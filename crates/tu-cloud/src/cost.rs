@@ -89,6 +89,80 @@ impl LatencyModel {
         // ns = bytes / (bytes/s) * 1e9, computed in u128 to avoid overflow.
         ((billed as u128 * 1_000_000_000) / self.bandwidth_bps as u128) as u64
     }
+
+    /// Groups wanted byte ranges of one object (sorted by offset) into the
+    /// requests that read them cheapest under this model: neighbours are
+    /// merged into one covering-span request while the merged request is
+    /// priced no higher than the two it replaces — the gap's transfer time
+    /// against one request latency, so about `read_base_ns` worth of
+    /// bandwidth (≈ 2 MiB on S3, ≈ 26 KiB on EBS). This is what the
+    /// per-block Get term of Equations 4/6 becomes once a reader knows all
+    /// the blocks it needs up front.
+    ///
+    /// Touching ranges are folded first, so every gap is priced against
+    /// the whole runs on either side of it. Each merge is taken only when
+    /// it does not raise the total, hence the plan never costs more than
+    /// one request per range, nor more than merging touching ranges alone.
+    /// Which request pays the first-read factor does not matter: every
+    /// plan has exactly one such request.
+    pub fn plan_requests(&self, ranges: &[(u64, usize)]) -> Vec<PlannedRequest> {
+        let each = ranges
+            .iter()
+            .enumerate()
+            .map(|(i, &(offset, len))| PlannedRequest {
+                offset,
+                len: len as u64,
+                ranges: i..i + 1,
+            })
+            .collect();
+        self.merge_while_cheaper(self.merge_while_cheaper(each, 0), u64::MAX)
+    }
+
+    /// One left-to-right pass of the merge rule over neighbours at most
+    /// `max_gap` bytes apart.
+    fn merge_while_cheaper(&self, reads: Vec<PlannedRequest>, max_gap: u64) -> Vec<PlannedRequest> {
+        let mut out: Vec<PlannedRequest> = Vec::with_capacity(reads.len());
+        for next in reads {
+            if let Some(cur) = out.last_mut() {
+                let merged = cur.end().max(next.end()) - cur.offset;
+                if next.offset.saturating_sub(cur.end()) <= max_gap
+                    && self.read_ns(merged, false)
+                        <= self.read_ns(cur.len, false) + self.read_ns(next.len, false)
+                {
+                    cur.len = merged;
+                    cur.ranges.end = next.ranges.end;
+                    continue;
+                }
+            }
+            out.push(next);
+        }
+        out
+    }
+}
+
+/// One request of a read plan: the covering span it transfers and is
+/// billed for, and which of the wanted ranges it serves.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlannedRequest {
+    pub offset: u64,
+    pub len: u64,
+    /// Indices into the wanted-range list.
+    pub ranges: std::ops::Range<usize>,
+}
+
+impl PlannedRequest {
+    pub fn end(&self) -> u64 {
+        self.offset + self.len
+    }
+}
+
+/// Result of a planned multi-range read: the wanted ranges' bytes, in
+/// input order, and the requests that were issued for them (`len` is the
+/// span actually transferred, clipped at end-of-object).
+#[derive(Debug, Default)]
+pub struct RangesRead {
+    pub parts: Vec<Vec<u8>>,
+    pub requests: Vec<PlannedRequest>,
 }
 
 /// The per-tier request/byte counters of one store, mirrored into the

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use tu_common::lockdep::{self, Mutex};
 
-use crate::cost::{CostClock, LatencyModel, StorageStats, TierCounters};
+use crate::cost::{CostClock, LatencyModel, RangesRead, StorageStats, TierCounters};
 use tu_common::{Error, Result};
 
 /// Directory-backed slow object storage with an S3-like cost model.
@@ -169,37 +169,24 @@ impl ObjectStore {
         Ok(buf)
     }
 
-    /// Multi-range GET: several `(offset, len)` ranges served by one
-    /// billable request — the covering span is fetched once and sliced per
-    /// range, the way an HTTP multipart range GET is billed. This is what
-    /// makes coalesced SSTable readahead cheaper under Equations 4/6: a run
-    /// of adjacent blocks costs one Get instead of one per block. Ranges
-    /// past end-of-object yield their available prefix; an empty range list
+    /// Ranged GETs for the wanted `(offset, len)` ranges (sorted by
+    /// offset), issued as the requests this tier's latency model prices
+    /// cheapest ([`LatencyModel::plan_requests`]): ranges a request latency
+    /// apart or less share one Get. Each Get is billed its whole covering
+    /// span, gaps included — the way an HTTP range GET over that span is —
+    /// while only the wanted ranges are materialised. Ranges past
+    /// end-of-object yield their available prefix; an empty range list
     /// issues no request.
-    pub fn get_multi_range(&self, key: &str, ranges: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
-        let Some(span_start) = ranges.iter().map(|&(o, _)| o).min() else {
-            return Ok(Vec::new());
-        };
-        let span_end = ranges
-            .iter()
-            .map(|&(o, l)| o + l as u64)
-            .max()
-            .unwrap_or(span_start);
-        let mut f = File::open(self.path_of(key)).map_err(|e| self.map_nf(e, key))?;
-        f.seek(SeekFrom::Start(span_start))?;
-        let want = (span_end - span_start) as usize;
-        let mut buf = vec![0u8; want];
-        let mut filled = 0;
-        while filled < want {
-            let n = f.read(&mut buf[filled..])?;
-            if n == 0 {
-                break;
-            }
-            filled += n;
+    pub fn get_ranges(&self, key: &str, ranges: &[(u64, usize)]) -> Result<RangesRead> {
+        if ranges.is_empty() {
+            return Ok(RangesRead::default());
         }
-        buf.truncate(filled);
-        self.charge_get(key, filled as u64);
-        Ok(crate::block::slice_ranges(&buf, span_start, ranges))
+        let mut f = File::open(self.path_of(key)).map_err(|e| self.map_nf(e, key))?;
+        let read = crate::block::read_planned(&mut f, &self.model, ranges)?;
+        for request in &read.requests {
+            self.charge_get(key, request.len);
+        }
+        Ok(read)
     }
 
     fn charge_get(&self, key: &str, len: u64) {
@@ -324,17 +311,24 @@ mod tests {
     }
 
     #[test]
-    fn multi_range_get_counts_one_request() {
+    fn ranges_get_merges_across_gaps_the_model_prices_cheaper() {
         let (_d, s) = store();
-        s.put("k", b"0123456789").unwrap();
+        let data: Vec<u8> = (0..4_000_000u32).map(|i| (i % 251) as u8).collect();
+        s.put("k", &data).unwrap();
         let before = s.stats();
-        let parts = s.get_multi_range("k", &[(2, 3), (5, 3)]).unwrap();
-        assert_eq!(parts, vec![b"234".to_vec(), b"567".to_vec()]);
+        // 1 MB apart: one S3 request latency buys ~2 MiB of transfer, so
+        // the first two ranges share a Get; the third, 2.9 MB further on,
+        // does not.
+        let wanted = [(0u64, 4096usize), (1_000_000, 4096), (3_900_000, 4096)];
+        let read = s.get_ranges("k", &wanted).unwrap();
+        for (part, &(o, l)) in read.parts.iter().zip(&wanted) {
+            assert_eq!(part, &data[o as usize..o as usize + l]);
+        }
         let d = s.stats().since(&before);
-        assert_eq!(d.get_requests, 1, "coalesced ranges share one request");
-        assert_eq!(d.bytes_read, 6);
-        assert!(s.get_multi_range("k", &[]).unwrap().is_empty());
-        assert_eq!(s.stats().since(&before).get_requests, 1);
+        assert_eq!(d.get_requests, 2);
+        assert_eq!(d.bytes_read, 1_004_096 + 4096, "gap bytes are billed");
+        assert!(s.get_ranges("k", &[]).unwrap().parts.is_empty());
+        assert_eq!(s.stats().since(&before).get_requests, 2);
     }
 
     #[test]

@@ -252,6 +252,16 @@ struct ServePlane {
     ledger: Arc<tu_cloud::ledger::CostLedger>,
 }
 
+/// What a step aggregation computes: `kind` per aligned `step_ms` window
+/// of `[start, end)`.
+#[derive(Clone, Copy)]
+struct AggSpec {
+    kind: AggKind,
+    start: Timestamp,
+    end: Timestamp,
+    step_ms: i64,
+}
+
 impl TimeUnion {
     /// Opens (creating or recovering) a TimeUnion instance rooted at `dir`.
     pub fn open(dir: impl Into<PathBuf>, opts: Options) -> Result<Self> {
@@ -721,12 +731,14 @@ impl TimeUnion {
 
     fn recover(&self) -> Result<()> {
         // 1. Catalog: rebuild identifier maps, memory objects, and index
-        //    postings (idempotent on the persisted trie).
+        //    postings (idempotent on the persisted trie). Series share
+        //    most of their tag pairs, so the index is loaded as one batch.
+        let mut index = self.index.batch();
         for record in self.catalog.replay()? {
             match record {
                 CatalogRecord::Series { id, labels } => {
                     let obj = SeriesObject::new(id, labels.clone(), &self.series_arena)?;
-                    self.index.add(&labels, id)?;
+                    index.add(&labels, id)?;
                     self.by_labels.insert(labels.to_bytes(), id);
                     self.series
                         .insert(id, Arc::new(Mutex::new(&lockdep::CORE_OBJECT, obj)));
@@ -756,7 +768,7 @@ impl TimeUnion {
                             "catalog member slots out of order".to_string(),
                         ));
                     }
-                    self.index.add(&g.group_tags.merge(&unique_tags), gid)?;
+                    index.add(&g.group_tags.merge(&unique_tags), gid)?;
                 }
             }
         }
@@ -1428,6 +1440,37 @@ impl TimeUnion {
         start: Timestamp,
         end: Timestamp,
     ) -> Result<(QueryResult, usize)> {
+        self.fan_out(selectors, start, end, |id, chunks| {
+            if is_group_id(id) {
+                self.query_group(id, selectors, chunks, start, end)
+            } else {
+                self.query_series(id, chunks, start, end)
+            }
+        })
+    }
+
+    /// The one execution path of every Get: index select, one read plan
+    /// for all matched ids, the per-id fan-out over what the plan fetched,
+    /// and the sort by label bytes. Returns the results and how many ids
+    /// the index matched.
+    ///
+    /// All storage reads happen in the plan ([`TimeTree::plan_reads`]),
+    /// on this thread: each overlapping table is read once for every id
+    /// it covers, so blocks of different series that sit near each other
+    /// share a request, and the requests a query issues do not depend on
+    /// the fan-out width. `per_id` only decodes and merges. A group is
+    /// read whenever the index matched it, even if no single member turns
+    /// out to satisfy every selector.
+    fn fan_out<F>(
+        &self,
+        selectors: &[Selector],
+        start: Timestamp,
+        end: Timestamp,
+        per_id: F,
+    ) -> Result<(QueryResult, usize)>
+    where
+        F: Fn(SeriesId, &[(Timestamp, &[u8])]) -> Result<Vec<SeriesResult>> + Sync,
+    {
         self.obs.queries.inc();
         let _span = tu_obs::span("core.query");
         let ids = {
@@ -1441,14 +1484,12 @@ impl TimeUnion {
         }
         let per_id = {
             let _stage = tu_obs::span("core.query.fanout");
-            pool.run(ids.len(), |i| {
-                let id = ids[i];
-                if is_group_id(id) {
-                    self.query_group(id, selectors, start, end)
-                } else {
-                    self.query_series(id, start, end)
-                }
-            })
+            let plan = {
+                let _plan = tu_obs::span("core.query.plan");
+                let from = start.saturating_sub(self.query_slack());
+                self.tree.plan_reads(&ids, from, end)?
+            };
+            pool.run(ids.len(), |i| per_id(ids[i], &plan.chunks(i)?))
         };
         let _stage = tu_obs::span("core.query.sort");
         let mut out: QueryResult = Vec::new();
@@ -1479,6 +1520,7 @@ impl TimeUnion {
     fn query_series(
         &self,
         id: SeriesId,
+        chunks: &[(Timestamp, &[u8])],
         start: Timestamp,
         end: Timestamp,
     ) -> Result<Vec<SeriesResult>> {
@@ -1486,9 +1528,8 @@ impl TimeUnion {
             return Ok(Vec::new()); // purged between index lookup and here
         };
         let mut merger = SampleMerger::new(start, end);
-        let from = start.saturating_sub(self.query_slack());
-        for (_, chunk) in self.tree.range_chunks(id, from, end)? {
-            merger.offer_all(gorilla::decompress_chunk(&chunk)?);
+        for (_, chunk) in chunks {
+            merger.offer_all(gorilla::decompress_chunk(chunk)?);
         }
         let o = obj.lock();
         merger.offer_all(o.head_samples(&self.series_arena)?);
@@ -1508,6 +1549,7 @@ impl TimeUnion {
         &self,
         gid: GroupId,
         selectors: &[Selector],
+        chunks: &[(Timestamp, &[u8])],
         start: Timestamp,
         end: Timestamp,
     ) -> Result<Vec<SeriesResult>> {
@@ -1534,13 +1576,11 @@ impl TimeUnion {
         if matched.is_empty() {
             return Ok(out);
         }
-        let from = start.saturating_sub(self.query_slack());
-        let chunks = self.tree.range_chunks(gid, from, end)?;
         let mut mergers: Vec<SampleMerger> = matched
             .iter()
             .map(|_| SampleMerger::new(start, end))
             .collect();
-        for (_, chunk) in &chunks {
+        for (_, chunk) in chunks {
             let dec = nullxor::GroupChunkDecoder::new(chunk)?;
             let ts = dec.decode_timestamps()?;
             for (mi, (slot, _)) in matched.iter().enumerate() {
@@ -1632,9 +1672,9 @@ impl TimeUnion {
         Ok((out, profile))
     }
 
-    /// Shared body of `query_aggregate`/`query_aggregate_profiled`,
-    /// mirroring `query_exec`: same index select, same parallel fan-out,
-    /// same label-byte sort.
+    /// Shared body of `query_aggregate`/`query_aggregate_profiled`: the
+    /// same select, read plan, fan-out and sort as `query_exec`
+    /// ([`TimeUnion::fan_out`]), folding instead of materializing.
     fn query_aggregate_exec(
         &self,
         selectors: &[Selector],
@@ -1646,35 +1686,19 @@ impl TimeUnion {
         if step_ms <= 0 {
             return Err(Error::invalid("aggregation step must be positive"));
         }
-        self.obs.queries.inc();
-        let _span = tu_obs::span("core.query");
-        let ids = {
-            let _stage = tu_obs::span("core.query.select");
-            self.index.select(selectors)?
+        let spec = AggSpec {
+            kind,
+            start,
+            end,
+            step_ms,
         };
-        let pool = tu_common::pool::WorkerPool::new(self.query_threads.load(Ordering::Relaxed));
-        if pool.threads() > 1 && ids.len() > 1 {
-            self.obs.parallel_queries.inc();
-            self.obs.parallel_tasks.add(ids.len() as u64);
-        }
-        let per_id = {
-            let _stage = tu_obs::span("core.query.fanout");
-            pool.run(ids.len(), |i| {
-                let id = ids[i];
-                if is_group_id(id) {
-                    self.aggregate_group(id, selectors, kind, start, end, step_ms)
-                } else {
-                    self.aggregate_series(id, kind, start, end, step_ms)
-                }
-            })
-        };
-        let _stage = tu_obs::span("core.query.sort");
-        let mut out: QueryResult = Vec::new();
-        for r in per_id {
-            out.extend(r?);
-        }
-        out.sort_by_cached_key(|s| s.labels.to_bytes());
-        Ok((out, ids.len()))
+        self.fan_out(selectors, start, end, |id, chunks| {
+            if is_group_id(id) {
+                self.aggregate_group(id, selectors, chunks, spec)
+            } else {
+                self.aggregate_series(id, chunks, spec)
+            }
+        })
     }
 
     /// Whether a series' chunk set qualifies for pushdown: every chunk
@@ -1712,16 +1736,18 @@ impl TimeUnion {
     fn aggregate_series(
         &self,
         id: SeriesId,
-        kind: AggKind,
-        start: Timestamp,
-        end: Timestamp,
-        step_ms: i64,
+        chunks: &[(Timestamp, &[u8])],
+        spec: AggSpec,
     ) -> Result<Vec<SeriesResult>> {
+        let AggSpec {
+            kind,
+            start,
+            end,
+            step_ms,
+        } = spec;
         let Some(obj) = self.series.get(&id) else {
             return Ok(Vec::new());
         };
-        let from = start.saturating_sub(self.query_slack());
-        let chunks = self.tree.range_chunks(id, from, end)?;
         let (head, labels) = {
             let o = obj.lock();
             (o.head_samples(&self.series_arena)?, o.labels.clone())
@@ -1732,12 +1758,12 @@ impl TimeUnion {
             .collect();
         let head_pairs: Vec<(Timestamp, Value)> = head.iter().map(|s| (s.t, s.v)).collect();
         let samples = if Self::pushdown_plan_ok(&stats, &[&head_pairs], start, end) {
-            self.fold_series_pushdown(&chunks, &stats, &head, kind, start, end, step_ms)?
+            self.fold_series_pushdown(chunks, &stats, &head, spec)?
         } else {
             // Reference fallback: materialize through the merger exactly
             // like `query_series`, then fold.
             let mut merger = SampleMerger::new(start, end);
-            for (_, chunk) in &chunks {
+            for (_, chunk) in chunks {
                 merger.offer_all(gorilla::decompress_chunk(chunk)?);
             }
             merger.offer_all(head);
@@ -1759,14 +1785,17 @@ impl TimeUnion {
     /// emits them.
     fn fold_series_pushdown(
         &self,
-        chunks: &[(Timestamp, Vec<u8>)],
+        chunks: &[(Timestamp, &[u8])],
         stats: &[Option<ChunkStats>],
         head: &[Sample],
-        kind: AggKind,
-        start: Timestamp,
-        end: Timestamp,
-        step_ms: i64,
+        spec: AggSpec,
     ) -> Result<Vec<Sample>> {
+        let AggSpec {
+            kind,
+            start,
+            end,
+            step_ms,
+        } = spec;
         let mut win = StepWindows::new(start, end, step_ms);
         // Counter deltas accumulate locally and post once per series:
         // per-chunk `TracedCounter` increments would charge the active
@@ -1868,11 +1897,15 @@ impl TimeUnion {
         &self,
         gid: GroupId,
         selectors: &[Selector],
-        kind: AggKind,
-        start: Timestamp,
-        end: Timestamp,
-        step_ms: i64,
+        chunks: &[(Timestamp, &[u8])],
+        spec: AggSpec,
     ) -> Result<Vec<SeriesResult>> {
+        let AggSpec {
+            kind,
+            start,
+            end,
+            step_ms,
+        } = spec;
         let mut out = Vec::new();
         let Some(obj) = self.groups.get(&gid) else {
             return Ok(out);
@@ -1892,8 +1925,6 @@ impl TimeUnion {
         if matched.is_empty() {
             return Ok(out);
         }
-        let from = start.saturating_sub(self.query_slack());
-        let chunks = self.tree.range_chunks(gid, from, end)?;
         let heads: Vec<Vec<(Timestamp, Value)>> = {
             let g = obj.lock();
             matched
@@ -1915,7 +1946,7 @@ impl TimeUnion {
                 .iter()
                 .map(|_| SampleMerger::new(start, end))
                 .collect();
-            for (_, chunk) in &chunks {
+            for (_, chunk) in chunks {
                 let dec = nullxor::GroupChunkDecoder::new(chunk)?;
                 let ts = dec.decode_timestamps()?;
                 for (mi, (slot, _)) in matched.iter().enumerate() {

@@ -3,8 +3,8 @@
 //! [`QueryProfile`] is the paper's cost model (Eq. 4/6) evaluated for one
 //! operation instead of the whole process: how many billable Get/Put
 //! requests and bytes each tier charged *this* query, how the block cache
-//! and coalesced readahead changed that bill, and where the wall time
-//! went stage by stage. Built from a finished
+//! and the read plan's merged requests changed that bill, and where the
+//! wall time went stage by stage. Built from a finished
 //! [`tu_obs::TraceSummary`] by [`crate::TimeUnion::query_profiled`].
 
 use std::collections::BTreeMap;
@@ -57,7 +57,7 @@ pub struct HeatContribution {
 /// One timed stage of a query (from the trace context's span deltas).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageTiming {
-    /// Short stage name (`select`, `fanout`, `sort`).
+    /// Short stage name (`select`, `plan`, `fanout`, `sort`).
     pub name: String,
     /// Completions of this stage inside the query (normally 1).
     pub count: u64,
@@ -91,10 +91,14 @@ pub struct QueryProfile {
     /// SSTable data blocks this query fetched from storage.
     pub block_loads: u64,
     pub block_load_bytes: u64,
-    /// Coalesced readahead requests (each replaced a run of ≥ 2 Gets).
+    /// Requests of the read plan that carried ≥ 2 blocks (each replaced
+    /// that many per-block Gets).
     pub readahead_requests: u64,
-    /// Blocks those coalesced requests carried.
+    /// Blocks those merged requests carried.
     pub readahead_blocks: u64,
+    /// Bytes those requests transferred only to bridge the gaps between
+    /// wanted blocks: what the saved requests cost in transfer.
+    pub readahead_gap_bytes: u64,
     /// Every raw counter delta of the trace context, for consumers that
     /// need a metric this struct does not surface.
     pub counters: BTreeMap<String, u64>,
@@ -103,9 +107,12 @@ pub struct QueryProfile {
     pub heat: Vec<HeatContribution>,
 }
 
-/// Stage span names, in display order, with their short labels.
-const STAGES: [(&str, &str); 3] = [
+/// Stage span names, in display order, with their short labels. `plan`
+/// (all of the query's storage reads) runs inside `fanout` and is part of
+/// its time.
+const STAGES: [(&str, &str); 4] = [
     ("core.query.select", "select"),
+    ("core.query.plan", "plan"),
     ("core.query.fanout", "fanout"),
     ("core.query.sort", "sort"),
 ];
@@ -144,6 +151,7 @@ impl QueryProfile {
             block_load_bytes: summary.counter("lsm.sstable.block_load_bytes"),
             readahead_requests: summary.counter("lsm.readahead.coalesced_requests"),
             readahead_blocks: summary.counter("lsm.readahead.coalesced_blocks"),
+            readahead_gap_bytes: summary.counter("lsm.readahead.gap_bytes"),
             counters: summary.counters.clone(),
             heat: Vec::new(),
         }
@@ -227,13 +235,15 @@ impl QueryProfile {
         out.push_str(&format!(
             "}},\"cache\":{{\"hits\":{},\"misses\":{}}},\
              \"block_loads\":{{\"count\":{},\"bytes\":{}}},\
-             \"readahead\":{{\"coalesced_requests\":{},\"coalesced_blocks\":{}}}}}",
+             \"readahead\":{{\"coalesced_requests\":{},\"coalesced_blocks\":{},\
+             \"gap_bytes\":{}}}}}",
             self.cache_hits,
             self.cache_misses,
             self.block_loads,
             self.block_load_bytes,
             self.readahead_requests,
-            self.readahead_blocks
+            self.readahead_blocks,
+            self.readahead_gap_bytes
         ));
         out
     }
@@ -287,8 +297,8 @@ impl fmt::Display for QueryProfile {
         )?;
         writeln!(
             f,
-            "  readahead coalesced_requests={} coalesced_blocks={}",
-            self.readahead_requests, self.readahead_blocks
+            "  readahead coalesced_requests={} coalesced_blocks={} gap_bytes={}",
+            self.readahead_requests, self.readahead_blocks, self.readahead_gap_bytes
         )?;
         for h in &self.heat {
             writeln!(
@@ -317,7 +327,9 @@ mod tests {
         tu_obs::traced("lsm.sstable.block_load_bytes").add(163_840);
         tu_obs::traced("lsm.readahead.coalesced_requests").add(2);
         tu_obs::traced("lsm.readahead.coalesced_blocks").add(39);
+        tu_obs::traced("lsm.readahead.gap_bytes").add(70_000);
         tu_obs::span("core.query.select").observe_ns(10_000);
+        tu_obs::span("core.query.plan").observe_ns(1_500_000);
         tu_obs::span("core.query.fanout").observe_ns(2_000_000);
         tu_obs::span("core.query.sort").observe_ns(5_000);
         ctx.finish()
@@ -339,12 +351,11 @@ mod tests {
         assert_eq!(p.cache_misses, 40);
         assert_eq!(p.readahead_requests, 2);
         assert_eq!(p.readahead_blocks, 39);
+        assert_eq!(p.readahead_gap_bytes, 70_000);
         assert_eq!(p.total_requests(), 43);
-        assert_eq!(p.stages.len(), 3);
-        assert_eq!(p.stages[0].name, "select");
-        assert_eq!(p.stages[1].name, "fanout");
-        assert_eq!(p.stages[1].total_ns, 2_000_000);
-        assert_eq!(p.stages[2].name, "sort");
+        let stages: Vec<&str> = p.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(stages, ["select", "plan", "fanout", "sort"]);
+        assert_eq!(p.stages[2].total_ns, 2_000_000);
         // Raw deltas ride along for everything else.
         assert_eq!(p.counters["lsm.cache.misses"], 40);
     }
@@ -360,7 +371,7 @@ mod tests {
         assert!(text.contains("tier object  gets=40"));
         assert!(text.contains("first_reads=2"));
         assert!(text.contains("cache   hits=10 misses=40"));
-        assert!(text.contains("coalesced_requests=2"));
+        assert!(text.contains("coalesced_requests=2 coalesced_blocks=39 gap_bytes=70000"));
     }
 
     #[test]
@@ -371,7 +382,7 @@ mod tests {
         assert!(json.contains("\"matched_ids\":7"));
         assert!(json.contains("\"object\":{\"get_requests\":40"));
         assert!(json.contains("\"stages\":[{\"name\":\"select\""));
-        assert!(json.contains("\"coalesced_blocks\":39"));
+        assert!(json.contains("\"coalesced_blocks\":39,\"gap_bytes\":70000}"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }

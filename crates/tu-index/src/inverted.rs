@@ -6,6 +6,7 @@
 //! Tag pairs live in the double-array trie; each maps to a postings list
 //! of series/group IDs.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -57,21 +58,36 @@ impl InvertedIndex {
         })
     }
 
+    /// The postings slot of a tag pair, created on first sight.
+    fn slot_of(&self, key: &[u8]) -> Result<u64> {
+        Ok(match self.trie.get(key)? {
+            Some(slot) => slot,
+            None => {
+                let slot = self.postings.write().create();
+                self.trie.insert(key, slot)?;
+                slot
+            }
+        })
+    }
+
     /// Indexes `id` under every tag pair in `labels`.
     pub fn add(&self, labels: &Labels, id: SeriesId) -> Result<()> {
         for (k, v) in labels.iter() {
-            let key = trie_key(k, v);
-            let slot = match self.trie.get(&key)? {
-                Some(slot) => slot,
-                None => {
-                    let slot = self.postings.write().create();
-                    self.trie.insert(&key, slot)?;
-                    slot
-                }
-            };
+            let slot = self.slot_of(&trie_key(k, v))?;
             self.postings.write().add(slot, id);
         }
         Ok(())
+    }
+
+    /// Starts a bulk load (recovery re-indexes every live series): same
+    /// result as calling [`InvertedIndex::add`] per entry, but a tag pair
+    /// is walked through the trie once per batch, not once per series that
+    /// carries it. Slots never move, so remembering them is safe.
+    pub fn batch(&self) -> Batch<'_> {
+        Batch {
+            index: self,
+            slots: HashMap::new(),
+        }
     }
 
     /// Removes `id` from every tag pair in `labels` (retention purge).
@@ -171,6 +187,32 @@ impl InvertedIndex {
     pub fn sync(&self) -> Result<()> {
         self.trie.sync(&self.dir)?;
         save_postings(&self.dir.join("postings.dat"), &self.postings.read())?;
+        Ok(())
+    }
+}
+
+/// A bulk load into an [`InvertedIndex`]; see [`InvertedIndex::batch`].
+pub struct Batch<'a> {
+    index: &'a InvertedIndex,
+    /// Trie key → postings slot, for the pairs this batch has seen.
+    slots: HashMap<Vec<u8>, u64>,
+}
+
+impl Batch<'_> {
+    /// Indexes `id` under every tag pair in `labels`.
+    pub fn add(&mut self, labels: &Labels, id: SeriesId) -> Result<()> {
+        for (k, v) in labels.iter() {
+            let key = trie_key(k, v);
+            let slot = match self.slots.get(&key) {
+                Some(&slot) => slot,
+                None => {
+                    let slot = self.index.slot_of(&key)?;
+                    self.slots.insert(key, slot);
+                    slot
+                }
+            };
+            self.index.postings.write().add(slot, id);
+        }
         Ok(())
     }
 }
@@ -321,6 +363,34 @@ mod tests {
         idx.add(&l, 5).unwrap();
         idx.add(&l, 5).unwrap();
         assert_eq!(idx.postings_for("metric", "cpu").unwrap(), vec![5]);
+    }
+
+    #[test]
+    fn batch_add_builds_the_same_index_as_add() {
+        let (_d, one_by_one) = index();
+        let (_d2, batched) = index();
+        // A pair already in the trie before the batch starts must resolve
+        // to its existing slot.
+        for idx in [&one_by_one, &batched] {
+            idx.add(&labels(&[("dc", "dc1")]), 500).unwrap();
+        }
+        let mut batch = batched.batch();
+        for i in 0..200u64 {
+            let host = format!("h{}", i / 8);
+            let metric = format!("m{}", i % 8);
+            let l = labels(&[("host", &host), ("metric", &metric), ("dc", "dc1")]);
+            one_by_one.add(&l, i).unwrap();
+            batch.add(&l, i).unwrap();
+        }
+        assert_eq!(batched.tag_pairs(), one_by_one.tag_pairs());
+        assert_eq!(batched.posting_entries(), one_by_one.posting_entries());
+        for (k, v) in [("host", "h3"), ("metric", "m5"), ("dc", "dc1"), ("dc", "x")] {
+            assert_eq!(
+                batched.postings_for(k, v).unwrap(),
+                one_by_one.postings_for(k, v).unwrap()
+            );
+        }
+        assert_eq!(batched.postings_for("host", "h3").unwrap().len(), 8);
     }
 
     #[test]

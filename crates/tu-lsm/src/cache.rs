@@ -12,6 +12,11 @@
 //! miss per `get`, one eviction per dropped entry, exactly as before
 //! sharding. LRU order is maintained per shard, which is also per key,
 //! so single-key recency behaviour is unchanged.
+//!
+//! Within a shard, blocks live in a slab threaded by an intrusive
+//! recency list and are found through a table-name → offset → slot map:
+//! a probe borrows the caller's `&str` (no key is built), and a hit, an
+//! insert and an eviction are each O(1).
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -26,17 +31,93 @@ type Block = Arc<Vec<(Vec<u8>, Vec<u8>)>>;
 /// enough that splitting the byte budget is immaterial for 4 KiB blocks.
 pub const DEFAULT_SHARDS: usize = 8;
 
+/// "No slot": the end of the recency list.
+const NIL: usize = usize::MAX;
+
 struct Entry {
+    table: Arc<str>,
+    offset: u64,
     block: Block,
     charge: usize,
-    /// Monotonic access stamp for LRU ordering (per shard).
-    stamp: u64,
+    /// Neighbours in the recency list (towards the most / least recent).
+    newer: usize,
+    older: usize,
 }
 
 struct Inner {
-    map: HashMap<(String, u64), Entry>,
+    /// table → offset → slot in `slab`.
+    map: HashMap<Arc<str>, HashMap<u64, usize>>,
+    /// Dense: a removal moves the last entry into the freed slot.
+    slab: Vec<Entry>,
+    /// Most and least recently used slots.
+    newest: usize,
+    oldest: usize,
     used: usize,
-    tick: u64,
+}
+
+impl Inner {
+    fn new() -> Self {
+        Inner {
+            map: HashMap::new(),
+            slab: Vec::new(),
+            newest: NIL,
+            oldest: NIL,
+            used: 0,
+        }
+    }
+
+    /// Points the recency neighbours of `slot`'s entry at `newer`/`older`
+    /// instead of at it.
+    fn relink(&mut self, slot: usize, newer: usize, older: usize) {
+        match self.slab[slot].newer {
+            NIL => self.newest = older,
+            n => self.slab[n].older = older,
+        }
+        match self.slab[slot].older {
+            NIL => self.oldest = newer,
+            o => self.slab[o].newer = newer,
+        }
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let (newer, older) = (self.slab[slot].newer, self.slab[slot].older);
+        self.relink(slot, newer, older);
+    }
+
+    fn push_newest(&mut self, slot: usize) {
+        self.slab[slot].newer = NIL;
+        self.slab[slot].older = self.newest;
+        match self.newest {
+            NIL => self.oldest = slot,
+            n => self.slab[n].newer = slot,
+        }
+        self.newest = slot;
+    }
+
+    fn remove(&mut self, table: &str, offset: u64) -> Option<Entry> {
+        let blocks = self.map.get_mut(table)?;
+        let slot = blocks.remove(&offset)?;
+        if blocks.is_empty() {
+            self.map.remove(table);
+        }
+        self.unlink(slot);
+        let entry = self.slab.swap_remove(slot);
+        self.used -= entry.charge;
+        if slot < self.slab.len() {
+            // The former last entry now lives at `slot`: tell its recency
+            // neighbours and the map.
+            self.relink(slot, slot, slot);
+            let moved = &self.slab[slot];
+            if let Some(s) = self
+                .map
+                .get_mut(&*moved.table)
+                .and_then(|b| b.get_mut(&moved.offset))
+            {
+                *s = slot;
+            }
+        }
+        Some(entry)
+    }
 }
 
 struct Shard {
@@ -73,14 +154,7 @@ impl BlockCache {
         let base = budget_bytes / n;
         let shards: Vec<Shard> = (0..n)
             .map(|i| Shard {
-                inner: Mutex::new(
-                    &lockdep::LSM_CACHE_SHARD,
-                    Inner {
-                        map: HashMap::new(),
-                        used: 0,
-                        tick: 0,
-                    },
-                ),
+                inner: Mutex::new(&lockdep::LSM_CACHE_SHARD, Inner::new()),
                 budget: if i == 0 {
                     base + budget_bytes % n
                 } else {
@@ -116,14 +190,16 @@ impl BlockCache {
     pub fn get(&self, table: &str, offset: u64) -> Option<Block> {
         let shard = self.shard_of(table, offset);
         let mut inner = shard.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(&(table.to_string(), offset)) {
-            Some(e) => {
-                e.stamp = tick;
+        let slot = inner.map.get(table).and_then(|b| b.get(&offset)).copied();
+        match slot {
+            Some(slot) => {
+                if inner.newest != slot {
+                    inner.unlink(slot);
+                    inner.push_newest(slot);
+                }
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.obs_hits.inc();
-                Some(e.block.clone())
+                Some(inner.slab[slot].block.clone())
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -142,34 +218,28 @@ impl BlockCache {
             return;
         }
         let mut inner = shard.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let key = (table.to_string(), offset);
-        if let Some(old) = inner.map.insert(
-            key,
-            Entry {
-                block,
-                charge,
-                stamp: tick,
-            },
-        ) {
-            inner.used -= old.charge;
-        }
+        inner.remove(table, offset);
+        let name = match inner.map.get_key_value(table) {
+            Some((name, _)) => name.clone(),
+            None => Arc::from(table),
+        };
+        let entry = Entry {
+            table: name.clone(),
+            offset,
+            block,
+            charge,
+            newer: NIL,
+            older: NIL,
+        };
+        let slot = inner.slab.len();
+        inner.slab.push(entry);
+        inner.map.entry(name).or_default().insert(offset, slot);
+        inner.push_newest(slot);
         inner.used += charge;
         while inner.used > shard.budget {
-            // Evict the stalest entry. Linear scan is acceptable: blocks
-            // are ~4 KiB, so even a 1 GiB cache holds ~256k entries split
-            // across shards, and eviction is amortized over block loads
-            // from slow storage.
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone());
-            let Some(e) = victim.and_then(|k| inner.map.remove(&k)) else {
-                break;
-            };
-            inner.used -= e.charge;
+            let victim = &inner.slab[inner.oldest];
+            let (table, offset) = (victim.table.clone(), victim.offset);
+            inner.remove(&table, offset);
             self.evictions.fetch_add(1, Ordering::Relaxed);
             self.obs_evictions.inc();
         }
@@ -179,16 +249,13 @@ impl BlockCache {
     pub fn invalidate_table(&self, table: &str) {
         for shard in &self.shards {
             let mut inner = shard.inner.lock();
-            let keys: Vec<_> = inner
+            let offsets: Vec<u64> = inner
                 .map
-                .keys()
-                .filter(|(t, _)| t == table)
-                .cloned()
-                .collect();
-            for k in keys {
-                if let Some(e) = inner.map.remove(&k) {
-                    inner.used -= e.charge;
-                }
+                .get(table)
+                .map(|blocks| blocks.keys().copied().collect())
+                .unwrap_or_default();
+            for offset in offsets {
+                inner.remove(table, offset);
             }
         }
     }
@@ -197,9 +264,7 @@ impl BlockCache {
     /// latencies with warm table metadata).
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut inner = shard.inner.lock();
-            inner.map.clear();
-            inner.used = 0;
+            *shard.inner.lock() = Inner::new();
         }
     }
 
@@ -255,6 +320,54 @@ mod tests {
         assert!(c.get("t", 3).is_some());
         assert_eq!(c.eviction_count(), 1);
         assert!(c.used_bytes() <= 300);
+    }
+
+    #[test]
+    fn matches_a_naive_lru_under_random_operations() {
+        use rand::{Rng, SeedableRng};
+        // Reference: keys in recency order, oldest first.
+        let budget = 1000;
+        let c = BlockCache::with_shards(budget, 1);
+        let mut model: Vec<((String, u64), usize)> = Vec::new();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for _ in 0..20_000 {
+            let table = format!("t{}", rng.gen_range(0..4));
+            let offset = rng.gen_range(0..12u64);
+            let at = model
+                .iter()
+                .position(|(k, _)| *k == (table.clone(), offset));
+            match rng.gen_range(0..10) {
+                0 => {
+                    c.invalidate_table(&table);
+                    model.retain(|((t, _), _)| *t != table);
+                }
+                1..=4 => {
+                    let charge = rng.gen_range(50..300);
+                    c.insert(&table, offset, blk(offset as usize), charge);
+                    if let Some(i) = at {
+                        model.remove(i);
+                    }
+                    model.push(((table, offset), charge));
+                    while model.iter().map(|(_, ch)| ch).sum::<usize>() > budget {
+                        model.remove(0);
+                    }
+                }
+                _ => {
+                    let hit = c.get(&table, offset);
+                    assert_eq!(hit.is_some(), at.is_some());
+                    if let (Some(i), Some(block)) = (at, hit) {
+                        assert_eq!(block[0].0, vec![offset as u8]);
+                        let e = model.remove(i);
+                        model.push(e);
+                    }
+                }
+            }
+            assert_eq!(
+                c.used_bytes(),
+                model.iter().map(|(_, ch)| ch).sum::<usize>()
+            );
+        }
+        assert!(c.eviction_count() > 100 && c.hit_count() > 1000);
     }
 
     #[test]

@@ -29,6 +29,6 @@ pub mod wal;
 pub use leveled::{LeveledOptions, LeveledTree};
 pub use memtable::MemTable;
 pub use tree::{
-    CacheIntrospect, LevelIntrospect, LsmIntrospect, PartitionIntrospect, TableIntrospect,
-    TimeTree, TreeOptions,
+    CacheIntrospect, LevelIntrospect, LsmIntrospect, PartitionIntrospect, ReadPlan,
+    TableIntrospect, TimeTree, TreeOptions,
 };

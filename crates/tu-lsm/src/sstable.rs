@@ -20,6 +20,7 @@
 use std::sync::Arc;
 
 use tu_cloud::block::BlockStore;
+use tu_cloud::cost::RangesRead;
 use tu_cloud::object::ObjectStore;
 use tu_common::{varint, Error, Result};
 use tu_compress::{crc, snappy};
@@ -47,6 +48,7 @@ struct SstObs {
     block_load_bytes: tu_obs::TracedCounter,
     coalesced_requests: tu_obs::TracedCounter,
     coalesced_blocks: tu_obs::TracedCounter,
+    gap_bytes: tu_obs::TracedCounter,
     bloom_checks: tu_obs::TracedCounter,
     bloom_negatives: tu_obs::TracedCounter,
 }
@@ -58,16 +60,11 @@ fn sst_obs() -> &'static SstObs {
         block_load_bytes: tu_obs::traced("lsm.sstable.block_load_bytes"),
         coalesced_requests: tu_obs::traced("lsm.readahead.coalesced_requests"),
         coalesced_blocks: tu_obs::traced("lsm.readahead.coalesced_blocks"),
+        gap_bytes: tu_obs::traced("lsm.readahead.gap_bytes"),
         bloom_checks: tu_obs::traced("lsm.bloom.checks"),
         bloom_negatives: tu_obs::traced("lsm.bloom.negatives"),
     })
 }
-
-/// Default cap on how many adjacent uncached blocks one coalesced readahead
-/// request may fetch (64 x 4 KiB ≈ 256 KiB per request — well past the
-/// latency model's 16 KiB knee, so larger runs would trade little latency
-/// for much more over-read on early-terminated scans).
-pub const DEFAULT_READAHEAD_BLOCKS: usize = 64;
 
 // --- block building ---------------------------------------------------------
 
@@ -385,14 +382,14 @@ impl TableSource {
         Ok(data)
     }
 
-    /// Fetches several ranges with one billable store request (the
-    /// readahead path: a run of adjacent data blocks costs one Get).
-    fn read_multi(&self, ranges: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
-        let parts = match self {
-            TableSource::Block(store, name) => store.read_multi_range(name, ranges)?,
-            TableSource::Object(store, key) => store.get_multi_range(key, ranges)?,
+    /// Fetches several ranges (sorted by offset) with the requests the
+    /// tier's latency model prices cheapest.
+    fn read_ranges(&self, ranges: &[(u64, usize)]) -> Result<RangesRead> {
+        let read = match self {
+            TableSource::Block(store, name) => store.read_ranges(name, ranges)?,
+            TableSource::Object(store, key) => store.get_ranges(key, ranges)?,
         };
-        for (part, &(offset, len)) in parts.iter().zip(ranges) {
+        for (part, &(offset, len)) in read.parts.iter().zip(ranges) {
             if part.len() != len {
                 return Err(Error::corruption(format!(
                     "short read: wanted {len} bytes at {offset}, got {}",
@@ -400,7 +397,7 @@ impl TableSource {
                 )));
             }
         }
-        Ok(parts)
+        Ok(read)
     }
 
     fn len(&self) -> Result<u64> {
@@ -428,9 +425,33 @@ pub struct Table {
     index: Vec<(Vec<u8>, u64, u64)>,
     bloom: BloomFilter,
     props: TableProps,
-    /// Max adjacent uncached blocks fetched by one coalesced readahead
-    /// request during range scans; `<= 1` disables coalescing.
-    readahead_blocks: usize,
+}
+
+/// The data blocks a set of key ranges needs from one table, fetched and
+/// parsed. Holding the blocks here — not relying on the cache to still
+/// have them — is what lets the ranges be decoded later, on other threads,
+/// without another trip to storage.
+pub struct TableRead {
+    /// Needed blocks, ascending by position in the table.
+    blocks: Vec<Block>,
+    /// Per key range: its blocks, as positions in `blocks`.
+    spans: Vec<std::ops::Range<usize>>,
+}
+
+impl TableRead {
+    /// Entries of key range `i` of the read, which was `[start, end)`.
+    pub fn entries<'a>(
+        &'a self,
+        i: usize,
+        start: &'a [u8],
+        end: &'a [u8],
+    ) -> impl Iterator<Item = &'a (Vec<u8>, Vec<u8>)> + 'a {
+        self.blocks[self.spans[i].clone()]
+            .iter()
+            .flat_map(|block| block.iter())
+            .skip_while(move |(k, _)| k.as_slice() < start)
+            .take_while(move |(k, _)| k.as_slice() < end)
+    }
 }
 
 impl Table {
@@ -508,14 +529,7 @@ impl Table {
                 file_len,
                 stats_chunks,
             },
-            readahead_blocks: DEFAULT_READAHEAD_BLOCKS,
         })
-    }
-
-    /// Sets the coalesced-readahead cap for range scans (`<= 1` disables
-    /// coalescing; every block is then fetched with its own request).
-    pub fn set_readahead(&mut self, blocks: usize) {
-        self.readahead_blocks = blocks;
     }
 
     pub fn props(&self) -> &TableProps {
@@ -527,92 +541,65 @@ impl Table {
         self.index.len()
     }
 
-    fn load_block(&self, block_idx: usize) -> Result<Arc<Vec<(Vec<u8>, Vec<u8>)>>> {
-        let (_, off, len) = self.index[block_idx];
-        if let Some(cache) = &self.cache {
-            if let Some(hit) = cache.get(&self.cache_name, off) {
-                return Ok(hit);
-            }
-        }
-        // Cache miss: this read reaches storage (one billable Get on the
-        // slow tier — the per-block term of Equations 4/6).
-        sst_obs().block_loads.inc();
-        sst_obs().block_load_bytes.add(len);
-        let framed = self.source.read_at(off, len as usize)?;
-        let entries = Arc::new(block_entries(&unframe_block(&framed)?)?);
-        if let Some(cache) = &self.cache {
-            cache.insert(&self.cache_name, off, entries.clone(), len as usize);
-        }
-        Ok(entries)
-    }
-
-    /// Loads blocks `first..=last` for a range scan, coalescing runs of
-    /// adjacent uncached blocks into single ranged store reads.
+    /// Loads the blocks at the given ascending index positions: one cache
+    /// probe per block (one hit or one miss each), then all the misses in
+    /// as few store requests as the tier's latency model prices cheapest —
+    /// blocks a request latency apart or less share one, whatever lies
+    /// between them. Each fetched frame is parsed and dropped before the
+    /// next, so a read never holds a block in both forms.
     ///
-    /// Cache accounting matches the one-at-a-time path exactly: each block
-    /// is probed once (one hit or one miss per block), and
-    /// `lsm.sstable.block_loads`/`block_load_bytes` still count every block
-    /// that reached storage. What changes is the *request* count — a run of
-    /// `k >= 2` adjacent misses costs one Get instead of `k` (the
-    /// per-request term of Equations 4/6), surfaced as
-    /// `lsm.readahead.coalesced_requests`/`coalesced_blocks`.
-    fn load_blocks(&self, first: usize, last: usize) -> Result<Vec<Block>> {
-        let mut out: Vec<Option<Block>> = vec![None; last - first + 1];
-        let mut missing: Vec<usize> = Vec::new();
-        for idx in first..=last {
-            let (_, off, _) = self.index[idx];
-            if let Some(cache) = &self.cache {
-                if let Some(hit) = cache.get(&self.cache_name, off) {
-                    out[idx - first] = Some(hit);
-                    continue;
-                }
+    /// `lsm.sstable.block_loads`/`block_load_bytes` count every block that
+    /// reached storage; `lsm.readahead.coalesced_requests`/`coalesced_blocks`
+    /// the requests that carried two or more and the blocks they carried
+    /// (the per-request term of Equations 4/6 that was saved);
+    /// `lsm.readahead.gap_bytes` what was transferred only to bridge gaps.
+    fn load_blocks(&self, needed: &[usize]) -> Result<Vec<Block>> {
+        let mut out: Vec<Option<Block>> = Vec::with_capacity(needed.len());
+        let mut missing: Vec<usize> = Vec::new(); // positions in `needed`
+        for (pos, &idx) in needed.iter().enumerate() {
+            let hit = self
+                .cache
+                .as_ref()
+                .and_then(|cache| cache.get(&self.cache_name, self.index[idx].1));
+            if hit.is_none() {
+                missing.push(pos);
             }
-            missing.push(idx);
+            out.push(hit);
         }
-        let max_run = self.readahead_blocks.max(1);
-        let mut i = 0;
-        while i < missing.len() {
-            let mut j = i + 1;
-            while j < missing.len() && missing[j] == missing[j - 1] + 1 && j - i < max_run {
-                j += 1;
-            }
-            self.fetch_run(&missing[i..j], first, &mut out)?;
-            i = j;
-        }
-        out.into_iter()
-            .map(|b| b.ok_or_else(|| Error::corruption("range block neither cached nor fetched")))
-            .collect()
-    }
-
-    /// Fetches one run of adjacent uncached blocks from storage, parses
-    /// them, and inserts them into the cache.
-    fn fetch_run(&self, run: &[usize], first: usize, out: &mut [Option<Block>]) -> Result<()> {
-        let frames = if run.len() >= 2 {
-            let ranges: Vec<(u64, usize)> = run
+        if !missing.is_empty() {
+            let wanted: Vec<(u64, usize)> = missing
                 .iter()
-                .map(|&idx| {
-                    let (_, off, len) = self.index[idx];
+                .map(|&pos| {
+                    let (_, off, len) = self.index[needed[pos]];
                     (off, len as usize)
                 })
                 .collect();
-            sst_obs().coalesced_requests.inc();
-            sst_obs().coalesced_blocks.add(run.len() as u64);
-            self.source.read_multi(&ranges)?
-        } else {
-            let (_, off, len) = self.index[run[0]];
-            vec![self.source.read_at(off, len as usize)?]
-        };
-        for (&idx, framed) in run.iter().zip(&frames) {
-            let (_, off, len) = self.index[idx];
-            sst_obs().block_loads.inc();
-            sst_obs().block_load_bytes.add(len);
-            let entries = Arc::new(block_entries(&unframe_block(framed)?)?);
-            if let Some(cache) = &self.cache {
-                cache.insert(&self.cache_name, off, entries.clone(), len as usize);
+            let read = self.source.read_ranges(&wanted)?;
+            let wanted_bytes: u64 = wanted.iter().map(|&(_, len)| len as u64).sum();
+            let transferred: u64 = read.requests.iter().map(|r| r.len).sum();
+            let merged = read.requests.iter().filter(|r| r.ranges.len() >= 2);
+            let merged_blocks: u64 = merged.clone().map(|r| r.ranges.len() as u64).sum();
+            let obs = sst_obs();
+            obs.block_loads.add(wanted.len() as u64);
+            obs.block_load_bytes.add(wanted_bytes);
+            if merged_blocks > 0 {
+                obs.coalesced_requests.add(merged.count() as u64);
+                obs.coalesced_blocks.add(merged_blocks);
             }
-            out[idx - first] = Some(entries);
+            if transferred > wanted_bytes {
+                obs.gap_bytes.add(transferred - wanted_bytes);
+            }
+            for ((pos, framed), (off, len)) in missing.into_iter().zip(read.parts).zip(wanted) {
+                let entries = Arc::new(block_entries(&unframe_block(&framed)?)?);
+                if let Some(cache) = &self.cache {
+                    cache.insert(&self.cache_name, off, entries.clone(), len);
+                }
+                out[pos] = Some(entries);
+            }
         }
-        Ok(())
+        out.into_iter()
+            .map(|b| b.ok_or_else(|| Error::corruption("block neither cached nor fetched")))
+            .collect()
     }
 
     /// Point lookup.
@@ -633,53 +620,59 @@ impl Table {
             Err(i) if i < self.index.len() => i,
             Err(_) => return Ok(None),
         };
-        let entries = self.load_block(block_idx)?;
+        let entries = &self.load_blocks(&[block_idx])?[0];
         Ok(entries
             .binary_search_by(|(k, _)| k.as_slice().cmp(key))
             .ok()
             .map(|i| entries[i].1.clone()))
     }
 
-    /// Iterates entries with keys in `[start, end)`.
-    ///
-    /// Both bounding blocks are located up front via the index, so the
-    /// needed block run is known before any data is fetched and adjacent
-    /// uncached blocks can be read ahead with coalesced store requests.
-    pub fn range(&self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut out = Vec::new();
-        if self.index.is_empty() || start >= end {
-            return Ok(out);
-        }
-        let first_block = match self
-            .index
-            .binary_search_by(|(last, _, _)| last.as_slice().cmp(start))
-        {
-            Ok(i) => i,
-            Err(i) => i,
-        };
-        if first_block >= self.index.len() {
-            return Ok(out);
-        }
-        // The first block whose last key reaches `end` is the final block
-        // that can still hold keys `< end`; later blocks start past it.
-        let last_block = match self
-            .index
-            .binary_search_by(|(last, _, _)| last.as_slice().cmp(end))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.index.len() - 1),
-        };
-        for entries in self.load_blocks(first_block, last_block)? {
-            for (k, v) in entries.iter() {
-                if k.as_slice() >= end {
-                    return Ok(out);
-                }
-                if k.as_slice() >= start {
-                    out.push((k.clone(), v.clone()));
-                }
+    /// Fetches what the key ranges `[start, end)` — sorted and disjoint —
+    /// need from this table. Every range's bounding blocks are located in
+    /// the in-memory index first, so the union of needed blocks is known
+    /// before any data is fetched and is loaded in one pass
+    /// (see `load_blocks`).
+    pub fn read(&self, ranges: &[(&[u8], &[u8])]) -> Result<TableRead> {
+        let mut needed: Vec<usize> = Vec::new();
+        let mut spans = Vec::with_capacity(ranges.len());
+        let mut prev_end: &[u8] = &[];
+        for &(start, end) in ranges {
+            if start < prev_end {
+                return Err(Error::invalid(
+                    "table read ranges must be sorted and disjoint",
+                ));
             }
+            prev_end = end;
+            let first = self
+                .index
+                .partition_point(|(last, _, _)| last.as_slice() < start);
+            if start >= end || first >= self.index.len() {
+                spans.push(needed.len()..needed.len());
+                continue;
+            }
+            // The first block whose last key reaches `end` is the final
+            // block that can still hold keys `< end`; later blocks start
+            // past it.
+            let last = self
+                .index
+                .partition_point(|(last, _, _)| last.as_slice() < end)
+                .min(self.index.len() - 1);
+            let from = needed.partition_point(|&b| b < first);
+            let next = needed.last().map_or(first, |&b| (b + 1).max(first));
+            needed.extend(next..=last);
+            spans.push(from..needed.len());
         }
-        Ok(out)
+        Ok(TableRead {
+            blocks: self.load_blocks(&needed)?,
+            spans,
+        })
+    }
+
+    /// Entries with keys in `[start, end)`: the one-range case of
+    /// [`Table::read`].
+    pub fn range(&self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        let read = self.read(&[(start, end)])?;
+        Ok(read.entries(0, start, end).cloned().collect())
     }
 
     /// Reads every entry (used by compaction). Fetches the whole data
@@ -849,105 +842,147 @@ mod tests {
         );
     }
 
-    #[test]
-    fn range_readahead_coalesces_adjacent_block_fetches() {
-        // A long cold range scan over a multi-block table must cost far
-        // fewer Get requests than blocks, because adjacent uncached blocks
-        // are fetched with one coalesced ranged read (Equations 4/6 bill
-        // per request). Stats are read per store instance, so this is
-        // immune to other tests' global-counter traffic.
-        let (bytes, _) = build_table(5000);
-        let dir = tempfile::tempdir().unwrap();
-        let store = Arc::new(
+    fn object_store(dir: &tempfile::TempDir) -> Arc<ObjectStore> {
+        Arc::new(
             ObjectStore::open(
                 dir.path().join("o"),
                 LatencyModel::s3(),
                 CostClock::new(LatencyMode::Virtual),
             )
             .unwrap(),
-        );
-        store.put("l2/sst", &bytes).unwrap();
-        let cache = Arc::new(BlockCache::new(1 << 20));
-        let t = Table::open(
-            TableSource::Object(store.clone(), "l2/sst".into()),
-            Some(cache.clone()),
         )
-        .unwrap();
+    }
+
+    const ALL: (&[u8], &[u8]) = (&[0u8; 16], &[0xffu8; 16]);
+
+    #[test]
+    fn cold_range_scan_costs_one_request_with_or_without_a_cache() {
+        // A long cold range scan over a multi-block table knows every
+        // block it needs up front, so it costs one Get, not one per block
+        // (Equations 4/6 bill per request). Stats are read per store
+        // instance, so this is immune to other tests' global counters.
+        let (bytes, _) = build_table(5000);
+        let dir = tempfile::tempdir().unwrap();
+        let store = object_store(&dir);
+        store.put("l2/sst", &bytes).unwrap();
+        let open = |cache| {
+            Table::open(TableSource::Object(store.clone(), "l2/sst".into()), cache).unwrap()
+        };
+        let cache = Arc::new(BlockCache::new(1 << 20));
+        let t = open(Some(cache.clone()));
         let blocks = t.block_count();
         assert!(blocks >= 4, "need a multi-block table, got {blocks}");
 
         let before = store.stats();
-        let all = t
-            .range(&encode_key(0, 0), &encode_key(u64::MAX, i64::MAX))
-            .unwrap();
-        assert_eq!(all.len(), 5000);
+        assert_eq!(t.range(ALL.0, ALL.1).unwrap().len(), 5000);
         let cold = store.stats().since(&before);
-        assert_eq!(
-            cold.get_requests, 1,
-            "one coalesced Get for {blocks} blocks"
-        );
+        assert_eq!(cold.get_requests, 1, "one Get for {blocks} blocks");
+        let data_len = t.index.iter().map(|&(_, _, len)| len).sum::<u64>();
+        assert_eq!(cold.bytes_read, data_len, "adjacent blocks: no gap bytes");
 
         // Warm re-scan: everything is cached, zero requests.
         let before = store.stats();
-        t.range(&encode_key(0, 0), &encode_key(u64::MAX, i64::MAX))
-            .unwrap();
+        t.range(ALL.0, ALL.1).unwrap();
         assert_eq!(store.stats().since(&before).get_requests, 0);
 
-        // With coalescing disabled the same cold scan pays one Get/block.
-        cache.clear();
-        let mut t2 = Table::open(
-            TableSource::Object(store.clone(), "l2/sst".into()),
-            Some(cache),
-        )
-        .unwrap();
-        t2.set_readahead(1);
-        let before = store.stats();
-        t2.range(&encode_key(0, 0), &encode_key(u64::MAX, i64::MAX))
-            .unwrap();
-        assert_eq!(
-            store.stats().since(&before).get_requests,
-            blocks as u64,
-            "uncoalesced scan pays one Get per block"
-        );
+        // The plan does not lean on the cache keeping anything: a cache
+        // too small for a single block and no cache at all read the same
+        // entries with the same single request, every time.
+        for cache in [Some(Arc::new(BlockCache::new(64))), None] {
+            let t = open(cache);
+            for _ in 0..2 {
+                let before = store.stats();
+                assert_eq!(t.range(ALL.0, ALL.1).unwrap().len(), 5000);
+                assert_eq!(store.stats().since(&before), cold);
+            }
+        }
     }
 
     #[test]
-    fn readahead_skips_cached_blocks_and_respects_cap() {
-        let (bytes, _) = build_table(5000);
+    fn gaps_are_bridged_only_where_the_tier_prices_it_cheaper() {
+        let (bytes, _) = build_table(40_000);
         let dir = tempfile::tempdir().unwrap();
-        let store = Arc::new(
+        let block = Arc::new(
             BlockStore::open(
                 dir.path().join("b"),
                 LatencyModel::ebs(),
-                CostClock::new(LatencyMode::Off),
+                CostClock::new(LatencyMode::Virtual),
             )
             .unwrap(),
         );
-        store.write_file("sst-1", &bytes).unwrap();
-        let cache = Arc::new(BlockCache::new(1 << 20));
-        let mut t = Table::open(
-            TableSource::Block(store.clone(), "sst-1".into()),
-            Some(cache),
-        )
-        .unwrap();
-        t.set_readahead(2);
-        // Warm one middle block via a point get so the cold scan has a
-        // cached hole splitting the run.
-        t.get(&encode_key(300, 0)).unwrap();
-        let before = store.stats();
-        let all = t
-            .range(&encode_key(0, 0), &encode_key(u64::MAX, i64::MAX))
-            .unwrap();
-        assert_eq!(all.len(), 5000);
-        let d = store.stats().since(&before);
-        let blocks = t.block_count() as u64;
-        // Cap 2 → at least ceil((blocks-1)/2) requests, but strictly
-        // fewer than one per block.
-        assert!(d.get_requests < blocks, "{} !< {blocks}", d.get_requests);
-        assert!(
-            d.get_requests >= blocks / 2,
-            "{} vs {blocks}",
-            d.get_requests
+        block.write_file("sst", &bytes).unwrap();
+        let object = object_store(&dir);
+        object.put("sst", &bytes).unwrap();
+        let cache = Arc::new(BlockCache::new(8 << 20));
+        let on_block =
+            Table::open(TableSource::Block(block.clone(), "sst".into()), Some(cache)).unwrap();
+        let on_object =
+            Table::open(TableSource::Object(object.clone(), "sst".into()), None).unwrap();
+        let blocks = on_block.block_count() as u64;
+
+        // A cached hole inside the run: one middle block is warm, so the
+        // cold scan wants the blocks either side of it. The hole is far
+        // smaller than what one EBS request latency buys, so it is bridged:
+        // one request, billed the hole's bytes too, one block not loaded.
+        let hole_key = encode_key(2500, 0);
+        on_block.get(&hole_key).unwrap();
+        let hole = on_block
+            .index
+            .partition_point(|(last, _, _)| last.as_slice() < hole_key.as_slice());
+        let data_len = on_block.index.iter().map(|&(_, _, len)| len).sum::<u64>();
+        let ctx = tu_obs::TraceContext::start("hole");
+        let before = block.stats();
+        assert_eq!(on_block.range(ALL.0, ALL.1).unwrap().len(), 40_000);
+        let d = block.stats().since(&before);
+        let trace = ctx.finish();
+        assert_eq!(d.get_requests, 1);
+        assert_eq!(d.bytes_read, data_len);
+        assert_eq!(trace.counter("lsm.sstable.block_loads"), blocks - 1);
+        assert_eq!(trace.counter("lsm.cache.hits"), 1);
+        assert_eq!(trace.counter("lsm.cache.misses"), blocks - 1);
+        assert_eq!(trace.counter("lsm.readahead.coalesced_requests"), 1);
+        assert_eq!(trace.counter("lsm.readahead.coalesced_blocks"), blocks - 1);
+        assert_eq!(
+            trace.counter("lsm.readahead.gap_bytes"),
+            on_block.index[hole].2
+        );
+
+        // Two series at opposite ends of the table, read together: the
+        // gap is worth bridging at S3's 20 ms a request, not at EBS's
+        // 100 µs.
+        let (a, b) = (encode_key(3, 0), encode_key(4, 0));
+        let (y, z) = (encode_key(4990, 0), encode_key(4991, 0));
+        let ranges: [(&[u8], &[u8]); 2] = [(&a, &b), (&y, &z)];
+        let gap = on_object.index[on_object.index.len() - 2].1;
+        assert!(gap > 64 << 10, "ends must be far apart, got {gap}");
+        on_block.cache.as_ref().unwrap().clear();
+        for (table, requests) in [(&on_block, 2), (&on_object, 1)] {
+            let before = (block.stats(), object.stats());
+            let read = table.read(&ranges).unwrap();
+            assert_eq!(read.entries(0, &a, &b).count(), 8);
+            assert_eq!(read.entries(1, &y, &z).count(), 8);
+            let d = block.stats().since(&before.0).get_requests
+                + object.stats().since(&before.1).get_requests;
+            assert_eq!(d, requests);
+        }
+    }
+
+    #[test]
+    fn blocks_past_end_of_object_are_a_short_read_not_data() {
+        let (bytes, _) = build_table(5000);
+        let dir = tempfile::tempdir().unwrap();
+        let store = object_store(&dir);
+        store.put("sst", &bytes).unwrap();
+        let t = Table::open(TableSource::Object(store.clone(), "sst".into()), None).unwrap();
+        // The object shrinks under the open table: its last blocks now lie
+        // past end-of-object, and the planned read must say so.
+        store.put("sst", &bytes[..bytes.len() / 3]).unwrap();
+        let err = t.range(ALL.0, ALL.1).unwrap_err();
+        assert!(err.is_corruption(), "got {err}");
+        // Blocks that still exist read fine.
+        assert_eq!(
+            t.range(&encode_key(0, 0), &encode_key(1, 0)).unwrap().len(),
+            8
         );
     }
 

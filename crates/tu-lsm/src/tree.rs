@@ -40,7 +40,7 @@ use tu_common::{Error, Result, TimeRange, Timestamp};
 
 use crate::cache::BlockCache;
 use crate::memtable::{MemTable, MemTableSet};
-use crate::sstable::{Table, TableBuilder, TableProps, TableSource};
+use crate::sstable::{Table, TableBuilder, TableProps, TableRead, TableSource};
 
 /// Configuration of the tree.
 #[derive(Debug, Clone)]
@@ -66,9 +66,6 @@ pub struct TreeOptions {
     pub max_sstable_bytes: usize,
     /// Block-cache budget (paper: 1 GiB).
     pub block_cache_bytes: usize,
-    /// Max adjacent uncached SSTable blocks one coalesced readahead request
-    /// may fetch during range scans (`<= 1` disables coalescing).
-    pub readahead_blocks: usize,
     /// Worker threads for flush encoding and compaction reads. `0` resolves
     /// through the ingest chain: `TU_INGEST_THREADS` env var, then available
     /// cores capped at 8.
@@ -88,7 +85,6 @@ impl Default for TreeOptions {
             partition_max_ms: 8 * 60 * 60 * 1000,
             max_sstable_bytes: 2 << 20,
             block_cache_bytes: 64 << 20,
-            readahead_blocks: crate::sstable::DEFAULT_READAHEAD_BLOCKS,
             flush_threads: 0,
         }
     }
@@ -202,8 +198,10 @@ impl TableMeta {
     fn last_id(&self) -> u64 {
         decode_id(&self.props.last_key).unwrap_or(u64::MAX)
     }
-    fn overlaps_id(&self, id: u64) -> bool {
-        self.first_id() <= id && id <= self.last_id()
+    /// The part of the ascending `ids` this table's id range covers.
+    fn ids_covered(&self, ids: &[u64]) -> std::ops::Range<usize> {
+        let (first, last) = (self.first_id(), self.last_id());
+        ids.partition_point(|&id| id < first)..ids.partition_point(|&id| id <= last)
     }
 }
 
@@ -231,6 +229,54 @@ struct Levels {
     l2: Vec<L2Partition>,
     r1_ms: i64,
     r2_ms: i64,
+}
+
+/// One table's share of a [`ReadPlan`].
+struct PlannedTable {
+    seq: u64,
+    /// The plan ids this table was read for; `read`'s ranges follow them.
+    ids: std::ops::Range<usize>,
+    read: TableRead,
+}
+
+/// What one query needs from the tree, already fetched
+/// ([`TimeTree::plan_reads`]): memtable entries and the SSTable blocks of
+/// every overlapping table, in the tree's newest-wins tie-break order.
+pub struct ReadPlan {
+    /// Per planned id: its `[start, end)` key bounds.
+    keys: Vec<([u8; 16], [u8; 16])>,
+    mem: Vec<Vec<(Vec<u8>, Vec<u8>)>>,
+    tables: Vec<PlannedTable>,
+}
+
+impl ReadPlan {
+    /// The chunks of the `i`-th planned id as `(start timestamp, chunk)`,
+    /// newest version per key, sorted by key.
+    pub fn chunks(&self, i: usize) -> Result<Vec<(Timestamp, &[u8])>> {
+        let (start, end) = &self.keys[i];
+        // Accumulate (key, seq, value) triples flat, then resolve
+        // newest-wins with one sort + dedup. Each source is already sorted,
+        // so the sort sees pre-sorted runs and the whole resolution costs
+        // far less than per-entry BTreeMap node churn.
+        let mut acc: Vec<(&[u8], u64, &[u8])> = Vec::new();
+        for t in self.tables.iter().filter(|t| t.ids.contains(&i)) {
+            for (k, v) in t.read.entries(i - t.ids.start, start, end) {
+                acc.push((k, t.seq, v));
+            }
+        }
+        for (k, v) in &self.mem[i] {
+            acc.push((k, u64::MAX, v));
+        }
+        // Newest version per key: sort by (key asc, seq desc); the stable
+        // sort keeps insertion order on (key, seq) ties, so the earlier
+        // source still wins. dedup_by drops the *later* of two adjacent
+        // equals, keeping the winner.
+        acc.sort_by(|a, b| a.0.cmp(b.0).then(b.1.cmp(&a.1)));
+        acc.dedup_by(|next, kept| next.0 == kept.0);
+        acc.into_iter()
+            .map(|(k, _, v)| Ok((decode_ts(k)?, v)))
+            .collect()
+    }
 }
 
 /// The time-partitioned LSM-tree.
@@ -496,9 +542,7 @@ impl TimeTree {
         } else {
             TableSource::Block(self.env.block.clone(), meta.name.clone())
         };
-        let mut opened = Table::open(source, Some(self.cache.clone()))?;
-        opened.set_readahead(self.opts.readahead_blocks);
-        let table = Arc::new(opened);
+        let table = Arc::new(Table::open(source, Some(self.cache.clone()))?);
         self.tables.lock().insert(meta.name.clone(), table.clone());
         Ok(table)
     }
@@ -1022,25 +1066,27 @@ impl TimeTree {
 
     // --- reads ----------------------------------------------------------------
 
-    /// All chunks of `id` whose *start timestamp* lies in `[start, end)`,
-    /// newest version per key, sorted by key. Callers extend `start`
-    /// downward by the maximum chunk duration to catch chunks straddling
-    /// the range start.
-    pub fn range_chunks(
-        &self,
-        id: u64,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> Result<Vec<(Timestamp, Vec<u8>)>> {
-        let start_key = encode_key(id, start);
-        let end_key = encode_key(id, end.max(start));
-        let tr = TimeRange::new(start, end.max(start));
-        // Accumulate (key, seq, value) triples flat, then resolve
-        // newest-wins with one sort + dedup. Each source is already sorted,
-        // so the sort sees pre-sorted runs and the whole resolution costs
-        // far less than the per-entry BTreeMap node churn it replaced
-        // (~0.6µs/chunk on meta-answered aggregate queries).
-        let mut acc: Vec<(Vec<u8>, u64, Vec<u8>)> = Vec::new();
+    /// Plans and performs the storage reads of one query: everything the
+    /// tree holds for the strictly ascending `ids` in chunks whose *start
+    /// timestamp* lies in `[start, end)`. Callers extend `start` downward
+    /// by the maximum chunk duration to catch chunks straddling the range
+    /// start.
+    ///
+    /// The level metadata is snapshotted once, and each overlapping table
+    /// is read once for all the ids it covers (`Table::read`), under that
+    /// table's partition heat guard. The returned plan owns what was
+    /// fetched; [`ReadPlan::chunks`] decodes one id from it without
+    /// touching storage, from any thread.
+    pub fn plan_reads(&self, ids: &[u64], start: Timestamp, end: Timestamp) -> Result<ReadPlan> {
+        if ids.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(Error::invalid("planned ids must be strictly ascending"));
+        }
+        let end = end.max(start);
+        let tr = TimeRange::new(start, end);
+        let keys: Vec<([u8; 16], [u8; 16])> = ids
+            .iter()
+            .map(|&id| (encode_key(id, start), encode_key(id, end)))
+            .collect();
         // Read the memtables BEFORE snapshotting the level metadata. Flush
         // publishes tables to the levels first and only then retires the
         // flushed memtable, so in this order every entry is visible in at
@@ -1048,57 +1094,54 @@ impl TimeTree {
         // the memtable copy winning via seq = MAX). The reverse order has
         // a lost-visibility window: levels snapshotted before the publish,
         // memtable read after the retire.
-        let mem_entries: Vec<(Vec<u8>, Vec<u8>)> = self.mem.range(&start_key, &end_key);
+        let mem = keys.iter().map(|(s, e)| self.mem.range(s, e)).collect();
         // Snapshot the level metadata, then read without holding the lock.
-        let (l01_tables, l2_tables): (Vec<TableMeta>, Vec<TableMeta>) = {
+        let metas: Vec<(TableMeta, std::ops::Range<usize>)> = {
             let lv = self.levels.lock();
-            let mut fast = Vec::new();
-            for p in lv.l0.iter().chain(lv.l1.iter()) {
-                if p.range.overlaps(&tr) {
-                    for t in &p.tables {
-                        if t.overlaps_id(id) {
-                            fast.push(t.clone());
-                        }
-                    }
-                }
-            }
-            let mut slow = Vec::new();
-            for p in &lv.l2 {
-                if p.range.overlaps(&tr) {
-                    for t in &p.tables {
-                        if t.base.overlaps_id(id) {
-                            slow.push(t.base.clone());
-                        }
-                        for patch in &t.patches {
-                            if patch.overlaps_id(id) {
-                                slow.push(patch.clone());
-                            }
-                        }
-                    }
-                }
-            }
-            (fast, slow)
+            let fast = lv.l0.iter().chain(lv.l1.iter());
+            let fast = fast
+                .filter(|p| p.range.overlaps(&tr))
+                .flat_map(|p| p.tables.iter());
+            let slow = lv.l2.iter().filter(|p| p.range.overlaps(&tr));
+            let slow = slow
+                .flat_map(|p| p.tables.iter())
+                .flat_map(|t| std::iter::once(&t.base).chain(t.patches.iter()));
+            fast.chain(slow)
+                .map(|t| (t, t.ids_covered(ids)))
+                .filter(|(_, covered)| !covered.is_empty())
+                .map(|(t, covered)| (t.clone(), covered))
+                .collect()
         };
-        for meta in l01_tables.iter().chain(l2_tables.iter()) {
+        let mut tables = Vec::with_capacity(metas.len());
+        for (meta, covered) in metas {
             // Charge this table's block fetches to its owning partition.
             let _heat = tu_obs::heat::attribute(meta.range.start, meta.range.end);
-            let table = self.open_table(meta)?;
-            for (k, v) in table.range(&start_key, &end_key)? {
-                acc.push((k, meta.seq, v));
-            }
+            let ranges: Vec<(&[u8], &[u8])> = keys[covered.clone()]
+                .iter()
+                .map(|(s, e)| (s.as_slice(), e.as_slice()))
+                .collect();
+            let read = self.open_table(&meta)?.read(&ranges)?;
+            tables.push(PlannedTable {
+                seq: meta.seq,
+                ids: covered,
+                read,
+            });
         }
-        for (k, v) in mem_entries {
-            acc.push((k, u64::MAX, v));
-        }
-        // Newest version per key: sort by (key asc, seq desc); the stable
-        // sort keeps insertion order on (key, seq) ties, so the earlier
-        // source still wins exactly as the map's `>=` rule did. dedup_by
-        // drops the *later* of two adjacent equals, keeping the winner.
-        acc.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-        acc.dedup_by(|next, kept| next.0 == kept.0);
-        acc.into_iter()
-            .map(|(k, _, v)| Ok((decode_ts(&k)?, v)))
-            .collect()
+        Ok(ReadPlan { keys, mem, tables })
+    }
+
+    /// All chunks of `id` whose *start timestamp* lies in `[start, end)`,
+    /// newest version per key, sorted by key: the one-id case of
+    /// [`TimeTree::plan_reads`].
+    pub fn range_chunks(
+        &self,
+        id: u64,
+        start: Timestamp,
+        end: Timestamp,
+    ) -> Result<Vec<(Timestamp, Vec<u8>)>> {
+        let plan = self.plan_reads(&[id], start, end)?;
+        let chunks = plan.chunks(0)?;
+        Ok(chunks.into_iter().map(|(t, c)| (t, c.to_vec())).collect())
     }
 
     /// Point lookup of the chunk at exactly `(id, start_ts)`.
