@@ -2530,6 +2530,7 @@ mod tests {
                 .len(),
             1
         );
+        assert_eq!(e.tag_values("metric").unwrap(), vec!["new"]);
     }
 
     #[test]

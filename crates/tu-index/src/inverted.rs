@@ -17,6 +17,7 @@ use crate::postings::{intersect, union, PostingsStore};
 use crate::trie::DoubleArrayTrie;
 use crate::KV_SEPARATOR;
 use tu_common::{Labels, Result, SeriesId};
+use tu_mmap::file::replace_file;
 use tu_mmap::pagecache::PageCache;
 
 fn trie_key(key: &str, value: &str) -> Vec<u8> {
@@ -58,16 +59,11 @@ impl InvertedIndex {
         })
     }
 
-    /// The postings slot of a tag pair, created on first sight.
+    /// The postings slot of a tag pair, created on first sight. One trie
+    /// walk, and two creators of the same new pair get the same slot.
     fn slot_of(&self, key: &[u8]) -> Result<u64> {
-        Ok(match self.trie.get(key)? {
-            Some(slot) => slot,
-            None => {
-                let slot = self.postings.write().create();
-                self.trie.insert(key, slot)?;
-                slot
-            }
-        })
+        self.trie
+            .get_or_insert(key, || self.postings.write().create())
     }
 
     /// Indexes `id` under every tag pair in `labels`.
@@ -108,18 +104,26 @@ impl InvertedIndex {
         })
     }
 
-    /// All values recorded for a tag key, sorted.
+    /// All values of a tag key that some live series or group carries,
+    /// sorted. A pair stays in the trie after its last series expires;
+    /// its empty postings list is what marks it gone.
     pub fn tag_values(&self, key: &str) -> Result<Vec<String>> {
         let mut prefix = key.as_bytes().to_vec();
         prefix.push(KV_SEPARATOR);
-        let mut out = Vec::new();
-        self.trie.scan_prefix(&prefix, |full_key, _| {
+        let mut found = Vec::new();
+        self.trie.scan_prefix(&prefix, |full_key, slot| {
             let value = &full_key[prefix.len()..];
             if let Ok(s) = std::str::from_utf8(value) {
-                out.push(s.to_string());
+                found.push((s.to_string(), slot));
             }
             true
         })?;
+        let postings = self.postings.read();
+        let mut out: Vec<String> = found
+            .into_iter()
+            .filter(|&(_, slot)| !postings.get(slot).is_empty())
+            .map(|(value, _)| value)
+            .collect();
         out.sort();
         Ok(out)
     }
@@ -141,8 +145,10 @@ impl InvertedIndex {
                 })?;
                 let postings = self.postings.read();
                 let mut acc: Vec<SeriesId> = Vec::new();
-                for slot in slots {
-                    acc = union(&acc, postings.get(slot));
+                for list in slots.into_iter().map(|slot| postings.get(slot)) {
+                    if !list.is_empty() {
+                        acc = union(&acc, list);
+                    }
                 }
                 Ok(acc)
             }
@@ -230,10 +236,7 @@ fn save_postings(path: &Path, store: &PostingsStore) -> Result<()> {
             prev = id;
         }
     }
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &out)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    replace_file(path, &out)
 }
 
 fn load_postings(path: &Path) -> Result<PostingsStore> {
@@ -344,6 +347,9 @@ mod tests {
             vec![2]
         );
         assert!(idx.postings_for("host", "h1").unwrap().is_empty());
+        // The pair stays in the trie, but no live series carries it.
+        assert!(idx.tag_values("host").unwrap().is_empty());
+        assert_eq!(idx.tag_values("metric").unwrap(), vec!["cpu"]);
     }
 
     #[test]

@@ -22,6 +22,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use tu_common::{varint, Error, Result};
+use tu_mmap::file::replace_file;
 use tu_mmap::pagecache::PageCache;
 use tu_mmap::SegArray;
 
@@ -100,15 +101,14 @@ impl DoubleArrayTrie {
 
     /// Persists dirty pages and the key-count sidecar.
     pub fn sync(&self, dir: impl AsRef<Path>) -> Result<()> {
+        // Writers stay excluded until the sidecar is on disk, so the key
+        // count matches the synced arrays exactly; sync runs on the
+        // maintenance path, never under a query.
         let inner = self.inner.lock();
         inner.base.sync()?;
         inner.check.sync()?;
         inner.tail.sync()?;
-        // tu-lint: allow(held-lock-io): the key-count sidecar must match the
-        // synced arrays exactly, so writers stay excluded until it is on disk;
-        // sync runs on the maintenance path, never under a query.
-        std::fs::write(dir.as_ref().join("trie.keys"), inner.keys.to_le_bytes())?;
-        Ok(())
+        replace_file(&dir.as_ref().join("trie.keys"), &inner.keys.to_le_bytes())
     }
 
     /// Number of keys stored.
@@ -134,78 +134,37 @@ impl DoubleArrayTrie {
     /// already present.
     pub fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         let mut inner = self.inner.lock();
-        let mut s = ROOT;
-        let mut i = 0usize;
-        loop {
-            let base_s = inner.base.get(s)?;
-            if base_s < 0 {
-                // Leaf: compare the remaining key with the stored suffix.
-                return split_leaf(&mut inner, s, (-base_s) as u64, &key[i..], value);
+        match put(&mut inner, key, || value)? {
+            Put::Found(old) => {
+                inner.tail.set_range(old.value_pos, &value.to_le_bytes())?;
+                Ok(Some(old.value))
             }
-            let c = if i < key.len() {
-                code_of(key[i])
-            } else {
-                TERM_CODE
-            };
-            let t = base_s as u64 + c;
-            let check_t = if t < inner.check.len() {
-                inner.check.get(t)?
-            } else {
-                FREE
-            };
-            if check_t == s as i32 {
-                if c == TERM_CODE {
-                    // Terminator transition must lead to a leaf.
-                    let base_t = inner.base.get(t)?;
-                    if base_t < 0 {
-                        return split_leaf(&mut inner, t, (-base_t) as u64, &[], value);
-                    }
-                    return Err(Error::corruption("terminator node is not a leaf"));
-                }
-                s = t;
-                i += 1;
-                continue;
-            }
-            // No transition on c: attach a new leaf holding the remainder.
-            let t = claim_child(&mut inner, s, c)?;
-            let suffix = if i < key.len() { &key[i + 1..] } else { &[] };
-            let tail_pos = append_tail(&mut inner, suffix, value)?;
-            inner.base.set(t, -(tail_pos as i32))?;
-            inner.keys += 1;
-            return Ok(None);
+            Put::Inserted(_) => Ok(None),
         }
+    }
+
+    /// Returns the value of `key`, first inserting `make_value()` if the
+    /// key is absent — one walk from the root either way, and atomic with
+    /// respect to other inserts: `make_value` runs at most once, under the
+    /// trie's lock, and only when the key is new.
+    pub fn get_or_insert(&self, key: &[u8], make_value: impl FnOnce() -> u64) -> Result<u64> {
+        let mut inner = self.inner.lock();
+        Ok(match put(&mut inner, key, make_value)? {
+            Put::Found(rec) => rec.value,
+            Put::Inserted(value) => value,
+        })
     }
 
     /// Looks up a key.
     pub fn get(&self, key: &[u8]) -> Result<Option<u64>> {
         let inner = self.inner.lock();
-        let mut s = ROOT;
-        let mut i = 0usize;
-        loop {
-            let base_s = inner.base.get(s)?;
-            if base_s < 0 {
-                let (suffix, value) = read_tail(&inner, (-base_s) as u64)?;
-                return Ok((suffix == key[i..]).then_some(value));
+        match walk(&inner, key)? {
+            Walk::Leaf { tail_pos, at, .. } => {
+                let rest = &key[at..];
+                let rec = read_tail(&inner, tail_pos, rest.len())?;
+                Ok((rec.suffix == rest).then_some(rec.value))
             }
-            let c = if i < key.len() {
-                code_of(key[i])
-            } else {
-                TERM_CODE
-            };
-            let t = base_s as u64 + c;
-            if t >= inner.check.len() || inner.check.get(t)? != s as i32 {
-                return Ok(None);
-            }
-            if c == TERM_CODE {
-                let base_t = inner.base.get(t)?;
-                if base_t < 0 {
-                    let (suffix, value) = read_tail(&inner, (-base_t) as u64)?;
-                    return Ok(suffix.is_empty().then_some(value));
-                }
-                return Ok(None);
-            }
-            s = t;
-            i += 1;
+            Walk::NoChild { .. } => Ok(None),
         }
     }
 
@@ -223,11 +182,11 @@ impl DoubleArrayTrie {
         while i < prefix.len() {
             let base_s = inner.base.get(s)?;
             if base_s < 0 {
-                let (suffix, value) = read_tail(&inner, (-base_s) as u64)?;
-                if suffix.starts_with(&prefix[i..]) {
+                let rec = read_tail(&inner, (-base_s) as u64, SCAN_SUFFIX_HINT)?;
+                if rec.suffix.starts_with(&prefix[i..]) {
                     let mut key = prefix[..i].to_vec();
-                    key.extend_from_slice(&suffix);
-                    visit(&key, value);
+                    key.extend_from_slice(&rec.suffix);
+                    visit(&key, rec.value);
                 }
                 return Ok(());
             }
@@ -244,10 +203,10 @@ impl DoubleArrayTrie {
         while let Some((node, key_so_far)) = stack.pop() {
             let base_n = inner.base.get(node)?;
             if base_n < 0 {
-                let (suffix, value) = read_tail(&inner, (-base_n) as u64)?;
+                let rec = read_tail(&inner, (-base_n) as u64, SCAN_SUFFIX_HINT)?;
                 let mut key = key_so_far.clone();
-                key.extend_from_slice(&suffix);
-                if !visit(&key, value) {
+                key.extend_from_slice(&rec.suffix);
+                if !visit(&key, rec.value) {
                     return Ok(());
                 }
                 continue;
@@ -276,85 +235,155 @@ impl DoubleArrayTrie {
 
 // --- internal helpers -------------------------------------------------------
 
-/// Appends `suffix` + `value` to the tail pool; returns its position.
+/// Where a key's walk down from the root stops.
+enum Walk {
+    /// At leaf `node`, whose tail record at `tail_pos` holds the rest of
+    /// the stored key; the walk consumed the first `at` bytes of the key.
+    Leaf { node: u64, tail_pos: u64, at: usize },
+    /// At internal node `node`, which has no transition on `code` — the
+    /// code of key byte `at`, or the terminator when `at` is the key length.
+    NoChild { node: u64, code: u64, at: usize },
+}
+
+/// Follows `key` from the root: one `base` and one `check` read per key
+/// byte consumed.
+fn walk(inner: &Inner, key: &[u8]) -> Result<Walk> {
+    let mut s = ROOT;
+    let mut i = 0usize;
+    loop {
+        let base_s = inner.base.get(s)?;
+        if base_s < 0 {
+            return Ok(Walk::Leaf {
+                node: s,
+                tail_pos: (-base_s) as u64,
+                at: i,
+            });
+        }
+        let c = key.get(i).map_or(TERM_CODE, |&b| code_of(b));
+        let t = base_s as u64 + c;
+        if t >= inner.check.len() || inner.check.get(t)? != s as i32 {
+            return Ok(Walk::NoChild {
+                node: s,
+                code: c,
+                at: i,
+            });
+        }
+        if c == TERM_CODE {
+            // The terminator transition must lead to a leaf.
+            let base_t = inner.base.get(t)?;
+            if base_t >= 0 {
+                return Err(Error::corruption("terminator node is not a leaf"));
+            }
+            return Ok(Walk::Leaf {
+                node: t,
+                tail_pos: (-base_t) as u64,
+                at: key.len(),
+            });
+        }
+        s = t;
+        i += 1;
+    }
+}
+
+/// What [`put`] found or did.
+enum Put {
+    /// The key was present; nothing changed.
+    Found(TailRecord),
+    /// The key was absent and now maps to this value.
+    Inserted(u64),
+}
+
+/// Finds `key`, or inserts it with the value `make_value` returns.
+fn put(inner: &mut Inner, key: &[u8], make_value: impl FnOnce() -> u64) -> Result<Put> {
+    match walk(inner, key)? {
+        Walk::Leaf { node, tail_pos, at } => {
+            split_leaf(inner, node, tail_pos, &key[at..], make_value)
+        }
+        Walk::NoChild { node, code, at } => {
+            // Attach a new leaf holding the remainder.
+            let value = make_value();
+            let t = claim_child(inner, node, code)?;
+            let suffix = key.get(at + 1..).unwrap_or(&[]);
+            let tail_pos = append_tail(inner, suffix, value)?;
+            inner.base.set(t, -(tail_pos as i32))?;
+            inner.keys += 1;
+            Ok(Put::Inserted(value))
+        }
+    }
+}
+
+/// A tail record: `varint(suffix length) | suffix | u64 LE value`.
+struct TailRecord {
+    suffix: Vec<u8>,
+    value: u64,
+    /// Tail position of the value's eight bytes.
+    value_pos: u64,
+}
+
+/// Suffix length `scan_prefix` expects when it reads a leaf's record: tag
+/// values are short, so most records arrive in one read.
+const SCAN_SUFFIX_HINT: usize = 32;
+
+/// Appends `suffix` + `value` to the tail pool in one write; returns its
+/// position.
 fn append_tail(inner: &mut Inner, suffix: &[u8], value: u64) -> Result<u64> {
     let pos = inner.tail.len();
-    let mut rec = Vec::with_capacity(suffix.len() + 12);
-    varint::write_u64(&mut rec, suffix.len() as u64);
-    rec.extend_from_slice(suffix);
-    rec.extend_from_slice(&value.to_le_bytes());
-    for (k, &b) in rec.iter().enumerate() {
-        inner.tail.set(pos + k as u64, b)?;
-    }
     if pos > i32::MAX as u64 {
         return Err(Error::LimitExceeded("trie tail exceeds 2 GiB".into()));
     }
+    let mut rec = Vec::with_capacity(varint::MAX_VARINT_LEN + suffix.len() + 8);
+    varint::write_u64(&mut rec, suffix.len() as u64);
+    rec.extend_from_slice(suffix);
+    rec.extend_from_slice(&value.to_le_bytes());
+    inner.tail.set_range(pos, &rec)?;
     Ok(pos)
 }
 
-/// Reads the suffix and value stored at tail position `pos`.
-fn read_tail(inner: &Inner, pos: u64) -> Result<(Vec<u8>, u64)> {
-    // Read the length varint byte-by-byte (it is at most 10 bytes).
-    let mut len_buf = Vec::with_capacity(varint::MAX_VARINT_LEN);
-    let mut p = pos;
-    loop {
-        let b = inner.tail.get(p)?;
-        len_buf.push(b);
-        p += 1;
-        if b & 0x80 == 0 {
-            break;
-        }
-        if len_buf.len() > varint::MAX_VARINT_LEN {
-            return Err(Error::corruption("tail length varint too long"));
-        }
+/// Reads the tail record at `pos`: one read when its suffix is at most
+/// `suffix_hint` bytes long, a second for the rest of a longer one.
+fn read_tail(inner: &Inner, pos: u64, suffix_hint: usize) -> Result<TailRecord> {
+    let hint = varint::encoded_len_u64(suffix_hint as u64) + suffix_hint + 8;
+    let mut rec = inner.tail.get_range(pos, hint)?;
+    let (len, n) = varint::read_u64(&rec)?;
+    let total = len
+        .checked_add((n + 8) as u64)
+        .filter(|&total| total <= inner.tail.len().saturating_sub(pos))
+        .ok_or_else(|| Error::corruption("trie tail record runs past the tail"))?
+        as usize;
+    if rec.len() < total {
+        rec.extend(
+            inner
+                .tail
+                .get_range(pos + rec.len() as u64, total - rec.len())?,
+        );
     }
-    let (len, _) = varint::read_u64(&len_buf)?;
-    let mut suffix = Vec::with_capacity(len as usize);
-    for k in 0..len {
-        suffix.push(inner.tail.get(p + k)?);
-    }
-    p += len;
-    let mut vbuf = [0u8; 8];
-    for (k, slot) in vbuf.iter_mut().enumerate() {
-        *slot = inner.tail.get(p + k as u64)?;
-    }
-    Ok((suffix, u64::from_le_bytes(vbuf)))
-}
-
-/// Overwrites the value of the tail record at `pos` (suffix unchanged).
-fn write_tail_value(inner: &mut Inner, pos: u64, value: u64) -> Result<()> {
-    let mut p = pos;
-    let mut len_buf = Vec::with_capacity(varint::MAX_VARINT_LEN);
-    loop {
-        let b = inner.tail.get(p)?;
-        len_buf.push(b);
-        p += 1;
-        if b & 0x80 == 0 {
-            break;
-        }
-    }
-    let (len, _) = varint::read_u64(&len_buf)?;
-    p += len;
-    for (k, b) in value.to_le_bytes().iter().enumerate() {
-        inner.tail.set(p + k as u64, *b)?;
-    }
-    Ok(())
+    let value_at = total - 8;
+    let value = u64::from_le_bytes(rec[value_at..total].try_into().expect("8 bytes"));
+    rec.truncate(value_at);
+    rec.drain(..n);
+    Ok(TailRecord {
+        suffix: rec,
+        value,
+        value_pos: pos + value_at as u64,
+    })
 }
 
 /// The remaining key at a leaf diverged from the stored suffix: grow the
-/// shared prefix into trie nodes and attach two fresh leaves.
+/// shared prefix into trie nodes and attach two fresh leaves. A remaining
+/// key equal to the stored suffix is the stored key: found, not inserted.
 fn split_leaf(
     inner: &mut Inner,
     leaf: u64,
     tail_pos: u64,
     new_suffix: &[u8],
-    value: u64,
-) -> Result<Option<u64>> {
-    let (old_suffix, old_value) = read_tail(inner, tail_pos)?;
-    if old_suffix == new_suffix {
-        write_tail_value(inner, tail_pos, value)?;
-        return Ok(Some(old_value));
+    make_value: impl FnOnce() -> u64,
+) -> Result<Put> {
+    let old = read_tail(inner, tail_pos, new_suffix.len())?;
+    if old.suffix == new_suffix {
+        return Ok(Put::Found(old));
     }
+    let (old_suffix, old_value) = (old.suffix, old.value);
+    let value = make_value();
     // Length of the common prefix.
     let p = old_suffix
         .iter()
@@ -391,7 +420,7 @@ fn split_leaf(
     inner.base.set(new_child, -(new_tail as i32))?;
 
     inner.keys += 1;
-    Ok(None)
+    Ok(Put::Inserted(value))
 }
 
 /// Ensures node `parent` has a child on `code`, relocating `parent`'s
@@ -448,31 +477,36 @@ fn children_of(inner: &Inner, parent: u64) -> Result<Vec<u64>> {
     Ok(out)
 }
 
-/// Finds a base value such that `base + c` is free for every `c` in
-/// `codes`. Bases start at 1 so slot indexes stay positive.
+/// Candidate bases [`find_base`] tests per read of the `check` array.
+const BASE_WINDOW: u64 = 1024;
+
+/// Finds the lowest base at or after the search hint such that `base + c`
+/// is free for every `c` in `codes`, and grows the arrays to hold its
+/// highest child. Bases start at 1 so slot indexes stay positive.
+///
+/// `check` is read a window of candidates at a time and the candidates
+/// are tested in memory; the result, the hint and the array lengths are
+/// those of probing one slot at a time, so the files a given insert
+/// sequence produces do not depend on the window.
 fn find_base(inner: &mut Inner, codes: &[u64]) -> Result<u64> {
-    debug_assert!(!codes.is_empty());
-    let mut b = inner.next_free_hint.max(ALPHABET) - ALPHABET + 1;
-    if b < 1 {
-        b = 1;
-    }
-    'search: loop {
-        for &c in codes {
-            let t = b + c;
-            if t <= ROOT {
-                b += 1;
-                continue 'search;
-            }
-            ensure_len(inner, t + 1)?;
-            if inner.check.get(t)? != FREE {
-                b += 1;
-                continue 'search;
-            }
+    let lo = *codes.iter().min().expect("at least one code");
+    let hi = *codes.iter().max().expect("at least one code");
+    let mut first = inner.next_free_hint.max(ALPHABET) - ALPHABET + 1;
+    loop {
+        // Every slot a candidate in the window can probe; slots past the
+        // end of the array are free.
+        let start = first + lo;
+        let window = inner
+            .check
+            .get_range(start, (BASE_WINDOW + hi - lo) as usize)?;
+        let free = |t: u64| window.get((t - start) as usize).is_none_or(|&c| c == FREE);
+        if let Some(b) = (first..first + BASE_WINDOW).find(|&b| codes.iter().all(|&c| free(b + c)))
+        {
+            ensure_len(inner, b + hi + 1)?;
+            inner.next_free_hint = b;
+            return Ok(b);
         }
-        // Advance the hint conservatively: slots below b + min(code) are
-        // unlikely to fit future claims of similar shape.
-        inner.next_free_hint = b;
-        return Ok(b);
+        first += BASE_WINDOW;
     }
 }
 
@@ -662,6 +696,28 @@ mod tests {
         }
     }
 
+    #[test]
+    fn leftover_key_count_tmp_from_an_interrupted_sync_is_ignored() {
+        let dir = tempfile::tempdir().unwrap();
+        let cache = PageCache::new(256 * PAGE_SIZE);
+        let path = dir.path().join("t");
+        {
+            let t = DoubleArrayTrie::open(cache.clone(), &path, 4096).unwrap();
+            for i in 0..50u64 {
+                t.insert(format!("key-{i}").as_bytes(), i).unwrap();
+            }
+            t.sync(&path).unwrap();
+            assert!(!path.join("trie.keys.tmp").exists());
+        }
+        for tmp_len in [0, 5, 8, 13] {
+            // A crash inside the next sync leaves a tmp of any length.
+            std::fs::write(path.join("trie.keys.tmp"), vec![0xCD; tmp_len]).unwrap();
+            let t = DoubleArrayTrie::open(cache.clone(), &path, 4096).unwrap();
+            assert_eq!(t.len(), 50, "tmp of {tmp_len} bytes");
+            assert_eq!(t.get(b"key-7").unwrap(), Some(7));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(20))]
         #[test]
@@ -675,8 +731,20 @@ mod tests {
             let (_d, t) = trie();
             let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
             for (k, v) in &entries {
-                let expected = model.insert(k.clone(), *v);
-                prop_assert_eq!(t.insert(k, *v).unwrap(), expected);
+                if v % 3 == 0 {
+                    // Every third entry goes through get_or_insert, which
+                    // must neither overwrite nor build its value for a
+                    // key that is present.
+                    let present = model.contains_key(k);
+                    let expected = *model.entry(k.clone()).or_insert(*v);
+                    let mut built = false;
+                    let got = t.get_or_insert(k, || { built = true; *v }).unwrap();
+                    prop_assert_eq!(got, expected);
+                    prop_assert_eq!(built, !present);
+                } else {
+                    let expected = model.insert(k.clone(), *v);
+                    prop_assert_eq!(t.insert(k, *v).unwrap(), expected);
+                }
             }
             prop_assert_eq!(t.len(), model.len() as u64);
             for (k, v) in &model {

@@ -1,6 +1,8 @@
 //! Byte-addressable file access through the shared page cache.
 
-use std::path::PathBuf;
+use std::fs::File;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -11,7 +13,11 @@ use tu_common::{Error, Result};
 /// stand-in for an `mmap`ed region.
 ///
 /// The logical length grows on writes past the end (zero-filling holes,
-/// like `ftruncate` + `mmap`). All I/O is page-granular underneath.
+/// like `ftruncate` + `mmap`). All I/O is page-granular underneath: an
+/// access costs one page-cache round trip per page it touches. The file on
+/// disk grows in whole steps ahead of the logical length and is cut back
+/// to it by [`PagedFile::sync`], so after a sync the file is exactly as
+/// long as what was written, and after a crash it is at least as long.
 pub struct PagedFile {
     cache: Arc<PageCache>,
     id: u64,
@@ -48,16 +54,6 @@ impl PagedFile {
         &self.path
     }
 
-    /// Extends the logical (and physical) length to at least `new_len`.
-    pub fn grow_to(&self, new_len: u64) -> Result<()> {
-        let cur = self.backing.len.load(Ordering::Relaxed);
-        if new_len > cur {
-            self.backing.file.set_len(new_len)?;
-            self.backing.len.fetch_max(new_len, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
     /// Reads exactly `buf.len()` bytes at `offset`. Errors if the range
     /// extends past the logical end.
     pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
@@ -86,7 +82,9 @@ impl PagedFile {
     /// Writes `data` at `offset`, growing the file as needed.
     pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
         let end = offset + data.len() as u64;
-        self.grow_to(end)?;
+        if end > self.len() {
+            self.cache.grow(&self.backing, end)?;
+        }
         let mut done = 0usize;
         while done < data.len() {
             let pos = offset + done as u64;
@@ -101,10 +99,29 @@ impl PagedFile {
         Ok(())
     }
 
-    /// Writes all dirty pages back and fsyncs.
+    /// Writes all dirty pages back, sets the length on disk to the logical
+    /// length and fsyncs.
     pub fn sync(&self) -> Result<()> {
         self.cache.flush_file(self.id)
     }
+}
+
+/// Replaces a small sidecar file: writes a sibling `<name>.tmp`, fsyncs
+/// it and renames it over `path`, then fsyncs the directory. A crash at
+/// any point leaves the old contents or the new ones, never a short file;
+/// a leftover `.tmp` is never read.
+pub fn replace_file(path: &Path, bytes: &[u8]) -> Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut f = File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    std::fs::rename(&tmp, path)?;
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        File::open(dir)?.sync_all()?;
+    }
+    Ok(())
 }
 
 impl Drop for PagedFile {
@@ -197,5 +214,34 @@ mod tests {
         let mut buf = [0u8; 10];
         f.read_at(0, &mut buf).unwrap();
         assert_eq!(&buf, b"persist me");
+    }
+
+    #[test]
+    fn unsynced_growth_reopens_at_least_as_long_as_the_writes() {
+        let (dir, cache) = setup(2); // pages written back only by eviction
+        let path = dir.path().join("x");
+        let f = PagedFile::open(cache.clone(), &path).unwrap();
+        let data: Vec<u8> = (0..5 * PAGE_SIZE + 123)
+            .map(|i| (i % 251) as u8 + 1)
+            .collect();
+        for (i, piece) in data.chunks(100).enumerate() {
+            f.write_at((i * 100) as u64, piece).unwrap();
+        }
+        // A crash keeps the file as it is on disk and loses dirty pages.
+        let image = dir.path().join("image");
+        std::fs::copy(&path, &image).unwrap();
+        let g = PagedFile::open(cache, &image).unwrap();
+        assert!(g.len() >= data.len() as u64, "reopened at {}", g.len());
+        let mut back = vec![0u8; g.len() as usize];
+        g.read_at(0, &mut back).unwrap();
+        assert_eq!(&back[..PAGE_SIZE], &data[..PAGE_SIZE], "evicted page lost");
+        for (page, want) in back.chunks(PAGE_SIZE).zip(data.chunks(PAGE_SIZE)) {
+            let written_back = &page[..want.len()] == want;
+            assert!(written_back || page.iter().all(|&b| b == 0));
+        }
+        assert!(back[data.len()..].iter().all(|&b| b == 0));
+        // A sync cuts the file on disk back to exactly what was written.
+        f.sync().unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), data.len() as u64);
     }
 }

@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,6 +20,12 @@ use tu_common::{Error, Result};
 
 /// Size of one cache page in bytes.
 pub const PAGE_SIZE: usize = 4096;
+
+/// Files grow on disk in whole steps of this many bytes, so a run of small
+/// appends past the end costs one `ftruncate` per step instead of one per
+/// write. Kept small because every arena and trie file an engine creates
+/// starts with one step.
+const GROWTH_STEP: u64 = 64 << 10;
 
 /// Cache observability counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +42,35 @@ pub struct CacheStats {
 
 pub(crate) struct FileBacking {
     pub(crate) file: File,
+    /// Logical length: the end of the furthest write.
     pub(crate) len: AtomicU64,
+    /// Length of the file on disk, never below `len`; changed only under
+    /// the cache lock, by [`PageCache::grow`] and the flush that trims it.
+    physical: AtomicU64,
+}
+
+/// Multiplicative hash for `(file id, page)` keys. Both are integers this
+/// module assigns, never input from outside, so SipHash's resistance to
+/// chosen collisions buys nothing on the per-access path.
+#[derive(Default)]
+struct PageKeyHasher(u64);
+
+impl Hasher for PageKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 struct Frame {
@@ -48,7 +83,7 @@ struct Frame {
 struct Inner {
     files: HashMap<u64, Arc<FileBacking>>,
     frames: Vec<Frame>,
-    map: HashMap<(u64, u64), usize>,
+    map: HashMap<(u64, u64), usize, BuildHasherDefault<PageKeyHasher>>,
     hand: usize,
     next_file_id: u64,
 }
@@ -71,7 +106,7 @@ impl PageCache {
             inner: Mutex::new(Inner {
                 files: HashMap::new(),
                 frames: Vec::new(),
-                map: HashMap::new(),
+                map: HashMap::default(),
                 hand: 0,
                 next_file_id: 1,
             }),
@@ -96,6 +131,7 @@ impl PageCache {
         let backing = Arc::new(FileBacking {
             file,
             len: AtomicU64::new(len),
+            physical: AtomicU64::new(len),
         });
         let mut inner = self.inner.lock();
         let id = inner.next_file_id;
@@ -128,6 +164,21 @@ impl PageCache {
         }
         inner.hand = 0;
         inner.files.remove(&file_id);
+        Ok(())
+    }
+
+    /// Extends a file's logical length to at least `end`, growing the file
+    /// on disk in [`GROWTH_STEP`]s when `end` passes its physical length.
+    /// The cache lock orders this against the trim in [`Self::flush_file`],
+    /// so the file on disk is never shorter than the logical length.
+    pub(crate) fn grow(&self, backing: &FileBacking, end: u64) -> Result<()> {
+        let _order = self.inner.lock();
+        if end > backing.physical.load(Ordering::Relaxed) {
+            let physical = end.next_multiple_of(GROWTH_STEP);
+            backing.file.set_len(physical)?;
+            backing.physical.store(physical, Ordering::Relaxed);
+        }
+        backing.len.fetch_max(end, Ordering::Relaxed);
         Ok(())
     }
 
@@ -221,7 +272,8 @@ impl PageCache {
         Ok(())
     }
 
-    /// Writes back all dirty pages of one file (without evicting them).
+    /// Writes back all dirty pages of one file (without evicting them),
+    /// sets its length on disk back to the logical length and fsyncs.
     pub(crate) fn flush_file(&self, file_id: u64) -> Result<()> {
         let mut inner = self.inner.lock();
         self.flush_file_locked(&mut inner, file_id)
@@ -235,6 +287,11 @@ impl PageCache {
             }
         }
         if let Some(backing) = inner.files.get(&file_id) {
+            let len = backing.len.load(Ordering::Relaxed);
+            if backing.physical.load(Ordering::Relaxed) != len {
+                backing.file.set_len(len)?;
+                backing.physical.store(len, Ordering::Relaxed);
+            }
             backing.file.sync_data()?;
         }
         Ok(())

@@ -6,11 +6,12 @@
 //! over [`PagedFile`] segments.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::file::PagedFile;
+use crate::file::{replace_file, PagedFile};
 use crate::pagecache::PageCache;
 use tu_common::{Error, Result};
 
@@ -49,13 +50,17 @@ impl_element!(i64, 8);
 /// `slots_per_segment` elements. Segments are created on demand as the
 /// array grows; reads of never-written slots return `T::default()` (files
 /// are zero-filled, and all `Element` types decode zero bytes to default).
+///
+/// Every access is one page-cache round trip per page it touches, so code
+/// that reads or writes neighbouring slots should use [`SegArray::get_range`]
+/// and [`SegArray::set_range`] rather than a loop of `get`/`set`.
 pub struct SegArray<T: Element> {
     cache: Arc<PageCache>,
     dir: PathBuf,
     name: String,
     slots_per_segment: usize,
-    segments: RwLock<Vec<Arc<PagedFile>>>,
-    len: RwLock<u64>,
+    segments: RwLock<Vec<PagedFile>>,
+    len: AtomicU64,
     _marker: std::marker::PhantomData<T>,
 }
 
@@ -78,27 +83,27 @@ impl<T: Element> SegArray<T> {
             name: name.to_string(),
             slots_per_segment,
             segments: RwLock::new(Vec::new()),
-            len: RwLock::new(0),
+            len: AtomicU64::new(0),
             _marker: std::marker::PhantomData,
         };
         // Recover segments and length.
-        let mut n = 0;
+        let mut segments = Vec::new();
         loop {
-            let path = arr.segment_path(n);
+            let path = arr.segment_path(segments.len());
             if !path.exists() {
                 break;
             }
-            let f = PagedFile::open(arr.cache.clone(), path)?;
-            arr.segments.write().push(Arc::new(f));
-            n += 1;
+            segments.push(PagedFile::open(arr.cache.clone(), path)?);
         }
+        *arr.segments.write() = segments;
         let len_path = arr.len_path();
         if len_path.exists() {
             let bytes = std::fs::read(&len_path)?;
             if bytes.len() != 8 {
                 return Err(Error::corruption("segment array length sidecar damaged"));
             }
-            *arr.len.write() = tu_common::bytes::u64_le(&bytes);
+            arr.len
+                .store(tu_common::bytes::u64_le(&bytes), Ordering::SeqCst);
         }
         Ok(arr)
     }
@@ -113,7 +118,7 @@ impl<T: Element> SegArray<T> {
 
     /// Number of logical elements.
     pub fn len(&self) -> u64 {
-        *self.len.read()
+        self.len.load(Ordering::SeqCst)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -132,53 +137,57 @@ impl<T: Element> SegArray<T> {
         )
     }
 
-    fn segment(&self, n: usize) -> Result<Arc<PagedFile>> {
+    /// Elements from `idx` to the end of its segment.
+    fn left_in_segment(&self, idx: u64) -> usize {
+        self.slots_per_segment - (idx % self.slots_per_segment as u64) as usize
+    }
+
+    /// Runs `f` on segment `n`, creating the segment files up to it first
+    /// if they do not exist yet.
+    fn with_segment<R>(&self, n: usize, f: impl FnOnce(&PagedFile) -> Result<R>) -> Result<R> {
         {
             let segs = self.segments.read();
-            if let Some(s) = segs.get(n) {
-                return Ok(s.clone());
+            if let Some(seg) = segs.get(n) {
+                return f(seg);
             }
         }
         let mut segs = self.segments.write();
         while segs.len() <= n {
             let f = PagedFile::open(self.cache.clone(), self.segment_path(segs.len()))?;
-            segs.push(Arc::new(f));
+            segs.push(f);
         }
-        Ok(segs[n].clone())
+        f(&segs[n])
     }
 
     /// Ensures the array is at least `new_len` elements long (new slots
     /// read as `T::default()`).
     pub fn resize(&self, new_len: u64) -> Result<()> {
-        let mut len = self.len.write();
-        if new_len > *len {
-            *len = new_len;
+        if new_len > self.len.fetch_max(new_len, Ordering::SeqCst) {
             // Materialize the final segment so reads have a backing file.
             let (seg, _) = self.locate(new_len - 1);
-            drop(len);
-            self.segment(seg)?;
+            self.with_segment(seg, |_| Ok(()))?;
         }
         Ok(())
     }
 
     /// Reads element `idx`. Out-of-range reads are an error.
     pub fn get(&self, idx: u64) -> Result<T> {
-        if idx >= self.len() {
+        let len = self.len();
+        if idx >= len {
             return Err(Error::invalid(format!(
-                "index {idx} out of bounds for {} elements",
-                self.len()
+                "index {idx} out of bounds for {len} elements"
             )));
         }
         let (seg_no, off) = self.locate(idx);
-        let seg = self.segment(seg_no)?;
-        let mut buf = [0u8; 8];
-        let end = off + T::WIDTH as u64;
-        if end > seg.len() {
-            // Slot inside a hole that was never written: default value.
-            return Ok(T::default());
-        }
-        seg.read_at(off, &mut buf[..T::WIDTH])?;
-        Ok(T::read_from(&buf[..T::WIDTH]))
+        self.with_segment(seg_no, |seg| {
+            let mut buf = [0u8; 8];
+            if off + T::WIDTH as u64 > seg.len() {
+                // Slot inside a hole that was never written: default value.
+                return Ok(T::default());
+            }
+            seg.read_at(off, &mut buf[..T::WIDTH])?;
+            Ok(T::read_from(&buf[..T::WIDTH]))
+        })
     }
 
     /// Reads `count` consecutive elements starting at `idx`, clamped to
@@ -193,62 +202,72 @@ impl<T: Element> SegArray<T> {
         let count = count.min((len - idx) as usize);
         let mut out = Vec::with_capacity(count);
         let mut pos = idx;
-        let mut remaining = count;
         let mut buf = Vec::new();
-        while remaining > 0 {
+        while out.len() < count {
             let (seg_no, off) = self.locate(pos);
-            let in_segment =
-                self.slots_per_segment - (pos % self.slots_per_segment as u64) as usize;
-            let n = in_segment.min(remaining);
-            let seg = self.segment(seg_no)?;
+            let n = self.left_in_segment(pos).min(count - out.len());
             let want = n * T::WIDTH;
             buf.clear();
             buf.resize(want, 0);
-            let avail = seg.len().saturating_sub(off) as usize;
-            let readable = avail.min(want) / T::WIDTH * T::WIDTH;
-            if readable > 0 {
-                seg.read_at(off, &mut buf[..readable])?;
-            }
-            for i in 0..n {
-                let start = i * T::WIDTH;
-                if start + T::WIDTH <= readable {
-                    out.push(T::read_from(&buf[start..start + T::WIDTH]));
-                } else {
-                    out.push(T::default()); // hole past the file end
+            self.with_segment(seg_no, |seg| {
+                let avail = seg.len().saturating_sub(off) as usize;
+                let readable = avail.min(want) / T::WIDTH * T::WIDTH;
+                if readable > 0 {
+                    seg.read_at(off, &mut buf[..readable])?;
                 }
-            }
+                Ok(())
+            })?;
+            // Past what the file holds lies a hole: the zeros left in `buf`
+            // decode to the default.
+            out.extend(buf.chunks_exact(T::WIDTH).map(T::read_from));
             pos += n as u64;
-            remaining -= n;
         }
         Ok(out)
     }
 
     /// Writes element `idx`, growing the array if `idx >= len`.
     pub fn set(&self, idx: u64, value: T) -> Result<()> {
-        if idx >= self.len() {
-            self.resize(idx + 1)?;
-        }
-        let (seg_no, off) = self.locate(idx);
-        let seg = self.segment(seg_no)?;
         let mut buf = [0u8; 8];
         value.write_to(&mut buf[..T::WIDTH]);
-        seg.write_at(off, &buf[..T::WIDTH])
+        self.write_encoded(idx, &buf[..T::WIDTH])
+    }
+
+    /// Writes `values` to consecutive elements starting at `idx`, growing
+    /// the array as needed: one page-cache round trip per page written.
+    pub fn set_range(&self, idx: u64, values: &[T]) -> Result<()> {
+        let mut buf = vec![0u8; values.len() * T::WIDTH];
+        for (v, slot) in values.iter().zip(buf.chunks_exact_mut(T::WIDTH)) {
+            v.write_to(slot);
+        }
+        self.write_encoded(idx, &buf)
     }
 
     /// Appends an element, returning its index.
     pub fn push(&self, value: T) -> Result<u64> {
-        let idx = {
-            let mut len = self.len.write();
-            let idx = *len;
-            *len += 1;
-            idx
-        };
-        let (seg_no, off) = self.locate(idx);
-        let seg = self.segment(seg_no)?;
+        let idx = self.len.fetch_add(1, Ordering::SeqCst);
         let mut buf = [0u8; 8];
         value.write_to(&mut buf[..T::WIDTH]);
-        seg.write_at(off, &buf[..T::WIDTH])?;
+        self.write_encoded(idx, &buf[..T::WIDTH])?;
         Ok(idx)
+    }
+
+    /// Writes encoded elements starting at `idx`, one segment piece at a
+    /// time, growing the array to cover them.
+    fn write_encoded(&self, idx: u64, mut bytes: &[u8]) -> Result<()> {
+        if bytes.is_empty() {
+            return Ok(());
+        }
+        self.resize(idx + (bytes.len() / T::WIDTH) as u64)?;
+        let mut pos = idx;
+        while !bytes.is_empty() {
+            let (seg_no, off) = self.locate(pos);
+            let n = self.left_in_segment(pos).min(bytes.len() / T::WIDTH);
+            let (piece, rest) = bytes.split_at(n * T::WIDTH);
+            self.with_segment(seg_no, |seg| seg.write_at(off, piece))?;
+            pos += n as u64;
+            bytes = rest;
+        }
+        Ok(())
     }
 
     /// Flushes dirty pages and persists the logical length.
@@ -256,8 +275,7 @@ impl<T: Element> SegArray<T> {
         for seg in self.segments.read().iter() {
             seg.sync()?;
         }
-        std::fs::write(self.len_path(), self.len().to_le_bytes())?;
-        Ok(())
+        replace_file(&self.len_path(), &self.len().to_le_bytes())
     }
 }
 
@@ -335,5 +353,50 @@ mod tests {
         assert_eq!(a.segment_count(), 3);
         assert_eq!(a.get(17).unwrap(), 17 * 17);
         assert_eq!(a.get(299).unwrap(), 299 * 299);
+    }
+
+    #[test]
+    fn set_range_matches_per_element_sets_across_segments() {
+        let (_d, bulk) = arr::<u32>(100);
+        let (_d2, single) = arr::<u32>(100);
+        let values: Vec<u32> = (0..1500u32)
+            .map(|i| i.wrapping_mul(2_654_435_761))
+            .collect();
+        // Starts mid-segment, crosses 15 segment boundaries and pages.
+        bulk.set_range(37, &values).unwrap();
+        for (i, &v) in values.iter().enumerate() {
+            single.set(37 + i as u64, v).unwrap();
+        }
+        assert_eq!(bulk.len(), single.len());
+        assert_eq!(bulk.segment_count(), single.segment_count());
+        assert_eq!(
+            bulk.get_range(0, 2000).unwrap(),
+            single.get_range(0, 2000).unwrap()
+        );
+        assert_eq!(bulk.get(36).unwrap(), 0);
+        assert_eq!(bulk.get(37 + 1499).unwrap(), values[1499]);
+        bulk.set_range(5000, &[]).unwrap();
+        assert_eq!(bulk.len(), 37 + 1500, "an empty write does not grow");
+    }
+
+    #[test]
+    fn leftover_tmp_from_an_interrupted_sync_is_ignored() {
+        let dir = tempfile::tempdir().unwrap();
+        let cache = PageCache::new(64 * PAGE_SIZE);
+        let path = dir.path().join("arr");
+        {
+            let a: SegArray<u32> = SegArray::open(cache.clone(), &path, "t", 64).unwrap();
+            a.set_range(0, &[1, 2, 3, 4, 5]).unwrap();
+            a.sync().unwrap();
+            assert!(!path.join("t.len.tmp").exists());
+        }
+        for tmp_len in [0, 3, 8, 20] {
+            // A crash inside the next sync: a tmp of any length beside the
+            // last complete sidecar.
+            std::fs::write(path.join("t.len.tmp"), vec![0xAB; tmp_len]).unwrap();
+            let a: SegArray<u32> = SegArray::open(cache.clone(), &path, "t", 64).unwrap();
+            assert_eq!(a.len(), 5, "tmp of {tmp_len} bytes");
+            assert_eq!(a.get_range(0, 5).unwrap(), vec![1, 2, 3, 4, 5]);
+        }
     }
 }

@@ -2,8 +2,12 @@
 //! count, `TimeUnion::put_batch` must leave the engine in exactly the
 //! same logical state — same chunk boundaries, same compressed chunk
 //! bytes, same head samples — as the sequential path, the group-commit
-//! WAL must recover everything durable after a torn tail, and trace
-//! attribution must stay exact when a batch fans out across workers.
+//! WAL must recover everything durable after a torn tail, trace
+//! attribution must stay exact when a batch fans out across workers, and
+//! writers creating series concurrently must each get one id per label set.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Barrier;
 
 use rand::{Rng, SeedableRng};
 use timeunion::engine::{Options, Selector, TimeUnion};
@@ -213,4 +217,105 @@ fn per_writer_trace_attribution_is_exact() {
     // Not the `core.ingest.parallel.threads` gauge: it is process-global
     // and any concurrently running test's `open` resets it.
     assert_eq!(db.ingest_threads(), 8);
+}
+
+/// Every tag pair's postings as the engine's index answers them.
+fn postings_of(
+    db: &TimeUnion,
+    pairs: &BTreeSet<(String, String)>,
+) -> BTreeMap<(String, String), BTreeSet<u64>> {
+    pairs
+        .iter()
+        .map(|(k, v)| {
+            let ids = db
+                .query(&[Selector::exact(k.as_str(), v.as_str())], 0, i64::MAX / 2)
+                .unwrap()
+                .iter()
+                .map(|r| r.id)
+                .collect();
+            ((k.clone(), v.clone()), ids)
+        })
+        .collect()
+}
+
+#[test]
+fn concurrent_series_creation_gives_one_id_per_label_set() {
+    const THREADS: usize = 8;
+    const SHARED: usize = 60;
+    const OWN: usize = 40;
+    // Every label set carries `metric` and `zone` pairs that are new to the
+    // index when the race starts, so creators of different series also
+    // race to create the same tag pair.
+    let label_set = |pod: String, i: usize| {
+        Labels::from_pairs([
+            ("metric", format!("m{}", i % 7)),
+            ("zone", format!("z{}", i % 3)),
+            ("pod", pod),
+        ])
+    };
+    // Each thread creates all the shared pods, starting at a different
+    // one, and pods of its own.
+    let sets_of = |t: usize| -> Vec<Labels> {
+        let mut sets: Vec<Labels> = (0..SHARED)
+            .map(|i| label_set(format!("shared-{i}"), i))
+            .collect();
+        sets.rotate_left(t * 7 % SHARED);
+        sets.extend((0..OWN).map(|i| label_set(format!("own-{t}-{i}"), i + t)));
+        sets
+    };
+
+    let dir = tempfile::tempdir().unwrap();
+    let db = TimeUnion::open(dir.path(), opts()).unwrap();
+    let barrier = Barrier::new(THREADS);
+    let created: Vec<(Labels, u64)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (db, barrier, sets) = (&db, &barrier, sets_of(t));
+                s.spawn(move || {
+                    barrier.wait();
+                    sets.into_iter()
+                        .map(|l| {
+                            let id = db.put(&l, 1_000, t as f64).unwrap();
+                            (l, id)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+
+    // One id per label set, distinct across label sets.
+    let mut id_of: BTreeMap<Vec<u8>, BTreeSet<u64>> = BTreeMap::new();
+    let mut model: BTreeMap<(String, String), BTreeSet<u64>> = BTreeMap::new();
+    for (labels, id) in &created {
+        id_of.entry(labels.to_bytes()).or_default().insert(*id);
+        for (k, v) in labels.iter() {
+            model
+                .entry((k.to_string(), v.to_string()))
+                .or_default()
+                .insert(*id);
+        }
+    }
+    assert_eq!(id_of.len(), SHARED + THREADS * OWN);
+    assert!(
+        id_of.values().all(|ids| ids.len() == 1),
+        "a label set got two ids"
+    );
+    let distinct: BTreeSet<u64> = id_of.values().flatten().copied().collect();
+    assert_eq!(distinct.len(), id_of.len());
+    assert_eq!(db.series_count(), id_of.len());
+
+    // Every tag pair selects exactly the series that carry it, before and
+    // after the index goes through its files.
+    let pairs: BTreeSet<(String, String)> = model.keys().cloned().collect();
+    assert_eq!(postings_of(&db, &pairs), model);
+    db.sync().unwrap();
+    drop(db);
+    let db = TimeUnion::open(dir.path(), opts()).unwrap();
+    assert_eq!(db.series_count(), id_of.len());
+    assert_eq!(postings_of(&db, &pairs), model);
 }
