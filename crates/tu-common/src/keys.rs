@@ -10,12 +10,20 @@
 //! Timestamps are signed; to keep byte order equal to numeric order the sign
 //! bit is flipped before the big-endian write (the standard order-preserving
 //! transform for two's-complement integers).
+//!
+//! A *versioned* key appends a big-endian `u64` version: it sorts right
+//! after the plain key of its `(id, start_ts)` and before the next start
+//! timestamp, so range bounds built from plain keys cover it, and two
+//! versions never replace each other or a plain key.
 
 use crate::error::{Error, Result};
 use crate::types::{SeriesId, Timestamp};
 
 /// Length in bytes of an encoded chunk key.
 pub const KEY_LEN: usize = 16;
+
+/// Length in bytes of a versioned chunk key.
+pub const VERSIONED_KEY_LEN: usize = KEY_LEN + 8;
 
 /// Encodes `(id, start_ts)` into a 16-byte key whose lexicographic order
 /// equals the order of `(id, start_ts)` tuples.
@@ -27,18 +35,40 @@ pub fn encode_key(id: SeriesId, start_ts: Timestamp) -> [u8; KEY_LEN] {
     out
 }
 
-/// Decodes a key produced by [`encode_key`].
+/// Encodes `(id, start_ts, version)` into a 24-byte key: see the module
+/// documentation.
+#[inline]
+pub fn encode_versioned_key(
+    id: SeriesId,
+    start_ts: Timestamp,
+    version: u64,
+) -> [u8; VERSIONED_KEY_LEN] {
+    let mut out = [0u8; VERSIONED_KEY_LEN];
+    out[..KEY_LEN].copy_from_slice(&encode_key(id, start_ts));
+    out[KEY_LEN..].copy_from_slice(&version.to_be_bytes());
+    out
+}
+
+/// Decodes the `(id, start_ts)` of a key produced by [`encode_key`] or
+/// [`encode_versioned_key`].
 #[inline]
 pub fn decode_key(key: &[u8]) -> Result<(SeriesId, Timestamp)> {
-    if key.len() != KEY_LEN {
+    if key.len() != KEY_LEN && key.len() != VERSIONED_KEY_LEN {
         return Err(Error::corruption(format!(
-            "chunk key must be {KEY_LEN} bytes, got {}",
+            "chunk key must be {KEY_LEN} or {VERSIONED_KEY_LEN} bytes, got {}",
             key.len()
         )));
     }
     let id = u64::from_be_bytes(key[..8].try_into().expect("checked length"));
-    let ts_bits = u64::from_be_bytes(key[8..].try_into().expect("checked length"));
+    let ts_bits = u64::from_be_bytes(key[8..KEY_LEN].try_into().expect("checked length"));
     Ok((id, (ts_bits ^ (1 << 63)) as i64))
+}
+
+/// The version of a versioned key; `None` for a plain one.
+#[inline]
+pub fn decode_version(key: &[u8]) -> Option<u64> {
+    let version = key.get(KEY_LEN..)?.try_into().ok()?;
+    Some(u64::from_be_bytes(version))
 }
 
 /// Decodes only the series/group ID prefix of a key.
@@ -101,6 +131,26 @@ mod tests {
     fn decode_rejects_bad_lengths() {
         assert!(decode_key(&[0; 15]).is_err());
         assert!(decode_key(&[0; 17]).is_err());
+        assert!(decode_key(&[0; 25]).is_err());
         assert!(decode_id(&[0; 7]).is_err());
+    }
+
+    #[test]
+    fn versioned_keys_sort_after_their_plain_key_and_before_the_next() {
+        let k = encode_versioned_key(7, -5, 3);
+        assert_eq!(decode_key(&k).unwrap(), (7, -5));
+        assert_eq!(decode_ts(&k).unwrap(), -5);
+        assert_eq!(decode_version(&k), Some(3));
+        assert_eq!(decode_version(&encode_key(7, -5)), None);
+        let order = [
+            encode_key(7, -5).to_vec(),
+            encode_versioned_key(7, -5, 0).to_vec(),
+            encode_versioned_key(7, -5, 3).to_vec(),
+            encode_versioned_key(7, -5, u64::MAX).to_vec(),
+            encode_key(7, -4).to_vec(),
+        ];
+        for w in order.windows(2) {
+            assert!(w[0] < w[1], "{:?} should sort before {:?}", w[0], w[1]);
+        }
     }
 }

@@ -17,7 +17,7 @@ use tu_common::{
 use tu_compress::agg::{self, AggKind, AggState, ChunkStats};
 use tu_compress::{gorilla, nullxor};
 use tu_index::{InvertedIndex, Selector};
-use tu_lsm::wal::Wal;
+use tu_lsm::wal::{RecordKind, Wal};
 use tu_lsm::{TimeTree, TreeOptions};
 use tu_mmap::pagecache::PageCache;
 use tu_mmap::ChunkArena;
@@ -143,6 +143,9 @@ struct PendingCheckpoint {
     stream: u64,
     seq: u64,
     epoch: u64,
+    /// Queued for a late chunk: the only kind of checkpoint that can pass
+    /// rows still in a head.
+    late: bool,
 }
 
 /// Pending checkpoints past this mark flag the `flush_backlog` health
@@ -181,6 +184,11 @@ pub struct TimeUnion {
     /// Longest time span observed in any sealed chunk; queries extend
     /// their range start by this much to catch straddling chunks.
     max_chunk_span: AtomicI64,
+    /// Highest sequence number a late chunk has had, which is also its
+    /// version in the tree: persisted in `engine.meta` before any
+    /// checkpoint, and every series numbers on above it after a reopen, so
+    /// a newer late chunk never gets a lower version than an older one.
+    late_seq: AtomicU64,
     pending_ckpts: Mutex<Vec<PendingCheckpoint>>,
     wal_unflushed: AtomicU64,
     replaying: std::sync::atomic::AtomicBool,
@@ -329,6 +337,7 @@ impl TimeUnion {
             next_series: AtomicU64::new(1),
             next_group: AtomicU64::new(1),
             max_chunk_span: AtomicI64::new(0),
+            late_seq: AtomicU64::new(0),
             pending_ckpts: Mutex::new(&lockdep::ENGINE_CKPTS, Vec::new()),
             wal_unflushed: AtomicU64::new(0),
             replaying: std::sync::atomic::AtomicBool::new(false),
@@ -774,9 +783,13 @@ impl TimeUnion {
         }
         // 2. Engine meta (monotonic hints).
         if let Ok(meta) = self.env.block.read_file("engine.meta") {
-            if meta.len() == 8 {
+            if meta.len() == 8 || meta.len() == 16 {
                 let span = tu_common::bytes::i64_le(&meta);
                 self.max_chunk_span.fetch_max(span, Ordering::Relaxed);
+            }
+            if meta.len() == 16 {
+                let late = tu_common::bytes::u64_le(&meta[8..]);
+                self.late_seq.fetch_max(late, Ordering::Relaxed);
             }
         }
         // 3. WAL. Checkpoints first: an object's `seq` becomes the newest
@@ -802,6 +815,9 @@ impl TimeUnion {
             },
             |r| {
                 if is_group_id(r.stream) {
+                    if r.kind != RecordKind::Rows {
+                        return Err(Error::corruption("wal chunk record for a group"));
+                    }
                     let Some((t, entries)) = decode_group_row(r.payload) else {
                         return Ok(()); // records for members lost to a torn catalog
                     };
@@ -818,15 +834,28 @@ impl TimeUnion {
                         }
                     }
                 } else if let Some(obj) = self.series.get(&r.stream) {
-                    if r.payload.len().is_multiple_of(ROW) {
-                        self.apply_run(&obj, r.payload, Some(r.seq))?;
+                    match r.kind {
+                        RecordKind::Chunk => self.replay_chunk(&obj, r.payload, r.seq)?,
+                        _ if r.payload.len().is_multiple_of(ROW) => {
+                            self.apply_run(&obj, r.payload, Some(r.seq))?
+                        }
+                        _ => {}
                     }
                 }
                 Ok(())
             },
         );
         self.replaying.store(false, Ordering::SeqCst);
-        result
+        result?;
+        // 4. Numbering carries on above every late chunk ever written.
+        let late = self.late_seq.load(Ordering::Relaxed);
+        if late > 0 {
+            for obj in self.series.values() {
+                let mut o = obj.lock();
+                o.seq = o.seq.max(late);
+            }
+        }
+        Ok(())
     }
 
     // --- series inserts ---------------------------------------------------------
@@ -862,7 +891,8 @@ impl TimeUnion {
     /// per-series runs across the engine's ingest pool (see
     /// [`TimeUnion::set_ingest_threads`]). A run — the samples of one
     /// series, in their given order — is applied by one worker under one
-    /// hold of the series' lock and logged as one WAL record, so
+    /// hold of the series' lock and logged as one rows record, plus one
+    /// chunk record per slow-tier partition its late samples fall in, so
     /// per-series sample order — and with it the resulting chunk and tree
     /// state — is identical for every thread count. Returns once every
     /// sample in the batch is durable in the WAL (one group-commit wave,
@@ -926,15 +956,21 @@ impl TimeUnion {
         self.ingest_threads.load(Ordering::Relaxed)
     }
 
-    /// Applies a run of one series' samples, given as rows: one hold of
-    /// the object lock, one WAL record per [`RUN_RECORD_ROWS`] rows. The record carries the sequence number
-    /// of its last sample; row `i` of `n` has `seq - (n - 1 - i)`.
-    /// Chunks that leave the head go to the tree after the lock is
-    /// dropped.
+    /// Applies a run of one series' samples, given as rows, under one
+    /// hold of the object lock ([`SeriesObject::insert_run`]). The rows
+    /// that enter the head are logged as one rows record per
+    /// [`RUN_RECORD_ROWS`] rows, carrying the sequence number of its last
+    /// row (row `i` of `n` has `seq - (n - 1 - i)`); each late chunk is
+    /// logged whole, as one chunk record numbered after them. Chunks go to
+    /// the tree after the lock is dropped.
     ///
-    /// `replayed` is the sequence number of a record read back from the
-    /// WAL: nothing is logged, and rows the object has already seen — up
-    /// to its `seq` — are skipped.
+    /// A late chunk is numbered above rows that may stay in the head; its
+    /// checkpoint, once due, is preceded by a fresh copy of them
+    /// ([`TimeUnion::relog_head_below`]).
+    ///
+    /// `replayed` is the sequence number of a rows record read back from
+    /// the WAL: nothing is logged, and rows the object has already seen —
+    /// up to its `seq` — are skipped.
     fn apply_run(
         &self,
         obj: &Mutex<SeriesObject>,
@@ -952,27 +988,67 @@ impl TimeUnion {
         } else {
             self.obs.ingest_samples.add((rows.len() / ROW) as u64);
         }
+        let grid = || self.tree.l2_partition_ms();
+        let grid: Option<&dyn Fn() -> i64> = match replayed {
+            None => Some(&grid),
+            Some(_) => None,
+        };
         for part in rows.chunks(RUN_RECORD_ROWS * ROW) {
             let first_seq = obj.seq + 1;
-            obj.seq += (part.len() / ROW) as u64;
-            if replayed.is_none() {
-                self.log(id, obj.seq, part)?;
-            }
-            obj.insert_run(
+            let from = flushes.len();
+            let head_rows = obj.insert_run(
                 &self.series_arena,
                 part,
                 self.opts.chunk_samples,
                 first_seq,
+                grid,
                 &mut flushes,
             )?;
+            if replayed.is_some() {
+                obj.seq += (part.len() / ROW) as u64;
+                continue;
+            }
+            if !head_rows.is_empty() {
+                obj.seq += (head_rows.len() / ROW) as u64;
+                self.log(RecordKind::Rows, id, obj.seq, &head_rows)?;
+            }
+            for f in flushes[from..].iter().filter(|f| f.late) {
+                obj.seq = f.seq;
+                self.log(RecordKind::Chunk, id, f.seq, &f.chunk)?;
+                self.late_seq.fetch_max(f.seq, Ordering::Relaxed);
+            }
         }
         drop(obj);
         for f in flushes {
-            self.flush_chunk(id, f.first_ts, f.last_ts, f.chunk, f.seq)?;
+            let version = f.late.then_some(f.seq);
+            self.flush_chunk(id, f.first_ts, f.last_ts, f.chunk, f.seq, version)?;
         }
         Ok(())
     }
 
+    /// Puts a late chunk read back from the WAL into the tree, unless a
+    /// checkpoint or an earlier copy of the record covers it already.
+    fn replay_chunk(&self, obj: &Mutex<SeriesObject>, chunk: &[u8], seq: u64) -> Result<()> {
+        let Some(stats) = agg::split_envelope(chunk).0 else {
+            return Err(Error::corruption(
+                "wal chunk record without a stats envelope",
+            ));
+        };
+        let mut obj = obj.lock();
+        if seq <= obj.seq {
+            return Ok(());
+        }
+        obj.seq = seq;
+        self.late_seq.fetch_max(seq, Ordering::Relaxed);
+        let id = obj.id;
+        drop(obj);
+        let chunk = chunk.to_vec();
+        self.flush_chunk(id, stats.min_ts, stats.max_ts, chunk, seq, Some(seq))
+    }
+
+    /// Puts a chunk into the tree — under a versioned key for a late
+    /// chunk, whose version is its own sequence number — and queues the
+    /// checkpoint `seq` for when its memtable reaches L0.
     fn flush_chunk(
         &self,
         stream: u64,
@@ -980,14 +1056,21 @@ impl TimeUnion {
         last_ts: Timestamp,
         chunk: Vec<u8>,
         seq: u64,
+        version: Option<u64>,
     ) -> Result<()> {
         self.max_chunk_span
             .fetch_max(last_ts - first_ts, Ordering::Relaxed);
         let epoch = self.tree.seal_epoch();
-        let sealed = self.tree.put(stream, first_ts, chunk);
-        self.pending_ckpts
-            .lock()
-            .push(PendingCheckpoint { stream, seq, epoch });
+        let sealed = match version {
+            Some(version) => self.tree.put_version(stream, first_ts, version, chunk),
+            None => self.tree.put(stream, first_ts, chunk),
+        };
+        self.pending_ckpts.lock().push(PendingCheckpoint {
+            stream,
+            seq,
+            epoch,
+            late: version.is_some(),
+        });
         if sealed && self.opts.inline_maintenance && !self.replaying.load(Ordering::SeqCst) {
             self.maintain()?;
         }
@@ -1075,7 +1158,7 @@ impl TimeUnion {
         self.obs.ingest_samples.add(entries.len() as u64);
         g.seq += 1;
         let seq = g.seq;
-        self.log(gid, seq, &encode_group_row(t, &entries))?;
+        self.log(RecordKind::Rows, gid, seq, &encode_group_row(t, &entries))?;
         let member_count = g.member_count();
         let outcome = g.insert_row(
             &self.group_ts_arena,
@@ -1110,7 +1193,7 @@ impl TimeUnion {
         let mut g = obj.lock();
         g.seq += 1;
         let seq = g.seq;
-        self.log(gid, seq, &encode_group_row(t, &entries))?;
+        self.log(RecordKind::Rows, gid, seq, &encode_group_row(t, &entries))?;
         let member_count = g.member_count();
         let outcome = g.insert_row(
             &self.group_ts_arena,
@@ -1163,7 +1246,7 @@ impl TimeUnion {
                 first_ts,
                 last_ts,
                 chunk,
-            } => self.flush_chunk(gid, first_ts, last_ts, chunk, seq),
+            } => self.flush_chunk(gid, first_ts, last_ts, chunk, seq, None),
             GroupInsert::OlderThanHead => {
                 // One-row group chunk straight into the tree.
                 let mut enc = nullxor::GroupChunkEncoder::new(member_count);
@@ -1172,7 +1255,7 @@ impl TimeUnion {
                     row[*slot as usize] = Some(*v);
                 }
                 enc.append_row(t, &row)?;
-                self.flush_chunk(gid, t, t, enc.finish_framed(), seq)
+                self.flush_chunk(gid, t, t, enc.finish_framed(), seq, None)
             }
         }
     }
@@ -1204,13 +1287,13 @@ impl TimeUnion {
 
     // --- logging ----------------------------------------------------------------
 
-    /// Queues one data record (a run counts as one) and nudges a wave
-    /// when the queue is over its record or byte threshold.
-    fn log(&self, stream: u64, seq: u64, payload: &[u8]) -> Result<()> {
+    /// Queues one data record (a run or a chunk counts as one) and
+    /// nudges a wave when the queue is over its record or byte threshold.
+    fn log(&self, kind: RecordKind, stream: u64, seq: u64, payload: &[u8]) -> Result<()> {
         if self.replaying.load(Ordering::SeqCst) {
             return Ok(());
         }
-        let queued_bytes = self.wal.append_data(stream, seq, payload);
+        let queued_bytes = self.wal.append_data(kind, stream, seq, payload);
         let n = self.wal_unflushed.fetch_add(1, Ordering::Relaxed) + 1;
         if n as usize >= self.opts.wal_batch_records || queued_bytes >= WAL_PENDING_MAX_BYTES {
             self.wal_unflushed.store(0, Ordering::Relaxed);
@@ -1273,6 +1356,12 @@ impl TimeUnion {
 
     fn maintain_locked(&self) -> Result<()> {
         self.tree.maintain()?;
+        // The meta goes first: a checkpoint lets truncation drop late
+        // chunks' records, and with them the numbers `late_seq` must cover.
+        let mut meta = [0u8; 16];
+        meta[..8].copy_from_slice(&self.max_chunk_span.load(Ordering::Relaxed).to_le_bytes());
+        meta[8..].copy_from_slice(&self.late_seq.load(Ordering::Relaxed).to_le_bytes());
+        self.env.block.write_file("engine.meta", &meta)?;
         // Emit checkpoints for chunks whose memtable reached L0.
         let flushed = self.tree.flushed_epoch();
         let ready: Vec<PendingCheckpoint> = {
@@ -1284,17 +1373,33 @@ impl TimeUnion {
         };
         if !ready.is_empty() && !self.replaying.load(Ordering::SeqCst) {
             for c in &ready {
+                if c.late {
+                    self.relog_head_below(c.stream, c.seq)?;
+                }
                 self.wal.append_checkpoint(c.stream, c.seq);
             }
             self.flush_wal()?;
             self.wal.truncate(self.opts.wal_purge_bytes)?;
         }
-        self.catalog.flush()?;
-        self.env.block.write_file(
-            "engine.meta",
-            &self.max_chunk_span.load(Ordering::Relaxed).to_le_bytes(),
-        )?;
-        Ok(())
+        self.catalog.flush()
+    }
+
+    /// Logs a series' head rows again, under fresh sequence numbers, when
+    /// the checkpoint `seq` would cover the oldest of them: no checkpoint
+    /// ever covers a row still in the head. The copy is queued ahead of
+    /// the checkpoint, so no wave holds the checkpoint without it.
+    fn relog_head_below(&self, id: SeriesId, seq: u64) -> Result<()> {
+        let Some(obj) = self.series.get(&id) else {
+            return Ok(()); // purged by retention
+        };
+        let mut obj = obj.lock();
+        if obj.head_seq().is_none_or(|oldest| oldest > seq) {
+            return Ok(());
+        }
+        let first = obj.seq + 1;
+        let rows = obj.relog_head(&self.series_arena, first)?;
+        obj.seq += (rows.len() / ROW) as u64;
+        self.log(RecordKind::Rows, id, obj.seq, &rows)
     }
 
     /// Seals every open head chunk into the tree and drains all levels of
@@ -1308,7 +1413,7 @@ impl TimeUnion {
             if let Some((first, last, chunk)) = o.seal(&self.series_arena)? {
                 let id = o.id;
                 drop(o);
-                self.flush_chunk(id, first, last, chunk, seq)?;
+                self.flush_chunk(id, first, last, chunk, seq, None)?;
             }
         }
         for obj in self.groups.values() {
@@ -1319,7 +1424,7 @@ impl TimeUnion {
             {
                 let gid = g.gid;
                 drop(g);
-                self.flush_chunk(gid, first, last, chunk, seq)?;
+                self.flush_chunk(gid, first, last, chunk, seq, None)?;
             }
         }
         let _serialize = self.maintenance.lock();
@@ -2066,7 +2171,7 @@ impl TimeUnion {
         last_ts: Timestamp,
         chunk: Vec<u8>,
     ) -> Result<()> {
-        self.flush_chunk(stream, first_ts, last_ts, chunk, 0)
+        self.flush_chunk(stream, first_ts, last_ts, chunk, 0, None)
     }
 
     /// All values recorded for a tag key (label-values API).

@@ -1,11 +1,11 @@
 //! Run-at-a-time ingest: `put_batch` logs and applies one record per
-//! series run, `put_by_id` a run of one. Both must leave the engine in the
-//! state the samples define, whatever the thread count, the order inside a
-//! run or the place a checkpoint falls — live and after a crash. (Recovery
-//! is only compared where no sample is older than its head: an early
-//! flush checkpoints past the samples still buffered, a known defect of
-//! the watermark scheme that `tu-e2e` counts as `samples_lost_at_recovery`.)
+//! series run (plus one chunk record per slow-tier partition its late
+//! samples fall in), `put_by_id` a run of one. Both must answer with the
+//! samples written, whatever the thread count, the order inside a run or
+//! the place a checkpoint falls, and a crash image must recover to exactly
+//! the state the engine had.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Barrier;
 
@@ -82,17 +82,38 @@ fn batches(ids: &[SeriesId]) -> Vec<Batch> {
         .collect()
 }
 
+/// Every series' samples as `(t, value bits)`, read back through a query.
+fn contents(db: &TimeUnion, series: usize) -> Vec<Vec<(Timestamp, u64)>> {
+    (0..series)
+        .map(|s| {
+            let sel = [tu_index::Selector::exact("metric", format!("m{s}"))];
+            let res = db.query(&sel, 0, i64::MAX / 2).unwrap();
+            res[0]
+                .samples
+                .iter()
+                .map(|x| (x.t, x.v.to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
 #[test]
 fn put_batch_matches_put_by_id_at_every_width() {
     let dir = tempfile::tempdir().unwrap();
     let (reference, ids) = open(&dir.path().join("by-id"), 12);
     let batches = batches(&ids);
+    // The newest arrival per timestamp, plus the seed sample at 0.
+    let mut model: Vec<BTreeMap<Timestamp, u64>> = vec![BTreeMap::from([(0, 0)]); ids.len()];
     for batch in &batches {
         for &(id, t, v) in batch {
             reference.put_by_id(id, t, v).unwrap();
+            model[ids.iter().position(|&i| i == id).unwrap()].insert(t, v.to_bits());
         }
     }
-    let want = reference.state_digest().unwrap();
+    let want: Vec<Vec<(Timestamp, u64)>> =
+        model.into_iter().map(|m| m.into_iter().collect()).collect();
+    assert_eq!(contents(&reference, ids.len()), want, "put_by_id");
+    let mut digest = None;
     for threads in [1, 2, 8] {
         let (db, same_ids) = open(&dir.path().join(format!("batch-{threads}")), 12);
         assert_eq!(same_ids, ids);
@@ -101,9 +122,23 @@ fn put_batch_matches_put_by_id_at_every_width() {
             db.put_batch(batch).unwrap();
         }
         assert_eq!(
-            db.state_digest().unwrap(),
+            contents(&db, ids.len()),
             want,
             "put_batch at {threads} threads"
+        );
+        let live = db.state_digest().unwrap();
+        assert_eq!(
+            digest.get_or_insert_with(|| live.clone()),
+            &live,
+            "put_batch at {threads} threads"
+        );
+        let crash = dir.path().join(format!("crash-{threads}"));
+        copy_dir(db.dir(), &crash);
+        let recovered = TimeUnion::open(&crash, opts()).unwrap();
+        assert_eq!(
+            recovered.state_digest().unwrap(),
+            live,
+            "crash image at {threads} threads"
         );
     }
 }
@@ -205,4 +240,37 @@ fn checkpoint_inside_a_run_trims_the_run_on_replay() {
         )
         .unwrap();
     assert_eq!(res[0].samples.len(), 401);
+}
+
+/// A late chunk's checkpoint must free the log behind the head it passed
+/// over. Series A's head rows are logged again after A's late chunk, so
+/// the segment holding their first copies goes once series B's traffic
+/// has flushed the chunk; a checkpoint kept below the head would pin it.
+#[test]
+fn a_late_chunk_does_not_pin_the_log_behind_its_head() {
+    let dir = tempfile::tempdir().unwrap();
+    let (db, ids) = open(&dir.path().join("db"), 2);
+    let (a, b) = (ids[0], ids[1]);
+    db.put_batch(&[(a, 1_000, 1.0)]).unwrap();
+    let traffic = |from: i64| {
+        for k in 0..10 {
+            let batch: Batch = (0..10_000)
+                .map(|i| (b, from + (k * 10_000 + i) * 1_000 + 1, 0.0))
+                .collect();
+            db.put_batch(&batch).unwrap();
+        }
+    };
+    let segments = || -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(db.dir().join("block").join("wal"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    traffic(0);
+    assert_eq!(segments()[0], "engine.log.00000001", "A's head pins it");
+    db.put_batch(&[(a, -5, 0.5)]).unwrap();
+    traffic(1 << 40);
+    assert_ne!(segments()[0], "engine.log.00000001", "{:?}", segments());
 }

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use tu_common::lockdep::{self, Mutex};
 
 use tu_cloud::StorageEnv;
-use tu_common::keys::{decode_id, decode_ts, encode_key};
+use tu_common::keys::{decode_id, decode_ts, decode_version, encode_key, encode_versioned_key};
 use tu_common::pool::{WorkerPool, INGEST_THREADS_ENV};
 use tu_common::{Error, Result, TimeRange, Timestamp};
 
@@ -251,7 +251,9 @@ pub struct ReadPlan {
 
 impl ReadPlan {
     /// The chunks of the `i`-th planned id as `(start timestamp, chunk)`,
-    /// newest version per key, sorted by key.
+    /// newest write per key, in the order a reader applies them (a later
+    /// chunk wins a shared timestamp): plain keys by start timestamp, then
+    /// versioned keys by version.
     pub fn chunks(&self, i: usize) -> Result<Vec<(Timestamp, &[u8])>> {
         let (start, end) = &self.keys[i];
         // Accumulate (key, seq, value) triples flat, then resolve
@@ -273,6 +275,7 @@ impl ReadPlan {
         // equals, keeping the winner.
         acc.sort_by(|a, b| a.0.cmp(b.0).then(b.1.cmp(&a.1)));
         acc.dedup_by(|next, kept| next.0 == kept.0);
+        acc.sort_by_key(|(k, _, _)| decode_version(k));
         acc.into_iter()
             .map(|(k, _, v)| Ok((decode_ts(k)?, v)))
             .collect()
@@ -341,7 +344,17 @@ impl TimeTree {
     /// active memtable crossed the seal threshold (the caller should
     /// schedule [`TimeTree::maintain`]).
     pub fn put(&self, id: u64, start_ts: Timestamp, chunk: Vec<u8>) -> bool {
-        let key = encode_key(id, start_ts).to_vec();
+        self.put_key(encode_key(id, start_ts).to_vec(), chunk)
+    }
+
+    /// Inserts a chunk under the versioned key `(id, start_ts, version)`:
+    /// it replaces nothing but an equal version, and readers apply it after
+    /// every plain chunk and every lower version ([`ReadPlan::chunks`]).
+    pub fn put_version(&self, id: u64, start_ts: Timestamp, version: u64, chunk: Vec<u8>) -> bool {
+        self.put_key(encode_versioned_key(id, start_ts, version).to_vec(), chunk)
+    }
+
+    fn put_key(&self, key: Vec<u8>, chunk: Vec<u8>) -> bool {
         let size = self.mem.put(key, chunk);
         if size >= self.opts.memtable_bytes {
             self.seal();
@@ -368,6 +381,12 @@ impl TimeTree {
     /// `seal_epoch() == e` are durable once `flushed_epoch() > e`.
     pub fn flushed_epoch(&self) -> u64 {
         self.flushed.load(Ordering::SeqCst)
+    }
+
+    /// The current length of an L2 (slow-tier) partition: the grid new L2
+    /// partitions align to. Dynamic size control may change it.
+    pub fn l2_partition_ms(&self) -> i64 {
+        self.levels.lock().r2_ms
     }
 
     /// Runs all pending background work to quiescence: flushes, both
@@ -785,7 +804,7 @@ impl TimeTree {
                 .iter()
                 .map(|r| r.len())
                 .min()
-                .unwrap_or_else(|| self.levels.lock().r2_ms)
+                .unwrap_or_else(|| self.l2_partition_ms())
                 .max(1);
             let mut buckets: BTreeMap<i64, Vec<(Vec<u8>, Vec<u8>)>> = BTreeMap::new();
             for (k, v) in fresh {
@@ -1571,6 +1590,30 @@ mod tests {
     }
 
     #[test]
+    fn versioned_chunks_replace_nothing_and_apply_after_plain_ones() {
+        let (_d, t) = tree_with(small_opts());
+        t.put(1, 1000, chunk(1));
+        t.put_version(1, 1000, 7, chunk(2)); // the same start as a plain chunk
+        t.put_version(1, 500, 9, chunk(3)); // newer, but starting earlier
+        t.put(1, 2000, chunk(4));
+        t.put_version(1, 1500, 8, chunk(5));
+        t.put_version(1, 1500, 8, chunk(6)); // an equal version replaces
+        let want = vec![
+            (1000, chunk(1)),
+            (2000, chunk(4)),
+            (1000, chunk(2)),
+            (1500, chunk(6)),
+            (500, chunk(3)),
+        ];
+        assert_eq!(t.range_chunks(1, 0, 3000).unwrap(), want);
+        t.flush_all_to_slow().unwrap();
+        assert_eq!(t.range_chunks(1, 0, 3000).unwrap(), want, "in L2");
+        // Range bounds made of plain keys take every version at a start.
+        assert_eq!(t.range_chunks(1, 1000, 1001).unwrap().len(), 2);
+        assert_eq!(t.range_chunks(1, 501, 1000).unwrap(), []);
+    }
+
+    #[test]
     fn flush_moves_data_to_l0_partitions() {
         let (_d, t) = tree_with(small_opts());
         // Two chunks in different 30-min partitions.
@@ -1713,10 +1756,13 @@ mod tests {
             ..small_opts()
         };
         let (_d, t) = tree_with(opts);
+        assert_eq!(t.l2_partition_ms(), 2 * HOUR);
         load(&t, 32, 12);
         let s = t.stats();
         assert!(s.r1_ms < 2 * HOUR, "partition length should shrink: {s:?}");
         assert!(s.r1_ms >= 15 * MIN);
+        assert!(s.r2_ms < 2 * HOUR, "{s:?}");
+        assert_eq!(t.l2_partition_ms(), s.r2_ms);
     }
 
     #[test]

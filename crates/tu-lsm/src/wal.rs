@@ -8,10 +8,14 @@
 //! whole: no scan, no rewrite.
 //!
 //! Record framing: `[u32 LE length][u32 LE masked crc32c][body]`, body
-//! `[u8 checkpoint][u64 LE stream][u64 LE seq][payload]`. The payload
-//! encoding is the caller's business. A data record may stand for a *run*
+//! `[u8 kind][u64 LE stream][u64 LE seq][payload]`, where the kind is one
+//! of [`RecordKind`]: `0` rows, `1` checkpoint, `2` chunk. The payload
+//! encoding is the caller's business. A rows record may stand for a *run*
 //! of consecutive sequence numbers ending at `seq` (the engine logs one
 //! record per series run); this module only needs `seq`, the highest one.
+//! A chunk record carries one sequence number and a chunk that goes to the
+//! tree as it is. Rows and chunks are both *data*: they pin their segment
+//! until a checkpoint covers them.
 //!
 //! # Segments
 //!
@@ -67,10 +71,34 @@ const RECOVERY_CACHE_BYTES: u64 = 16 << 20;
 
 /// Frame header: length + masked CRC.
 const HEADER: usize = 8;
-/// Fixed part of a record body: checkpoint flag, stream, sequence.
+/// Fixed part of a record body: kind, stream, sequence.
 const BODY_FIXED: usize = 17;
 
-/// A parsed WAL record.
+/// What a record holds; its byte is the first of the record body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecordKind {
+    /// Sample rows of a stream, the newest numbered `seq`.
+    Rows = 0,
+    /// Records of the stream up to `seq` are obsolete.
+    Checkpoint = 1,
+    /// One chunk of the stream, numbered `seq`, bound for the tree as it is.
+    Chunk = 2,
+}
+
+impl RecordKind {
+    fn from_byte(b: u8) -> Result<Self> {
+        match b {
+            0 => Ok(RecordKind::Rows),
+            1 => Ok(RecordKind::Checkpoint),
+            2 => Ok(RecordKind::Chunk),
+            _ => Err(Error::corruption(format!("wal record of unknown kind {b}"))),
+        }
+    }
+}
+
+/// An owned rows or checkpoint record, as [`Wal::append`] takes it and
+/// [`Wal::replay`] returns it (a chunk record replays with `checkpoint`
+/// false, like rows).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalRecord {
     /// Series or group the record belongs to.
@@ -89,25 +117,29 @@ pub struct WalRecord {
 pub struct RecordRef<'a> {
     pub stream: u64,
     pub seq: u64,
-    pub checkpoint: bool,
+    pub kind: RecordKind,
     pub payload: &'a [u8],
 }
 
 impl RecordRef<'_> {
+    pub fn is_checkpoint(&self) -> bool {
+        self.kind == RecordKind::Checkpoint
+    }
+
     pub fn to_owned(&self) -> WalRecord {
         WalRecord {
             stream: self.stream,
             seq: self.seq,
-            checkpoint: self.checkpoint,
+            checkpoint: self.is_checkpoint(),
             payload: self.payload.to_vec(),
         }
     }
 }
 
 /// Appends one framed record to `buf`.
-fn encode_into(buf: &mut Vec<u8>, checkpoint: bool, stream: u64, seq: u64, payload: &[u8]) {
+fn encode_into(buf: &mut Vec<u8>, kind: RecordKind, stream: u64, seq: u64, payload: &[u8]) {
     let mut fixed = [0u8; BODY_FIXED];
-    fixed[0] = checkpoint as u8;
+    fixed[0] = kind as u8;
     fixed[1..9].copy_from_slice(&stream.to_le_bytes());
     fixed[9..].copy_from_slice(&seq.to_le_bytes());
     let sum = crc::mask(crc::extend(crc::crc32c(&fixed), payload));
@@ -141,7 +173,7 @@ fn frame_at(bytes: &[u8], off: usize, verify: bool) -> Result<Option<(RecordRef<
         return Err(Error::corruption("wal record body truncated"));
     }
     let record = RecordRef {
-        checkpoint: body[0] != 0,
+        kind: RecordKind::from_byte(body[0])?,
         stream: tu_common::bytes::u64_le(&body[1..9]),
         seq: tu_common::bytes::u64_le(&body[9..BODY_FIXED]),
         payload: &body[BODY_FIXED..],
@@ -207,7 +239,7 @@ struct Log {
 impl Log {
     fn observe(&mut self, record: &RecordRef<'_>) {
         let (stream, seq) = (record.stream, record.seq);
-        if !record.checkpoint {
+        if !record.is_checkpoint() {
             let pin = self.active_pins.entry(stream).or_insert(0);
             *pin = (*pin).max(seq);
             return;
@@ -378,10 +410,10 @@ impl Wal {
 
     /// Frames a record straight into the shared buffer. Returns its
     /// ticket and the bytes now queued.
-    fn enqueue(&self, checkpoint: bool, stream: u64, seq: u64, payload: &[u8]) -> (u64, usize) {
+    fn enqueue(&self, kind: RecordKind, stream: u64, seq: u64, payload: &[u8]) -> (u64, usize) {
         self.obs_appends.inc();
         let mut pending = self.pending.lock();
-        encode_into(&mut pending.buf, checkpoint, stream, seq, payload);
+        encode_into(&mut pending.buf, kind, stream, seq, payload);
         pending.records += 1;
         pending.ticket += 1;
         (pending.ticket, pending.buf.len())
@@ -390,25 +422,25 @@ impl Wal {
     /// Queues a record and returns its commit ticket; pass it to
     /// [`Wal::commit_up_to`] (or just call [`Wal::flush`]) to persist.
     pub fn append(&self, record: &WalRecord) -> u64 {
-        let (ticket, _) = self.enqueue(
-            record.checkpoint,
-            record.stream,
-            record.seq,
-            &record.payload,
-        );
+        let kind = match record.checkpoint {
+            true => RecordKind::Checkpoint,
+            false => RecordKind::Rows,
+        };
+        let (ticket, _) = self.enqueue(kind, record.stream, record.seq, &record.payload);
         ticket
     }
 
-    /// Queues a data record whose newest sequence number is `seq`.
-    /// Returns the bytes now waiting for a wave, so the caller can bound
-    /// the buffer by nudging.
-    pub fn append_data(&self, stream: u64, seq: u64, payload: &[u8]) -> usize {
-        self.enqueue(false, stream, seq, payload).1
+    /// Queues a data record of kind `kind` (rows or a chunk) whose newest
+    /// sequence number is `seq`. Returns the bytes now waiting for a wave,
+    /// so the caller can bound the buffer by nudging.
+    pub fn append_data(&self, kind: RecordKind, stream: u64, seq: u64, payload: &[u8]) -> usize {
+        debug_assert_ne!(kind, RecordKind::Checkpoint);
+        self.enqueue(kind, stream, seq, payload).1
     }
 
     /// Queues a checkpoint: records of `stream` up to `seq` are obsolete.
     pub fn append_checkpoint(&self, stream: u64, seq: u64) {
-        self.enqueue(true, stream, seq, &[]);
+        self.enqueue(RecordKind::Checkpoint, stream, seq, &[]);
     }
 
     /// The wave-state guard; poisoning is swallowed by the lockdep
@@ -552,8 +584,8 @@ impl Wal {
 
     /// Replays the log for crash recovery, in two passes because a
     /// checkpoint follows the records it covers: `checkpoint` sees every
-    /// checkpoint `(stream, seq)`, then `data` every data record, oldest
-    /// first. Which records are obsolete is the caller's call — it knows
+    /// checkpoint `(stream, seq)`, then `data` every rows and chunk
+    /// record, oldest first. Which records are obsolete is the caller's call — it knows
     /// how many sequence numbers a record stands for.
     pub fn recover(
         &self,
@@ -564,14 +596,14 @@ impl Wal {
             let mut held = (self.len() <= RECOVERY_CACHE_BYTES).then(Vec::new);
             self.stream_segments(
                 &mut |r| {
-                    if r.checkpoint {
+                    if r.is_checkpoint() {
                         checkpoint(r.stream, r.seq);
                     }
                     Ok(())
                 },
                 held.as_mut(),
             )?;
-            let mut data = |r: RecordRef<'_>| if r.checkpoint { Ok(()) } else { data(r) };
+            let mut data = |r: RecordRef<'_>| if r.is_checkpoint() { Ok(()) } else { data(r) };
             let Some(segments) = held else {
                 return self.stream_segments(&mut data, None);
             };
@@ -731,7 +763,7 @@ impl Wal {
         let mut off = 0;
         while let Some((record, next)) = frame_at(&bytes, off, true)? {
             let live = covered.get(&record.stream).is_some_and(|&c| record.seq > c);
-            if live && !record.checkpoint {
+            if live && !record.is_checkpoint() {
                 moved.extend_from_slice(&bytes[off..next]);
                 records += 1;
             }
@@ -740,7 +772,7 @@ impl Wal {
         // A run the checkpoint covers in part moves whole; the checkpoint
         // follows it so replay still trims the covered samples.
         for (&stream, &seq) in covered.iter().filter(|(_, &seq)| seq > 0) {
-            encode_into(&mut moved, true, stream, seq, &[]);
+            encode_into(&mut moved, RecordKind::Checkpoint, stream, seq, &[]);
             records += 1;
         }
         {
@@ -837,7 +869,7 @@ mod tests {
     fn data_seqs(w: &Wal, stream: u64) -> Vec<u64> {
         let mut seqs = Vec::new();
         w.for_each(|r| {
-            if !r.checkpoint && r.stream == stream {
+            if !r.is_checkpoint() && r.stream == stream {
                 seqs.push(r.seq);
             }
             Ok(())
@@ -860,7 +892,7 @@ mod tests {
     #[test]
     fn one_sample_record_is_41_bytes() {
         let (_d, w) = wal();
-        assert_eq!(w.append_data(7, 1, &[0u8; 16]), 41);
+        assert_eq!(w.append_data(RecordKind::Rows, 7, 1, &[0u8; 16]), 41);
         w.flush().unwrap();
         assert_eq!(w.len(), 41);
     }
@@ -1040,7 +1072,7 @@ mod tests {
         w.flush().unwrap();
         // Simulate a crash mid-append of a second record.
         let mut partial = Vec::new();
-        encode_into(&mut partial, false, 1, 2, b"lost");
+        encode_into(&mut partial, RecordKind::Rows, 1, 2, b"lost");
         w.store.append("wal/log.00000001", &partial[..7]).unwrap();
         // The next incarnation replays the intact prefix...
         let w = Wal::open(w.store.clone(), LOG);
@@ -1083,9 +1115,9 @@ mod tests {
     fn legacy_single_file_replays_as_the_oldest_segment() {
         let (_d, store) = store();
         let mut legacy = Vec::new();
-        encode_into(&mut legacy, false, 1, 1, b"from the old log");
-        encode_into(&mut legacy, false, 2, 1, b"also old");
-        encode_into(&mut legacy, true, 2, 1, &[]);
+        encode_into(&mut legacy, RecordKind::Rows, 1, 1, b"from the old log");
+        encode_into(&mut legacy, RecordKind::Rows, 2, 1, b"also old");
+        encode_into(&mut legacy, RecordKind::Checkpoint, 2, 1, &[]);
         store.write_file(LOG, &legacy).unwrap();
         let w = Wal::open(store, LOG);
         w.append(&rec(1, 2, b"new"));
@@ -1233,5 +1265,137 @@ mod tests {
         });
         w.flush().unwrap();
         assert_eq!(data_seqs(&w, 2).len(), 3, "appends raced away");
+    }
+
+    /// Every data record `recover` hands over, as `(kind, stream, seq,
+    /// payload)`.
+    fn recovered(w: &Wal) -> Vec<(RecordKind, u64, u64, Vec<u8>)> {
+        let mut out = Vec::new();
+        w.recover(
+            |_, _| {},
+            |r| {
+                out.push((r.kind, r.stream, r.seq, r.payload.to_vec()));
+                Ok(())
+            },
+        )
+        .unwrap();
+        out
+    }
+
+    #[test]
+    fn chunk_record_round_trips_through_recover() {
+        let (_d, w) = wal();
+        w.append_data(RecordKind::Rows, 1, 3, b"three rows");
+        w.append_data(RecordKind::Chunk, 1, 4, b"a late chunk");
+        w.append_checkpoint(1, 2);
+        w.flush().unwrap();
+        let mut checkpoints = Vec::new();
+        w.recover(|s, q| checkpoints.push((s, q)), |_| Ok(()))
+            .unwrap();
+        assert_eq!(checkpoints, [(1, 2)]);
+        assert_eq!(
+            recovered(&w),
+            [
+                (RecordKind::Rows, 1, 3, b"three rows".to_vec()),
+                (RecordKind::Chunk, 1, 4, b"a late chunk".to_vec()),
+            ]
+        );
+        // A second instance reads the same kinds back from disk.
+        let w = Wal::open(w.store.clone(), LOG);
+        assert_eq!(recovered(&w)[1].0, RecordKind::Chunk);
+    }
+
+    #[test]
+    fn chunk_record_pins_its_segment_like_data() {
+        let (_d, w) = wal();
+        w.append_data(RecordKind::Chunk, 9, 1, b"late");
+        for seq in 1..=6 {
+            big(&w, 1, seq); // segments 1 and 2
+        }
+        w.append_checkpoint(1, 6);
+        assert_eq!(w.truncate(u64::MAX).unwrap(), 0, "the chunk pins segment 1");
+        w.append_checkpoint(9, 1);
+        assert_eq!(w.truncate(u64::MAX).unwrap(), 3, "sealed ×2 + active");
+        assert!(files(&w).is_empty());
+    }
+
+    #[test]
+    fn relocation_copies_a_chunk_record_whole() {
+        let (_d, w) = wal();
+        w.append_data(RecordKind::Rows, 9, 2, b"two rows");
+        w.append_data(RecordKind::Chunk, 9, 3, b"late chunk bytes");
+        for seq in 1..=6 {
+            big(&w, 1, seq);
+        }
+        w.append_checkpoint(1, 6);
+        assert_eq!(w.truncate(SEGMENT_BYTES).unwrap(), 2);
+        assert_eq!(
+            recovered(&w),
+            [
+                (RecordKind::Rows, 9, 2, b"two rows".to_vec()),
+                (RecordKind::Chunk, 9, 3, b"late chunk bytes".to_vec()),
+            ]
+        );
+    }
+
+    #[test]
+    fn log_of_rows_and_checkpoints_replays_as_before() {
+        // Bytes as a log without chunk records frames them: kind 0 or 1.
+        let (_d, store) = store();
+        let mut log = Vec::new();
+        encode_into(&mut log, RecordKind::Rows, 1, 2, &[7u8; 32]);
+        encode_into(&mut log, RecordKind::Checkpoint, 1, 1, &[]);
+        assert_eq!(
+            (log[HEADER], log[HEADER + HEADER + BODY_FIXED + 32]),
+            (0, 1)
+        );
+        store.write_file("wal/log.00000001", &log).unwrap();
+        let w = Wal::open(store, LOG);
+        assert_eq!(w.replay().unwrap(), [rec(1, 2, &[7u8; 32]), ckpt(1, 1)]);
+        assert_eq!(recovered(&w), [(RecordKind::Rows, 1, 2, vec![7u8; 32])]);
+    }
+
+    #[test]
+    fn torn_chunk_record_at_the_newest_tail_is_cut_off() {
+        let (_d, w) = wal();
+        w.append_data(RecordKind::Chunk, 1, 1, b"whole");
+        w.flush().unwrap();
+        let mut partial = Vec::new();
+        encode_into(&mut partial, RecordKind::Chunk, 1, 2, &[5u8; 64]);
+        w.store
+            .append("wal/log.00000001", &partial[..partial.len() - 9])
+            .unwrap();
+        let w = Wal::open(w.store.clone(), LOG);
+        assert_eq!(
+            recovered(&w),
+            [(RecordKind::Chunk, 1, 1, b"whole".to_vec())]
+        );
+        assert_eq!(w.store.len("wal/log.00000001").unwrap(), w.len());
+    }
+
+    #[test]
+    fn bad_chunk_record_in_a_sealed_segment_is_corruption() {
+        let (_d, w) = wal();
+        w.append_data(RecordKind::Chunk, 1, 1, &[3u8; 100]);
+        for seq in 2..=4 {
+            big(&w, 1, seq);
+        }
+        let sealed = "wal/log.00000001";
+        let good = w.store.read_file(sealed).unwrap();
+        // A flipped byte inside the chunk.
+        let mut bytes = good.clone();
+        bytes[HEADER + BODY_FIXED + 50] ^= 0xff;
+        w.store.write_file(sealed, &bytes).unwrap();
+        let err = w.recover(|_, _| {}, |_| Ok(())).unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        // A kind byte no writer produces, under a checksum that matches.
+        let mut bytes = good;
+        let len = tu_common::bytes::u32_le(&bytes[..4]) as usize;
+        bytes[HEADER] = 3;
+        let sum = crc::mask(crc::crc32c(&bytes[HEADER..HEADER + len]));
+        bytes[4..HEADER].copy_from_slice(&sum.to_le_bytes());
+        w.store.write_file(sealed, &bytes).unwrap();
+        let err = w.recover(|_, _| {}, |_| Ok(())).unwrap_err();
+        assert!(err.is_corruption(), "{err}");
     }
 }

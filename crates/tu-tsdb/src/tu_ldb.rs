@@ -18,7 +18,7 @@ use parking_lot::{Mutex, RwLock};
 use tu_cloud::StorageEnv;
 use tu_common::{Error, Labels, Result, Sample, SeriesId, Timestamp, Value};
 use tu_compress::gorilla;
-use tu_core::series::{self, HeadInsert, SeriesObject};
+use tu_core::series::{self, SeriesObject};
 use tu_index::{InvertedIndex, Selector};
 use tu_lsm::leveled::{LeveledOptions, LeveledTree};
 use tu_mmap::pagecache::PageCache;
@@ -106,31 +106,27 @@ impl TuLdb {
             .get(&id)
             .cloned()
             .ok_or_else(|| Error::not_found(format!("series {id}")))?;
+        let mut flushes = Vec::new();
         let mut o = obj.lock();
-        let outcome = o.insert(&self.arena, t, v, self.chunk_samples)?;
+        // No WAL here, so sequence numbers do not matter; no slow-tier
+        // partitions either, so a late sample is one chunk.
+        o.insert_run(
+            &self.arena,
+            &series::encode_row(t, v),
+            self.chunk_samples,
+            0,
+            Some(&|| i64::MAX),
+            &mut flushes,
+        )?;
         drop(o);
-        match outcome {
-            HeadInsert::Buffered => Ok(()),
-            HeadInsert::Sealed {
-                first_ts,
-                last_ts,
-                chunk,
-            } => {
-                self.max_chunk_span
-                    .fetch_max(last_ts - first_ts, std::sync::atomic::Ordering::Relaxed);
-                if self.tree.put(id, first_ts, chunk) {
-                    self.tree.flush_memtables()?;
-                }
-                Ok(())
-            }
-            HeadInsert::OlderThanHead => {
-                let chunk = gorilla::compress_chunk(&[Sample::new(t, v)])?;
-                if self.tree.put(id, t, chunk) {
-                    self.tree.flush_memtables()?;
-                }
-                Ok(())
+        for f in flushes {
+            self.max_chunk_span
+                .fetch_max(f.last_ts - f.first_ts, std::sync::atomic::Ordering::Relaxed);
+            if self.tree.put(id, f.first_ts, f.chunk) {
+                self.tree.flush_memtables()?;
             }
         }
+        Ok(())
     }
 
     /// Seals every head and compacts to quiescence.

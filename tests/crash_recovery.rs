@@ -214,3 +214,101 @@ fn series_acknowledged_by_sync_wal_survive_a_crash_image() {
         .unwrap();
     assert_eq!(res[0].samples.len(), 2);
 }
+
+/// A sample older than the head leaves early, and the checkpoint written
+/// once its chunk is flushed must not cover the samples still buffered in
+/// the head.
+#[test]
+fn early_flush_checkpoint_keeps_buffered_head_samples() {
+    let dir = tempfile::tempdir().unwrap();
+    let mut opts = options();
+    // Every chunk put seals the memtable, so the late chunk is flushed and
+    // its checkpoint written before `put_batch` returns.
+    opts.tree.memtable_bytes = 1;
+    let db = TimeUnion::open(dir.path().join("db"), opts.clone()).unwrap();
+    let id = db
+        .put(&Labels::from_pairs([("metric", "late")]), 10_000, 1.0)
+        .unwrap();
+    db.put_batch(&[(id, 20_000, 2.0), (id, 30_000, 3.0)])
+        .unwrap();
+    db.put_batch(&[(id, 5_000, 0.5)]).unwrap();
+    assert_eq!(db.tree_stats().flushes, 1, "the late chunk reached L0");
+    copy_dir(&dir.path().join("db"), &dir.path().join("crash"));
+
+    let recovered = TimeUnion::open(dir.path().join("crash"), opts).unwrap();
+    let res = recovered
+        .query(&[Selector::exact("metric", "late")], 0, 100_000)
+        .unwrap();
+    let got: Vec<(i64, f64)> = res[0].samples.iter().map(|s| (s.t, s.v)).collect();
+    assert_eq!(
+        got,
+        [(5_000, 0.5), (10_000, 1.0), (20_000, 2.0), (30_000, 3.0)]
+    );
+}
+
+/// A late chunk read back from the log is checkpointed once its memtable
+/// is flushed after the reopen. The head rows it was numbered above, read
+/// back from older records, must be logged again before that checkpoint.
+#[test]
+fn replayed_late_chunk_checkpoint_keeps_the_head() {
+    let dir = tempfile::tempdir().unwrap();
+    let db = TimeUnion::open(dir.path().join("db"), options()).unwrap();
+    let id = db
+        .put(&Labels::from_pairs([("metric", "late")]), 10_000, 1.0)
+        .unwrap();
+    db.put_batch(&[(id, 20_000, 2.0), (id, 30_000, 3.0)])
+        .unwrap();
+    db.put_batch(&[(id, 5_000, 0.5)]).unwrap();
+    assert_eq!(db.tree_stats().flushes, 0, "no checkpoint before the crash");
+    let crash = dir.path().join("crash");
+    copy_dir(&dir.path().join("db"), &crash);
+
+    // Replay puts the chunk into a memtable that seals at once; the sync
+    // flushes it and writes the chunk's checkpoint.
+    let mut tiny = options();
+    tiny.tree.memtable_bytes = 1;
+    let reopened = TimeUnion::open(&crash, tiny.clone()).unwrap();
+    reopened.sync().unwrap();
+    assert_eq!(reopened.tree_stats().flushes, 1);
+    copy_dir(&crash, &dir.path().join("again"));
+
+    let recovered = TimeUnion::open(dir.path().join("again"), tiny).unwrap();
+    let res = recovered
+        .query(&[Selector::exact("metric", "late")], 0, 100_000)
+        .unwrap();
+    let got: Vec<i64> = res[0].samples.iter().map(|s| s.t).collect();
+    assert_eq!(got, [5_000, 10_000, 20_000, 30_000]);
+}
+
+/// Late chunks apply in the order they were written, also across a
+/// restart whose log no longer numbers the older one.
+#[test]
+fn newer_late_sample_wins_after_a_restart() {
+    let dir = tempfile::tempdir().unwrap();
+    let l = Labels::from_pairs([("metric", "late")]);
+    {
+        let db = TimeUnion::open(dir.path().join("db"), options()).unwrap();
+        let id = db.put(&l, 10_000, 1.0).unwrap();
+        db.put_batch(&[(id, 11_000, 1.1), (id, 12_000, 1.2)])
+            .unwrap();
+        db.put_batch(&[(id, 5_000, 0.5)]).unwrap();
+        db.flush_all().unwrap();
+    }
+    let db = TimeUnion::open(dir.path().join("db"), options()).unwrap();
+    let id = db.put(&l, 20_000, 2.0).unwrap();
+    db.put_batch(&[(id, 5_000, 9.0)]).unwrap();
+    let res = db
+        .query(&[Selector::exact("metric", "late")], 0, 100_000)
+        .unwrap();
+    let got: Vec<(i64, f64)> = res[0].samples.iter().map(|s| (s.t, s.v)).collect();
+    assert_eq!(
+        got,
+        [
+            (5_000, 9.0),
+            (10_000, 1.0),
+            (11_000, 1.1),
+            (12_000, 1.2),
+            (20_000, 2.0)
+        ]
+    );
+}
