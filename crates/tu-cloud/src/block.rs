@@ -118,8 +118,27 @@ impl BlockStore {
             fs::create_dir_all(parent)?;
         }
         fs::write(&path, data)?;
+        self.account_write(name, data.len() as u64);
+        Ok(())
+    }
+
+    /// Replaces a small file whole ([`tu_common::fs::replace_file`]: a
+    /// crash leaves the old contents or the new ones, never a short file),
+    /// priced like [`BlockStore::write_file`].
+    pub fn replace_file(&self, name: &str, data: &[u8]) -> Result<()> {
+        let path = self.path_of(name);
+        if let Some(parent) = path.parent() {
+            fs::create_dir_all(parent)?;
+        }
+        tu_common::fs::replace_file(&path, data)?;
+        self.account_write(name, data.len() as u64);
+        Ok(())
+    }
+
+    /// Books a whole-file write of `len` bytes to `name`.
+    fn account_write(&self, name: &str, len: u64) {
         let mut state = self.state.lock();
-        let old = state.sizes.insert(name.to_string(), data.len() as u64);
+        let old = state.sizes.insert(name.to_string(), len);
         // Rewriting a file invalidates its warm-read state: the next read
         // pays the first-read penalty again, as it would on a fresh EBS
         // block. Without this an overwrite-then-read workload under-counts
@@ -129,16 +148,12 @@ impl BlockStore {
         if let Some(old) = old {
             self.used_bytes.fetch_sub(old, Ordering::Relaxed);
         }
-        self.used_bytes
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        self.used_bytes.fetch_add(len, Ordering::Relaxed);
         self.sync_used_gauge();
         self.stats.puts.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_written
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.obs.record_write(data.len() as u64);
-        self.clock.charge(self.model.write_ns(data.len() as u64));
-        Ok(())
+        self.stats.bytes_written.fetch_add(len, Ordering::Relaxed);
+        self.obs.record_write(len);
+        self.clock.charge(self.model.write_ns(len));
     }
 
     /// Appends to a file, creating it if absent. Returns the offset at which
@@ -407,6 +422,21 @@ mod tests {
         s.write_file("f", &[0u8; 100]).unwrap();
         s.write_file("f", &[0u8; 40]).unwrap();
         assert_eq!(s.used_bytes(), 40);
+    }
+
+    #[test]
+    fn replace_is_priced_like_a_write_and_leaves_no_temporary() {
+        let (d, s) = store();
+        s.write_file("sub/meta", &[0u8; 100]).unwrap();
+        let before = s.stats();
+        s.replace_file("sub/meta", b"new").unwrap();
+        s.replace_file("fresh", b"abcd").unwrap();
+        assert_eq!(s.read_file("sub/meta").unwrap(), b"new");
+        assert_eq!(s.used_bytes(), 7);
+        let delta = s.stats().since(&before);
+        assert_eq!((delta.put_requests, delta.bytes_written), (2, 7));
+        assert_eq!(s.list_prefix(""), vec!["fresh", "sub/meta"]);
+        assert!(!d.path().join("blk/sub/meta.tmp").exists());
     }
 
     #[test]

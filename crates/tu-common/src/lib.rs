@@ -10,6 +10,7 @@ pub mod alloc;
 pub mod bytes;
 pub mod clock;
 pub mod error;
+pub mod fs;
 pub mod keys;
 pub mod pool;
 pub mod types;

@@ -5,8 +5,7 @@
 //! same masking scheme as LevelDB so a stored CRC is never itself a valid
 //! CRC of trivial data.
 
-/// Table-driven CRC32C over the Castagnoli polynomial (reflected 0x82F63B78),
-/// eight bytes per step.
+/// Table-driven CRC32C over the Castagnoli polynomial (reflected 0x82F63B78).
 const POLY: u32 = 0x82F6_3B78;
 
 const fn make_table() -> [u32; 256] {
@@ -29,21 +28,9 @@ const fn make_table() -> [u32; 256] {
     table
 }
 
-/// `TABLES[k][b]`: the CRC of byte `b` followed by `k` zero bytes, so
-/// eight table lookups advance the CRC by eight bytes (slicing-by-8).
-static TABLES: [[u32; 256]; 8] = {
-    let mut t = [make_table(); 8];
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    t
+static TABLE: [u32; 256] = {
+    // const-evaluated at compile time
+    make_table()
 };
 
 /// Computes the CRC32C of `data`.
@@ -53,23 +40,9 @@ pub fn crc32c(data: &[u8]) -> u32 {
 
 /// Extends a running CRC with more data.
 pub fn extend(crc: u32, data: &[u8]) -> u32 {
-    let t = &TABLES;
     let mut c = !crc;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xff) as usize]
-            ^ t[6][((lo >> 8) & 0xff) as usize]
-            ^ t[5][((lo >> 16) & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xff) as usize]
-            ^ t[2][((hi >> 8) & 0xff) as usize]
-            ^ t[1][((hi >> 16) & 0xff) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    for &b in data {
+        c = TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -132,22 +105,7 @@ mod tests {
         }
     }
 
-    /// One table lookup per byte: the definition the eight-byte steps
-    /// must agree with.
-    fn bytewise(data: &[u8]) -> u32 {
-        let mut c = !0u32;
-        for &b in data {
-            c = TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
-        }
-        !c
-    }
-
     proptest! {
-        #[test]
-        fn prop_matches_bytewise(data in proptest::collection::vec(any::<u8>(), 0..300)) {
-            prop_assert_eq!(crc32c(&data), bytewise(&data));
-        }
-
         #[test]
         fn prop_mask_round_trip(v: u32) {
             prop_assert_eq!(unmask(mask(v)), v);

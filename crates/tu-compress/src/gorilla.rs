@@ -484,6 +484,21 @@ pub fn decompress_chunk(bytes: &[u8]) -> Result<Vec<Sample>> {
     ChunkDecoder::new(bytes)?.decode_all()
 }
 
+/// Puts legacy chunk bytes in a stats envelope, folding the stats from
+/// the samples: the bytes [`ChunkEncoder::finish_framed`] wrote for them.
+/// A framed or empty chunk is refused.
+pub fn frame_chunk(inner: &[u8]) -> Result<(ChunkStats, Vec<u8>)> {
+    let dec = ChunkDecoder::new(inner)?;
+    if dec.stats().is_some() {
+        return Err(Error::invalid("chunk is framed already"));
+    }
+    let mut st = AggState::new();
+    dec.for_each(|t, v| st.observe(t, v))?;
+    let stats = ChunkStats::from_fold(&st).ok_or_else(|| Error::corruption("empty chunk"))?;
+    let framed = agg::frame_with_stats(&stats, inner);
+    Ok((stats, framed))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -653,6 +668,19 @@ mod tests {
             }
             Err(_) => {}
         }
+    }
+
+    #[test]
+    fn framing_legacy_bytes_gives_what_the_encoder_framed() {
+        let samples: Vec<Sample> = [(5, 1.5), (9, -2.0), (40, 0.25)]
+            .map(|(t, v)| Sample::new(t, v))
+            .to_vec();
+        let framed = compress_chunk_framed(&samples).unwrap();
+        let (stats, again) = frame_chunk(&compress_chunk(&samples).unwrap()).unwrap();
+        assert_eq!(again, framed);
+        assert_eq!((stats.min_ts, stats.max_ts), (5, 40));
+        assert!(frame_chunk(&framed).is_err(), "framed twice");
+        assert!(frame_chunk(&compress_chunk(&[]).unwrap()).is_err(), "empty");
     }
 
     #[test]

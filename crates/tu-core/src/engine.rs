@@ -1,6 +1,6 @@
 //! The TimeUnion engine: open/put/get/retention/recovery (§3.4).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,6 +24,7 @@ use tu_mmap::ChunkArena;
 
 use crate::catalog::{Catalog, CatalogRecord};
 use crate::group::{self, GroupInsert, GroupObject};
+use crate::meta::{self, EngineMeta};
 use crate::model;
 use crate::profile::QueryProfile;
 use crate::query::{aggregate_step, QueryResult, SampleMerger, SeriesResult, StepWindows};
@@ -143,9 +144,21 @@ struct PendingCheckpoint {
     stream: u64,
     seq: u64,
     epoch: u64,
-    /// Queued for a late chunk: the only kind of checkpoint that can pass
-    /// rows still in a head.
-    late: bool,
+    /// For a late chunk — one that left ahead of its object's head — its
+    /// newest timestamp. Its checkpoint is the only kind that can pass
+    /// rows still in a head, and a series' must carry the timestamp into
+    /// `engine.meta` ([`EngineMeta::late_ts`]).
+    late: Option<Timestamp>,
+}
+
+/// What only maintenance passes touch, under the lock that serializes
+/// them.
+#[derive(Default)]
+struct Maintenance {
+    meta: EngineMeta,
+    /// `engine.meta` as last written or read: an unchanged file is not
+    /// written again.
+    written: Vec<u8>,
 }
 
 /// Pending checkpoints past this mark flag the `flush_backlog` health
@@ -212,7 +225,7 @@ pub struct TimeUnion {
     /// Serializes maintenance passes: concurrent ingest workers may seal
     /// memtables simultaneously, but only one thread at a time may run the
     /// flush/compact/checkpoint pipeline.
-    maintenance: Mutex<()>,
+    maintenance: Mutex<Maintenance>,
     obs: EngineObs,
 }
 
@@ -356,7 +369,7 @@ impl TimeUnion {
                 )
                 .threads(),
             ),
-            maintenance: Mutex::new(&lockdep::ENGINE_MAINTENANCE, ()),
+            maintenance: Mutex::new(&lockdep::ENGINE_MAINTENANCE, Maintenance::default()),
             obs: EngineObs::resolve(),
             opts,
         };
@@ -781,16 +794,23 @@ impl TimeUnion {
                 }
             }
         }
-        // 2. Engine meta (monotonic hints).
-        if let Ok(meta) = self.env.block.read_file("engine.meta") {
-            if meta.len() == 8 || meta.len() == 16 {
-                let span = tu_common::bytes::i64_le(&meta);
-                self.max_chunk_span.fetch_max(span, Ordering::Relaxed);
-            }
-            if meta.len() == 16 {
-                let late = tu_common::bytes::u64_le(&meta[8..]);
-                self.late_seq.fetch_max(late, Ordering::Relaxed);
-            }
+        // 2. Engine meta (monotonic hints). A series that wrote late
+        //    chunks knows the newest timestamp they hold again.
+        if self.env.block.exists(meta::FILE) {
+            let written = self.env.block.read_file(meta::FILE)?;
+            let mut meta = EngineMeta::decode(&written)?;
+            self.max_chunk_span
+                .fetch_max(meta.max_chunk_span, Ordering::Relaxed);
+            self.late_seq.fetch_max(meta.late_seq, Ordering::Relaxed);
+            meta.late_ts.retain(|id, t| match self.series.get(id) {
+                Some(obj) => {
+                    let mut o = obj.lock();
+                    o.last_ts = o.last_ts.max(*t);
+                    true
+                }
+                None => false, // purged by retention
+            });
+            *self.maintenance.lock() = Maintenance { meta, written };
         }
         // 3. WAL. Checkpoints first: an object's `seq` becomes the newest
         //    sequence number a checkpoint covers, so numbering carries on
@@ -961,8 +981,9 @@ impl TimeUnion {
     /// that enter the head are logged as one rows record per
     /// [`RUN_RECORD_ROWS`] rows, carrying the sequence number of its last
     /// row (row `i` of `n` has `seq - (n - 1 - i)`); each late chunk is
-    /// logged whole, as one chunk record numbered after them. Chunks go to
-    /// the tree after the lock is dropped.
+    /// logged as one chunk record numbered after them, holding the chunk
+    /// without its stats envelope (replay folds the stats again). Chunks
+    /// go to the tree after the lock is dropped.
     ///
     /// A late chunk is numbered above rows that may stay in the head; its
     /// checkpoint, once due, is preceded by a fresh copy of them
@@ -1014,41 +1035,41 @@ impl TimeUnion {
             }
             for f in flushes[from..].iter().filter(|f| f.late) {
                 obj.seq = f.seq;
-                self.log(RecordKind::Chunk, id, f.seq, &f.chunk)?;
+                let bare = agg::split_envelope(&f.chunk).1;
+                self.log(RecordKind::Chunk, id, f.seq, bare)?;
                 self.late_seq.fetch_max(f.seq, Ordering::Relaxed);
             }
         }
         drop(obj);
         for f in flushes {
-            let version = f.late.then_some(f.seq);
-            self.flush_chunk(id, f.first_ts, f.last_ts, f.chunk, f.seq, version)?;
+            self.flush_chunk(id, f.first_ts, f.last_ts, f.chunk, f.seq, f.late)?;
         }
         Ok(())
     }
 
-    /// Puts a late chunk read back from the WAL into the tree, unless a
-    /// checkpoint or an earlier copy of the record covers it already.
-    fn replay_chunk(&self, obj: &Mutex<SeriesObject>, chunk: &[u8], seq: u64) -> Result<()> {
-        let Some(stats) = agg::split_envelope(chunk).0 else {
-            return Err(Error::corruption(
-                "wal chunk record without a stats envelope",
-            ));
-        };
+    /// Puts a late chunk read back from the WAL into the tree, framed in
+    /// the stats envelope it had, unless a checkpoint or an earlier copy of
+    /// the record covers it already (`engine.meta` then holds its newest
+    /// timestamp).
+    fn replay_chunk(&self, obj: &Mutex<SeriesObject>, bare: &[u8], seq: u64) -> Result<()> {
         let mut obj = obj.lock();
         if seq <= obj.seq {
             return Ok(());
         }
+        let (stats, chunk) = gorilla::frame_chunk(bare)
+            .map_err(|e| Error::corruption(format!("wal chunk record: {e}")))?;
         obj.seq = seq;
+        obj.last_ts = obj.last_ts.max(stats.max_ts);
         self.late_seq.fetch_max(seq, Ordering::Relaxed);
         let id = obj.id;
         drop(obj);
-        let chunk = chunk.to_vec();
-        self.flush_chunk(id, stats.min_ts, stats.max_ts, chunk, seq, Some(seq))
+        self.flush_chunk(id, stats.min_ts, stats.max_ts, chunk, seq, true)
     }
 
-    /// Puts a chunk into the tree — under a versioned key for a late
-    /// chunk, whose version is its own sequence number — and queues the
-    /// checkpoint `seq` for when its memtable reaches L0.
+    /// Puts a chunk into the tree and queues the checkpoint `seq` for when
+    /// its memtable reaches L0. A series' `late` chunk goes under a
+    /// versioned key, its version being `seq`; a group's keeps the plain
+    /// key (groups flush late rows one at a time).
     fn flush_chunk(
         &self,
         stream: u64,
@@ -1056,20 +1077,21 @@ impl TimeUnion {
         last_ts: Timestamp,
         chunk: Vec<u8>,
         seq: u64,
-        version: Option<u64>,
+        late: bool,
     ) -> Result<()> {
         self.max_chunk_span
             .fetch_max(last_ts - first_ts, Ordering::Relaxed);
         let epoch = self.tree.seal_epoch();
-        let sealed = match version {
-            Some(version) => self.tree.put_version(stream, first_ts, version, chunk),
-            None => self.tree.put(stream, first_ts, chunk),
+        let sealed = if late && !is_group_id(stream) {
+            self.tree.put_version(stream, first_ts, seq, chunk)
+        } else {
+            self.tree.put(stream, first_ts, chunk)
         };
         self.pending_ckpts.lock().push(PendingCheckpoint {
             stream,
             seq,
             epoch,
-            late: version.is_some(),
+            late: late.then_some(last_ts),
         });
         if sealed && self.opts.inline_maintenance && !self.replaying.load(Ordering::SeqCst) {
             self.maintain()?;
@@ -1246,7 +1268,7 @@ impl TimeUnion {
                 first_ts,
                 last_ts,
                 chunk,
-            } => self.flush_chunk(gid, first_ts, last_ts, chunk, seq, None),
+            } => self.flush_chunk(gid, first_ts, last_ts, chunk, seq, false),
             GroupInsert::OlderThanHead => {
                 // One-row group chunk straight into the tree.
                 let mut enc = nullxor::GroupChunkEncoder::new(member_count);
@@ -1255,7 +1277,7 @@ impl TimeUnion {
                     row[*slot as usize] = Some(*v);
                 }
                 enc.append_row(t, &row)?;
-                self.flush_chunk(gid, t, t, enc.finish_framed(), seq, None)
+                self.flush_chunk(gid, t, t, enc.finish_framed(), seq, true)
             }
         }
     }
@@ -1350,18 +1372,12 @@ impl TimeUnion {
     /// several ingest workers seal memtables at once, one thread runs the
     /// pipeline while the others' triggers fold into its pass.
     pub fn maintain(&self) -> Result<()> {
-        let _serialize = self.maintenance.lock();
-        self.maintain_locked()
+        let mut state = self.maintenance.lock();
+        self.maintain_locked(&mut state)
     }
 
-    fn maintain_locked(&self) -> Result<()> {
+    fn maintain_locked(&self, state: &mut Maintenance) -> Result<()> {
         self.tree.maintain()?;
-        // The meta goes first: a checkpoint lets truncation drop late
-        // chunks' records, and with them the numbers `late_seq` must cover.
-        let mut meta = [0u8; 16];
-        meta[..8].copy_from_slice(&self.max_chunk_span.load(Ordering::Relaxed).to_le_bytes());
-        meta[8..].copy_from_slice(&self.late_seq.load(Ordering::Relaxed).to_le_bytes());
-        self.env.block.write_file("engine.meta", &meta)?;
         // Emit checkpoints for chunks whose memtable reached L0.
         let flushed = self.tree.flushed_epoch();
         let ready: Vec<PendingCheckpoint> = {
@@ -1371,12 +1387,37 @@ impl TimeUnion {
             *pending = keep;
             ready
         };
+        // The meta goes first: a checkpoint lets truncation drop late
+        // chunks' records, and with them the versions and timestamps the
+        // meta must cover from then on.
+        let meta = &mut state.meta;
+        for c in &ready {
+            if let (Some(t), false) = (c.late, is_group_id(c.stream)) {
+                let newest = meta.late_ts.entry(c.stream).or_insert(t);
+                *newest = (*newest).max(t);
+            }
+        }
+        meta.max_chunk_span = self.max_chunk_span.load(Ordering::Relaxed);
+        meta.late_seq = self.late_seq.load(Ordering::Relaxed);
+        let bytes = meta.encode();
+        if bytes != state.written {
+            self.env.block.replace_file(meta::FILE, &bytes)?;
+            state.written = bytes;
+        }
         if !ready.is_empty() && !self.replaying.load(Ordering::SeqCst) {
+            // A stream's highest checkpoint covers its lower ones: log only
+            // that one, after the head copy any late chunk among them needs.
+            let mut newest: BTreeMap<u64, (u64, bool)> = BTreeMap::new();
             for c in &ready {
-                if c.late {
-                    self.relog_head_below(c.stream, c.seq)?;
+                let (seq, late) = newest.entry(c.stream).or_insert((c.seq, false));
+                *seq = (*seq).max(c.seq);
+                *late |= c.late.is_some();
+            }
+            for (stream, (seq, late)) in newest {
+                if late {
+                    self.relog_head_below(stream, seq)?;
                 }
-                self.wal.append_checkpoint(c.stream, c.seq);
+                self.wal.append_checkpoint(stream, seq);
             }
             self.flush_wal()?;
             self.wal.truncate(self.opts.wal_purge_bytes)?;
@@ -1384,12 +1425,29 @@ impl TimeUnion {
         self.catalog.flush()
     }
 
-    /// Logs a series' head rows again, under fresh sequence numbers, when
-    /// the checkpoint `seq` would cover the oldest of them: no checkpoint
-    /// ever covers a row still in the head. The copy is queued ahead of
-    /// the checkpoint, so no wave holds the checkpoint without it.
-    fn relog_head_below(&self, id: SeriesId, seq: u64) -> Result<()> {
-        let Some(obj) = self.series.get(&id) else {
+    /// Logs the head rows of a series or group again, under fresh sequence
+    /// numbers, when the checkpoint `seq` would cover the oldest of them:
+    /// no checkpoint ever covers a row still in a head. The copy is queued
+    /// ahead of the checkpoint, so no wave holds the checkpoint without it.
+    fn relog_head_below(&self, stream: u64, seq: u64) -> Result<()> {
+        if is_group_id(stream) {
+            let Some(obj) = self.groups.get(&stream) else {
+                return Ok(()); // purged by retention
+            };
+            let mut g = obj.lock();
+            if g.head_seq().is_none_or(|oldest| oldest > seq) {
+                return Ok(());
+            }
+            let first = g.seq + 1;
+            let rows = g.relog_head(&self.group_ts_arena, &self.group_val_arena, first)?;
+            for (t, entries) in rows {
+                g.seq += 1;
+                let row = encode_group_row(t, &entries);
+                self.log(RecordKind::Rows, stream, g.seq, &row)?;
+            }
+            return Ok(());
+        }
+        let Some(obj) = self.series.get(&stream) else {
             return Ok(()); // purged by retention
         };
         let mut obj = obj.lock();
@@ -1399,7 +1457,7 @@ impl TimeUnion {
         let first = obj.seq + 1;
         let rows = obj.relog_head(&self.series_arena, first)?;
         obj.seq += (rows.len() / ROW) as u64;
-        self.log(RecordKind::Rows, id, obj.seq, &rows)
+        self.log(RecordKind::Rows, stream, obj.seq, &rows)
     }
 
     /// Seals every open head chunk into the tree and drains all levels of
@@ -1413,7 +1471,7 @@ impl TimeUnion {
             if let Some((first, last, chunk)) = o.seal(&self.series_arena)? {
                 let id = o.id;
                 drop(o);
-                self.flush_chunk(id, first, last, chunk, seq, None)?;
+                self.flush_chunk(id, first, last, chunk, seq, false)?;
             }
         }
         for obj in self.groups.values() {
@@ -1424,12 +1482,12 @@ impl TimeUnion {
             {
                 let gid = g.gid;
                 drop(g);
-                self.flush_chunk(gid, first, last, chunk, seq, None)?;
+                self.flush_chunk(gid, first, last, chunk, seq, false)?;
             }
         }
-        let _serialize = self.maintenance.lock();
+        let mut state = self.maintenance.lock();
         self.tree.flush_all_to_slow()?;
-        self.maintain_locked()
+        self.maintain_locked(&mut state)
     }
 
     /// Flushes logs/indexes; call before dropping for durability.
@@ -2171,7 +2229,7 @@ impl TimeUnion {
         last_ts: Timestamp,
         chunk: Vec<u8>,
     ) -> Result<()> {
-        self.flush_chunk(stream, first_ts, last_ts, chunk, 0, None)
+        self.flush_chunk(stream, first_ts, last_ts, chunk, 0, false)
     }
 
     /// All values recorded for a tag key (label-values API).
@@ -2415,6 +2473,33 @@ mod tests {
             res[0].samples,
             vec![Sample::new(1_000, 0.5), Sample::new(2_000, 0.7)]
         );
+    }
+
+    /// A stream's due checkpoints are logged as one, the highest: three
+    /// sealed chunks and two late chunks of one series, flushed together,
+    /// leave one checkpoint record, numbered by the newer late chunk.
+    #[test]
+    fn due_checkpoints_of_a_stream_are_logged_as_one() {
+        let (_d, e) = engine();
+        // A one-row head elsewhere pins the first segment, so the log
+        // keeps the checkpoint to be counted.
+        e.put(&labels(&[("metric", "quiet")]), 0, 0.0).unwrap();
+        let id = e.put(&labels(&[("metric", "busy")]), 0, 0.0).unwrap();
+        let rows: Vec<_> = (1..24).map(|i| (id, i * 1_000, 1.0)).collect();
+        e.put_batch(&rows).unwrap();
+        e.put_batch(&[(id, -5_000, 0.5)]).unwrap();
+        e.put_batch(&[(id, -3_000, 0.3)]).unwrap();
+        e.tree.seal();
+        e.maintain().unwrap();
+        let checkpoints: Vec<u64> = e
+            .wal
+            .replay()
+            .unwrap()
+            .into_iter()
+            .filter(|r| r.stream == id && r.checkpoint)
+            .map(|r| r.seq)
+            .collect();
+        assert_eq!(checkpoints, [26]);
     }
 
     #[test]

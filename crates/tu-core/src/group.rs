@@ -31,6 +31,10 @@ pub fn val_slot_size(chunk_samples: usize) -> usize {
     chunk_samples * VAL_ROW + 2
 }
 
+/// One row of a group: its timestamp and the `(slot, value)` of each member
+/// present in it.
+pub type Row = (Timestamp, Vec<(SeriesRef, Value)>);
+
 /// One member series of a group.
 #[derive(Debug)]
 pub struct Member {
@@ -66,6 +70,8 @@ pub struct GroupObject {
     head_count: u16,
     head_first: Timestamp,
     head_last: Timestamp,
+    /// WAL sequence number of the oldest row in the head (while non-empty).
+    head_seq: u64,
 }
 
 fn decode_ts(payload: &[u8]) -> Result<Vec<Timestamp>> {
@@ -129,6 +135,7 @@ impl GroupObject {
             head_count: 0,
             head_first: 0,
             head_last: i64::MIN,
+            head_seq: 0,
         })
     }
 
@@ -168,9 +175,16 @@ impl GroupObject {
         (self.head_count > 0).then_some(self.head_first)
     }
 
+    /// WAL sequence number of the oldest row in the open chunk, if any: a
+    /// checkpoint must stay below it.
+    pub fn head_seq(&self) -> Option<u64> {
+        (self.head_count > 0).then_some(self.head_seq)
+    }
+
     /// Inserts one row: a shared timestamp plus `(slot, value)` entries
     /// for the members present in this round; absent members get NULL
     /// (§3.1 cases 1 and 3). Handles in-head out-of-order rows (case 4).
+    /// The caller has numbered the row already: it is `seq`.
     pub fn insert_row(
         &mut self,
         ts_arena: &ChunkArena,
@@ -203,6 +217,7 @@ impl GroupObject {
             if n == 0 {
                 ts_arena.write(self.ts_handle, &t.to_le_bytes())?;
                 self.head_first = t;
+                self.head_seq = self.seq;
             } else {
                 ts_arena.append(self.ts_handle, n * TS_ROW, &t.to_le_bytes())?;
             }
@@ -335,6 +350,32 @@ impl GroupObject {
             .zip(col)
             .filter_map(|(&t, v)| v.map(|v| (t, v)))
             .collect())
+    }
+
+    /// The head's rows, to be logged again one record each under sequence
+    /// numbers from `first_seq` on, which they count as from now on (see
+    /// `SeriesObject::relog_head`).
+    pub fn relog_head(
+        &mut self,
+        ts_arena: &ChunkArena,
+        val_arena: &ChunkArena,
+        first_seq: u64,
+    ) -> Result<Vec<Row>> {
+        if self.head_count == 0 {
+            return Ok(Vec::new());
+        }
+        self.head_seq = first_seq;
+        let ts = decode_ts(&ts_arena.read(self.ts_handle)?)?;
+        let mut rows: Vec<Row> = ts.into_iter().map(|t| (t, Vec::new())).collect();
+        for (slot, member) in self.members.iter().enumerate() {
+            let col = decode_vals(&val_arena.read(member.handle)?)?;
+            for ((_, entries), v) in rows.iter_mut().zip(col) {
+                if let Some(v) = v {
+                    entries.push((slot as SeriesRef, v));
+                }
+            }
+        }
+        Ok(rows)
     }
 
     /// Releases all arena slots (retention purge of the whole group).
@@ -510,6 +551,28 @@ mod tests {
             g.insert_row(&tsa, &va, 500, &[(0, 0.5)], 8).unwrap(),
             GroupInsert::OlderThanHead
         );
+    }
+
+    #[test]
+    fn relogged_head_keeps_nulls_and_counts_from_its_new_numbers() {
+        let (_d, tsa, va) = arenas(8);
+        let mut g = group(&tsa);
+        g.add_member(&va, tags(&[("m", "a")])).unwrap();
+        g.add_member(&va, tags(&[("m", "b")])).unwrap();
+        assert!(g.relog_head(&tsa, &va, 7).unwrap().is_empty());
+        assert_eq!(g.head_seq(), None);
+        for (t, entries) in [(10, vec![(0, 1.0)]), (20, vec![(0, 2.0), (1, 22.0)])] {
+            g.seq += 1;
+            g.insert_row(&tsa, &va, t, &entries, 8).unwrap();
+        }
+        assert_eq!(g.head_seq(), Some(1), "numbered by the row that opened it");
+        let rows = g.relog_head(&tsa, &va, 3).unwrap();
+        assert_eq!(
+            rows,
+            vec![(10, vec![(0, 1.0)]), (20, vec![(0, 2.0), (1, 22.0)])]
+        );
+        assert_eq!(g.head_seq(), Some(3));
+        assert_eq!(g.head_len(), 2, "the head itself is unchanged");
     }
 
     #[test]

@@ -16,8 +16,8 @@ use crate::matcher::{Matcher, Selector};
 use crate::postings::{intersect, union, PostingsStore};
 use crate::trie::DoubleArrayTrie;
 use crate::KV_SEPARATOR;
+use tu_common::fs::replace_file;
 use tu_common::{Labels, Result, SeriesId};
-use tu_mmap::file::replace_file;
 use tu_mmap::pagecache::PageCache;
 
 fn trie_key(key: &str, value: &str) -> Vec<u8> {

@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use tu_common::fs::replace_file;
 use tu_common::{varint, Error, Result};
-use tu_mmap::file::replace_file;
 use tu_mmap::pagecache::PageCache;
 use tu_mmap::SegArray;
 

@@ -13,9 +13,9 @@
 //! encoding is the caller's business. A rows record may stand for a *run*
 //! of consecutive sequence numbers ending at `seq` (the engine logs one
 //! record per series run); this module only needs `seq`, the highest one.
-//! A chunk record carries one sequence number and a chunk that goes to the
-//! tree as it is. Rows and chunks are both *data*: they pin their segment
-//! until a checkpoint covers them.
+//! A chunk record carries one sequence number and a chunk bound for the
+//! tree. Rows and chunks are both *data*: they pin their segment until a
+//! checkpoint covers them.
 //!
 //! # Segments
 //!
@@ -81,7 +81,7 @@ pub enum RecordKind {
     Rows = 0,
     /// Records of the stream up to `seq` are obsolete.
     Checkpoint = 1,
-    /// One chunk of the stream, numbered `seq`, bound for the tree as it is.
+    /// One chunk of the stream, numbered `seq`, bound for the tree.
     Chunk = 2,
 }
 

@@ -1,8 +1,6 @@
 //! Byte-addressable file access through the shared page cache.
 
-use std::fs::File;
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -104,24 +102,6 @@ impl PagedFile {
     pub fn sync(&self) -> Result<()> {
         self.cache.flush_file(self.id)
     }
-}
-
-/// Replaces a small sidecar file: writes a sibling `<name>.tmp`, fsyncs
-/// it and renames it over `path`, then fsyncs the directory. A crash at
-/// any point leaves the old contents or the new ones, never a short file;
-/// a leftover `.tmp` is never read.
-pub fn replace_file(path: &Path, bytes: &[u8]) -> Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let mut f = File::create(&tmp)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        File::open(dir)?.sync_all()?;
-    }
-    Ok(())
 }
 
 impl Drop for PagedFile {

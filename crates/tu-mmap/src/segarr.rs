@@ -11,8 +11,9 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::file::{replace_file, PagedFile};
+use crate::file::PagedFile;
 use crate::pagecache::PageCache;
+use tu_common::fs::replace_file;
 use tu_common::{Error, Result};
 
 /// Element types storable in a [`SegArray`]: fixed-width, little-endian.

@@ -312,3 +312,102 @@ fn newer_late_sample_wins_after_a_restart() {
         ]
     );
 }
+
+/// The group variant of `early_flush_checkpoint_keeps_buffered_head_samples`:
+/// a row older than the group's head leaves as a one-row chunk, and its
+/// checkpoint must not cover the rows still buffered in the head.
+#[test]
+fn group_early_flush_checkpoint_keeps_buffered_head_rows() {
+    let dir = tempfile::tempdir().unwrap();
+    let mut opts = options();
+    opts.tree.memtable_bytes = 1;
+    let db = TimeUnion::open(dir.path().join("db"), opts.clone()).unwrap();
+    let gt = Labels::from_pairs([("host", "h1")]);
+    let members: Vec<Labels> = (0..2)
+        .map(|i| Labels::from_pairs([("metric", format!("m{i}"))]))
+        .collect();
+    let (gid, refs) = db.put_group(&gt, &members, 10_000, &[1.0, 1.5]).unwrap();
+    db.put_group_fast(gid, &refs, 20_000, &[2.0, 2.5]).unwrap();
+    db.put_group_fast(gid, &refs, 30_000, &[3.0, 3.5]).unwrap();
+    db.put_group_fast(gid, &refs, 5_000, &[0.5, 0.75]).unwrap();
+    assert_eq!(db.tree_stats().flushes, 1, "the one-row chunk reached L0");
+    db.sync_wal().unwrap();
+    copy_dir(&dir.path().join("db"), &dir.path().join("crash"));
+
+    let recovered = TimeUnion::open(dir.path().join("crash"), opts).unwrap();
+    let res = recovered
+        .query(&[Selector::exact("metric", "m1")], 0, 100_000)
+        .unwrap();
+    let got: Vec<(i64, f64)> = res[0].samples.iter().map(|s| (s.t, s.v)).collect();
+    assert_eq!(
+        got,
+        [(5_000, 0.75), (10_000, 1.5), (20_000, 2.5), (30_000, 3.5)]
+    );
+}
+
+/// After a restart whose log is empty, a series still knows the newest
+/// timestamp its late chunks hold: a rewrite at or below it is late too,
+/// and outranks the old late chunk, even when nothing newer came first.
+#[test]
+fn rewrite_of_a_late_sample_wins_after_a_restart() {
+    let dir = tempfile::tempdir().unwrap();
+    let l = Labels::from_pairs([("metric", "late")]);
+    {
+        let db = TimeUnion::open(dir.path().join("db"), options()).unwrap();
+        let id = db.put(&l, 10_000, 1.0).unwrap();
+        db.put_batch(&[(id, 11_000, 1.1)]).unwrap();
+        db.put_batch(&[(id, 5_000, 0.5), (id, 6_000, 0.6)]).unwrap();
+        db.flush_all().unwrap();
+    }
+    let want = [(5_000, 9.5), (6_000, 9.6), (10_000, 1.0), (11_000, 1.1)];
+    {
+        let db = TimeUnion::open(dir.path().join("db"), options()).unwrap();
+        let id = db.put(&l, 6_000, 9.6).unwrap();
+        db.put_by_id(id, 5_000, 9.5).unwrap();
+        db.flush_all().unwrap();
+        let res = db
+            .query(&[Selector::exact("metric", "late")], 0, 100_000)
+            .unwrap();
+        let got: Vec<(i64, f64)> = res[0].samples.iter().map(|s| (s.t, s.v)).collect();
+        assert_eq!(got, want);
+    }
+    let db = TimeUnion::open(dir.path().join("db"), options()).unwrap();
+    let res = db
+        .query(&[Selector::exact("metric", "late")], 0, 100_000)
+        .unwrap();
+    let got: Vec<(i64, f64)> = res[0].samples.iter().map(|s| (s.t, s.v)).collect();
+    assert_eq!(got, want, "after a second restart");
+}
+
+/// `engine.meta` is what late chunks' versions and timestamps rise from
+/// once the log that carried them is gone. It is replaced whole: a
+/// leftover temporary copy from a torn replacement is never read, and a
+/// meta file cut short fails the open instead of restarting the versions.
+#[test]
+fn late_chunk_versions_survive_a_torn_meta_replacement() {
+    let dir = tempfile::tempdir().unwrap();
+    let l = Labels::from_pairs([("metric", "late")]);
+    {
+        let db = TimeUnion::open(dir.path().join("db"), options()).unwrap();
+        let id = db.put(&l, 10_000, 1.0).unwrap();
+        db.put_batch(&[(id, 5_000, 0.5)]).unwrap();
+        db.flush_all().unwrap();
+    }
+    let meta = dir.path().join("db").join("block").join("engine.meta");
+    std::fs::write(meta.with_extension("meta.tmp"), [0xff; 5]).unwrap();
+    copy_dir(&dir.path().join("db"), &dir.path().join("short"));
+    {
+        let db = TimeUnion::open(dir.path().join("db"), options()).unwrap();
+        let id = db.put(&l, 5_000, 9.0).unwrap();
+        db.flush_all().unwrap();
+        let res = db
+            .query(&[Selector::exact("metric", "late")], 0, 100_000)
+            .unwrap();
+        let got: Vec<(i64, f64)> = res[0].samples.iter().map(|s| (s.t, s.v)).collect();
+        assert_eq!(got, [(5_000, 9.0), (10_000, 1.0)], "series {id}");
+    }
+    let short = dir.path().join("short").join("block").join("engine.meta");
+    let bytes = std::fs::read(&short).unwrap();
+    std::fs::write(&short, &bytes[..bytes.len() - 3]).unwrap();
+    assert!(TimeUnion::open(dir.path().join("short"), options()).is_err());
+}
