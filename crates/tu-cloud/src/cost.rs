@@ -245,15 +245,7 @@ impl TierCounters {
 
     /// Charges one read request of `bytes` (plus the first-read marker) to
     /// the registry, the active trace, and the partition heat map.
-    ///
-    /// Charges made inside a self-monitoring scope (the embedded telemetry
-    /// engine's own I/O) are diverted to `obs.selfmon.diverted.*` instead —
-    /// the primary engine's accounting must never observe the observer.
     pub fn record_read(&self, bytes: u64, first: bool) {
-        if tu_obs::selfmon::active() {
-            tu_obs::selfmon::note_diverted(1, bytes);
-            return;
-        }
         self.gets.inc();
         self.bytes_read.add(bytes);
         if first {
@@ -265,10 +257,6 @@ impl TierCounters {
 
     /// Charges one write request of `bytes`.
     pub fn record_write(&self, bytes: u64) {
-        if tu_obs::selfmon::active() {
-            tu_obs::selfmon::note_diverted(1, bytes);
-            return;
-        }
         self.puts.inc();
         self.bytes_written.add(bytes);
         let attributed = tu_obs::heat::record_write(self.tier, 1, bytes);
@@ -277,10 +265,6 @@ impl TierCounters {
 
     /// Charges one delete request.
     pub fn record_delete(&self) {
-        if tu_obs::selfmon::active() {
-            tu_obs::selfmon::note_diverted(1, 0);
-            return;
-        }
         self.deletes.inc();
         let attributed = tu_obs::heat::record_delete(self.tier, 1);
         charge_heat_quality(attributed, 1, 0);

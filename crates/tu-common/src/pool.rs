@@ -96,12 +96,10 @@ impl WorkerPool {
             .map(|_| Mutex::new(&lockdep::COMMON_POOL_SLOT, None))
             .collect();
         let trace = tu_obs::trace::current_handle();
-        let selfmon = tu_obs::selfmon::current();
         std::thread::scope(|s| {
             for _ in 0..self.threads.min(n) {
                 s.spawn(|| {
                     let _attached = trace.as_ref().map(|h| h.attach());
-                    let _selfmon = tu_obs::selfmon::reenter(selfmon);
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
@@ -196,18 +194,6 @@ mod tests {
                 36,
                 "{threads} threads"
             );
-        }
-    }
-
-    #[test]
-    fn selfmon_scope_propagates_to_workers() {
-        for threads in [1, 2, 8] {
-            let scope = tu_obs::selfmon::enter();
-            let guarded = WorkerPool::new(threads).run(16, |_| tu_obs::selfmon::active());
-            assert!(guarded.iter().all(|&g| g), "{threads} threads");
-            drop(scope);
-            let unguarded = WorkerPool::new(threads).run(16, |_| tu_obs::selfmon::active());
-            assert!(unguarded.iter().all(|&g| !g), "{threads} threads");
         }
     }
 

@@ -63,11 +63,6 @@ impl AggKind {
             AggKind::Rate => "rate",
         }
     }
-
-    /// Parses the lowercase name back into a kind.
-    pub fn parse(s: &str) -> Option<AggKind> {
-        AggKind::ALL.into_iter().find(|k| k.name() == s)
-    }
 }
 
 /// Maximum of two values under a total order: NaN is the identity
@@ -429,13 +424,5 @@ mod tests {
         st.observe(3_000, 14.0);
         // 4.0 over 2 seconds.
         assert_eq!(st.value(AggKind::Rate), Some(2.0));
-    }
-
-    #[test]
-    fn kind_names_round_trip() {
-        for kind in AggKind::ALL {
-            assert_eq!(AggKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(AggKind::parse("median"), None);
     }
 }

@@ -83,12 +83,6 @@ pub struct Options {
     /// nothing. Consulted by [`TimeUnion::serve_if_configured`], where the
     /// `TU_SERVE_ADDR` environment variable overrides this field.
     pub serve_addr: Option<String>,
-    /// Self-monitoring: an embedded TimeUnion instance recording this
-    /// engine's own metrics history, with range-query endpoints and
-    /// alert rules (see [`crate::selfmon`]). Started with the serve
-    /// plane. `None` disables it; the `TU_SELFMON` / `TU_SELFMON_RULES`
-    /// environment variables override (see [`crate::selfmon::resolve`]).
-    pub selfmon: Option<crate::selfmon::SelfmonOptions>,
 }
 
 impl Default for Options {
@@ -110,7 +104,6 @@ impl Default for Options {
             query_threads: 0,
             ingest_threads: 0,
             serve_addr: None,
-            selfmon: None,
         }
     }
 }
@@ -212,10 +205,6 @@ pub struct TimeUnion {
     /// `/readyz` so load balancers drain the instance before drop.
     shutting_down: std::sync::atomic::AtomicBool,
     worker: Mutex<Option<Worker>>,
-    /// The self-monitoring plane, when enabled with the serve plane.
-    /// Ranked *below* `serve` so `health_report` (called from serve
-    /// threads) and `start_serving` can take it without inverting.
-    selfmon: Mutex<Option<Arc<crate::selfmon::SelfMonitor>>>,
     serve: Mutex<Option<ServePlane>>,
     /// Resolved query fan-out width; runtime-adjustable so benchmarks can
     /// sweep thread counts against one engine instance.
@@ -357,7 +346,6 @@ impl TimeUnion {
             wal_ok: std::sync::atomic::AtomicBool::new(true),
             shutting_down: std::sync::atomic::AtomicBool::new(false),
             worker: Mutex::new(&lockdep::ENGINE_WORKER, None),
-            selfmon: Mutex::new(&lockdep::ENGINE_SELFMON, None),
             serve: Mutex::new(&lockdep::ENGINE_SERVE, None),
             query_threads: std::sync::atomic::AtomicUsize::new(
                 tu_common::pool::WorkerPool::resolve(opts.query_threads).threads(),
@@ -417,8 +405,6 @@ impl TimeUnion {
     /// expose the process-global registry and flight recorder. Idempotent:
     /// a second call returns the already-bound address.
     pub fn start_serving(self: &Arc<Self>, addr: &str) -> Result<std::net::SocketAddr> {
-        // Lock order: selfmon (rank below serve) before serve.
-        let mut selfmon_slot = self.selfmon.lock();
         let mut serve = self.serve.lock();
         if let Some(plane) = serve.as_ref() {
             return Ok(plane.server.local_addr());
@@ -448,37 +434,6 @@ impl TimeUnion {
         // vitals sample also closes a billing window.
         let ledger = tu_cloud::ledger::CostLedger::new(128);
         monitor.add_observer(ledger.observer());
-        // Self-monitoring rides the same sampler, registered *after* the
-        // ledger so each sample's billing window closes before the self
-        // engine reads it. A failed open degrades to a log line — the
-        // primary must serve even when its telemetry sidecar cannot.
-        let mut selfmon: Option<Arc<crate::selfmon::SelfMonitor>> = None;
-        if let Some(cfg) = crate::selfmon::resolve(&self.opts.selfmon) {
-            match crate::selfmon::SelfMonitor::open(
-                &self.dir,
-                self.opts.clock.clone(),
-                Arc::clone(&ledger),
-                cfg,
-            ) {
-                Ok(sm) => {
-                    monitor.add_observer(sm.observer());
-                    tu_obs::log::info(
-                        "core.selfmon",
-                        "self-monitoring enabled",
-                        &[
-                            ("alert_rules", (sm.rules().alerts.len() as i64).into()),
-                            ("recording_rules", (sm.rules().records.len() as i64).into()),
-                        ],
-                    );
-                    selfmon = Some(sm);
-                }
-                Err(e) => tu_obs::log::warn(
-                    "core.selfmon",
-                    "self-monitoring failed to start",
-                    &[("error", e.to_string().into())],
-                ),
-            }
-        }
         let lsm_weak = Arc::downgrade(self);
         let lsm_endpoint = tu_obs::Endpoint::new("/introspect/lsm", move || {
             let body = match lsm_weak.upgrade() {
@@ -509,34 +464,12 @@ impl TimeUnion {
         let costs_endpoint = tu_obs::Endpoint::new("/costs", move || {
             ("application/json".to_string(), costs_ledger.to_json())
         });
-        let mut extra = vec![lsm_endpoint, parts_endpoint, costs_endpoint];
-        if let Some(sm) = selfmon.as_ref() {
-            let range_sm = Arc::clone(sm);
-            extra.push(tu_obs::Endpoint::with_query("/query_range", move |query| {
-                (
-                    "application/json".to_string(),
-                    range_sm.query_range_json(query),
-                )
-            }));
-            let series_sm = Arc::clone(sm);
-            extra.push(tu_obs::Endpoint::new("/series", move || {
-                ("application/json".to_string(), series_sm.series_json())
-            }));
-            let labels_sm = Arc::clone(sm);
-            extra.push(tu_obs::Endpoint::new("/labels", move || {
-                ("application/json".to_string(), labels_sm.labels_json())
-            }));
-            let alerts_sm = Arc::clone(sm);
-            extra.push(tu_obs::Endpoint::new("/alerts", move || {
-                ("application/json".to_string(), alerts_sm.alerts_json())
-            }));
-        }
         let server = tu_obs::ObsServer::bind(
             addr,
             tu_obs::ServeSources {
                 health,
                 monitor: Some(Arc::clone(&monitor)),
-                extra,
+                extra: vec![lsm_endpoint, parts_endpoint, costs_endpoint],
             },
         )?;
         let local = server.local_addr();
@@ -545,7 +478,6 @@ impl TimeUnion {
             "observability endpoint listening",
             &[("addr", local.to_string().into())],
         );
-        *selfmon_slot = selfmon;
         *serve = Some(ServePlane {
             server,
             monitor,
@@ -557,13 +489,7 @@ impl TimeUnion {
     /// Stops the live endpoint and its monitor, if serving. Idempotent;
     /// also runs on drop.
     pub fn stop_serving(&self) {
-        // Same order as `start_serving`: selfmon before serve.
-        let plane = {
-            let mut selfmon = self.selfmon.lock();
-            let plane = self.serve.lock().take();
-            *selfmon = None;
-            plane
-        };
+        let plane = self.serve.lock().take();
         if let Some(plane) = plane {
             plane.server.shutdown();
             plane.monitor.stop();
@@ -578,12 +504,6 @@ impl TimeUnion {
     /// The windowed cost ledger behind `/costs`, while serving.
     pub fn cost_ledger(&self) -> Option<Arc<tu_cloud::ledger::CostLedger>> {
         self.serve.lock().as_ref().map(|p| Arc::clone(&p.ledger))
-    }
-
-    /// The self-monitoring plane, while serving with self-monitoring
-    /// enabled (see [`crate::selfmon`]).
-    pub fn selfmon(&self) -> Option<Arc<crate::selfmon::SelfMonitor>> {
-        self.selfmon.lock().clone()
     }
 
     /// Marks the engine as draining: `/readyz` and `/healthz` start
@@ -660,20 +580,6 @@ impl TimeUnion {
                 },
                 if finished { "exited" } else { "running" },
             ));
-        }
-        // Firing alert rules degrade (never fail) health: an alert is an
-        // operator signal, not proof the engine itself is broken. The
-        // Arc is cloned out so the alert-state lock is taken with no
-        // engine lock held.
-        let selfmon = self.selfmon.lock().clone();
-        if let Some(sm) = selfmon {
-            for alert in sm.firing_alerts() {
-                checks.push(HealthCheck::new(
-                    &format!("alert:{}", alert.name),
-                    Health::Degraded,
-                    alert.predicate,
-                ));
-            }
         }
         tu_obs::HealthReport {
             ready: !shutting_down && !self.replaying.load(Ordering::SeqCst),
@@ -2241,19 +2147,6 @@ impl TimeUnion {
 
     pub fn series_count(&self) -> usize {
         self.series.len()
-    }
-
-    /// Every individual series' label set, sorted by label bytes (the
-    /// `/series` and `/labels` endpoints of the self-monitoring plane).
-    pub fn series_labels(&self) -> Vec<Labels> {
-        let mut out: Vec<Labels> = self
-            .series
-            .values()
-            .iter()
-            .map(|obj| obj.lock().labels.clone())
-            .collect();
-        out.sort_by_cached_key(|l| l.to_bytes());
-        out
     }
 
     pub fn group_count(&self) -> usize {

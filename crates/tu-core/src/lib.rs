@@ -30,11 +30,9 @@ mod meta;
 pub mod model;
 pub mod profile;
 pub mod query;
-pub mod selfmon;
 pub mod series;
 pub mod shard;
 
 pub use engine::{Options, TimeUnion};
 pub use profile::{HeatContribution, QueryProfile, StageTiming, TierProfile};
 pub use query::{aggregate_step, AggKind, QueryResult, SeriesResult};
-pub use selfmon::{SelfMonitor, SelfmonOptions};

@@ -1389,7 +1389,7 @@ impl TimeTree {
                 }
             }
         }
-        self.env.block.write_file(Self::MANIFEST, out.as_bytes())
+        self.env.block.replace_file(Self::MANIFEST, out.as_bytes())
     }
 
     fn load_manifest(&self) -> Result<()> {
@@ -1400,6 +1400,11 @@ impl TimeTree {
         };
         let text =
             String::from_utf8(bytes).map_err(|_| Error::corruption("manifest is not utf-8"))?;
+        // `save_manifest` always writes the header line, so a file without
+        // one is a torn write, not an empty tree.
+        if text.is_empty() {
+            return Err(Error::corruption("manifest is empty"));
+        }
         let mut lv = self.levels.lock();
         for (i, line) in text.lines().enumerate() {
             let fields: Vec<&str> = line.split_whitespace().collect();

@@ -671,7 +671,7 @@ impl Wal {
                     ],
                 );
                 bytes.truncate(off);
-                self.store.write_file(&name, &bytes)?;
+                self.store.replace_file(&name, &bytes)?;
             }
             if let Some(log) = &mut rebuilt {
                 log.active_id = id;

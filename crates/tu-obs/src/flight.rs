@@ -158,7 +158,7 @@ impl FlightRecorder {
     }
 
     fn record(&self, name: &str, phase: FlightPhase, start: Option<Instant>, dur_us: u64) {
-        if !self.is_enabled() || crate::selfmon::active() {
+        if !self.is_enabled() {
             return;
         }
         let (trace_id, op) = crate::trace::current_id_op().unwrap_or((0, String::new()));
@@ -300,14 +300,6 @@ mod tests {
         assert_eq!(f.len(), 1, "peek leaves the ring intact");
         assert_eq!(f.peek(), f.drain(), "peek and drain see the same events");
         assert!(f.is_empty());
-
-        // Events recorded inside a selfmon scope are suppressed — the
-        // embedded telemetry engine must not pollute the flight timeline.
-        {
-            let _scope = crate::selfmon::enter();
-            f.instant("selfmon-noise");
-        }
-        assert!(f.is_empty(), "selfmon-scoped events are dropped");
 
         f.disable();
         f.instant("after-disable");

@@ -220,9 +220,6 @@ fn with_cell(tier: &str, f: impl FnOnce(&mut TierHeat, i64)) -> bool {
 /// `first_reads` paid the first-read penalty). Returns true when the
 /// charge was attributed to a partition.
 pub fn record_read(tier: &str, requests: u64, bytes: u64, first_reads: u64) -> bool {
-    if crate::selfmon::active() {
-        return false;
-    }
     with_cell(tier, |c, _| {
         c.get_requests += requests;
         c.bytes_read += bytes;
@@ -232,9 +229,6 @@ pub fn record_read(tier: &str, requests: u64, bytes: u64, first_reads: u64) -> b
 
 /// Mirrors a write charge (`requests` Puts, `bytes` written).
 pub fn record_write(tier: &str, requests: u64, bytes: u64) -> bool {
-    if crate::selfmon::active() {
-        return false;
-    }
     with_cell(tier, |c, _| {
         c.put_requests += requests;
         c.bytes_written += bytes;
@@ -243,9 +237,6 @@ pub fn record_write(tier: &str, requests: u64, bytes: u64) -> bool {
 
 /// Mirrors a delete charge.
 pub fn record_delete(tier: &str, requests: u64) -> bool {
-    if crate::selfmon::active() {
-        return false;
-    }
     with_cell(tier, |c, _| {
         c.delete_requests += requests;
     })

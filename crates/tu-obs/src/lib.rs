@@ -74,7 +74,6 @@ pub mod lockdep;
 pub mod log;
 mod monitor;
 mod registry;
-pub mod selfmon;
 mod serve;
 mod snapshot;
 mod spans;

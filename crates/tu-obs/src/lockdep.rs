@@ -68,10 +68,8 @@ macro_rules! classes {
 }
 
 classes! {
-    CORE_SELFMON_INGEST = ("core.selfmon.ingest", 14);
     ENGINE_MAINTENANCE = ("engine.maintenance", 16);
     ENGINE_WORKER = ("engine.worker", 18);
-    ENGINE_SELFMON = ("engine.selfmon", 19);
     ENGINE_SERVE = ("engine.serve", 20);
     CORE_MAP_LABELS = ("core.map.labels", 24);
     CORE_MAP_SHARD = ("core.map.shard", 26, multi);
@@ -92,7 +90,6 @@ classes! {
     LSM_WAL_COMMIT = ("lsm.wal.commit", 86);
     CLOUD_BLOCK_STATE = ("cloud.block.state", 90);
     CLOUD_OBJECT_STATE = ("cloud.object.state", 92);
-    CORE_SELFMON_STATE = ("core.selfmon.state", 94);
     OBS_MONITOR_SAMPLER = ("obs.monitor.sampler", 96);
     OBS_MONITOR_STATE = ("obs.monitor.state", 98);
     OBS_MONITOR_OBSERVERS = ("obs.monitor.observers", 100);
@@ -108,7 +105,6 @@ classes! {
     OBS_TRACE_COUNTERS = ("obs.trace.counters", 120);
     OBS_REGISTRY = ("obs.registry", 122);
     OBS_LOG_INNER = ("obs.log.inner", 124);
-    OBS_LOG_STDERR = ("obs.log.stderr", 126);
     COMMON_POOL_SLOT = ("common.pool.slot", 128);
 }
 

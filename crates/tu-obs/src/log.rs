@@ -172,10 +172,6 @@ struct LogInner {
     windows: HashMap<String, RateWindow>,
     max_per_window: u64,
     window_ms: i64,
-    /// Per-target overrides of `max_per_window`: targets with their own
-    /// budget (the `alert` channel) cannot starve — or be starved by —
-    /// the shared default budget of unrelated targets.
-    target_limits: HashMap<String, u64>,
     now_ms: Arc<dyn Fn() -> i64 + Send + Sync>,
 }
 
@@ -229,7 +225,6 @@ pub fn log() -> &'static EventLog {
                     windows: HashMap::new(),
                     max_per_window: 32,
                     window_ms: 1_000,
-                    target_limits: HashMap::new(),
                     now_ms: Arc::new(process_ms),
                 },
             ),
@@ -301,23 +296,6 @@ impl EventLog {
         inner.windows.clear();
     }
 
-    /// Gives `target` its own per-window budget, independent of the
-    /// default `max_per_window`. A flapping emitter on a dedicated target
-    /// (the engine's `alert` channel) then cannot consume — or lose —
-    /// budget shared with unrelated targets. `None` removes the override.
-    pub fn set_target_rate_limit(&self, target: &str, max_per_window: Option<u64>) {
-        let mut inner = self.lock_inner();
-        match max_per_window {
-            Some(max) => {
-                inner.target_limits.insert(target.to_string(), max.max(1));
-            }
-            None => {
-                inner.target_limits.remove(target);
-            }
-        }
-        inner.windows.remove(target);
-    }
-
     /// Installs the clock used for event timestamps and rate-limit
     /// windows. Engines pass their `tu_common::clock` here so simulated
     /// runs produce simulated-time logs.
@@ -342,11 +320,7 @@ impl EventLog {
         let mut inner = self.lock_inner();
         let now = (inner.now_ms)();
         let window_ms = inner.window_ms;
-        let max = inner
-            .target_limits
-            .get(target)
-            .copied()
-            .unwrap_or(inner.max_per_window);
+        let max = inner.max_per_window;
         let window = inner
             .windows
             .entry(target.to_string())
@@ -512,35 +486,6 @@ mod tests {
         // Other targets are unaffected by test.rate's window.
         info("test.other", "independent", &[]);
         assert_eq!(l.drain_memory().len(), 1);
-
-        // A dedicated per-target budget: the `alert` channel keeps its own
-        // window, so a flapping alert can't suppress unrelated targets and
-        // a noisy default target can't starve alerts.
-        clock.store(10_000, Ordering::Relaxed);
-        l.set_rate_limit(2, 1_000);
-        l.set_target_rate_limit("alert", Some(4));
-        for _ in 0..6 {
-            info("alert", "flap", &[]);
-            info("test.rate2", "noise", &[]);
-        }
-        let lines = l.drain_memory();
-        assert_eq!(
-            lines
-                .iter()
-                .filter(|ln| ln.contains("\"target\":\"alert\""))
-                .count(),
-            4,
-            "alert budget is its own"
-        );
-        assert_eq!(
-            lines
-                .iter()
-                .filter(|ln| ln.contains("\"target\":\"test.rate2\""))
-                .count(),
-            2,
-            "default budget unaffected by the alert flood"
-        );
-        l.set_target_rate_limit("alert", None);
 
         // Counters moved.
         assert!(crate::global().snapshot().counter("obs.log.emitted") >= Some(5));

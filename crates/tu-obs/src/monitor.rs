@@ -241,9 +241,9 @@ impl Monitor {
         let at = (self.now_ms)();
         let snap = crate::global().snapshot();
         // Clone the observer list out so the callbacks run with no lock
-        // held: observers like the engine's self-monitor acquire their own
-        // locks (some ranking below this one), which the witness would
-        // rightly flag if the observers lock were still on the stack.
+        // held: an observer may take locks of any rank, which the witness
+        // would flag below this one if the observers lock were still on
+        // the stack.
         let observers: Vec<SampleObserver> = self.observers.lock().clone();
         for obs in observers.iter() {
             obs(at, &snap);

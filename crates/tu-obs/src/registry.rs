@@ -21,9 +21,6 @@ impl Counter {
     }
 
     pub fn add(&self, n: u64) {
-        if crate::selfmon::active() {
-            return;
-        }
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -44,23 +41,14 @@ pub struct Gauge {
 
 impl Gauge {
     pub fn set(&self, v: i64) {
-        if crate::selfmon::active() {
-            return;
-        }
         self.value.store(v, Ordering::Relaxed);
     }
 
     pub fn add(&self, delta: i64) {
-        if crate::selfmon::active() {
-            return;
-        }
         self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
     pub fn sub(&self, delta: i64) {
-        if crate::selfmon::active() {
-            return;
-        }
         self.value.fetch_sub(delta, Ordering::Relaxed);
     }
 
@@ -116,9 +104,6 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
 
 impl Histogram {
     pub fn record(&self, v: u64) {
-        if crate::selfmon::active() {
-            return;
-        }
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);

@@ -43,13 +43,13 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
 const WORKERS: usize = 2;
 
-/// A caller-registered endpoint: the handler runs per request with the
-/// raw query string (`""` when absent) and returns `(content_type, body)`.
+/// A caller-registered endpoint: the handler runs per request and returns
+/// `(content_type, body)`.
 pub struct Endpoint {
     /// Absolute path the endpoint answers on (e.g. `/costs`).
     pub path: String,
     /// Per-request handler (must be cheap and never block on I/O).
-    pub handler: Arc<dyn Fn(&str) -> (String, String) + Send + Sync>,
+    pub handler: Arc<dyn Fn() -> (String, String) + Send + Sync>,
 }
 
 impl Endpoint {
@@ -58,18 +58,6 @@ impl Endpoint {
     pub fn new(
         path: impl Into<String>,
         handler: impl Fn() -> (String, String) + Send + Sync + 'static,
-    ) -> Endpoint {
-        Endpoint {
-            path: path.into(),
-            handler: Arc::new(move |_query| handler()),
-        }
-    }
-
-    /// An endpoint whose handler receives the request's query string
-    /// (everything after `?`, undecoded; `""` when absent).
-    pub fn with_query(
-        path: impl Into<String>,
-        handler: impl Fn(&str) -> (String, String) + Send + Sync + 'static,
     ) -> Endpoint {
         Endpoint {
             path: path.into(),
@@ -385,7 +373,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                 .find(|e| e.path == path.as_str())
             {
                 Some(e) => {
-                    let (ctype, body) = (e.handler)(&query);
+                    let (ctype, body) = (e.handler)();
                     write_response(&mut stream, 200, "OK", &ctype, &body);
                 }
                 None => write_response(&mut stream, 404, "Not Found", "text/plain", "Not Found"),
@@ -438,14 +426,9 @@ mod tests {
             ServeSources {
                 health: Arc::new(move || h.lock().unwrap().clone()),
                 monitor: None,
-                extra: vec![
-                    Endpoint::new("/custom", || {
-                        ("application/json".to_string(), "{\"ok\":true}".to_string())
-                    }),
-                    Endpoint::with_query("/echo", |query| {
-                        ("text/plain".to_string(), format!("q={query}"))
-                    }),
-                ],
+                extra: vec![Endpoint::new("/custom", || {
+                    ("application/json".to_string(), "{\"ok\":true}".to_string())
+                })],
             },
         )
         .expect("bind");
@@ -497,13 +480,9 @@ mod tests {
             crate::flight().disable();
         }
 
-        // Query strings are ignored by plain routes...
+        // Query strings are ignored by plain routes and by extras.
         assert_eq!(status_of(&get(addr, "/metrics?format=prometheus")), 200);
-        // ...and delivered verbatim to query-aware extras.
-        let echoed = get(addr, "/echo?metric=x&start=5");
-        assert_eq!(status_of(&echoed), 200);
-        assert_eq!(body_of(&echoed), "q=metric=x&start=5");
-        assert_eq!(body_of(&get(addr, "/echo")), "q=");
+        assert_eq!(body_of(&get(addr, "/custom?x=1")), "{\"ok\":true}");
 
         // /healthz + /readyz follow the live source: flip it and re-probe.
         assert_eq!(status_of(&get(addr, "/healthz")), 200);

@@ -213,9 +213,6 @@ pub(crate) fn current_id_op() -> Option<(u64, String)> {
 
 /// Adds `n` under `name` to every context active on this thread.
 pub(crate) fn charge(name: &'static str, n: u64) {
-    if crate::selfmon::active() {
-        return;
-    }
     CURRENT.with(|cur| {
         let stack = cur.borrow();
         for ctx in stack.iter() {
@@ -226,9 +223,6 @@ pub(crate) fn charge(name: &'static str, n: u64) {
 
 /// Adds one completion of `ns` under span `name` to every active context.
 pub(crate) fn charge_span(name: &str, ns: u64) {
-    if crate::selfmon::active() {
-        return;
-    }
     CURRENT.with(|cur| {
         let stack = cur.borrow();
         for ctx in stack.iter() {

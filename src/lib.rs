@@ -44,7 +44,6 @@ pub mod engine {
     pub use tu_core::introspect;
     pub use tu_core::profile::{HeatContribution, QueryProfile, StageTiming, TierProfile};
     pub use tu_core::query::{aggregate_step, AggKind, QueryResult, SeriesResult};
-    pub use tu_core::selfmon::{self, SelfMonitor, SelfmonOptions};
     pub use tu_index::matcher::Selector;
 }
 

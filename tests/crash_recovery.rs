@@ -177,6 +177,38 @@ fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
     }
 }
 
+/// After `flush_all` the LSM manifest is the only record of the flushed
+/// tables. It is replaced whole and always starts with its header, so an
+/// empty one — what a crash between the truncate and the write of an
+/// in-place rewrite leaves — fails the open instead of opening an empty
+/// tree that silently lost every flushed sample.
+#[test]
+fn empty_lsm_manifest_fails_the_open() {
+    let dir = tempfile::tempdir().unwrap();
+    let l = Labels::from_pairs([("metric", "m")]);
+    {
+        let db = TimeUnion::open(dir.path().join("db"), options()).unwrap();
+        let id = db.put(&l, 0, 0.0).unwrap();
+        for i in 1..400i64 {
+            db.put_by_id(id, i * 1000, i as f64).unwrap();
+        }
+        db.flush_all().unwrap();
+    }
+    copy_dir(&dir.path().join("db"), &dir.path().join("torn"));
+    let db = TimeUnion::open(dir.path().join("db"), options()).unwrap();
+    let res = db
+        .query(&[Selector::exact("metric", "m")], 0, 1_000_000)
+        .unwrap();
+    assert_eq!(res[0].samples.len(), 400);
+
+    let manifest = dir.path().join("torn").join("block").join("MANIFEST");
+    std::fs::write(&manifest, b"").unwrap();
+    assert!(
+        TimeUnion::open(dir.path().join("torn"), options()).is_err(),
+        "an empty manifest opened as an empty tree"
+    );
+}
+
 /// A crash image is the data directory as `kill -9` would leave it: copied
 /// while the engine is open, no `sync`, no `Drop`.
 #[test]

@@ -98,6 +98,58 @@ fn witness_classes_match_the_manifest() {
     }
 }
 
+fn rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rs_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Every runtime witness class guards at least one lock: some code outside
+/// `lockdep.rs` constructs a lock with it (`::new(&lockdep::CLASS`, line
+/// breaks ignored). A class nothing constructs checks nothing at runtime;
+/// a lock checked only by the static pass keeps its manifest row and no
+/// witness constant.
+#[test]
+fn every_witness_class_is_constructed() {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(root().join("crates")).unwrap() {
+        let src = entry.unwrap().path().join("src");
+        if src.is_dir() {
+            rs_files(&src, &mut files);
+        }
+    }
+    rs_files(&root().join("src"), &mut files);
+    let code: String = files
+        .iter()
+        .filter(|f| !f.ends_with("tu-obs/src/lockdep.rs"))
+        .map(|f| std::fs::read_to_string(f).unwrap())
+        .collect::<String>()
+        .chars()
+        .filter(|c| !c.is_whitespace())
+        .collect();
+    let orphans: Vec<&str> = tu_common::lockdep::all()
+        .iter()
+        .map(|c| c.name)
+        .filter(|name| {
+            let ident = name.replace('.', "_").to_uppercase();
+            let site = format!("::new(&lockdep::{ident}");
+            !code
+                .match_indices(&site)
+                .any(|(i, _)| matches!(code.as_bytes().get(i + site.len()), Some(b',' | b')')))
+        })
+        .collect();
+    assert!(
+        orphans.is_empty(),
+        "witness classes no lock is constructed with (delete the constant, keep \
+         the manifest row if a static bind still needs it): {orphans:?}"
+    );
+}
+
 /// Every lock class named in the manifest exists in the codebase: either
 /// it is a runtime witness class, or each of its static binds points at a
 /// real file that actually mentions the bound identifier. This is what

@@ -221,8 +221,7 @@ fn served_paths(root: &Path) -> BTreeSet<String> {
             }
         }
     }
-    // Extras: Endpoint::new("…") / Endpoint::with_query("…")
-    // registrations in any crate.
+    // Extras: Endpoint::new("…") registrations in any crate.
     let mut files = Vec::new();
     for entry in std::fs::read_dir(root.join("crates")).unwrap() {
         let path = entry.unwrap().path();
@@ -234,17 +233,16 @@ fn served_paths(root: &Path) -> BTreeSet<String> {
     for file in files {
         let content = std::fs::read_to_string(&file).unwrap();
         let content = content.split("#[cfg(test)]").next().unwrap().to_string();
-        for pattern in ["Endpoint::new(\"", "Endpoint::with_query(\""] {
-            for (pos, _) in content.match_indices(pattern) {
-                let rest = &content[pos + pattern.len()..];
-                let path = rest.split('"').next().unwrap();
-                assert!(
-                    path.starts_with('/'),
-                    "endpoint path must be absolute in {}: {path:?}",
-                    file.display()
-                );
-                paths.insert(path.to_string());
-            }
+        let pattern = "Endpoint::new(\"";
+        for (pos, _) in content.match_indices(pattern) {
+            let rest = &content[pos + pattern.len()..];
+            let path = rest.split('"').next().unwrap();
+            assert!(
+                path.starts_with('/'),
+                "endpoint path must be absolute in {}: {path:?}",
+                file.display()
+            );
+            paths.insert(path.to_string());
         }
     }
     paths
@@ -294,9 +292,6 @@ fn endpoint_catalog_matches_served_paths() {
         "/introspect/lsm",
         "/introspect/partitions",
         "/costs",
-        // The self-monitoring plane (Endpoint::with_query extras).
-        "/query_range",
-        "/alerts",
     ] {
         assert!(served.contains(anchor), "code scan lost {anchor}");
         assert!(docs.contains(anchor), "doc scan lost {anchor}");
