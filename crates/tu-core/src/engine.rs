@@ -12,9 +12,9 @@ use tu_cloud::StorageEnv;
 use tu_common::clock::{system_clock, SharedClock};
 use tu_common::types::is_group_id;
 use tu_common::{
-    Error, GroupId, Labels, Result, Sample, SeriesId, SeriesRef, Timestamp, Value, GROUP_ID_FLAG,
+    Error, GroupId, Labels, Result, SeriesId, SeriesRef, Timestamp, Value, GROUP_ID_FLAG,
 };
-use tu_compress::agg::{self, AggKind, AggState, ChunkStats};
+use tu_compress::agg::{self, AggKind};
 use tu_compress::{gorilla, nullxor};
 use tu_index::{InvertedIndex, Selector};
 use tu_lsm::wal::{RecordKind, Wal};
@@ -27,7 +27,10 @@ use crate::group::{self, GroupInsert, GroupObject};
 use crate::meta::{self, EngineMeta};
 use crate::model;
 use crate::profile::QueryProfile;
-use crate::query::{aggregate_step, QueryResult, SampleMerger, SeriesResult, StepWindows};
+use crate::query::{
+    aggregate_step, AggCounters, AggSpec, ChunkFormat, Column, ObjectRead, QueryResult,
+    SeriesResult,
+};
 use crate::series::{self, SeriesObject, ROW};
 use crate::shard::ShardedMap;
 
@@ -228,9 +231,7 @@ struct EngineObs {
     parallel_tasks: tu_obs::TracedCounter,
     parallel_batches: tu_obs::TracedCounter,
     parallel_ingest_tasks: tu_obs::TracedCounter,
-    agg_pushdown_chunks: tu_obs::TracedCounter,
-    agg_meta_answered: tu_obs::TracedCounter,
-    agg_skipped_chunks: tu_obs::TracedCounter,
+    agg: AggCounters,
 }
 
 impl EngineObs {
@@ -242,9 +243,11 @@ impl EngineObs {
             parallel_tasks: tu_obs::traced("core.query.parallel.tasks"),
             parallel_batches: tu_obs::traced("core.ingest.parallel.batches"),
             parallel_ingest_tasks: tu_obs::traced("core.ingest.parallel.tasks"),
-            agg_pushdown_chunks: tu_obs::traced("core.query.agg.pushdown_chunks"),
-            agg_meta_answered: tu_obs::traced("core.query.agg.meta_answered"),
-            agg_skipped_chunks: tu_obs::traced("core.query.agg.skipped_chunks"),
+            agg: AggCounters {
+                pushdown_chunks: tu_obs::traced("core.query.agg.pushdown_chunks"),
+                meta_answered: tu_obs::traced("core.query.agg.meta_answered"),
+                skipped_chunks: tu_obs::traced("core.query.agg.skipped_chunks"),
+            },
         }
     }
 }
@@ -260,16 +263,6 @@ struct ServePlane {
     server: tu_obs::ObsServer,
     monitor: Arc<tu_obs::Monitor>,
     ledger: Arc<tu_cloud::ledger::CostLedger>,
-}
-
-/// What a step aggregation computes: `kind` per aligned `step_ms` window
-/// of `[start, end)`.
-#[derive(Clone, Copy)]
-struct AggSpec {
-    kind: AggKind,
-    start: Timestamp,
-    end: Timestamp,
-    step_ms: i64,
 }
 
 impl TimeUnion {
@@ -987,12 +980,16 @@ impl TimeUnion {
     ) -> Result<()> {
         self.max_chunk_span
             .fetch_max(last_ts - first_ts, Ordering::Relaxed);
-        let epoch = self.tree.seal_epoch();
         let sealed = if late && !is_group_id(stream) {
             self.tree.put_version(stream, first_ts, seq, chunk)
         } else {
             self.tree.put(stream, first_ts, chunk)
         };
+        // Read after the put, the epoch is that of the memtable the chunk
+        // went into or a later one, so its checkpoint can wait but never
+        // come early. A put that sealed its own memtable moved the epoch
+        // on by at least one, which is taken back.
+        let epoch = self.tree.seal_epoch() - u64::from(sealed);
         self.pending_ckpts.lock().push(PendingCheckpoint {
             stream,
             seq,
@@ -1474,7 +1471,8 @@ impl TimeUnion {
         start: Timestamp,
         end: Timestamp,
     ) -> Result<QueryResult> {
-        self.query_exec(selectors, start, end).map(|(out, _)| out)
+        self.fan_out(selectors, start, end, None)
+            .map(|(out, _)| out)
     }
 
     /// [`TimeUnion::query`] under a fresh trace context, returning the
@@ -1490,10 +1488,70 @@ impl TimeUnion {
         start: Timestamp,
         end: Timestamp,
     ) -> Result<(QueryResult, QueryProfile)> {
-        let ctx = tu_obs::TraceContext::start("query");
+        self.profiled("query", selectors, start, end, None)
+    }
+
+    /// Step-windowed aggregation Get: computes `kind` per aligned
+    /// `step_ms` window over `[start, end)` for every matched timeseries.
+    ///
+    /// Results are **bit-identical** to materializing the same samples
+    /// with [`TimeUnion::query`] and folding them through
+    /// [`aggregate_step`], at any thread count — the pushdown merely
+    /// avoids decoding where it can:
+    ///
+    /// * chunks whose stats footer shows the whole chunk inside one
+    ///   window are merged from metadata alone (`meta_answered`),
+    /// * chunks whose time or value bounds cannot affect the result are
+    ///   skipped outright (`skipped_chunks`),
+    /// * everything else is stream-folded without building sample
+    ///   vectors (`pushdown_chunks`),
+    /// * and any object whose chunks lack stats (pre-stats format) or
+    ///   overlap in time (out-of-order backfill, duplicate timestamps)
+    ///   falls back to the materializing reference path, keeping the
+    ///   merge semantics of `query` exactly.
+    pub fn query_aggregate(
+        &self,
+        selectors: &[Selector],
+        kind: AggKind,
+        start: Timestamp,
+        end: Timestamp,
+        step_ms: i64,
+    ) -> Result<QueryResult> {
+        self.fan_out(selectors, start, end, Some(AggSpec { kind, step_ms }))
+            .map(|(out, _)| out)
+    }
+
+    /// [`TimeUnion::query_aggregate`] under a fresh trace context,
+    /// returning the aggregate rows together with the same stage-timing
+    /// profile `query_profiled` produces (select/fanout/sort spans plus
+    /// the `core.query.agg.*` counter deltas in
+    /// [`QueryProfile::counters`]).
+    pub fn query_aggregate_profiled(
+        &self,
+        selectors: &[Selector],
+        kind: AggKind,
+        start: Timestamp,
+        end: Timestamp,
+        step_ms: i64,
+    ) -> Result<(QueryResult, QueryProfile)> {
+        let agg = Some(AggSpec { kind, step_ms });
+        self.profiled("query_aggregate", selectors, start, end, agg)
+    }
+
+    /// [`TimeUnion::fan_out`] under a fresh trace context named `op`,
+    /// with the profile of everything it charged.
+    fn profiled(
+        &self,
+        op: &str,
+        selectors: &[Selector],
+        start: Timestamp,
+        end: Timestamp,
+        agg: Option<AggSpec>,
+    ) -> Result<(QueryResult, QueryProfile)> {
+        let ctx = tu_obs::TraceContext::start(op);
         let heat_before = tu_obs::heat::snapshot();
         let t0 = tu_obs::Stopwatch::start();
-        let (out, matched) = self.query_exec(selectors, start, end)?;
+        let (out, matched) = self.fan_out(selectors, start, end, agg)?;
         let wall_ns = t0.elapsed_ns();
         let threads = self.query_threads.load(Ordering::Relaxed);
         let mut profile = QueryProfile::from_summary(&ctx.finish(), matched, threads, wall_ns);
@@ -1501,45 +1559,28 @@ impl TimeUnion {
         Ok((out, profile))
     }
 
-    /// Shared body of `query`/`query_profiled`; returns the results and
-    /// how many ids the index matched.
-    fn query_exec(
-        &self,
-        selectors: &[Selector],
-        start: Timestamp,
-        end: Timestamp,
-    ) -> Result<(QueryResult, usize)> {
-        self.fan_out(selectors, start, end, |id, chunks| {
-            if is_group_id(id) {
-                self.query_group(id, selectors, chunks, start, end)
-            } else {
-                self.query_series(id, chunks, start, end)
-            }
-        })
-    }
-
     /// The one execution path of every Get: index select, one read plan
-    /// for all matched ids, the per-id fan-out over what the plan fetched,
-    /// and the sort by label bytes. Returns the results and how many ids
-    /// the index matched.
+    /// for all matched ids, [`TimeUnion::read_object`] for each id on the
+    /// query pool, and the sort by label bytes. Returns the results and
+    /// how many ids the index matched.
     ///
     /// All storage reads happen in the plan ([`TimeTree::plan_reads`]),
     /// on this thread: each overlapping table is read once for every id
     /// it covers, so blocks of different series that sit near each other
     /// share a request, and the requests a query issues do not depend on
-    /// the fan-out width. `per_id` only decodes and merges. A group is
-    /// read whenever the index matched it, even if no single member turns
-    /// out to satisfy every selector.
-    fn fan_out<F>(
+    /// the fan-out width. The per-id reads only decode and merge. A group
+    /// is read whenever the index matched it, even if no single member
+    /// turns out to satisfy every selector.
+    fn fan_out(
         &self,
         selectors: &[Selector],
         start: Timestamp,
         end: Timestamp,
-        per_id: F,
-    ) -> Result<(QueryResult, usize)>
-    where
-        F: Fn(SeriesId, &[(Timestamp, &[u8])]) -> Result<Vec<SeriesResult>> + Sync,
-    {
+        agg: Option<AggSpec>,
+    ) -> Result<(QueryResult, usize)> {
+        if agg.is_some_and(|a| a.step_ms <= 0) {
+            return Err(Error::invalid("aggregation step must be positive"));
+        }
         self.obs.queries.inc();
         let _span = tu_obs::span("core.query");
         let ids = {
@@ -1555,10 +1596,12 @@ impl TimeUnion {
             let _stage = tu_obs::span("core.query.fanout");
             let plan = {
                 let _plan = tu_obs::span("core.query.plan");
-                let from = start.saturating_sub(self.query_slack());
+                let from = start.saturating_sub(self.max_chunk_span.load(Ordering::Relaxed) + 1);
                 self.tree.plan_reads(&ids, from, end)?
             };
-            pool.run(ids.len(), |i| per_id(ids[i], &plan.chunks(i)?))
+            pool.run(ids.len(), |i| {
+                self.read_object(ids[i], selectors, &plan.chunks(i)?, (start, end), agg)
+            })
         };
         let _stage = tu_obs::span("core.query.sort");
         let mut out: QueryResult = Vec::new();
@@ -1582,545 +1625,94 @@ impl TimeUnion {
         self.query_threads.load(Ordering::Relaxed)
     }
 
-    fn query_slack(&self) -> i64 {
-        self.max_chunk_span.load(Ordering::Relaxed) + 1
-    }
-
-    fn query_series(
+    /// The columns a read of object `id` returns, and the format of its
+    /// chunks: the one place a read tells series from groups. A series is
+    /// one column, not filtered again (the index matched it; a selector on
+    /// a key it lacks would drop it). A group gives one column per member
+    /// that every selector matches, the second-level index of §3.4. Labels
+    /// and heads are read under one hold of the object lock.
+    fn columns_of(
         &self,
         id: SeriesId,
-        chunks: &[(Timestamp, &[u8])],
-        start: Timestamp,
-        end: Timestamp,
-    ) -> Result<Vec<SeriesResult>> {
-        let Some(obj) = self.series.get(&id) else {
-            return Ok(Vec::new()); // purged between index lookup and here
-        };
-        let mut merger = SampleMerger::new(start, end);
-        for (_, chunk) in chunks {
-            merger.offer_all(gorilla::decompress_chunk(chunk)?);
-        }
-        let o = obj.lock();
-        merger.offer_all(o.head_samples(&self.series_arena)?);
-        let labels = o.labels.clone();
-        drop(o);
-        if merger.is_empty() {
-            return Ok(Vec::new());
-        }
-        Ok(vec![SeriesResult {
-            id,
-            labels,
-            samples: merger.finish(),
-        }])
-    }
-
-    fn query_group(
-        &self,
-        gid: GroupId,
         selectors: &[Selector],
-        chunks: &[(Timestamp, &[u8])],
-        start: Timestamp,
-        end: Timestamp,
-    ) -> Result<Vec<SeriesResult>> {
-        let mut out = Vec::new();
-        let Some(obj) = self.groups.get(&gid) else {
-            return Ok(out);
-        };
-        // Second-level index: which members match every selector?
-        let (matched, group_tags): (Vec<(SeriesRef, Labels)>, Labels) = {
-            let g = obj.lock();
-            let matched = g
-                .members()
-                .filter_map(|(slot, unique)| {
-                    let full = g.group_tags.merge(unique);
-                    let ok = selectors
-                        .iter()
-                        .all(|sel| full.get(&sel.key).is_some_and(|v| sel.matches_value(v)));
-                    ok.then(|| (slot, full))
-                })
-                .collect();
-            (matched, g.group_tags.clone())
-        };
-        let _ = group_tags;
-        if matched.is_empty() {
-            return Ok(out);
-        }
-        let mut mergers: Vec<SampleMerger> = matched
-            .iter()
-            .map(|_| SampleMerger::new(start, end))
-            .collect();
-        for (_, chunk) in chunks {
-            let dec = nullxor::GroupChunkDecoder::new(chunk)?;
-            let ts = dec.decode_timestamps()?;
-            for (mi, (slot, _)) in matched.iter().enumerate() {
-                if (*slot as usize) < dec.columns() {
-                    let col = dec.decode_column(*slot as usize)?;
-                    for (t, v) in ts.iter().zip(col) {
-                        if let Some(v) = v {
-                            mergers[mi].offer(*t, v);
-                        }
-                    }
-                }
+    ) -> Result<(ChunkFormat, Vec<Column>)> {
+        let mut cols = Vec::new();
+        if !is_group_id(id) {
+            if let Some(obj) = self.series.get(&id) {
+                let o = obj.lock();
+                let head = o.head_samples(&self.series_arena)?;
+                cols.push(Column {
+                    slot: 0,
+                    labels: o.labels.clone(),
+                    head,
+                });
             }
+            return Ok((ChunkFormat::Gorilla, cols));
         }
-        {
+        if let Some(obj) = self.groups.get(&id) {
             let g = obj.lock();
-            for (mi, (slot, _)) in matched.iter().enumerate() {
-                for (t, v) in
-                    g.head_samples_of(&self.group_ts_arena, &self.group_val_arena, *slot)?
+            for (slot, unique) in g.members() {
+                let labels = g.group_tags.merge(unique);
+                if selectors
+                    .iter()
+                    .all(|sel| labels.get(&sel.key).is_some_and(|v| sel.matches_value(v)))
                 {
-                    mergers[mi].offer(t, v);
+                    let head =
+                        g.head_samples_of(&self.group_ts_arena, &self.group_val_arena, slot)?;
+                    cols.push(Column {
+                        slot: slot as usize,
+                        labels,
+                        head,
+                    });
                 }
             }
         }
-        for ((_, full), merger) in matched.into_iter().zip(mergers) {
-            if !merger.is_empty() {
-                out.push(SeriesResult {
-                    id: gid,
-                    labels: full,
-                    samples: merger.finish(),
-                });
-            }
-        }
-        Ok(out)
+        Ok((ChunkFormat::NullXor, cols))
     }
 
-    // --- aggregation pushdown (§3.4 + ROADMAP item 4) --------------------------------
-
-    /// Step-windowed aggregation Get: computes `kind` per aligned
-    /// `step_ms` window over `[start, end)` for every matched timeseries.
-    ///
-    /// Results are **bit-identical** to materializing the same samples
-    /// with [`TimeUnion::query`] and folding them through
-    /// [`aggregate_step`], at any thread count — the pushdown merely
-    /// avoids decoding where it can:
-    ///
-    /// * chunks whose stats footer shows the whole chunk inside one
-    ///   window are merged from metadata alone (`meta_answered`),
-    /// * chunks whose time or value bounds cannot affect the result are
-    ///   skipped outright (`skipped_chunks`),
-    /// * everything else is stream-folded without building sample
-    ///   vectors (`pushdown_chunks`),
-    /// * and any series whose chunks lack stats (pre-stats format) or
-    ///   overlap in time (out-of-order backfill, duplicate timestamps)
-    ///   falls back to the materializing reference path, keeping the
-    ///   merge semantics of `query` exactly.
-    pub fn query_aggregate(
-        &self,
-        selectors: &[Selector],
-        kind: AggKind,
-        start: Timestamp,
-        end: Timestamp,
-        step_ms: i64,
-    ) -> Result<QueryResult> {
-        self.query_aggregate_exec(selectors, kind, start, end, step_ms)
-            .map(|(out, _)| out)
-    }
-
-    /// [`TimeUnion::query_aggregate`] under a fresh trace context,
-    /// returning the aggregate rows together with the same stage-timing
-    /// profile `query_profiled` produces (select/fanout/sort spans plus
-    /// the `core.query.agg.*` counter deltas in
-    /// [`QueryProfile::counters`]).
-    pub fn query_aggregate_profiled(
-        &self,
-        selectors: &[Selector],
-        kind: AggKind,
-        start: Timestamp,
-        end: Timestamp,
-        step_ms: i64,
-    ) -> Result<(QueryResult, QueryProfile)> {
-        let ctx = tu_obs::TraceContext::start("query_aggregate");
-        let heat_before = tu_obs::heat::snapshot();
-        let t0 = tu_obs::Stopwatch::start();
-        let (out, matched) = self.query_aggregate_exec(selectors, kind, start, end, step_ms)?;
-        let wall_ns = t0.elapsed_ns();
-        let threads = self.query_threads.load(Ordering::Relaxed);
-        let mut profile = QueryProfile::from_summary(&ctx.finish(), matched, threads, wall_ns);
-        profile.fill_heat(&heat_before, &tu_obs::heat::snapshot());
-        Ok((out, profile))
-    }
-
-    /// Shared body of `query_aggregate`/`query_aggregate_profiled`: the
-    /// same select, read plan, fan-out and sort as `query_exec`
-    /// ([`TimeUnion::fan_out`]), folding instead of materializing.
-    fn query_aggregate_exec(
-        &self,
-        selectors: &[Selector],
-        kind: AggKind,
-        start: Timestamp,
-        end: Timestamp,
-        step_ms: i64,
-    ) -> Result<(QueryResult, usize)> {
-        if step_ms <= 0 {
-            return Err(Error::invalid("aggregation step must be positive"));
-        }
-        let spec = AggSpec {
-            kind,
-            start,
-            end,
-            step_ms,
-        };
-        self.fan_out(selectors, start, end, |id, chunks| {
-            if is_group_id(id) {
-                self.aggregate_group(id, selectors, chunks, spec)
-            } else {
-                self.aggregate_series(id, chunks, spec)
-            }
-        })
-    }
-
-    /// Whether a series' chunk set qualifies for pushdown: every chunk
-    /// carries a stats footer, chunk time ranges are strictly disjoint
-    /// and ascending, and head samples in range lie strictly after every
-    /// sealed chunk. Anything else (pre-stats chunks, out-of-order
-    /// patch chunks, duplicate timestamps across sources) needs the
-    /// merger's newest-wins semantics and falls back.
-    fn pushdown_plan_ok(
-        stats: &[Option<ChunkStats>],
-        heads: &[&[(Timestamp, Value)]],
-        start: Timestamp,
-        end: Timestamp,
-    ) -> bool {
-        let mut prev_max: Option<Timestamp> = None;
-        for s in stats {
-            let Some(s) = s else { return false };
-            if let Some(p) = prev_max {
-                if s.min_ts <= p {
-                    return false;
-                }
-            }
-            prev_max = Some(s.max_ts);
-        }
-        if let Some(p) = prev_max {
-            for head in heads {
-                if head.iter().any(|&(t, _)| t >= start && t < end && t <= p) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    fn aggregate_series(
+    /// Reads one matched object: a plain Get merges each of its columns;
+    /// an aggregation folds them when [`ObjectRead::pushdown_stats`]
+    /// allows, and otherwise merges and runs [`aggregate_step`], which
+    /// gives the same bits.
+    fn read_object(
         &self,
         id: SeriesId,
-        chunks: &[(Timestamp, &[u8])],
-        spec: AggSpec,
-    ) -> Result<Vec<SeriesResult>> {
-        let AggSpec {
-            kind,
-            start,
-            end,
-            step_ms,
-        } = spec;
-        let Some(obj) = self.series.get(&id) else {
-            return Ok(Vec::new());
-        };
-        let (head, labels) = {
-            let o = obj.lock();
-            (o.head_samples(&self.series_arena)?, o.labels.clone())
-        };
-        let stats: Vec<Option<ChunkStats>> = chunks
-            .iter()
-            .map(|(_, c)| agg::split_envelope(c).0)
-            .collect();
-        let head_pairs: Vec<(Timestamp, Value)> = head.iter().map(|s| (s.t, s.v)).collect();
-        let samples = if Self::pushdown_plan_ok(&stats, &[&head_pairs], start, end) {
-            self.fold_series_pushdown(chunks, &stats, &head, spec)?
-        } else {
-            // Reference fallback: materialize through the merger exactly
-            // like `query_series`, then fold.
-            let mut merger = SampleMerger::new(start, end);
-            for (_, chunk) in chunks {
-                merger.offer_all(gorilla::decompress_chunk(chunk)?);
-            }
-            merger.offer_all(head);
-            aggregate_step(kind, &merger.finish(), start, end, step_ms)
-        };
-        if samples.is_empty() {
-            return Ok(Vec::new());
-        }
-        Ok(vec![SeriesResult {
-            id,
-            labels,
-            samples,
-        }])
-    }
-
-    /// The per-series pushdown fold. Chunks arrive strictly ascending and
-    /// disjoint (guaranteed by `pushdown_plan_ok`), so folding them in
-    /// order visits samples in exactly the order the reference merger
-    /// emits them.
-    fn fold_series_pushdown(
-        &self,
-        chunks: &[(Timestamp, &[u8])],
-        stats: &[Option<ChunkStats>],
-        head: &[Sample],
-        spec: AggSpec,
-    ) -> Result<Vec<Sample>> {
-        let AggSpec {
-            kind,
-            start,
-            end,
-            step_ms,
-        } = spec;
-        let mut win = StepWindows::new(start, end, step_ms);
-        // Counter deltas accumulate locally and post once per series:
-        // per-chunk `TracedCounter` increments would charge the active
-        // trace context (a mutex + map update) thousands of times per
-        // query.
-        let (mut n_push, mut n_meta, mut n_skip) = (0u64, 0u64, 0u64);
-        for ((_, chunk), st) in chunks.iter().zip(stats) {
-            let s = st
-                .as_ref()
-                .ok_or_else(|| Error::invalid("pushdown fold requires chunk stats"))?;
-            // Time-bound skip: nothing in [start, end).
-            if s.max_ts < start || s.min_ts >= end {
-                n_skip += 1;
-                continue;
-            }
-            // Meta answering needs the chunk fully inside the query range
-            // and one window.
-            if s.min_ts >= start
-                && s.max_ts < end
-                && win.bucket_of(s.min_ts) == win.bucket_of(s.max_ts)
-            {
-                let bucket = win.bucket_of(s.min_ts);
-                match win.buckets.last_mut() {
-                    Some((b, acc)) if *b == bucket => match kind {
-                        // Value-bound skip: the chunk cannot move this
-                        // window's extremum, so don't even merge.
-                        AggKind::Max
-                            if agg::value_max(acc.max, s.max_v).to_bits() == acc.max.to_bits() =>
-                        {
-                            n_skip += 1;
-                            continue;
-                        }
-                        AggKind::Min
-                            if agg::value_min(acc.min, s.min_v).to_bits() == acc.min.to_bits() =>
-                        {
-                            n_skip += 1;
-                            continue;
-                        }
-                        // Extremum/count merges are associative: exact
-                        // into a non-empty window.
-                        AggKind::Max | AggKind::Min | AggKind::Count => {
-                            acc.merge_stats(s);
-                            n_meta += 1;
-                            continue;
-                        }
-                        // Sum/Avg into a non-empty window would reorder
-                        // float additions; Rate needs first/last samples.
-                        _ => {}
-                    },
-                    _ => {
-                        // A fresh window: the footer answers everything
-                        // except Rate bit-exactly (sum was folded at
-                        // encode time in the same order).
-                        if !matches!(kind, AggKind::Rate) {
-                            let mut acc = AggState::new();
-                            acc.merge_stats(s);
-                            win.buckets.push((bucket, acc));
-                            n_meta += 1;
-                            continue;
-                        }
-                    }
-                }
-                // No meta answer, but every sample still lands in this
-                // one window: fold straight into its accumulator,
-                // skipping the per-sample range check and bucket math.
-                n_push += 1;
-                match win.buckets.last_mut() {
-                    Some((b, acc)) if *b == bucket => {
-                        gorilla::ChunkDecoder::new(chunk)?.for_each(|t, v| acc.observe(t, v))?;
-                    }
-                    _ => {
-                        let mut acc = AggState::new();
-                        gorilla::ChunkDecoder::new(chunk)?.for_each(|t, v| acc.observe(t, v))?;
-                        win.buckets.push((bucket, acc));
-                    }
-                }
-                continue;
-            }
-            // Stream-fold without materializing a sample vector.
-            n_push += 1;
-            gorilla::ChunkDecoder::new(chunk)?.for_each(|t, v| win.observe(t, v))?;
-        }
-        for s in head {
-            win.observe(s.t, s.v);
-        }
-        if n_push > 0 {
-            self.obs.agg_pushdown_chunks.add(n_push);
-        }
-        if n_meta > 0 {
-            self.obs.agg_meta_answered.add(n_meta);
-        }
-        if n_skip > 0 {
-            self.obs.agg_skipped_chunks.add(n_skip);
-        }
-        Ok(win.finish(kind))
-    }
-
-    fn aggregate_group(
-        &self,
-        gid: GroupId,
         selectors: &[Selector],
         chunks: &[(Timestamp, &[u8])],
-        spec: AggSpec,
+        (start, end): (Timestamp, Timestamp),
+        agg: Option<AggSpec>,
     ) -> Result<Vec<SeriesResult>> {
-        let AggSpec {
-            kind,
+        let (format, cols) = self.columns_of(id, selectors)?;
+        if cols.is_empty() {
+            return Ok(Vec::new()); // purged since the select, or no member matched
+        }
+        let read = ObjectRead {
+            format,
+            cols,
+            chunks,
             start,
             end,
-            step_ms,
-        } = spec;
-        let mut out = Vec::new();
-        let Some(obj) = self.groups.get(&gid) else {
-            return Ok(out);
         };
-        let matched: Vec<(SeriesRef, Labels)> = {
-            let g = obj.lock();
-            g.members()
-                .filter_map(|(slot, unique)| {
-                    let full = g.group_tags.merge(unique);
-                    let ok = selectors
-                        .iter()
-                        .all(|sel| full.get(&sel.key).is_some_and(|v| sel.matches_value(v)));
-                    ok.then(|| (slot, full))
-                })
-                .collect()
-        };
-        if matched.is_empty() {
-            return Ok(out);
-        }
-        let heads: Vec<Vec<(Timestamp, Value)>> = {
-            let g = obj.lock();
-            matched
+        let samples = match (agg, agg.and_then(|_| read.pushdown_stats())) {
+            (None, _) => read.merge()?,
+            (Some(spec), Some(stats)) => read.fold(spec, &stats, &self.obs.agg)?,
+            (Some(spec), None) => read
+                .merge()?
                 .iter()
-                .map(|(slot, _)| {
-                    g.head_samples_of(&self.group_ts_arena, &self.group_val_arena, *slot)
-                })
-                .collect::<Result<_>>()?
+                .map(|s| aggregate_step(spec.kind, s, start, end, spec.step_ms))
+                .collect(),
         };
-        let stats: Vec<Option<ChunkStats>> = chunks
-            .iter()
-            .map(|(_, c)| agg::split_envelope(c).0)
-            .collect();
-        let head_slices: Vec<&[(Timestamp, Value)]> = heads.iter().map(|h| h.as_slice()).collect();
-        if !Self::pushdown_plan_ok(&stats, &head_slices, start, end) {
-            // Reference fallback: per-member mergers exactly like
-            // `query_group`, then fold.
-            let mut mergers: Vec<SampleMerger> = matched
-                .iter()
-                .map(|_| SampleMerger::new(start, end))
-                .collect();
-            for (_, chunk) in chunks {
-                let dec = nullxor::GroupChunkDecoder::new(chunk)?;
-                let ts = dec.decode_timestamps()?;
-                for (mi, (slot, _)) in matched.iter().enumerate() {
-                    if (*slot as usize) < dec.columns() {
-                        let col = dec.decode_column(*slot as usize)?;
-                        for (t, v) in ts.iter().zip(col) {
-                            if let Some(v) = v {
-                                mergers[mi].offer(*t, v);
-                            }
-                        }
-                    }
-                }
-            }
-            for (mi, head) in heads.iter().enumerate() {
-                for &(t, v) in head {
-                    mergers[mi].offer(t, v);
-                }
-            }
-            for ((_, full), merger) in matched.into_iter().zip(mergers) {
-                let samples = aggregate_step(kind, &merger.finish(), start, end, step_ms);
-                if !samples.is_empty() {
-                    out.push(SeriesResult {
-                        id: gid,
-                        labels: full,
-                        samples,
-                    });
-                }
-            }
-            return Ok(out);
-        }
-        let mut wins: Vec<StepWindows> = matched
-            .iter()
-            .map(|_| StepWindows::new(start, end, step_ms))
-            .collect();
-        let mut ts_buf: Vec<Timestamp> = Vec::new();
-        let (mut n_push, mut n_skip) = (0u64, 0u64);
-        for ((_, chunk), st) in chunks.iter().zip(&stats) {
-            let s = st
-                .as_ref()
-                .ok_or_else(|| Error::invalid("pushdown fold requires chunk stats"))?;
-            if s.max_ts < start || s.min_ts >= end {
-                n_skip += 1;
-                continue;
-            }
-            // Whole-chunk value-bound skip for extremum queries: sound
-            // only when the chunk sits inside the window every member is
-            // currently filling and the group-wide bounds cannot beat
-            // any member's running extremum.
-            if matches!(kind, AggKind::Max | AggKind::Min) && s.min_ts >= start && s.max_ts < end {
-                let bucket = wins[0].bucket_of(s.min_ts);
-                let contained = bucket == wins[0].bucket_of(s.max_ts);
-                let unbeatable = contained
-                    && wins.iter().all(|w| {
-                        matches!(w.buckets.last(), Some((b, acc)) if *b == bucket
-                        && match kind {
-                            AggKind::Max => {
-                                agg::value_max(acc.max, s.max_v).to_bits()
-                                    == acc.max.to_bits()
-                            }
-                            _ => {
-                                agg::value_min(acc.min, s.min_v).to_bits()
-                                    == acc.min.to_bits()
-                            }
-                        })
-                    });
-                if unbeatable {
-                    n_skip += 1;
-                    continue;
-                }
-            }
-            // Group footers are group-wide, so per-member windows cannot
-            // be meta-answered; decode the shared timestamps once and
-            // stream-fold only the matched columns.
-            let dec = nullxor::GroupChunkDecoder::new(chunk)?;
-            dec.decode_timestamps_into(&mut ts_buf)?;
-            n_push += 1;
-            for (mi, (slot, _)) in matched.iter().enumerate() {
-                if (*slot as usize) < dec.columns() {
-                    let w = &mut wins[mi];
-                    dec.for_each_in_column(*slot as usize, &ts_buf, |t, v| w.observe(t, v))?;
-                }
-            }
-        }
-        if n_push > 0 {
-            self.obs.agg_pushdown_chunks.add(n_push);
-        }
-        if n_skip > 0 {
-            self.obs.agg_skipped_chunks.add(n_skip);
-        }
-        for (mi, head) in heads.iter().enumerate() {
-            for &(t, v) in head {
-                wins[mi].observe(t, v);
-            }
-        }
-        for ((_, full), w) in matched.into_iter().zip(wins) {
-            let samples = w.finish(kind);
-            if !samples.is_empty() {
-                out.push(SeriesResult {
-                    id: gid,
-                    labels: full,
-                    samples,
-                });
-            }
-        }
-        Ok(out)
+        Ok(read
+            .cols
+            .into_iter()
+            .zip(samples)
+            .filter(|(_, samples)| !samples.is_empty())
+            .map(|(col, samples)| SeriesResult {
+                id,
+                labels: col.labels,
+                samples,
+            })
+            .collect())
     }
 
     /// Test-support hook: injects pre-encoded chunk bytes (any format
@@ -2265,9 +1857,9 @@ impl TimeUnion {
             drop(g);
             for (slot, samples) in heads {
                 mix(&mut h, &slot.to_le_bytes());
-                for (t, v) in samples {
-                    mix(&mut h, &t.to_le_bytes());
-                    mix(&mut h, &v.to_le_bytes());
+                for s in samples {
+                    mix(&mut h, &s.t.to_le_bytes());
+                    mix(&mut h, &s.v.to_le_bytes());
                 }
             }
             for (start_ts, chunk) in self.tree.range_chunks(gid, lo, hi)? {
@@ -2322,6 +1914,7 @@ fn decode_group_row(payload: &[u8]) -> Option<(Timestamp, Vec<(SeriesRef, Value)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tu_common::Sample;
 
     fn opts() -> Options {
         Options {

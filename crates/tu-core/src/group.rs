@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use tu_common::{Error, GroupId, Labels, Result, SeriesRef, Timestamp, Value};
+use tu_common::{Error, GroupId, Labels, Result, Sample, SeriesRef, Timestamp, Value};
 use tu_compress::nullxor::GroupChunkEncoder;
 use tu_mmap::{ChunkArena, ChunkHandle};
 
@@ -329,13 +329,13 @@ impl GroupObject {
         Ok(Some((first_ts, last_ts, chunk)))
     }
 
-    /// Buffered rows of one member: `(timestamp, value)` for non-NULL rows.
+    /// Buffered rows of one member: a sample for each non-NULL row.
     pub fn head_samples_of(
         &self,
         ts_arena: &ChunkArena,
         val_arena: &ChunkArena,
         slot: SeriesRef,
-    ) -> Result<Vec<(Timestamp, Value)>> {
+    ) -> Result<Vec<Sample>> {
         let member = self
             .members
             .get(slot as usize)
@@ -348,7 +348,7 @@ impl GroupObject {
         Ok(ts
             .iter()
             .zip(col)
-            .filter_map(|(&t, v)| v.map(|v| (t, v)))
+            .filter_map(|(&t, v)| v.map(|v| Sample::new(t, v)))
             .collect())
     }
 
@@ -501,12 +501,16 @@ mod tests {
             .unwrap();
         assert_eq!(
             g.head_samples_of(&tsa, &va, b).unwrap(),
-            vec![(30, 33.0)],
+            vec![Sample::new(30, 33.0)],
             "backfilled rows must read as NULL"
         );
         assert_eq!(
             g.head_samples_of(&tsa, &va, 0).unwrap(),
-            vec![(10, 1.0), (20, 2.0), (30, 3.0)]
+            vec![
+                Sample::new(10, 1.0),
+                Sample::new(20, 2.0),
+                Sample::new(30, 3.0)
+            ]
         );
     }
 
@@ -521,9 +525,12 @@ mod tests {
         g.insert_row(&tsa, &va, 20, &[(1, 22.0)], 8).unwrap();
         assert_eq!(
             g.head_samples_of(&tsa, &va, 0).unwrap(),
-            vec![(10, 1.0), (30, 3.0)]
+            vec![Sample::new(10, 1.0), Sample::new(30, 3.0)]
         );
-        assert_eq!(g.head_samples_of(&tsa, &va, 1).unwrap(), vec![(20, 22.0)]);
+        assert_eq!(
+            g.head_samples_of(&tsa, &va, 1).unwrap(),
+            vec![Sample::new(20, 22.0)]
+        );
         assert_eq!(g.head_len(), 3);
     }
 
@@ -536,8 +543,14 @@ mod tests {
         g.insert_row(&tsa, &va, 10, &[(0, 1.0), (1, 2.0)], 8)
             .unwrap();
         g.insert_row(&tsa, &va, 10, &[(1, 9.0)], 8).unwrap();
-        assert_eq!(g.head_samples_of(&tsa, &va, 0).unwrap(), vec![(10, 1.0)]);
-        assert_eq!(g.head_samples_of(&tsa, &va, 1).unwrap(), vec![(10, 9.0)]);
+        assert_eq!(
+            g.head_samples_of(&tsa, &va, 0).unwrap(),
+            vec![Sample::new(10, 1.0)]
+        );
+        assert_eq!(
+            g.head_samples_of(&tsa, &va, 1).unwrap(),
+            vec![Sample::new(10, 9.0)]
+        );
         assert_eq!(g.head_len(), 1);
     }
 

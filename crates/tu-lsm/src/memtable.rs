@@ -5,6 +5,7 @@
 //! fast cloud storage").
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tu_common::lockdep::{self, Mutex, RwLock};
@@ -77,6 +78,10 @@ impl MemTable {
 pub struct MemTableSet {
     active: RwLock<MemTable>,
     immutables: Mutex<Vec<Arc<MemTable>>>,
+    /// Tables sealed so far: the epoch of the active table. Bumped under
+    /// the same write lock that swaps the table, so an entry put into the
+    /// table of epoch `e` reads `epoch() >= e` once its put returns.
+    seals: AtomicU64,
 }
 
 impl Default for MemTableSet {
@@ -90,6 +95,7 @@ impl MemTableSet {
         MemTableSet {
             active: RwLock::new(&lockdep::LSM_MEMTABLE_ACTIVE, MemTable::new()),
             immutables: Mutex::new(&lockdep::LSM_MEMTABLE_IMM, Vec::new()),
+            seals: AtomicU64::new(0),
         }
     }
 
@@ -108,7 +114,14 @@ impl MemTableSet {
         }
         let sealed = Arc::new(std::mem::take(&mut *active));
         self.immutables.lock().push(sealed.clone());
+        self.seals.fetch_add(1, Ordering::SeqCst);
         Some(sealed)
+    }
+
+    /// Epoch of the active table: how many tables have been sealed. Read
+    /// after a put, it names the put's table or a later one.
+    pub fn epoch(&self) -> u64 {
+        self.seals.load(Ordering::SeqCst)
     }
 
     /// Removes a flushed table from the queue.

@@ -294,10 +294,10 @@ pub struct TimeTree {
     /// Open table handles (footer/index/bloom parsed once per table, as
     /// LevelDB's table cache does).
     tables: Mutex<std::collections::HashMap<String, Arc<Table>>>,
-    /// Number of memtables sealed / flushed — the durability epochs the
-    /// engine's WAL-checkpoint logic keys on (§3.3 "Logging"): an entry
-    /// put while `seal_epoch() == e` is durable once `flushed_epoch() > e`.
-    seals: AtomicU64,
+    /// Number of memtables flushed: with [`TimeTree::seal_epoch`], the
+    /// durability epochs the engine's WAL-checkpoint logic keys on (§3.3
+    /// "Logging"): an entry put at `seal_epoch() == e` is durable once
+    /// `flushed_epoch() > e`.
     flushed: AtomicU64,
     /// Workers for flush encoding and compaction table scans. The on-disk
     /// result is independent of the width: encoded blobs are written and
@@ -329,7 +329,6 @@ impl TimeTree {
             next_seq: AtomicU64::new(1),
             stats: Mutex::new(&lockdep::LSM_TREE_STATS, TreeStats::default()),
             tables: Mutex::new(&lockdep::LSM_TREE_TABLES, std::collections::HashMap::new()),
-            seals: AtomicU64::new(0),
             flushed: AtomicU64::new(0),
             env,
             opts,
@@ -367,14 +366,16 @@ impl TimeTree {
     /// Seals the active memtable regardless of size (shutdown, tests).
     pub fn seal(&self) {
         if self.mem.seal().is_some() {
-            self.seals.fetch_add(1, Ordering::SeqCst);
             tu_obs::gauge("lsm.flush.backlog").set(self.mem.immutable_count() as i64);
         }
     }
 
-    /// Durability epoch of entries going into the current active memtable.
+    /// Durability epoch of the active memtable. Read *after* a put, it is
+    /// the epoch of the memtable that took the entry or a later one, so a
+    /// checkpoint keyed on it may wait longer than needed but never fires
+    /// before the entry is durable.
     pub fn seal_epoch(&self) -> u64 {
-        self.seals.load(Ordering::SeqCst)
+        self.mem.epoch()
     }
 
     /// Number of immutable memtables flushed to L0 so far. Entries put at
@@ -1583,6 +1584,70 @@ mod tests {
         }
         t.seal();
         t.maintain().unwrap();
+    }
+
+    /// The engine logs a chunk's WAL checkpoint once `flushed_epoch()`
+    /// passes the epoch it read after the chunk's put, less one if the put
+    /// sealed. That epoch must never predate the memtable the put went
+    /// into, or the checkpoint fires when an older memtable flushes, before
+    /// the chunk is durable. Writers race a thread that seals in a loop,
+    /// and seal themselves now and then; each records that epoch for every
+    /// put.
+    #[test]
+    fn epoch_read_after_a_put_never_predates_its_memtable() {
+        const WRITERS: u64 = 4;
+        const PUTS: i64 = 20_000;
+        let (_d, t) = tree_with(TreeOptions {
+            memtable_bytes: 4 << 10,
+            ..small_opts()
+        });
+        let done = AtomicU64::new(0);
+        let recorded: Vec<(u64, i64, u64)> = std::thread::scope(|s| {
+            s.spawn(|| {
+                while done.load(Ordering::SeqCst) < WRITERS {
+                    t.seal();
+                }
+            });
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|id| {
+                    let (t, done) = (&t, &done);
+                    s.spawn(move || {
+                        let mut epochs = Vec::with_capacity(PUTS as usize);
+                        for ts in 0..PUTS {
+                            let sealed = t.put(id, ts, vec![1]);
+                            epochs.push((id, ts, t.seal_epoch() - u64::from(sealed)));
+                        }
+                        done.fetch_add(1, Ordering::SeqCst);
+                        epochs
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        // Nothing was flushed: sealed memtable `e` is immutable `e`, and
+        // the active one has the epoch after the last of them.
+        let mut held = std::collections::HashMap::new();
+        let imm = t.mem.immutables();
+        for (epoch, table) in imm.iter().enumerate() {
+            for (k, _) in table.iter() {
+                held.insert(k.to_vec(), epoch as u64);
+            }
+        }
+        // Every key is put once: a key no sealed table holds is active.
+        for (k, _) in t.mem.range(&[], &[0xff; 32]) {
+            held.entry(k).or_insert(imm.len() as u64);
+        }
+        assert!(imm.len() > 1, "the sealer never overlapped the writers");
+        for (id, ts, epoch) in recorded {
+            let at = held[&encode_key(id, ts).to_vec()];
+            assert!(
+                at <= epoch,
+                "series {id} ts {ts}: put into memtable {at}, read epoch {epoch}"
+            );
+        }
     }
 
     #[test]

@@ -206,7 +206,8 @@ fn mixed_format_store_aggregates_identically() {
 }
 
 /// Group (NULL-XOR) aggregation equivalence with per-member NULL gaps,
-/// across flush boundaries and thread counts.
+/// across flush boundaries and thread counts. Member `c4` joins after the
+/// mid-stream flush, so the older chunks have no column for it.
 #[test]
 fn group_pushdown_matches_reference_fold() {
     let dir = tempfile::tempdir().unwrap();
@@ -215,18 +216,27 @@ fn group_pushdown_matches_reference_fold() {
     let members: Vec<Labels> = (0..4)
         .map(|m| Labels::from_pairs([("cpu", format!("c{m}").as_str())]))
         .collect();
-    let (gid, refs) = db
+    let (gid, mut refs) = db
         .put_group(&gtags, &members, 0, &[0.0, 1.0, 2.0, 3.0])
         .unwrap();
 
     for round in 1..60i64 {
-        let values: Vec<f64> = (0..4).map(|m| (round * 10 + m) as f64).collect();
+        let values: Vec<f64> = (0..5).map(|m| (round * 10 + m) as f64).collect();
+        if round == 31 {
+            // The late member joins through the slow path.
+            let late = [Labels::from_pairs([("cpu", "c4")])];
+            let (_, late_ref) = db
+                .put_group(&gtags, &late, round * 5_000 - 1, &values[4..])
+                .unwrap();
+            refs.extend(late_ref);
+        }
+        let n = refs.len();
         if round % 7 == 0 {
             // Some rounds miss a member (NULL column entries).
-            db.put_group_fast(gid, &refs[..3], round * 5_000, &values[..3])
+            db.put_group_fast(gid, &refs[..n - 1], round * 5_000, &values[..n - 1])
                 .unwrap();
         } else {
-            db.put_group_fast(gid, &refs, round * 5_000, &values)
+            db.put_group_fast(gid, &refs, round * 5_000, &values[..n])
                 .unwrap();
         }
         if round == 30 {
@@ -238,4 +248,8 @@ fn group_pushdown_matches_reference_fold() {
     assert_pushdown_matches(&db, &all, 0, 300_000, 40_000);
     let one = vec![Selector::exact("job", "node"), Selector::exact("cpu", "c2")];
     assert_pushdown_matches(&db, &one, 10_000, 290_000, 25_000);
+    let late = vec![Selector::exact("job", "node"), Selector::exact("cpu", "c4")];
+    assert_eq!(db.query(&late, 0, 300_000).unwrap().len(), 1);
+    assert_pushdown_matches(&db, &late, 0, 300_000, 40_000);
+    assert_pushdown_matches(&db, &late, 10_000, 290_000, 25_000);
 }

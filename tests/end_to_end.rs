@@ -162,7 +162,9 @@ fn grouped_ingest_equals_individual_ingest() {
     }
     grouped.flush_all().unwrap();
 
-    // Every pattern returns identical (labels, samples) sets from both.
+    // Every pattern returns identical (labels, samples) sets from both,
+    // and identical aggregates of every kind, bit for bit: a series and
+    // a group member are the same column to the read path.
     for pattern in QueryPattern::table2() {
         let spec = pattern.spec(&gen, 1);
         let a = flat.query(&spec.selectors, spec.start, spec.end).unwrap();
@@ -173,6 +175,22 @@ fn grouped_ingest_equals_individual_ingest() {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.labels, y.labels, "{}", pattern.name());
             assert_eq!(x.samples, y.samples, "{}", pattern.name());
+        }
+        for kind in AggKind::ALL {
+            let what = format!("{} {}", pattern.name(), kind.name());
+            let [a, b] = [&flat, &grouped].map(|db| {
+                db.query_aggregate(&spec.selectors, kind, spec.start, spec.end, spec.step_ms)
+                    .unwrap()
+            });
+            assert_eq!(a.len(), b.len(), "{what}");
+            assert!(!a.is_empty(), "{what}");
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.labels, y.labels, "{what}");
+                let bits = |s: &[tu_common::Sample]| -> Vec<(i64, u64)> {
+                    s.iter().map(|s| (s.t, s.v.to_bits())).collect()
+                };
+                assert_eq!(bits(&x.samples), bits(&y.samples), "{what}: {}", x.labels);
+            }
         }
     }
 }
