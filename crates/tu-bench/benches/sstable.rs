@@ -60,7 +60,9 @@ fn bench_read(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    g.bench_function("scan_all", |b| b.iter(|| table.scan_all().unwrap()));
+    g.bench_function("scan_file", |b| {
+        b.iter(|| Table::scan_file(TableSource::Block(store.clone(), "sst".into())).unwrap())
+    });
     g.finish();
 }
 

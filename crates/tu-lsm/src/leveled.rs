@@ -138,16 +138,19 @@ impl LeveledTree {
         level >= self.opts.slow_level_start as usize
     }
 
+    fn source(&self, meta: &TableMeta) -> TableSource {
+        if meta.on_slow {
+            TableSource::Object(self.env.object.clone(), meta.name.clone())
+        } else {
+            TableSource::Block(self.env.block.clone(), meta.name.clone())
+        }
+    }
+
     fn open_table(&self, meta: &TableMeta) -> Result<Arc<Table>> {
         if let Some(t) = self.tables.lock().get(&meta.name) {
             return Ok(t.clone());
         }
-        let source = if meta.on_slow {
-            TableSource::Object(self.env.object.clone(), meta.name.clone())
-        } else {
-            TableSource::Block(self.env.block.clone(), meta.name.clone())
-        };
-        let table = Arc::new(Table::open(source, Some(self.cache.clone()))?);
+        let table = Arc::new(Table::open(self.source(meta), Some(self.cache.clone()))?);
         self.tables.lock().insert(meta.name.clone(), table.clone());
         Ok(table)
     }
@@ -293,9 +296,8 @@ impl LeveledTree {
         let mut merged: BTreeMap<Vec<u8>, (u64, Vec<u8>)> = BTreeMap::new();
         let mut read_tables = 0u64;
         for meta in overlaps.iter().chain(victims.iter()) {
-            let table = self.open_table(meta)?;
             read_tables += 1;
-            for (k, v) in table.scan_all()? {
+            for (k, v) in Table::scan_file(self.source(meta))? {
                 match merged.get(&k) {
                     Some((seq, _)) if *seq > meta.seq => {}
                     _ => {

@@ -416,6 +416,117 @@ impl TableSource {
     }
 }
 
+/// A table's footer, checked against the table's length.
+struct Footer {
+    file_len: u64,
+    /// Where the data blocks end and the tail begins: the index block, the
+    /// bloom filter and the properties block, back to back up to the footer.
+    index_off: u64,
+    index_len: usize,
+    bloom_len: usize,
+}
+
+/// What a table's tail holds, parsed.
+struct Tail {
+    index: Vec<(Vec<u8>, u64, u64)>,
+    bloom: BloomFilter,
+    props: TableProps,
+}
+
+impl Footer {
+    /// Where the footer of a `file_len`-byte table starts.
+    fn offset(file_len: u64) -> Result<u64> {
+        file_len
+            .checked_sub(FOOTER_LEN as u64)
+            .ok_or_else(|| Error::corruption("sstable shorter than its footer"))
+    }
+
+    /// Parses the last `FOOTER_LEN` bytes of a `file_len`-byte table. Only
+    /// the layout [`TableBuilder::finish`] writes is accepted — the three
+    /// tail sections contiguous and ending at the footer, the reserved pair
+    /// zero — so a damaged word is corruption, never an offset to follow.
+    fn parse(footer: &[u8], file_len: u64) -> Result<Footer> {
+        let footer_off = Footer::offset(file_len)?;
+        let word = |i: usize| tu_common::bytes::u64_le(&footer[i * 8..i * 8 + 8]);
+        if word(8) != MAGIC {
+            return Err(Error::corruption("sstable footer magic mismatch"));
+        }
+        let [index_off, index_len, bloom_off, bloom_len, props_off, props_len, r0, r1] =
+            std::array::from_fn(word);
+        let laid_out = index_off.checked_add(index_len) == Some(bloom_off)
+            && bloom_off.checked_add(bloom_len) == Some(props_off)
+            && props_off.checked_add(props_len) == Some(footer_off)
+            && r0 == 0
+            && r1 == 0;
+        if !laid_out {
+            return Err(Error::corruption("sstable footer sections out of bounds"));
+        }
+        Ok(Footer {
+            file_len,
+            index_off,
+            index_len: index_len as usize,
+            bloom_len: bloom_len as usize,
+        })
+    }
+
+    /// Length of the tail, `[index_off, footer)`.
+    fn tail_len(&self) -> usize {
+        (self.file_len - FOOTER_LEN as u64 - self.index_off) as usize
+    }
+
+    /// Parses the tail's `tail_len()` bytes: the index (every block it
+    /// names must lie in the data region), the bloom filter and the
+    /// properties.
+    fn parse_tail(&self, tail: &[u8]) -> Result<Tail> {
+        let (index_framed, rest) = tail.split_at(self.index_len);
+        let (bloom_bytes, props_framed) = rest.split_at(self.bloom_len);
+        let mut index = Vec::new();
+        for (key, value) in block_entries(&unframe_block(index_framed)?)? {
+            let (off, n) = varint::read_u64(&value)?;
+            let (len, _) = varint::read_u64(&value[n..])?;
+            if off.checked_add(len).is_none_or(|end| end > self.index_off) {
+                return Err(Error::corruption("sstable data block out of bounds"));
+            }
+            index.push((key, off, len));
+        }
+        let bloom = BloomFilter::from_bytes(bloom_bytes)
+            .ok_or_else(|| Error::corruption("sstable bloom filter truncated"))?;
+        let props_block = unframe_block(props_framed)?;
+        let mut rest = props_block.as_slice();
+        let (entries, n) = varint::read_u64(rest)?;
+        rest = &rest[n..];
+        let mut key = || -> Result<Vec<u8>> {
+            let (len, n) = varint::read_u64(rest)?;
+            let key = usize::try_from(len)
+                .ok()
+                .and_then(|len| rest[n..].get(..len))
+                .ok_or_else(|| Error::corruption("sstable properties truncated"))?;
+            rest = &rest[n + key.len()..];
+            Ok(key.to_vec())
+        };
+        let first_key = key()?;
+        let last_key = key()?;
+        // Tables written before stats coverage was recorded simply end
+        // here; treat them as having no stats envelopes.
+        let stats_chunks = if rest.is_empty() {
+            0
+        } else {
+            varint::read_u64(rest)?.0
+        };
+        Ok(Tail {
+            index,
+            bloom,
+            props: TableProps {
+                entries,
+                first_key,
+                last_key,
+                file_len: self.file_len,
+                stats_chunks,
+            },
+        })
+    }
+}
+
 /// An open SSTable: footer, index, and bloom loaded; data blocks fetched on
 /// demand through the block cache.
 pub struct Table {
@@ -458,78 +569,45 @@ impl Table {
     /// Opens a table, reading footer + index + bloom + properties.
     pub fn open(source: TableSource, cache: Option<Arc<BlockCache>>) -> Result<Self> {
         let file_len = source.len()?;
-        if file_len < FOOTER_LEN as u64 {
-            return Err(Error::corruption("sstable shorter than its footer"));
-        }
-        let footer = source.read_at(file_len - FOOTER_LEN as u64, FOOTER_LEN)?;
-        let magic = tu_common::bytes::u64_le(&footer[FOOTER_LEN - 8..]);
-        if magic != MAGIC {
-            return Err(Error::corruption("sstable footer magic mismatch"));
-        }
-        let mut fields = [0u64; 8];
-        for (i, f) in fields.iter_mut().enumerate() {
-            *f = tu_common::bytes::u64_le(&footer[i * 8..i * 8 + 8]);
-        }
-        let [index_off, index_len, bloom_off, bloom_len, props_off, props_len, _, _] = fields;
+        let footer_off = Footer::offset(file_len)?;
+        let footer = Footer::parse(&source.read_at(footer_off, FOOTER_LEN)?, file_len)?;
         // Index, bloom, and properties are laid out contiguously at the
         // file tail; fetch them in a single request (one Get on the slow
         // tier instead of three).
-        let tail_len = (file_len - FOOTER_LEN as u64 - index_off) as usize;
-        let tail = source.read_at(index_off, tail_len)?;
-        let slice = |off: u64, len: u64| -> Result<&[u8]> {
-            let start = (off - index_off) as usize;
-            tail.get(start..start + len as usize)
-                .ok_or_else(|| Error::corruption("sstable tail section out of bounds"))
-        };
-        let index_block = unframe_block(slice(index_off, index_len)?)?;
-        let mut index = Vec::new();
-        for (key, value) in block_entries(&index_block)? {
-            let (off, n) = varint::read_u64(&value)?;
-            let (len, _) = varint::read_u64(&value[n..])?;
-            index.push((key, off, len));
-        }
-        let bloom = BloomFilter::from_bytes(slice(bloom_off, bloom_len)?)
-            .ok_or_else(|| Error::corruption("sstable bloom filter truncated"))?;
-        let props_block = unframe_block(slice(props_off, props_len)?)?;
-        let mut off = 0usize;
-        let (entries, n) = varint::read_u64(&props_block[off..])?;
-        off += n;
-        let (fk_len, n) = varint::read_u64(&props_block[off..])?;
-        off += n;
-        let first_key = props_block
-            .get(off..off + fk_len as usize)
-            .ok_or_else(|| Error::corruption("sstable properties truncated"))?
-            .to_vec();
-        off += fk_len as usize;
-        let (lk_len, n) = varint::read_u64(&props_block[off..])?;
-        off += n;
-        let last_key = props_block
-            .get(off..off + lk_len as usize)
-            .ok_or_else(|| Error::corruption("sstable properties truncated"))?
-            .to_vec();
-        off += lk_len as usize;
-        // Tables written before stats coverage was recorded simply end
-        // here; treat them as having no stats envelopes.
-        let stats_chunks = if off < props_block.len() {
-            varint::read_u64(&props_block[off..])?.0
-        } else {
-            0
-        };
-        let cache_name = source.cache_name();
+        let tail = source.read_at(footer.index_off, footer.tail_len())?;
+        let Tail { index, bloom, props } = footer.parse_tail(&tail)?;
         Ok(Table {
+            cache_name: source.cache_name(),
             source,
             cache,
-            cache_name,
             index,
             bloom,
-            props: TableProps {
-                entries,
-                first_key,
-                last_key,
-                file_len,
-                stats_chunks,
-            },
+            props,
         })
+    }
+
+    /// Every entry of the table at `source`, in key order — what a
+    /// compaction reads from each input. The whole file comes back in one
+    /// request (its length is known to the store and costs none), and the
+    /// footer, tail and every data block are parsed out of that buffer
+    /// with the checks [`Table::open`] makes. No handle is kept and no
+    /// block is cached: a compaction input is read once, then deleted.
+    pub fn scan_file(source: TableSource) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        let file_len = source.len()?;
+        let footer_off = Footer::offset(file_len)? as usize;
+        let file = source.read_at(0, file_len as usize)?;
+        let (body, footer) = file.split_at(footer_off);
+        let footer = Footer::parse(footer, file_len)?;
+        let (data, tail) = body.split_at(footer.index_off as usize);
+        let tail = footer.parse_tail(tail)?;
+        let mut out = Vec::new();
+        for &(_, off, len) in &tail.index {
+            // In bounds: `parse_tail` checked every block against the data
+            // region.
+            let framed = &data[off as usize..(off + len) as usize];
+            out.extend(block_entries(&unframe_block(framed)?)?);
+        }
+        Ok(out)
     }
 
     pub fn props(&self) -> &TableProps {
@@ -674,24 +752,6 @@ impl Table {
         let read = self.read(&[(start, end)])?;
         Ok(read.entries(0, start, end).cloned().collect())
     }
-
-    /// Reads every entry (used by compaction). Fetches the whole data
-    /// region in a single request — compactions stream tables
-    /// sequentially, so they pay one Get per table, not one per block
-    /// (queries do pay per block, as the paper's Equations 4/6 model).
-    pub fn scan_all(&self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let Some(&(_, last_off, last_len)) = self.index.last() else {
-            return Ok(Vec::new());
-        };
-        let data_end = (last_off + last_len) as usize;
-        let region = self.source.read_at(0, data_end)?;
-        let mut out = Vec::with_capacity(self.props.entries as usize);
-        for &(_, off, len) in &self.index {
-            let framed = &region[off as usize..(off + len) as usize];
-            out.extend(block_entries(&unframe_block(framed)?)?);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -709,16 +769,20 @@ mod tests {
         b.finish().unwrap()
     }
 
-    fn open_on_block(bytes: &[u8]) -> (tempfile::TempDir, Table) {
-        let dir = tempfile::tempdir().unwrap();
-        let store = Arc::new(
+    fn block_store(dir: &tempfile::TempDir) -> Arc<BlockStore> {
+        Arc::new(
             BlockStore::open(
                 dir.path().join("b"),
                 LatencyModel::ebs(),
                 CostClock::new(LatencyMode::Off),
             )
             .unwrap(),
-        );
+        )
+    }
+
+    fn open_on_block(bytes: &[u8]) -> (tempfile::TempDir, Table) {
+        let dir = tempfile::tempdir().unwrap();
+        let store = block_store(&dir);
         store.write_file("sst-1", bytes).unwrap();
         let t = Table::open(TableSource::Block(store, "sst-1".into()), None).unwrap();
         (dir, t)
@@ -747,7 +811,65 @@ mod tests {
         let (bytes, _) = build_table(5000);
         let (_d, t) = open_on_block(&bytes);
         assert!(t.block_count() > 1, "5000 entries should span blocks");
-        assert_eq!(t.scan_all().unwrap().len(), 5000);
+        assert_eq!(t.range(ALL.0, ALL.1).unwrap().len(), 5000);
+    }
+
+    #[test]
+    fn scan_file_reads_every_entry_in_one_request() {
+        let (bytes, _) = build_table(5000);
+        let dir = tempfile::tempdir().unwrap();
+        let block = block_store(&dir);
+        block.write_file("sst", &bytes).unwrap();
+        let object = object_store(&dir);
+        object.put("sst", &bytes).unwrap();
+        let want = Table::open(TableSource::Block(block.clone(), "sst".into()), None)
+            .unwrap()
+            .range(ALL.0, ALL.1)
+            .unwrap();
+        assert_eq!(want.len(), 5000);
+        let before = (block.stats(), object.stats());
+        let on_block = Table::scan_file(TableSource::Block(block.clone(), "sst".into())).unwrap();
+        let on_object = Table::scan_file(TableSource::Object(object.clone(), "sst".into())).unwrap();
+        assert_eq!(on_block, want);
+        assert_eq!(on_object, want);
+        for d in [block.stats().since(&before.0), object.stats().since(&before.1)] {
+            assert_eq!(d.get_requests, 1);
+            assert_eq!(d.bytes_read, bytes.len() as u64);
+        }
+    }
+
+    /// Every footer word and every truncation is an error from both
+    /// readers — never a panic, an overflow or a huge allocation.
+    #[test]
+    fn damaged_footers_and_truncations_are_errors() {
+        let (bytes, _) = build_table(300);
+        let dir = tempfile::tempdir().unwrap();
+        let store = block_store(&dir);
+        let check = |image: &[u8], what: &str| {
+            store.write_file("sst", image).unwrap();
+            let source = || TableSource::Block(store.clone(), "sst".into());
+            let open = Table::open(source(), None);
+            assert!(open.is_err(), "open accepted {what}");
+            let scan = Table::scan_file(source());
+            assert!(scan.is_err(), "scan_file accepted {what}");
+        };
+        let footer = bytes.len() - FOOTER_LEN;
+        let file_len = bytes.len() as u64;
+        for word in 0..8 {
+            let at = footer + word * 8;
+            let old = tu_common::bytes::u64_le(&bytes[at..at + 8]);
+            for new in [0, 1, old.wrapping_add(1), old.wrapping_sub(1), file_len, u64::MAX] {
+                if new == old {
+                    continue;
+                }
+                let mut image = bytes.clone();
+                image[at..at + 8].copy_from_slice(&new.to_le_bytes());
+                check(&image, &format!("footer word {word} = {new:#x} (was {old:#x})"));
+            }
+        }
+        for len in [0, 1, FOOTER_LEN - 1, FOOTER_LEN, bytes.len() / 2, bytes.len() - 1] {
+            check(&bytes[..len], &format!("a truncation to {len} bytes"));
+        }
     }
 
     #[test]

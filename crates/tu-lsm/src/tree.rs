@@ -17,8 +17,8 @@
 //! * L0→L1 compaction that gathers each series' chunks together,
 //! * L1→L2 compaction that uploads closed windows to the slow tier,
 //! * out-of-order handling via stale-partition merges (fast tier) and
-//!   *patches* appended to L2 SSTables (Figure 11), merged when a table
-//!   accumulates more than `patch_threshold` patches,
+//!   *patches* appended to L2 SSTables (Figure 11); an append that would
+//!   give a table more than `patch_threshold` patches merges it instead,
 //! * dynamic size control of partition lengths (Algorithm 1, Figure 19),
 //! * retention purges of whole partitions.
 //!
@@ -53,7 +53,8 @@ pub struct TreeOptions {
     pub l2_partition_ms: i64,
     /// L0 partition count that triggers an L0→L1 compaction (paper: 2).
     pub l0_compact_trigger: usize,
-    /// Patches per L2 SSTable before a forced merge (paper: 3).
+    /// Patches an L2 SSTable may hold; an append to a table that holds this
+    /// many merges it instead (paper: 3).
     pub patch_threshold: usize,
     /// Fast-storage usage target `ST` in bytes; enables dynamic size
     /// control (Algorithm 1) when set.
@@ -334,6 +335,7 @@ impl TimeTree {
             opts,
         };
         tree.load_manifest()?;
+        tree.delete_unnamed_tables()?;
         Ok(tree)
     }
 
@@ -391,7 +393,9 @@ impl TimeTree {
     }
 
     /// Runs all pending background work to quiescence: flushes, both
-    /// compaction kinds, patch merges, and dynamic size control.
+    /// compaction kinds (patch merges included), and dynamic size control.
+    /// The tables the compactions made obsolete are deleted only once the
+    /// saved manifest no longer names them.
     pub fn maintain(&self) -> Result<()> {
         while let Some(imm) = self.mem.oldest_immutable() {
             self.flush_one(&imm)?;
@@ -399,20 +403,20 @@ impl TimeTree {
             self.flushed.fetch_add(1, Ordering::SeqCst);
             tu_obs::gauge("lsm.flush.backlog").set(self.mem.immutable_count() as i64);
         }
+        let mut obsolete = Vec::new();
         loop {
             let l0_count = self.levels.lock().l0.len();
             if l0_count <= self.opts.l0_compact_trigger {
                 break;
             }
-            self.compact_l0_to_l1()?;
+            obsolete.extend(self.compact_l0_to_l1()?);
         }
         while self.l1_window_closed() {
-            self.compact_l1_to_l2()?;
+            obsolete.extend(self.compact_l1_to_l2()?);
         }
-        self.merge_over_threshold_patches()?;
         self.dynamic_size_control()?;
         self.save_manifest()?;
-        Ok(())
+        self.delete_tables(&obsolete)
     }
 
     /// Seals and fully drains everything above L2 into L2 (used by tests
@@ -420,23 +424,25 @@ impl TimeTree {
     pub fn flush_all_to_slow(&self) -> Result<()> {
         self.seal();
         self.maintain()?;
+        let mut obsolete = Vec::new();
         loop {
             let empty_l0 = {
                 let lv = self.levels.lock();
                 lv.l0.is_empty()
             };
             if !empty_l0 {
-                self.compact_l0_to_l1()?;
+                obsolete.extend(self.compact_l0_to_l1()?);
                 continue;
             }
             let empty_l1 = self.levels.lock().l1.is_empty();
             if !empty_l1 {
-                self.compact_l1_to_l2()?;
+                obsolete.extend(self.compact_l1_to_l2()?);
                 continue;
             }
             break;
         }
-        self.save_manifest()
+        self.save_manifest()?;
+        self.delete_tables(&obsolete)
     }
 
     fn next_seq(&self) -> u64 {
@@ -553,45 +559,52 @@ impl TimeTree {
         self.write_tables(self.encode_tables(entries)?, level, range)
     }
 
+    fn source(&self, meta: &TableMeta) -> TableSource {
+        if meta.on_slow {
+            TableSource::Object(self.env.object.clone(), meta.name.clone())
+        } else {
+            TableSource::Block(self.env.block.clone(), meta.name.clone())
+        }
+    }
+
     fn open_table(&self, meta: &TableMeta) -> Result<Arc<Table>> {
         if let Some(t) = self.tables.lock().get(&meta.name) {
             return Ok(t.clone());
         }
-        let source = if meta.on_slow {
-            TableSource::Object(self.env.object.clone(), meta.name.clone())
-        } else {
-            TableSource::Block(self.env.block.clone(), meta.name.clone())
-        };
-        let table = Arc::new(Table::open(source, Some(self.cache.clone()))?);
+        let table = Arc::new(Table::open(self.source(meta), Some(self.cache.clone()))?);
         self.tables.lock().insert(meta.name.clone(), table.clone());
         Ok(table)
     }
 
-    fn delete_table(&self, meta: &TableMeta) -> Result<()> {
-        self.tables.lock().remove(&meta.name);
-        let _heat = tu_obs::heat::attribute(meta.range.start, meta.range.end);
-        if meta.on_slow {
-            self.env.object.delete(&meta.name)?;
-            self.cache.invalidate_table(&format!("o:{}", meta.name));
-        } else {
-            self.env.block.delete(&meta.name)?;
-            self.cache.invalidate_table(&format!("b:{}", meta.name));
+    /// Deletes tables the saved manifest no longer names.
+    fn delete_tables(&self, metas: &[TableMeta]) -> Result<()> {
+        for meta in metas {
+            self.tables.lock().remove(&meta.name);
+            let _heat = tu_obs::heat::attribute(meta.range.start, meta.range.end);
+            if meta.on_slow {
+                self.env.object.delete(&meta.name)?;
+                self.cache.invalidate_table(&format!("o:{}", meta.name));
+            } else {
+                self.env.block.delete(&meta.name)?;
+                self.cache.invalidate_table(&format!("b:{}", meta.name));
+            }
         }
         Ok(())
     }
 
-    /// Merges a set of tables newest-wins into sorted entries. The scans —
-    /// the I/O-heavy part, often against the slow tier — fan out across the
-    /// flush workers; the newest-wins fold runs sequentially in table order
-    /// afterwards, so the result is independent of the worker count.
+    /// Merges a set of tables newest-wins into sorted entries. Each table
+    /// costs one read request ([`Table::scan_file`]) and no open handle.
+    /// The scans — the I/O-heavy part, often against the slow tier — fan
+    /// out across the flush workers; the newest-wins fold runs sequentially
+    /// in table order afterwards, so the result is independent of the
+    /// worker count.
     fn merge_tables(&self, metas: &[TableMeta]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let scans = self.flush_pool.run(metas.len(), |i| {
             // The attribution guard is thread-local and the pool does not
             // propagate it, so it must be installed inside the per-table
             // closure for compaction reads to land on the right partition.
             let _heat = tu_obs::heat::attribute(metas[i].range.start, metas[i].range.end);
-            let table = self.open_table(&metas[i])?;
-            table.scan_all()
+            Table::scan_file(self.source(&metas[i]))
         });
         let mut merged: BTreeMap<Vec<u8>, (u64, Vec<u8>)> = BTreeMap::new();
         for (meta, scan) in metas.iter().zip(scans) {
@@ -609,13 +622,16 @@ impl TimeTree {
 
     // --- L0 -> L1 -------------------------------------------------------------
 
-    fn compact_l0_to_l1(&self) -> Result<()> {
+    /// Compacts the oldest L0 partition, and every partition overlapping
+    /// it, into L1. Returns the input tables, for deletion once the saved
+    /// manifest no longer names them.
+    fn compact_l0_to_l1(&self) -> Result<Vec<TableMeta>> {
         let _span = tu_obs::span("lsm.compact.l0_l1");
         // Select the oldest L0 partition plus everything overlapping it.
         let (l0_sel, l1_sel, out_len) = {
             let mut lv = self.levels.lock();
             if lv.l0.is_empty() {
-                return Ok(());
+                return Ok(Vec::new());
             }
             let victim_range = lv.l0[0].range;
             let mut sel_range = victim_range;
@@ -690,9 +706,6 @@ impl TimeTree {
             lv.l1.extend(new_parts);
             lv.l1.sort_by_key(|p| p.range.start);
         }
-        for meta in &all_tables {
-            self.delete_table(meta)?;
-        }
         let mut stats = self.stats.lock();
         stats.l0_to_l1_compactions += 1;
         if stale {
@@ -707,7 +720,7 @@ impl TimeTree {
                 ("stale", stale.into()),
             ],
         );
-        Ok(())
+        Ok(all_tables)
     }
 
     // --- L1 -> L2 -------------------------------------------------------------
@@ -730,12 +743,17 @@ impl TimeTree {
         newest > window_end
     }
 
-    fn compact_l1_to_l2(&self) -> Result<()> {
+    /// Merges the oldest closed L2-grid window of L1 and uploads it: as
+    /// new L2 partitions, or as patches (or patch merges) of the L2 tables
+    /// it overlaps. Returns the tables made obsolete — the L1 inputs and
+    /// what the patch merges replaced — for deletion once the saved
+    /// manifest no longer names them.
+    fn compact_l1_to_l2(&self) -> Result<Vec<TableMeta>> {
         let _span = tu_obs::span("lsm.compact.l1_l2");
         let (selected, window) = {
             let mut lv = self.levels.lock();
             let Some(oldest) = lv.l1.iter().map(|p| p.range.start).min() else {
-                return Ok(());
+                return Ok(Vec::new());
             };
             let w_start = oldest.div_euclid(lv.r2_ms) * lv.r2_ms;
             let window = TimeRange::new(w_start, w_start + lv.r2_ms);
@@ -750,7 +768,7 @@ impl TimeTree {
                 // window to cover it so progress is guaranteed, and take
                 // every partition the widened window now covers.
                 let Some(p) = lv.l1.iter().min_by_key(|p| p.range.start).cloned() else {
-                    return Ok(()); // L1 emptied concurrently: nothing to move
+                    return Ok(Vec::new()); // L1 emptied concurrently: nothing to move
                 };
                 let window = TimeRange::new(
                     w_start.min(p.range.start),
@@ -769,11 +787,12 @@ impl TimeTree {
                 (selected, window)
             }
         };
-        let tables: Vec<TableMeta> = selected
+        let mut obsolete: Vec<TableMeta> = selected
             .iter()
             .flat_map(|p| p.tables.iter().cloned())
             .collect();
-        let merged = self.merge_tables(&tables)?;
+        let input_tables = obsolete.len();
+        let merged = self.merge_tables(&obsolete)?;
 
         // Out-of-order: entries overlapping existing L2 partitions become
         // patches; the rest forms new L2 partitions.
@@ -795,7 +814,7 @@ impl TimeTree {
             }
         }
         if !patch_groups.is_empty() {
-            self.append_patches(patch_groups)?;
+            obsolete.extend(self.append_patches(patch_groups)?);
         }
         if !fresh.is_empty() {
             // Time ranges not covered by existing partitions are split and
@@ -840,20 +859,17 @@ impl TimeTree {
                 }
             }
         }
-        for meta in &tables {
-            self.delete_table(meta)?;
-        }
         self.stats.lock().l1_to_l2_compactions += 1;
         tu_obs::log::info(
             "lsm.compact",
             "L1->L2 merge-and-upload",
             &[
-                ("input_tables", tables.len().into()),
+                ("input_tables", input_tables.into()),
                 ("window_start", window.start.into()),
                 ("window_end", window.end.into()),
             ],
         );
-        Ok(())
+        Ok(obsolete)
     }
 
     /// Builds and uploads SSTables to the slow tier.
@@ -893,12 +909,21 @@ impl TimeTree {
         Ok(out)
     }
 
-    /// Routes out-of-order entries into patches appended to the L2 tables
-    /// whose ID ranges cover them (Figure 11).
-    fn append_patches(&self, groups: BTreeMap<i64, Vec<(Vec<u8>, Vec<u8>)>>) -> Result<()> {
+    /// Routes out-of-order entries to the L2 tables whose ID ranges cover
+    /// them (Figure 11). A table's share becomes a patch appended to it —
+    /// unless the table already holds `patch_threshold` patches: then its
+    /// base, its patches and the share merge straight into fresh base
+    /// tables, so the patch that would have tipped it over is never
+    /// uploaded, nor read back to be merged. Returns the tables the merges
+    /// made obsolete.
+    fn append_patches(
+        &self,
+        groups: BTreeMap<i64, Vec<(Vec<u8>, Vec<u8>)>>,
+    ) -> Result<Vec<TableMeta>> {
+        let mut obsolete = Vec::new();
         for (part_start, entries) in groups {
-            // Snapshot the partition's table ID ranges.
-            let (range, id_ranges) = {
+            // Snapshot the partition's tables: base name and ID range.
+            let (range, targets) = {
                 let lv = self.levels.lock();
                 let p = lv
                     .l2
@@ -909,23 +934,46 @@ impl TimeTree {
                     p.range,
                     p.tables
                         .iter()
-                        .map(|t| (t.base.first_id(), t.base.last_id()))
+                        .map(|t| (t.base.name.clone(), t.base.last_id()))
                         .collect::<Vec<_>>(),
                 )
             };
+            if targets.is_empty() {
+                // Partition had no tables (shouldn't happen): the entries
+                // become its base tables.
+                let metas = self.upload_l2_tables(&entries, range)?;
+                let mut lv = self.levels.lock();
+                let p = l2_partition(&mut lv, range)?;
+                p.tables.extend(metas.into_iter().map(|base| L2Table {
+                    base,
+                    patches: Vec::new(),
+                }));
+                continue;
+            }
             // Split entries by target table (ID ranges are disjoint; route
             // by the first range whose last_id >= id, falling back to the
-            // final table for ids beyond all ranges).
+            // final table for ids beyond all ranges). Targets are found by
+            // base name, not position: a merge may split a table and shift
+            // the ones after it.
             let mut per_table: BTreeMap<usize, Vec<(Vec<u8>, Vec<u8>)>> = BTreeMap::new();
             for (k, v) in entries {
                 let id = decode_id(&k)?;
-                let idx = id_ranges
+                let idx = targets
                     .iter()
                     .position(|&(_, last)| id <= last)
-                    .unwrap_or(id_ranges.len().saturating_sub(1));
+                    .unwrap_or(targets.len() - 1);
                 per_table.entry(idx).or_default().push((k, v));
             }
             for (idx, entries) in per_table {
+                let base_name = &targets[idx].0;
+                let patches = {
+                    let mut lv = self.levels.lock();
+                    l2_table(&mut lv, range, base_name)?.patches.len()
+                };
+                if patches >= self.opts.patch_threshold {
+                    obsolete.extend(self.merge_table(range, base_name, entries)?);
+                    continue;
+                }
                 let mut builder = TableBuilder::new();
                 for (k, v) in &entries {
                     builder.add(k, v)?;
@@ -944,89 +992,48 @@ impl TimeTree {
                     on_slow: true,
                     range,
                 };
-                let mut lv = self.levels.lock();
-                let p = lv
-                    .l2
-                    .iter_mut()
-                    .find(|p| p.range.start == part_start)
-                    .ok_or_else(|| Error::corruption("patch target partition vanished"))?;
-                if let Some(t) = p.tables.get_mut(idx) {
-                    t.patches.push(meta);
-                } else {
-                    // Partition had no tables (shouldn't happen): promote the
-                    // patch to a base table.
-                    p.tables.push(L2Table {
-                        base: meta,
-                        patches: Vec::new(),
-                    });
-                }
+                l2_table(&mut self.levels.lock(), range, base_name)?
+                    .patches
+                    .push(meta);
                 self.stats.lock().patches_created += 1;
             }
         }
-        Ok(())
+        Ok(obsolete)
     }
 
-    /// Merges any L2 table whose patch count exceeds the threshold
-    /// (Figure 11: the merge may split the table into several with
-    /// disjoint ID ranges).
-    fn merge_over_threshold_patches(&self) -> Result<()> {
-        loop {
-            let target = {
-                let lv = self.levels.lock();
-                let mut found = None;
-                'outer: for (pi, p) in lv.l2.iter().enumerate() {
-                    for (ti, t) in p.tables.iter().enumerate() {
-                        if t.patches.len() > self.opts.patch_threshold {
-                            found = Some((pi, ti, p.range));
-                            break 'outer;
-                        }
-                    }
-                }
-                found
-            };
-            let Some((pi, ti, range)) = target else {
-                return Ok(());
-            };
-            let victim = {
-                let lv = self.levels.lock();
-                lv.l2[pi].tables[ti].clone()
-            };
-            let mut all = vec![victim.base.clone()];
-            all.extend(victim.patches.iter().cloned());
-            let merged = self.merge_tables(&all)?;
-            let metas = self.upload_l2_tables(&merged, range)?;
-            {
-                let mut lv = self.levels.lock();
-                // The partition may have shifted; find it again by range.
-                let p = lv
-                    .l2
-                    .iter_mut()
-                    .find(|p| p.range == range)
-                    .ok_or_else(|| Error::corruption("patched partition vanished"))?;
-                let pos = p
-                    .tables
-                    .iter()
-                    .position(|t| t.base.name == victim.base.name)
-                    .ok_or_else(|| Error::corruption("patched table vanished"))?;
-                p.tables.remove(pos);
-                for (off, m) in metas.into_iter().enumerate() {
-                    p.tables.insert(
-                        pos + off,
-                        L2Table {
-                            base: m,
-                            patches: Vec::new(),
-                        },
-                    );
-                }
-                // Keep tables sorted by their first key for routing.
-                p.tables
-                    .sort_by(|a, b| a.base.props.first_key.cmp(&b.base.props.first_key));
-            }
-            for meta in &all {
-                self.delete_table(meta)?;
-            }
-            self.stats.lock().patch_merges += 1;
+    /// Merges the L2 table based at `base_name` — its base, then its
+    /// patches, then `newest`, each winning over the ones before on equal
+    /// keys — into fresh base tables that take its place (Figure 11: the
+    /// merge may split it into several with disjoint ID ranges). Returns
+    /// the base and patches it replaced.
+    fn merge_table(
+        &self,
+        range: TimeRange,
+        base_name: &str,
+        newest: Vec<(Vec<u8>, Vec<u8>)>,
+    ) -> Result<Vec<TableMeta>> {
+        let victim = l2_table(&mut self.levels.lock(), range, base_name)?.clone();
+        let mut inputs = vec![victim.base];
+        inputs.extend(victim.patches);
+        let mut merged: BTreeMap<Vec<u8>, Vec<u8>> =
+            self.merge_tables(&inputs)?.into_iter().collect();
+        merged.extend(newest);
+        let merged: Vec<(Vec<u8>, Vec<u8>)> = merged.into_iter().collect();
+        let metas = self.upload_l2_tables(&merged, range)?;
+        {
+            let mut lv = self.levels.lock();
+            let p = l2_partition(&mut lv, range)?;
+            p.tables.retain(|t| t.base.name != base_name);
+            p.tables.extend(metas.into_iter().map(|base| L2Table {
+                base,
+                patches: Vec::new(),
+            }));
+            // Keep tables sorted by their first key for routing.
+            p.tables
+                .sort_by(|a, b| a.base.props.first_key.cmp(&b.base.props.first_key));
         }
+        self.stats.lock().patch_merges += 1;
+        Ok(inputs)
     }
 
     // --- dynamic size control (Algorithm 1) -----------------------------------
@@ -1201,10 +1208,9 @@ impl TimeTree {
             (fast, slow)
         };
         let count = drop_fast.len() + drop_slow.len();
-        for meta in drop_fast.iter().chain(drop_slow.iter()) {
-            self.delete_table(meta)?;
-        }
         self.save_manifest()?;
+        self.delete_tables(&drop_fast)?;
+        self.delete_tables(&drop_slow)?;
         Ok(count)
     }
 
@@ -1496,6 +1502,31 @@ impl TimeTree {
         lv.l2.sort_by_key(|p| p.range.start);
         Ok(())
     }
+
+    /// Deletes every table under the level prefixes that the loaded
+    /// manifest does not name: what a maintenance pass that crashed before
+    /// saving its manifest wrote, or had made obsolete.
+    fn delete_unnamed_tables(&self) -> Result<()> {
+        let named: std::collections::HashSet<String> = {
+            let lv = self.levels.lock();
+            let fast = lv.l0.iter().chain(lv.l1.iter()).flat_map(|p| p.tables.iter());
+            let slow = lv.l2.iter().flat_map(|p| p.tables.iter());
+            let slow = slow.flat_map(|t| std::iter::once(&t.base).chain(t.patches.iter()));
+            fast.chain(slow).map(|t| t.name.clone()).collect()
+        };
+        let block = &self.env.block;
+        for name in [block.list_prefix("l0/"), block.list_prefix("l1/")].concat() {
+            if !named.contains(&name) {
+                block.delete(&name)?;
+            }
+        }
+        for name in self.env.object.list_prefix("l2/") {
+            if !named.contains(&name) {
+                self.env.object.delete(&name)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 fn hex(bytes: &[u8]) -> String {
@@ -1529,6 +1560,23 @@ fn unhex(s: &str) -> Result<Vec<u8>> {
 fn parse(s: &str, what: &str) -> Result<u64> {
     s.parse()
         .map_err(|_| Error::corruption(format!("manifest field {what} malformed")))
+}
+
+/// The L2 partition spanning exactly `range`.
+fn l2_partition(lv: &mut Levels, range: TimeRange) -> Result<&mut L2Partition> {
+    lv.l2
+        .iter_mut()
+        .find(|p| p.range == range)
+        .ok_or_else(|| Error::corruption("patched partition vanished"))
+}
+
+/// The table of L2 partition `range` whose base is `base_name`.
+fn l2_table<'a>(lv: &'a mut Levels, range: TimeRange, base_name: &str) -> Result<&'a mut L2Table> {
+    l2_partition(lv, range)?
+        .tables
+        .iter_mut()
+        .find(|t| t.base.name == base_name)
+        .ok_or_else(|| Error::corruption("patched table vanished"))
 }
 
 #[cfg(test)]
@@ -1783,26 +1831,147 @@ mod tests {
         assert_eq!(t.range_chunks(2, 0, 7 * HOUR).unwrap().len(), 13);
     }
 
+    /// Appends to one L2 table merge it exactly when it already holds
+    /// `patch_threshold` patches, and every chunk reads back newest-wins
+    /// throughout: late chunks, rewrites of base chunks, and rewrites of
+    /// chunks that are themselves in patches.
     #[test]
     fn excess_patches_trigger_merge() {
-        let opts = TreeOptions {
-            patch_threshold: 1,
-            ..small_opts()
-        };
-        let (_d, t) = tree_with(opts);
-        load(&t, 2, 12);
-        t.flush_all_to_slow().unwrap();
-        // Two separate backfills to the same old window.
-        for (i, ts) in [(0u64, 3 * MIN), (0, 7 * MIN), (0, 9 * MIN)] {
-            t.put(i, ts, chunk(ts as u64));
+        for threshold in 1..=3usize {
+            let (_d, t) = tree_with(TreeOptions {
+                patch_threshold: threshold,
+                ..small_opts()
+            });
+            let mut model: BTreeMap<(u64, i64), Vec<u8>> = BTreeMap::new();
+            for c in 0..12i64 {
+                for id in 0..2u64 {
+                    model.insert((id, c * 30 * MIN), chunk(id * 1000 + c as u64));
+                }
+            }
+            load(&t, 2, 12);
             t.flush_all_to_slow().unwrap();
+            let rounds = 2 * (threshold as u64 + 1) + 1;
+            for r in 0..rounds {
+                // A late chunk, a rewrite of a base chunk, and a rewrite of
+                // the previous round's late chunk.
+                let late = (r as i64 + 1) * MIN;
+                let writes = [(late, 5000 + r), (30 * MIN, 6000 + r), (late - MIN, 7000 + r)];
+                for (ts, tag) in writes {
+                    t.put(0, ts, chunk(tag));
+                    model.insert((0, ts), chunk(tag));
+                }
+                t.flush_all_to_slow().unwrap();
+                let most = t.introspect().levels[2]
+                    .partitions
+                    .iter()
+                    .flat_map(|p| p.tables.iter().map(|t| t.patches))
+                    .max();
+                assert!(most <= Some(threshold), "threshold {threshold}, round {r}");
+            }
+            let s = t.stats();
+            let merges = rounds / (threshold as u64 + 1);
+            assert_eq!(s.patch_merges, merges, "threshold {threshold}: {s:?}");
+            assert_eq!(s.patches_created, rounds - merges, "threshold {threshold}");
+            for id in 0..2u64 {
+                let want: Vec<(i64, Vec<u8>)> = model
+                    .range((id, i64::MIN)..(id + 1, i64::MIN))
+                    .map(|(&(_, ts), v)| (ts, v.clone()))
+                    .collect();
+                assert_eq!(
+                    t.range_chunks(id, 0, 7 * HOUR).unwrap(),
+                    want,
+                    "threshold {threshold}, series {id}"
+                );
+            }
         }
-        let s = t.stats();
-        assert!(s.patch_merges >= 1, "{s:?}");
-        for ts in [3 * MIN, 7 * MIN, 9 * MIN] {
-            assert_eq!(t.get_chunk(0, ts).unwrap(), Some(chunk(ts as u64)));
+    }
+
+    /// A compaction pays one read request per input table, and a patch
+    /// merge reads nothing it just wrote.
+    #[test]
+    fn compaction_request_counts_are_exact() {
+        let dir = tempfile::tempdir().unwrap();
+        let env = StorageEnv::open(dir.path(), LatencyMode::Virtual).unwrap();
+        let t = TimeTree::open(env.clone(), small_opts()).unwrap();
+        // k flushes into one L0 partition: k tables, too few partitions to
+        // trigger a compaction.
+        const K: u64 = 4;
+        for id in 0..K {
+            t.put(id, id as i64 * MIN, chunk(id));
+            t.seal();
+            t.maintain().unwrap();
         }
-        assert_eq!(t.range_chunks(0, 0, 7 * HOUR).unwrap().len(), 15);
+        assert_eq!(t.stats().l0_partitions, 1);
+        let before = env.block.stats();
+        let inputs = t.compact_l0_to_l1().unwrap();
+        assert_eq!(inputs.len() as u64, K);
+        assert_eq!(env.block.stats().since(&before).get_requests, K);
+        t.delete_tables(&inputs).unwrap();
+
+        // The L2 table takes `patch_threshold` patches without a Get; the
+        // next append merges base + patches, one Get each, and uploads only
+        // the merged table.
+        t.flush_all_to_slow().unwrap();
+        let threshold = small_opts().patch_threshold as u64;
+        for r in 0..=threshold {
+            t.put(0, (10 + r as i64) * MIN, chunk(100 + r));
+            let before = env.object.stats();
+            t.flush_all_to_slow().unwrap();
+            let d = env.object.stats().since(&before);
+            let s = t.stats();
+            if r < threshold {
+                assert_eq!((d.get_requests, d.put_requests), (0, 1), "append {r}");
+                assert_eq!((s.patches_created, s.patch_merges), (r + 1, 0));
+            } else {
+                assert_eq!((d.get_requests, d.put_requests), (threshold + 1, 1));
+                assert_eq!((s.patches_created, s.patch_merges), (threshold, 1));
+            }
+        }
+        for r in 0..=threshold {
+            let ts = (10 + r as i64) * MIN;
+            assert_eq!(t.get_chunk(0, ts).unwrap(), Some(chunk(100 + r)));
+        }
+    }
+
+    fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+        std::fs::create_dir_all(to).unwrap();
+        for entry in std::fs::read_dir(from).unwrap() {
+            let entry = entry.unwrap();
+            let dest = to.join(entry.file_name());
+            if entry.file_type().unwrap().is_dir() {
+                copy_dir(&entry.path(), &dest);
+            } else {
+                std::fs::copy(entry.path(), dest).unwrap();
+            }
+        }
+    }
+
+    /// A crash between a compaction and the next manifest save leaves the
+    /// manifest naming the compaction's inputs; they must still be there,
+    /// and the outputs nothing names are swept at open.
+    #[test]
+    fn crash_before_the_manifest_save_keeps_every_named_table() {
+        let dir = tempfile::tempdir().unwrap();
+        let env = StorageEnv::open(dir.path(), LatencyMode::Off).unwrap();
+        let t = TimeTree::open(env, small_opts()).unwrap();
+        for id in 0..4 {
+            t.put(id, 5 * MIN, chunk(id));
+            t.put(id, 40 * MIN, chunk(id + 100));
+        }
+        t.seal();
+        t.maintain().unwrap();
+        assert_eq!(t.stats().l0_partitions, 2, "the manifest names both");
+        t.compact_l0_to_l1().unwrap();
+        let image = tempfile::tempdir().unwrap();
+        copy_dir(dir.path(), image.path());
+        let env = StorageEnv::open(image.path(), LatencyMode::Off).unwrap();
+        let t = TimeTree::open(env.clone(), small_opts()).unwrap();
+        for id in 0..4 {
+            let want = vec![(5 * MIN, chunk(id)), (40 * MIN, chunk(id + 100))];
+            assert_eq!(t.range_chunks(id, 0, HOUR).unwrap(), want, "series {id}");
+        }
+        assert_eq!(env.block.list_prefix("l1/"), Vec::<String>::new());
+        assert_eq!(env.block.list_prefix("l0/").len(), 2);
     }
 
     #[test]

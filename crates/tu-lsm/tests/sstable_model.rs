@@ -12,7 +12,7 @@ use tu_cloud::StorageEnv;
 use tu_lsm::sstable::{Table, TableBuilder, TableSource};
 use tu_lsm::{TimeTree, TreeOptions};
 
-fn open_table(dir: &tempfile::TempDir, bytes: &[u8]) -> Table {
+fn store_table(dir: &tempfile::TempDir, bytes: &[u8]) -> Arc<BlockStore> {
     let store = Arc::new(
         BlockStore::open(
             dir.path().join("b"),
@@ -22,13 +22,13 @@ fn open_table(dir: &tempfile::TempDir, bytes: &[u8]) -> Table {
         .unwrap(),
     );
     store.write_file("sst", bytes).unwrap();
-    Table::open(TableSource::Block(store, "sst".into()), None).unwrap()
+    store
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// get/range/scan_all agree with a BTreeMap over arbitrary key/value
+    /// get/range/scan_file agree with a BTreeMap over arbitrary key/value
     /// sets (including empty values, long keys, adjacent keys).
     #[test]
     fn table_matches_btreemap_model(
@@ -47,7 +47,9 @@ proptest! {
         let (bytes, props) = b.finish().unwrap();
         prop_assert_eq!(props.entries as usize, model.len());
         let dir = tempfile::tempdir().unwrap();
-        let table = open_table(&dir, &bytes);
+        let store = store_table(&dir, &bytes);
+        let source = || TableSource::Block(store.clone(), "sst".into());
+        let table = Table::open(source(), None).unwrap();
 
         // Point gets: members and non-members.
         for (k, v) in model.iter().take(50) {
@@ -61,7 +63,7 @@ proptest! {
             );
         }
         // Full scan preserves order and content.
-        let scanned = table.scan_all().unwrap();
+        let scanned = Table::scan_file(source()).unwrap();
         let expect: Vec<(Vec<u8>, Vec<u8>)> =
             model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         prop_assert_eq!(scanned, expect);

@@ -59,8 +59,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         after.patch_merges
     );
 
-    // More corrections to the same window push the patch count past the
-    // threshold, triggering a merge that splits the table (Figure 11).
+    // More corrections to the same window would push the patch count past
+    // the threshold; the append that would do so merges the table instead,
+    // which may split it (Figure 11).
     for round in 0..3 {
         for minute in 0..10 {
             db.put_by_id(ids[5], 2 * HOUR + minute * MINUTE + 2 + round, round as f64)?;
