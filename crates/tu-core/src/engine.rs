@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tu_common::lockdep::{self, Mutex};
+use tu_common::lockdep::{self, Mutex, MutexGuard};
 
 use tu_cloud::cost::LatencyMode;
 use tu_cloud::StorageEnv;
@@ -965,10 +965,8 @@ impl TimeUnion {
         self.flush_chunk(id, stats.min_ts, stats.max_ts, chunk, seq, true)
     }
 
-    /// Puts a chunk into the tree and queues the checkpoint `seq` for when
-    /// its memtable reaches L0. A series' `late` chunk goes under a
-    /// versioned key, its version being `seq`; a group's keeps the plain
-    /// key (groups flush late rows one at a time).
+    /// [`TimeUnion::put_chunk`], then a maintenance pass if the put sealed
+    /// a memtable and maintenance runs inline.
     fn flush_chunk(
         &self,
         stream: u64,
@@ -978,6 +976,27 @@ impl TimeUnion {
         seq: u64,
         late: bool,
     ) -> Result<()> {
+        let sealed = self.put_chunk(stream, first_ts, last_ts, chunk, seq, late);
+        if sealed && self.opts.inline_maintenance && !self.replaying.load(Ordering::SeqCst) {
+            self.maintain()?;
+        }
+        Ok(())
+    }
+
+    /// Puts a chunk into the tree and queues the checkpoint `seq` for when
+    /// its memtable reaches L0. A series' `late` chunk goes under a
+    /// versioned key, its version being `seq`; a group's keeps the plain
+    /// key (groups flush late rows one at a time). Returns whether the put
+    /// sealed a memtable. Never takes the maintenance lock.
+    fn put_chunk(
+        &self,
+        stream: u64,
+        first_ts: Timestamp,
+        last_ts: Timestamp,
+        chunk: Vec<u8>,
+        seq: u64,
+        late: bool,
+    ) -> bool {
         self.max_chunk_span
             .fetch_max(last_ts - first_ts, Ordering::Relaxed);
         let sealed = if late && !is_group_id(stream) {
@@ -996,10 +1015,7 @@ impl TimeUnion {
             epoch,
             late: late.then_some(last_ts),
         });
-        if sealed && self.opts.inline_maintenance && !self.replaying.load(Ordering::SeqCst) {
-            self.maintain()?;
-        }
-        Ok(())
+        sealed
     }
 
     fn get_or_create_series(&self, labels: &Labels) -> Result<SeriesId> {
@@ -1275,11 +1291,15 @@ impl TimeUnion {
     /// several ingest workers seal memtables at once, one thread runs the
     /// pipeline while the others' triggers fold into its pass.
     pub fn maintain(&self) -> Result<()> {
-        let mut state = self.maintenance.lock();
-        self.maintain_locked(&mut state)
+        self.maintain_locked(self.maintenance.lock())
     }
 
-    fn maintain_locked(&self, state: &mut Maintenance) -> Result<()> {
+    /// The pass proper, begun under the maintenance lock and ending after
+    /// it: the checkpoints it queues are made durable, and the log
+    /// truncated, once `state` is released. Either step may wait for a
+    /// writer's group-commit wave in flight, and a thread parked on the
+    /// log's condvar must hold no other lock.
+    fn maintain_locked(&self, mut state: MutexGuard<'_, Maintenance>) -> Result<()> {
         self.tree.maintain()?;
         // Emit checkpoints for chunks whose memtable reached L0.
         let flushed = self.tree.flushed_epoch();
@@ -1293,7 +1313,7 @@ impl TimeUnion {
         // The meta goes first: a checkpoint lets truncation drop late
         // chunks' records, and with them the versions and timestamps the
         // meta must cover from then on.
-        let meta = &mut state.meta;
+        let Maintenance { meta, written } = &mut *state;
         for c in &ready {
             if let (Some(t), false) = (c.late, is_group_id(c.stream)) {
                 let newest = meta.late_ts.entry(c.stream).or_insert(t);
@@ -1303,11 +1323,12 @@ impl TimeUnion {
         meta.max_chunk_span = self.max_chunk_span.load(Ordering::Relaxed);
         meta.late_seq = self.late_seq.load(Ordering::Relaxed);
         let bytes = meta.encode();
-        if bytes != state.written {
+        if bytes != *written {
             self.env.block.replace_file(meta::FILE, &bytes)?;
-            state.written = bytes;
+            *written = bytes;
         }
-        if !ready.is_empty() && !self.replaying.load(Ordering::SeqCst) {
+        let checkpointed = !ready.is_empty() && !self.replaying.load(Ordering::SeqCst);
+        if checkpointed {
             // A stream's highest checkpoint covers its lower ones: log only
             // that one, after the head copy any late chunk among them needs.
             let mut newest: BTreeMap<u64, (u64, bool)> = BTreeMap::new();
@@ -1322,6 +1343,9 @@ impl TimeUnion {
                 }
                 self.wal.append_checkpoint(stream, seq);
             }
+        }
+        drop(state);
+        if checkpointed {
             self.flush_wal()?;
             self.wal.truncate(self.opts.wal_purge_bytes)?;
         }
@@ -1367,14 +1391,34 @@ impl TimeUnion {
     /// fast storage down to the slow tier. Used by long-range-query
     /// benchmarks that want the paper's "after all pending samples are
     /// flushed" state.
+    ///
+    /// The drain runs in two phases under one hold of the maintenance
+    /// lock. First every head is sealed; a memtable that fills meanwhile
+    /// is only flushed to L0, because heads are sealed in map order, not
+    /// time order, and a window uploaded now would miss chunks still to
+    /// come. Then everything drains to the slow tier, each window holding
+    /// all of its data, so each slow-tier partition is written once. A
+    /// concurrent writer's inline maintenance waits for the drain.
     pub fn flush_all(&self) -> Result<()> {
+        let state = self.maintenance.lock();
+        self.seal_heads()?;
+        self.tree.flush_all_to_slow()?;
+        self.maintain_locked(state)
+    }
+
+    /// The drain's first phase, under the maintenance lock: seals every
+    /// series and group head into the tree, and flushes a memtable that
+    /// fills to L0 without compacting or uploading anything.
+    fn seal_heads(&self) -> Result<()> {
         for obj in self.series.values() {
             let mut o = obj.lock();
             let seq = o.seq;
             if let Some((first, last, chunk)) = o.seal(&self.series_arena)? {
                 let id = o.id;
                 drop(o);
-                self.flush_chunk(id, first, last, chunk, seq, false)?;
+                if self.put_chunk(id, first, last, chunk, seq, false) {
+                    self.tree.flush_sealed()?;
+                }
             }
         }
         for obj in self.groups.values() {
@@ -1385,12 +1429,12 @@ impl TimeUnion {
             {
                 let gid = g.gid;
                 drop(g);
-                self.flush_chunk(gid, first, last, chunk, seq, false)?;
+                if self.put_chunk(gid, first, last, chunk, seq, false) {
+                    self.tree.flush_sealed()?;
+                }
             }
         }
-        let mut state = self.maintenance.lock();
-        self.tree.flush_all_to_slow()?;
-        self.maintain_locked(&mut state)
+        Ok(())
     }
 
     /// Flushes logs/indexes; call before dropping for durability.

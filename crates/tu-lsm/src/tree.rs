@@ -397,12 +397,7 @@ impl TimeTree {
     /// The tables the compactions made obsolete are deleted only once the
     /// saved manifest no longer names them.
     pub fn maintain(&self) -> Result<()> {
-        while let Some(imm) = self.mem.oldest_immutable() {
-            self.flush_one(&imm)?;
-            self.mem.retire(&imm);
-            self.flushed.fetch_add(1, Ordering::SeqCst);
-            tu_obs::gauge("lsm.flush.backlog").set(self.mem.immutable_count() as i64);
-        }
+        self.flush_sealed()?;
         let mut obsolete = Vec::new();
         loop {
             let l0_count = self.levels.lock().l0.len();
@@ -417,6 +412,20 @@ impl TimeTree {
         self.dynamic_size_control()?;
         self.save_manifest()?;
         self.delete_tables(&obsolete)
+    }
+
+    /// Flushes every sealed memtable to L0, oldest first, and nothing
+    /// more: no compaction, no upload. A drain that is still sealing heads
+    /// calls it to keep the heap bounded without uploading a window whose
+    /// data is not all in yet.
+    pub fn flush_sealed(&self) -> Result<()> {
+        while let Some(imm) = self.mem.oldest_immutable() {
+            self.flush_one(&imm)?;
+            self.mem.retire(&imm);
+            self.flushed.fetch_add(1, Ordering::SeqCst);
+            tu_obs::gauge("lsm.flush.backlog").set(self.mem.immutable_count() as i64);
+        }
+        Ok(())
     }
 
     /// Seals and fully drains everything above L2 into L2 (used by tests
@@ -1183,14 +1192,17 @@ impl TimeTree {
     // --- retention --------------------------------------------------------------
 
     /// Deletes every partition that ends at or before `watermark`.
-    /// Returns the number of partitions removed.
+    /// Returns the number of partitions removed, over L0, L1 and L2 (not
+    /// the tables and patches they held).
     pub fn purge_before(&self, watermark: Timestamp) -> Result<usize> {
-        let (drop_fast, drop_slow) = {
+        let (count, drop_fast, drop_slow) = {
             let mut lv = self.levels.lock();
             let mut fast = Vec::new();
+            let mut count = 0;
             for p in lv.l0.iter().chain(lv.l1.iter()) {
                 if p.range.end <= watermark {
                     fast.extend(p.tables.iter().cloned());
+                    count += 1;
                 }
             }
             let mut slow = Vec::new();
@@ -1200,14 +1212,14 @@ impl TimeTree {
                         slow.push(t.base.clone());
                         slow.extend(t.patches.iter().cloned());
                     }
+                    count += 1;
                 }
             }
             lv.l0.retain(|p| p.range.end > watermark);
             lv.l1.retain(|p| p.range.end > watermark);
             lv.l2.retain(|p| p.range.end > watermark);
-            (fast, slow)
+            (count, fast, slow)
         };
-        let count = drop_fast.len() + drop_slow.len();
         self.save_manifest()?;
         self.delete_tables(&drop_fast)?;
         self.delete_tables(&drop_slow)?;
@@ -1979,8 +1991,15 @@ mod tests {
         let (_d, t) = tree_with(small_opts());
         load(&t, 2, 12);
         t.flush_all_to_slow().unwrap();
+        // A late chunk in each of the first two windows becomes a patch:
+        // a table of its partition, not a partition of its own.
+        t.put(0, 10 * MIN, chunk(7));
+        t.put(1, 2 * HOUR + 10 * MIN, chunk(8));
+        t.flush_all_to_slow().unwrap();
+        assert_eq!(t.stats().patches_created, 2);
         let removed = t.purge_before(4 * HOUR).unwrap();
-        assert!(removed > 0);
+        assert_eq!(removed, 2, "the 2-hour L2 partitions ending by 4 h");
+        assert_eq!(t.stats().l2_partitions, 1);
         let remaining = t.range_chunks(0, 0, 7 * HOUR).unwrap();
         assert!(remaining.len() < 12);
         assert!(remaining.iter().all(|(ts, _)| *ts >= 4 * HOUR - 30 * MIN));
