@@ -1,6 +1,6 @@
 //! The TimeUnion engine: open/put/get/retention/recovery (§3.4).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,6 +24,7 @@ use tu_mmap::ChunkArena;
 
 use crate::catalog::{Catalog, CatalogRecord};
 use crate::group::{self, GroupInsert, GroupObject};
+use crate::maintenance::{Maintenance, PendingCheckpoint, StepHook};
 use crate::meta::{self, EngineMeta};
 use crate::model;
 use crate::profile::QueryProfile;
@@ -136,27 +137,6 @@ impl MemoryStats {
     }
 }
 
-struct PendingCheckpoint {
-    stream: u64,
-    seq: u64,
-    epoch: u64,
-    /// For a late chunk — one that left ahead of its object's head — its
-    /// newest timestamp. Its checkpoint is the only kind that can pass
-    /// rows still in a head, and a series' must carry the timestamp into
-    /// `engine.meta` ([`EngineMeta::late_ts`]).
-    late: Option<Timestamp>,
-}
-
-/// What only maintenance passes touch, under the lock that serializes
-/// them.
-#[derive(Default)]
-struct Maintenance {
-    meta: EngineMeta,
-    /// `engine.meta` as last written or read: an unchanged file is not
-    /// written again.
-    written: Vec<u8>,
-}
-
 /// Pending checkpoints past this mark flag the `flush_backlog` health
 /// check as degraded: maintenance is falling behind ingest.
 const PENDING_CKPT_DEGRADED: usize = 1 << 16;
@@ -172,33 +152,33 @@ const WAL_PENDING_MAX_BYTES: usize = 1 << 20;
 /// The TimeUnion timeseries engine.
 pub struct TimeUnion {
     dir: PathBuf,
-    opts: Options,
-    env: StorageEnv,
-    index: InvertedIndex,
-    tree: TimeTree,
-    wal: Wal,
-    catalog: Catalog,
+    pub(crate) opts: Options,
+    pub(crate) env: StorageEnv,
+    pub(crate) index: InvertedIndex,
+    pub(crate) tree: TimeTree,
+    pub(crate) wal: Wal,
+    pub(crate) catalog: Catalog,
     page_cache: Arc<PageCache>,
-    series_arena: ChunkArena,
-    group_ts_arena: ChunkArena,
-    group_val_arena: ChunkArena,
+    pub(crate) series_arena: ChunkArena,
+    pub(crate) group_ts_arena: ChunkArena,
+    pub(crate) group_val_arena: ChunkArena,
     /// Hot-path maps are sharded: concurrent writers on distinct series
     /// lock different shards, so they only contend when they hash together.
-    series: ShardedMap<SeriesId, Arc<Mutex<SeriesObject>>>,
-    by_labels: ShardedMap<Vec<u8>, SeriesId>,
-    groups: ShardedMap<GroupId, Arc<Mutex<GroupObject>>>,
-    group_by_tags: ShardedMap<Vec<u8>, GroupId>,
+    pub(crate) series: ShardedMap<SeriesId, Arc<Mutex<SeriesObject>>>,
+    pub(crate) by_labels: ShardedMap<Vec<u8>, SeriesId>,
+    pub(crate) groups: ShardedMap<GroupId, Arc<Mutex<GroupObject>>>,
+    pub(crate) group_by_tags: ShardedMap<Vec<u8>, GroupId>,
     next_series: AtomicU64,
     next_group: AtomicU64,
     /// Longest time span observed in any sealed chunk; queries extend
     /// their range start by this much to catch straddling chunks.
-    max_chunk_span: AtomicI64,
+    pub(crate) max_chunk_span: AtomicI64,
     /// Highest sequence number a late chunk has had, which is also its
     /// version in the tree: persisted in `engine.meta` before any
     /// checkpoint, and every series numbers on above it after a reopen, so
     /// a newer late chunk never gets a lower version than an older one.
-    late_seq: AtomicU64,
-    pending_ckpts: Mutex<Vec<PendingCheckpoint>>,
+    pub(crate) late_seq: AtomicU64,
+    pub(crate) pending_ckpts: Mutex<Vec<PendingCheckpoint>>,
     wal_unflushed: AtomicU64,
     replaying: std::sync::atomic::AtomicBool,
     /// False after the most recent WAL flush failed; drives the `wal`
@@ -214,11 +194,14 @@ pub struct TimeUnion {
     query_threads: std::sync::atomic::AtomicUsize,
     /// Resolved ingest fan-out width for [`TimeUnion::put_batch`].
     ingest_threads: std::sync::atomic::AtomicUsize,
-    /// Serializes maintenance passes: concurrent ingest workers may seal
-    /// memtables simultaneously, but only one thread at a time may run the
-    /// flush/compact/checkpoint pipeline.
-    maintenance: Mutex<Maintenance>,
+    /// Serializes maintenance passes ([`crate::maintenance`]), retention
+    /// included: concurrent ingest workers may seal memtables at once, but
+    /// only one thread at a time runs a pass.
+    pub(crate) maintenance: Mutex<Maintenance>,
     obs: EngineObs,
+    /// Called at every step boundary of every pass
+    /// ([`TimeUnion::set_step_hook`]).
+    pub(crate) step_hook: std::sync::OnceLock<StepHook>,
 }
 
 /// Pre-resolved global-registry handles for the engine's hot paths (the
@@ -352,6 +335,7 @@ impl TimeUnion {
             ),
             maintenance: Mutex::new(&lockdep::ENGINE_MAINTENANCE, Maintenance::default()),
             obs: EngineObs::resolve(),
+            step_hook: std::sync::OnceLock::new(),
             opts,
         };
         tu_obs::gauge("core.query.parallel.threads")
@@ -605,13 +589,6 @@ impl TimeUnion {
                 // Maintenance failures must not kill the worker; the next
                 // foreground sync() will surface persistent errors, but
                 // each failure is logged (rate-limited per target).
-                if let Err(e) = engine.maintain() {
-                    tu_obs::log::warn(
-                        "core.maintain",
-                        "background maintenance failed",
-                        &[("error", e.to_string().into())],
-                    );
-                }
                 match engine.apply_retention() {
                     Ok((partitions, objects)) if partitions + objects > 0 => {
                         tu_obs::log::info(
@@ -626,8 +603,8 @@ impl TimeUnion {
                     Ok(_) => {}
                     Err(e) => {
                         tu_obs::log::warn(
-                            "core.retention",
-                            "retention pass failed",
+                            "core.maintain",
+                            "background maintenance failed",
                             &[("error", e.to_string().into())],
                         );
                     }
@@ -741,15 +718,12 @@ impl TimeUnion {
                         return Ok(()); // records for members lost to a torn catalog
                     };
                     if let Some(obj) = self.groups.get(&r.stream) {
-                        let valid = {
-                            let g = obj.lock();
-                            r.seq > g.seq
-                                && entries
-                                    .iter()
-                                    .all(|(slot, _)| (*slot as usize) < g.member_count())
-                        };
-                        if valid {
-                            self.apply_group_row(r.stream, t, &entries, r.seq)?;
+                        let g = obj.lock();
+                        let members = g.member_count();
+                        if r.seq > g.seq
+                            && entries.iter().all(|(slot, _)| (*slot as usize) < members)
+                        {
+                            self.insert_group_row(r.stream, g, t, &entries, Some(r.seq))?;
                         }
                     }
                 } else if let Some(obj) = self.series.get(&r.stream) {
@@ -882,7 +856,9 @@ impl TimeUnion {
     /// row (row `i` of `n` has `seq - (n - 1 - i)`); each late chunk is
     /// logged as one chunk record numbered after them, holding the chunk
     /// without its stats envelope (replay folds the stats again). Chunks
-    /// go to the tree after the lock is dropped.
+    /// go to the tree before the lock is dropped, so a reader that no
+    /// longer finds a row in the head finds it there; a pass their puts
+    /// call for runs after.
     ///
     /// A late chunk is numbered above rows that may stay in the head; its
     /// checkpoint, once due, is preceded by a fresh copy of them
@@ -939,11 +915,12 @@ impl TimeUnion {
                 self.late_seq.fetch_max(f.seq, Ordering::Relaxed);
             }
         }
-        drop(obj);
+        let mut sealed = false;
         for f in flushes {
-            self.flush_chunk(id, f.first_ts, f.last_ts, f.chunk, f.seq, f.late)?;
+            sealed |= self.put_chunk(id, f.first_ts, f.last_ts, f.chunk, f.seq, f.late);
         }
-        Ok(())
+        drop(obj);
+        self.maintain_inline(sealed)
     }
 
     /// Puts a late chunk read back from the WAL into the tree, framed in
@@ -960,23 +937,14 @@ impl TimeUnion {
         obj.seq = seq;
         obj.last_ts = obj.last_ts.max(stats.max_ts);
         self.late_seq.fetch_max(seq, Ordering::Relaxed);
-        let id = obj.id;
+        let sealed = self.put_chunk(obj.id, stats.min_ts, stats.max_ts, chunk, seq, true);
         drop(obj);
-        self.flush_chunk(id, stats.min_ts, stats.max_ts, chunk, seq, true)
+        self.maintain_inline(sealed)
     }
 
-    /// [`TimeUnion::put_chunk`], then a maintenance pass if the put sealed
-    /// a memtable and maintenance runs inline.
-    fn flush_chunk(
-        &self,
-        stream: u64,
-        first_ts: Timestamp,
-        last_ts: Timestamp,
-        chunk: Vec<u8>,
-        seq: u64,
-        late: bool,
-    ) -> Result<()> {
-        let sealed = self.put_chunk(stream, first_ts, last_ts, chunk, seq, late);
+    /// Runs a pass if a put `sealed` a memtable and maintenance runs
+    /// inline. Callers hold no object lock: a pass takes them.
+    fn maintain_inline(&self, sealed: bool) -> Result<()> {
         if sealed && self.opts.inline_maintenance && !self.replaying.load(Ordering::SeqCst) {
             self.maintain()?;
         }
@@ -988,7 +956,7 @@ impl TimeUnion {
     /// versioned key, its version being `seq`; a group's keeps the plain
     /// key (groups flush late rows one at a time). Returns whether the put
     /// sealed a memtable. Never takes the maintenance lock.
-    fn put_chunk(
+    pub(crate) fn put_chunk(
         &self,
         stream: u64,
         first_ts: Timestamp,
@@ -1097,19 +1065,7 @@ impl TimeUnion {
         let entries: Vec<(SeriesRef, Value)> =
             refs.iter().copied().zip(values.iter().copied()).collect();
         self.obs.ingest_samples.add(entries.len() as u64);
-        g.seq += 1;
-        let seq = g.seq;
-        self.log(RecordKind::Rows, gid, seq, &encode_group_row(t, &entries))?;
-        let member_count = g.member_count();
-        let outcome = g.insert_row(
-            &self.group_ts_arena,
-            &self.group_val_arena,
-            t,
-            &entries,
-            self.opts.chunk_samples,
-        )?;
-        drop(g);
-        self.handle_group_outcome(gid, t, &entries, member_count, seq, outcome)?;
+        self.insert_group_row(gid, g, t, &entries, None)?;
         Ok((gid, refs))
     }
 
@@ -1131,34 +1087,30 @@ impl TimeUnion {
             .groups
             .get(&gid)
             .ok_or_else(|| Error::not_found(format!("group {gid}")))?;
-        let mut g = obj.lock();
-        g.seq += 1;
-        let seq = g.seq;
-        self.log(RecordKind::Rows, gid, seq, &encode_group_row(t, &entries))?;
-        let member_count = g.member_count();
-        let outcome = g.insert_row(
-            &self.group_ts_arena,
-            &self.group_val_arena,
-            t,
-            &entries,
-            self.opts.chunk_samples,
-        )?;
-        drop(g);
-        self.handle_group_outcome(gid, t, &entries, member_count, seq, outcome)
+        self.insert_group_row(gid, obj.lock(), t, &entries, None)
     }
 
-    fn apply_group_row(
+    /// Inserts one row into a group and logs it under the group's next
+    /// sequence number; a row read back from the WAL (`replayed`, its
+    /// sequence number) is not logged again. A chunk the row seals goes to
+    /// the tree before the lock is dropped, as [`TimeUnion::apply_run`]'s
+    /// do, and a row older than the head goes there as a one-row chunk.
+    fn insert_group_row(
         &self,
         gid: GroupId,
+        mut g: MutexGuard<'_, GroupObject>,
         t: Timestamp,
         entries: &[(SeriesRef, Value)],
-        seq: u64,
+        replayed: Option<u64>,
     ) -> Result<()> {
-        let obj = self
-            .groups
-            .get(&gid)
-            .ok_or_else(|| Error::not_found(format!("group {gid}")))?;
-        let mut g = obj.lock();
+        let seq = match replayed {
+            Some(seq) => seq,
+            None => {
+                let seq = g.seq + 1;
+                self.log(RecordKind::Rows, gid, seq, &encode_group_row(t, entries))?;
+                seq
+            }
+        };
         g.seq = g.seq.max(seq);
         let member_count = g.member_count();
         let outcome = g.insert_row(
@@ -1168,37 +1120,25 @@ impl TimeUnion {
             entries,
             self.opts.chunk_samples,
         )?;
-        drop(g);
-        self.handle_group_outcome(gid, t, entries, member_count, seq, outcome)
-    }
-
-    fn handle_group_outcome(
-        &self,
-        gid: GroupId,
-        t: Timestamp,
-        entries: &[(SeriesRef, Value)],
-        member_count: usize,
-        seq: u64,
-        outcome: GroupInsert,
-    ) -> Result<()> {
-        match outcome {
-            GroupInsert::Buffered => Ok(()),
+        let sealed = match outcome {
+            GroupInsert::Buffered => false,
             GroupInsert::Sealed {
                 first_ts,
                 last_ts,
                 chunk,
-            } => self.flush_chunk(gid, first_ts, last_ts, chunk, seq, false),
+            } => self.put_chunk(gid, first_ts, last_ts, chunk, seq, false),
             GroupInsert::OlderThanHead => {
-                // One-row group chunk straight into the tree.
                 let mut enc = nullxor::GroupChunkEncoder::new(member_count);
                 let mut row = vec![None; member_count];
                 for (slot, v) in entries {
                     row[*slot as usize] = Some(*v);
                 }
                 enc.append_row(t, &row)?;
-                self.flush_chunk(gid, t, t, enc.finish_framed(), seq, true)
+                self.put_chunk(gid, t, t, enc.finish_framed(), seq, true)
             }
-        }
+        };
+        drop(g);
+        self.maintain_inline(sealed)
     }
 
     fn get_or_create_group(&self, group_tags: &Labels) -> Result<GroupId> {
@@ -1230,7 +1170,13 @@ impl TimeUnion {
 
     /// Queues one data record (a run or a chunk counts as one) and
     /// nudges a wave when the queue is over its record or byte threshold.
-    fn log(&self, kind: RecordKind, stream: u64, seq: u64, payload: &[u8]) -> Result<()> {
+    pub(crate) fn log(
+        &self,
+        kind: RecordKind,
+        stream: u64,
+        seq: u64,
+        payload: &[u8],
+    ) -> Result<()> {
         if self.replaying.load(Ordering::SeqCst) {
             return Ok(());
         }
@@ -1260,7 +1206,7 @@ impl TimeUnion {
     /// The catalog goes first: a sample is only recoverable if its series
     /// is, so an acknowledged wave never holds records of a series whose
     /// catalog record could still be lost.
-    fn flush_wal(&self) -> Result<()> {
+    pub(crate) fn flush_wal(&self) -> Result<()> {
         self.catalog.flush()?;
         self.wal_health(self.wal.flush())
     }
@@ -1282,222 +1228,6 @@ impl TimeUnion {
                 Err(e)
             }
         }
-    }
-
-    // --- maintenance --------------------------------------------------------------
-
-    /// Runs background work to quiescence: tree flush/compaction, WAL
-    /// checkpoints and purging, catalog/meta persistence. Serialized: when
-    /// several ingest workers seal memtables at once, one thread runs the
-    /// pipeline while the others' triggers fold into its pass.
-    pub fn maintain(&self) -> Result<()> {
-        self.maintain_locked(self.maintenance.lock())
-    }
-
-    /// The pass proper, begun under the maintenance lock and ending after
-    /// it: the checkpoints it queues are made durable, and the log
-    /// truncated, once `state` is released. Either step may wait for a
-    /// writer's group-commit wave in flight, and a thread parked on the
-    /// log's condvar must hold no other lock.
-    fn maintain_locked(&self, mut state: MutexGuard<'_, Maintenance>) -> Result<()> {
-        self.tree.maintain()?;
-        // Emit checkpoints for chunks whose memtable reached L0.
-        let flushed = self.tree.flushed_epoch();
-        let ready: Vec<PendingCheckpoint> = {
-            let mut pending = self.pending_ckpts.lock();
-            let (ready, keep): (Vec<_>, Vec<_>) =
-                pending.drain(..).partition(|c| c.epoch < flushed);
-            *pending = keep;
-            ready
-        };
-        // The meta goes first: a checkpoint lets truncation drop late
-        // chunks' records, and with them the versions and timestamps the
-        // meta must cover from then on.
-        let Maintenance { meta, written } = &mut *state;
-        for c in &ready {
-            if let (Some(t), false) = (c.late, is_group_id(c.stream)) {
-                let newest = meta.late_ts.entry(c.stream).or_insert(t);
-                *newest = (*newest).max(t);
-            }
-        }
-        meta.max_chunk_span = self.max_chunk_span.load(Ordering::Relaxed);
-        meta.late_seq = self.late_seq.load(Ordering::Relaxed);
-        let bytes = meta.encode();
-        if bytes != *written {
-            self.env.block.replace_file(meta::FILE, &bytes)?;
-            *written = bytes;
-        }
-        let checkpointed = !ready.is_empty() && !self.replaying.load(Ordering::SeqCst);
-        if checkpointed {
-            // A stream's highest checkpoint covers its lower ones: log only
-            // that one, after the head copy any late chunk among them needs.
-            let mut newest: BTreeMap<u64, (u64, bool)> = BTreeMap::new();
-            for c in &ready {
-                let (seq, late) = newest.entry(c.stream).or_insert((c.seq, false));
-                *seq = (*seq).max(c.seq);
-                *late |= c.late.is_some();
-            }
-            for (stream, (seq, late)) in newest {
-                if late {
-                    self.relog_head_below(stream, seq)?;
-                }
-                self.wal.append_checkpoint(stream, seq);
-            }
-        }
-        drop(state);
-        if checkpointed {
-            self.flush_wal()?;
-            self.wal.truncate(self.opts.wal_purge_bytes)?;
-        }
-        self.catalog.flush()
-    }
-
-    /// Logs the head rows of a series or group again, under fresh sequence
-    /// numbers, when the checkpoint `seq` would cover the oldest of them:
-    /// no checkpoint ever covers a row still in a head. The copy is queued
-    /// ahead of the checkpoint, so no wave holds the checkpoint without it.
-    fn relog_head_below(&self, stream: u64, seq: u64) -> Result<()> {
-        if is_group_id(stream) {
-            let Some(obj) = self.groups.get(&stream) else {
-                return Ok(()); // purged by retention
-            };
-            let mut g = obj.lock();
-            if g.head_seq().is_none_or(|oldest| oldest > seq) {
-                return Ok(());
-            }
-            let first = g.seq + 1;
-            let rows = g.relog_head(&self.group_ts_arena, &self.group_val_arena, first)?;
-            for (t, entries) in rows {
-                g.seq += 1;
-                let row = encode_group_row(t, &entries);
-                self.log(RecordKind::Rows, stream, g.seq, &row)?;
-            }
-            return Ok(());
-        }
-        let Some(obj) = self.series.get(&stream) else {
-            return Ok(()); // purged by retention
-        };
-        let mut obj = obj.lock();
-        if obj.head_seq().is_none_or(|oldest| oldest > seq) {
-            return Ok(());
-        }
-        let first = obj.seq + 1;
-        let rows = obj.relog_head(&self.series_arena, first)?;
-        obj.seq += (rows.len() / ROW) as u64;
-        self.log(RecordKind::Rows, stream, obj.seq, &rows)
-    }
-
-    /// Seals every open head chunk into the tree and drains all levels of
-    /// fast storage down to the slow tier. Used by long-range-query
-    /// benchmarks that want the paper's "after all pending samples are
-    /// flushed" state.
-    ///
-    /// The drain runs in two phases under one hold of the maintenance
-    /// lock. First every head is sealed; a memtable that fills meanwhile
-    /// is only flushed to L0, because heads are sealed in map order, not
-    /// time order, and a window uploaded now would miss chunks still to
-    /// come. Then everything drains to the slow tier, each window holding
-    /// all of its data, so each slow-tier partition is written once. A
-    /// concurrent writer's inline maintenance waits for the drain.
-    pub fn flush_all(&self) -> Result<()> {
-        let state = self.maintenance.lock();
-        self.seal_heads()?;
-        self.tree.flush_all_to_slow()?;
-        self.maintain_locked(state)
-    }
-
-    /// The drain's first phase, under the maintenance lock: seals every
-    /// series and group head into the tree, and flushes a memtable that
-    /// fills to L0 without compacting or uploading anything.
-    fn seal_heads(&self) -> Result<()> {
-        for obj in self.series.values() {
-            let mut o = obj.lock();
-            let seq = o.seq;
-            if let Some((first, last, chunk)) = o.seal(&self.series_arena)? {
-                let id = o.id;
-                drop(o);
-                if self.put_chunk(id, first, last, chunk, seq, false) {
-                    self.tree.flush_sealed()?;
-                }
-            }
-        }
-        for obj in self.groups.values() {
-            let mut g = obj.lock();
-            let seq = g.seq;
-            if let Some((first, last, chunk)) =
-                g.seal(&self.group_ts_arena, &self.group_val_arena)?
-            {
-                let gid = g.gid;
-                drop(g);
-                if self.put_chunk(gid, first, last, chunk, seq, false) {
-                    self.tree.flush_sealed()?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Flushes logs/indexes; call before dropping for durability.
-    pub fn sync(&self) -> Result<()> {
-        self.flush_wal()?;
-        self.index.sync()?;
-        self.maintain()
-    }
-
-    /// Applies the retention policy (§3.3 "Data retention"): drops tree
-    /// partitions past the watermark and purges memory objects whose
-    /// newest sample is older than it. Returns `(partitions, objects)`
-    /// removed.
-    pub fn apply_retention(&self) -> Result<(usize, usize)> {
-        let Some(retention) = self.opts.retention_ms else {
-            return Ok((0, 0));
-        };
-        let watermark = self.opts.clock.now_ms() - retention;
-        let partitions = self.tree.purge_before(watermark)?;
-        let mut objects = 0;
-        // Series objects older than the watermark.
-        let stale: Vec<SeriesId> = self
-            .series
-            .entries()
-            .into_iter()
-            .filter(|(_, o)| o.lock().last_ts < watermark)
-            .map(|(id, _)| id)
-            .collect();
-        for id in stale {
-            let removed = self.series.remove(&id);
-            if let Some(obj) = removed {
-                let obj = Arc::try_unwrap(obj)
-                    .map_err(|_| Error::Closed("series busy during retention".into()))?
-                    .into_inner();
-                self.by_labels.remove(&obj.labels.to_bytes());
-                self.index.remove(&obj.labels, id)?;
-                obj.release(&self.series_arena)?;
-                objects += 1;
-            }
-        }
-        let stale_groups: Vec<GroupId> = self
-            .groups
-            .entries()
-            .into_iter()
-            .filter(|(_, o)| o.lock().last_ts < watermark)
-            .map(|(gid, _)| gid)
-            .collect();
-        for gid in stale_groups {
-            let removed = self.groups.remove(&gid);
-            if let Some(obj) = removed {
-                let obj = Arc::try_unwrap(obj)
-                    .map_err(|_| Error::Closed("group busy during retention".into()))?
-                    .into_inner();
-                self.group_by_tags.remove(&obj.group_tags.to_bytes());
-                self.index.remove(&obj.group_tags, gid)?;
-                for (_, unique) in obj.members() {
-                    self.index.remove(&obj.group_tags.merge(unique), gid)?;
-                }
-                obj.release(&self.group_ts_arena, &self.group_val_arena)?;
-                objects += 1;
-            }
-        }
-        Ok((partitions, objects))
     }
 
     // --- queries -------------------------------------------------------------------
@@ -1638,13 +1368,19 @@ impl TimeUnion {
         }
         let per_id = {
             let _stage = tu_obs::span("core.query.fanout");
+            // Heads first: a chunk that leaves a head after this read is
+            // in the tree before the plan below reads it.
+            let cols = pool.run(ids.len(), |i| self.columns_of(ids[i], selectors));
+            let cols: Vec<(ChunkFormat, Vec<Column>)> = cols.into_iter().collect::<Result<_>>()?;
             let plan = {
                 let _plan = tu_obs::span("core.query.plan");
                 let from = start.saturating_sub(self.max_chunk_span.load(Ordering::Relaxed) + 1);
                 self.tree.plan_reads(&ids, from, end)?
             };
             pool.run(ids.len(), |i| {
-                self.read_object(ids[i], selectors, &plan.chunks(i)?, (start, end), agg)
+                let (format, cols) = &cols[i];
+                let chunks = plan.chunks(i)?;
+                self.read_object(ids[i], *format, cols, &chunks, (start, end), agg)
             })
         };
         let _stage = tu_obs::span("core.query.sort");
@@ -1721,12 +1457,12 @@ impl TimeUnion {
     fn read_object(
         &self,
         id: SeriesId,
-        selectors: &[Selector],
+        format: ChunkFormat,
+        cols: &[Column],
         chunks: &[(Timestamp, &[u8])],
         (start, end): (Timestamp, Timestamp),
         agg: Option<AggSpec>,
     ) -> Result<Vec<SeriesResult>> {
-        let (format, cols) = self.columns_of(id, selectors)?;
         if cols.is_empty() {
             return Ok(Vec::new()); // purged since the select, or no member matched
         }
@@ -1746,14 +1482,13 @@ impl TimeUnion {
                 .map(|s| aggregate_step(spec.kind, s, start, end, spec.step_ms))
                 .collect(),
         };
-        Ok(read
-            .cols
-            .into_iter()
+        Ok(cols
+            .iter()
             .zip(samples)
             .filter(|(_, samples)| !samples.is_empty())
             .map(|(col, samples)| SeriesResult {
                 id,
-                labels: col.labels,
+                labels: col.labels.clone(),
                 samples,
             })
             .collect())
@@ -1771,7 +1506,8 @@ impl TimeUnion {
         last_ts: Timestamp,
         chunk: Vec<u8>,
     ) -> Result<()> {
-        self.flush_chunk(stream, first_ts, last_ts, chunk, 0, false)
+        let sealed = self.put_chunk(stream, first_ts, last_ts, chunk, 0, false);
+        self.maintain_inline(sealed)
     }
 
     /// All values recorded for a tag key (label-values API).
@@ -1924,7 +1660,7 @@ impl Drop for TimeUnion {
 
 // --- WAL payload codecs ------------------------------------------------------
 
-fn encode_group_row(t: Timestamp, entries: &[(SeriesRef, Value)]) -> Vec<u8> {
+pub(crate) fn encode_group_row(t: Timestamp, entries: &[(SeriesRef, Value)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + entries.len() * 12);
     out.extend_from_slice(&t.to_le_bytes());
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());

@@ -26,6 +26,7 @@ pub mod catalog;
 pub mod engine;
 pub mod group;
 pub mod introspect;
+pub mod maintenance;
 mod meta;
 pub mod model;
 pub mod profile;

@@ -297,7 +297,7 @@ pub(crate) struct AggCounters {
 /// One object's columns over `[start, end)`, and its chunks oldest first.
 pub(crate) struct ObjectRead<'a> {
     pub(crate) format: ChunkFormat,
-    pub(crate) cols: Vec<Column>,
+    pub(crate) cols: &'a [Column],
     pub(crate) chunks: &'a [(Timestamp, &'a [u8])],
     pub(crate) start: Timestamp,
     pub(crate) end: Timestamp,

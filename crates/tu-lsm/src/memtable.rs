@@ -158,7 +158,10 @@ impl MemTableSet {
     }
 
     /// Range scan across active + immutables; newest value wins per key.
+    /// The active table stays read-locked throughout, so no seal moves it
+    /// into the queue between the two reads.
     pub fn range(&self, start: &[u8], end: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let active = self.active.read();
         let mut out: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         // Oldest first so newer writes overwrite.
         for t in self.immutables.lock().iter() {
@@ -166,7 +169,7 @@ impl MemTableSet {
                 out.insert(k.to_vec(), v.to_vec());
             }
         }
-        for (k, v) in self.active.read().range(start, end) {
+        for (k, v) in active.range(start, end) {
             out.insert(k.to_vec(), v.to_vec());
         }
         out.into_iter().collect()
@@ -174,13 +177,9 @@ impl MemTableSet {
 
     /// Approximate bytes across active and immutable tables.
     pub fn approx_bytes(&self) -> usize {
-        self.active.read().approx_bytes()
-            + self
-                .immutables
-                .lock()
-                .iter()
-                .map(|t| t.approx_bytes())
-                .sum::<usize>()
+        let active = self.active.read().approx_bytes();
+        let queue = self.immutables.lock();
+        active + queue.iter().map(|t| t.approx_bytes()).sum::<usize>()
     }
 
     /// Number of queued immutable tables.

@@ -575,7 +575,11 @@ impl Table {
         // file tail; fetch them in a single request (one Get on the slow
         // tier instead of three).
         let tail = source.read_at(footer.index_off, footer.tail_len())?;
-        let Tail { index, bloom, props } = footer.parse_tail(&tail)?;
+        let Tail {
+            index,
+            bloom,
+            props,
+        } = footer.parse_tail(&tail)?;
         Ok(Table {
             cache_name: source.cache_name(),
             source,
@@ -829,10 +833,14 @@ mod tests {
         assert_eq!(want.len(), 5000);
         let before = (block.stats(), object.stats());
         let on_block = Table::scan_file(TableSource::Block(block.clone(), "sst".into())).unwrap();
-        let on_object = Table::scan_file(TableSource::Object(object.clone(), "sst".into())).unwrap();
+        let on_object =
+            Table::scan_file(TableSource::Object(object.clone(), "sst".into())).unwrap();
         assert_eq!(on_block, want);
         assert_eq!(on_object, want);
-        for d in [block.stats().since(&before.0), object.stats().since(&before.1)] {
+        for d in [
+            block.stats().since(&before.0),
+            object.stats().since(&before.1),
+        ] {
             assert_eq!(d.get_requests, 1);
             assert_eq!(d.bytes_read, bytes.len() as u64);
         }
@@ -858,16 +866,33 @@ mod tests {
         for word in 0..8 {
             let at = footer + word * 8;
             let old = tu_common::bytes::u64_le(&bytes[at..at + 8]);
-            for new in [0, 1, old.wrapping_add(1), old.wrapping_sub(1), file_len, u64::MAX] {
+            for new in [
+                0,
+                1,
+                old.wrapping_add(1),
+                old.wrapping_sub(1),
+                file_len,
+                u64::MAX,
+            ] {
                 if new == old {
                     continue;
                 }
                 let mut image = bytes.clone();
                 image[at..at + 8].copy_from_slice(&new.to_le_bytes());
-                check(&image, &format!("footer word {word} = {new:#x} (was {old:#x})"));
+                check(
+                    &image,
+                    &format!("footer word {word} = {new:#x} (was {old:#x})"),
+                );
             }
         }
-        for len in [0, 1, FOOTER_LEN - 1, FOOTER_LEN, bytes.len() / 2, bytes.len() - 1] {
+        for len in [
+            0,
+            1,
+            FOOTER_LEN - 1,
+            FOOTER_LEN,
+            bytes.len() / 2,
+            bytes.len() - 1,
+        ] {
             check(&bytes[..len], &format!("a truncation to {len} bytes"));
         }
     }

@@ -23,9 +23,9 @@
 //! * retention purges of whole partitions.
 //!
 //! The tree is synchronous: `put` never blocks on I/O beyond the WAL-less
-//! memtable insert, and all background-style work happens in
-//! [`TimeTree::maintain`], which the embedding engine calls from its worker
-//! thread (or inline in deterministic benchmarks).
+//! memtable insert, and all background-style work happens in the
+//! maintenance steps ([`TimeTree::maintain`] runs them in order), which the
+//! embedding engine runs inside its own maintenance pass.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -206,6 +206,17 @@ impl TableMeta {
     }
 }
 
+/// Tables a maintenance step made obsolete, for
+/// [`TimeTree::delete_obsolete`] once the saved manifest drops them.
+#[derive(Debug, Default)]
+pub struct Obsolete(Vec<TableMeta>);
+
+impl Obsolete {
+    pub fn extend(&mut self, other: Obsolete) {
+        self.0.extend(other.0);
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Partition {
     range: TimeRange,
@@ -230,6 +241,19 @@ struct Levels {
     l2: Vec<L2Partition>,
     r1_ms: i64,
     r2_ms: i64,
+}
+
+impl Levels {
+    /// Every table of L0 and L1.
+    fn fast_tables(&self) -> impl Iterator<Item = &TableMeta> + Clone {
+        self.l0.iter().chain(&self.l1).flat_map(|p| &p.tables)
+    }
+
+    /// Every table of L2, patches included.
+    fn slow_tables(&self) -> impl Iterator<Item = &TableMeta> + Clone {
+        let tables = self.l2.iter().flat_map(|p| &p.tables);
+        tables.flat_map(|t| std::iter::once(&t.base).chain(&t.patches))
+    }
 }
 
 /// One table's share of a [`ReadPlan`].
@@ -392,32 +416,38 @@ impl TimeTree {
         self.levels.lock().r2_ms
     }
 
-    /// Runs all pending background work to quiescence: flushes, both
-    /// compaction kinds (patch merges included), and dynamic size control.
-    /// The tables the compactions made obsolete are deleted only once the
-    /// saved manifest no longer names them.
+    // --- maintenance steps ------------------------------------------------------
+    //
+    // A maintenance pass is these steps in this order: `flush_sealed`,
+    // `compact_l0`, `upload_windows`, `purge_before` (retention only),
+    // `save_manifest`, `delete_obsolete`. The engine runs them with its own
+    // steps in between; `maintain` and `flush_all_to_slow` run them alone.
+    // A tree runs one pass at a time: a compaction selects its inputs
+    // without taking them out of the levels, so two passes at once could
+    // select the same ones.
+
+    /// One pass over the tree alone: flushes, then compacts down to the
+    /// compaction trigger and uploads the closed windows.
     pub fn maintain(&self) -> Result<()> {
+        self.pass(false)
+    }
+
+    /// Seals the active memtable and drains everything above L2 into L2.
+    pub fn flush_all_to_slow(&self) -> Result<()> {
+        self.seal();
+        self.pass(true)
+    }
+
+    fn pass(&self, drain: bool) -> Result<()> {
         self.flush_sealed()?;
-        let mut obsolete = Vec::new();
-        loop {
-            let l0_count = self.levels.lock().l0.len();
-            if l0_count <= self.opts.l0_compact_trigger {
-                break;
-            }
-            obsolete.extend(self.compact_l0_to_l1()?);
-        }
-        while self.l1_window_closed() {
-            obsolete.extend(self.compact_l1_to_l2()?);
-        }
-        self.dynamic_size_control()?;
+        let mut obsolete = self.compact_l0(drain)?;
+        obsolete.extend(self.upload_windows(drain)?);
         self.save_manifest()?;
-        self.delete_tables(&obsolete)
+        self.delete_obsolete(obsolete)
     }
 
     /// Flushes every sealed memtable to L0, oldest first, and nothing
-    /// more: no compaction, no upload. A drain that is still sealing heads
-    /// calls it to keep the heap bounded without uploading a window whose
-    /// data is not all in yet.
+    /// more: no compaction, no upload.
     pub fn flush_sealed(&self) -> Result<()> {
         while let Some(imm) = self.mem.oldest_immutable() {
             self.flush_one(&imm)?;
@@ -428,30 +458,41 @@ impl TimeTree {
         Ok(())
     }
 
-    /// Seals and fully drains everything above L2 into L2 (used by tests
-    /// and orderly shutdown benchmarks).
-    pub fn flush_all_to_slow(&self) -> Result<()> {
-        self.seal();
-        self.maintain()?;
+    /// Compacts L0 into L1, oldest partition first, until at most
+    /// `l0_compact_trigger` partitions are left, or none when `drain`.
+    pub fn compact_l0(&self, drain: bool) -> Result<Obsolete> {
+        let trigger = if drain {
+            0
+        } else {
+            self.opts.l0_compact_trigger
+        };
+        self.compact_while(|lv| lv.l0.len() > trigger, Self::compact_l0_to_l1)
+    }
+
+    /// Merges or uploads L1's windows into L2, oldest first: the closed
+    /// ones, or every one when `drain`. Then runs dynamic size control.
+    pub fn upload_windows(&self, drain: bool) -> Result<Obsolete> {
+        let due = |lv: &Levels| match drain {
+            true => !lv.l1.is_empty(),
+            false => l1_window_closed(lv),
+        };
+        let obsolete = self.compact_while(due, Self::compact_l1_to_l2)?;
+        self.dynamic_size_control();
+        Ok(obsolete)
+    }
+
+    /// The one compaction loop: runs `compact` while `due` holds, and
+    /// returns the tables the runs made obsolete.
+    fn compact_while(
+        &self,
+        due: impl Fn(&Levels) -> bool,
+        compact: fn(&Self) -> Result<Vec<TableMeta>>,
+    ) -> Result<Obsolete> {
         let mut obsolete = Vec::new();
-        loop {
-            let empty_l0 = {
-                let lv = self.levels.lock();
-                lv.l0.is_empty()
-            };
-            if !empty_l0 {
-                obsolete.extend(self.compact_l0_to_l1()?);
-                continue;
-            }
-            let empty_l1 = self.levels.lock().l1.is_empty();
-            if !empty_l1 {
-                obsolete.extend(self.compact_l1_to_l2()?);
-                continue;
-            }
-            break;
+        while due(&self.levels.lock()) {
+            obsolete.extend(compact(self)?);
         }
-        self.save_manifest()?;
-        self.delete_tables(&obsolete)
+        Ok(Obsolete(obsolete))
     }
 
     fn next_seq(&self) -> u64 {
@@ -558,16 +599,6 @@ impl TimeTree {
         Ok(out)
     }
 
-    /// Builds one or more SSTables on the fast tier from sorted entries.
-    fn build_tables(
-        &self,
-        entries: &[(Vec<u8>, Vec<u8>)],
-        level: u8,
-        range: TimeRange,
-    ) -> Result<Vec<TableMeta>> {
-        self.write_tables(self.encode_tables(entries)?, level, range)
-    }
-
     fn source(&self, meta: &TableMeta) -> TableSource {
         if meta.on_slow {
             TableSource::Object(self.env.object.clone(), meta.name.clone())
@@ -585,9 +616,10 @@ impl TimeTree {
         Ok(table)
     }
 
-    /// Deletes tables the saved manifest no longer names.
-    fn delete_tables(&self, metas: &[TableMeta]) -> Result<()> {
-        for meta in metas {
+    /// Deletes tables a step made obsolete. Call it only once a saved
+    /// manifest no longer names them.
+    pub fn delete_obsolete(&self, obsolete: Obsolete) -> Result<()> {
+        for meta in &obsolete.0 {
             self.tables.lock().remove(&meta.name);
             let _heat = tu_obs::heat::attribute(meta.range.start, meta.range.end);
             if meta.on_slow {
@@ -632,66 +664,42 @@ impl TimeTree {
     // --- L0 -> L1 -------------------------------------------------------------
 
     /// Compacts the oldest L0 partition, and every partition overlapping
-    /// it, into L1. Returns the input tables, for deletion once the saved
+    /// it, into L1. The inputs stay in the levels until the outputs replace
+    /// them in one critical section, so a reader always finds one or the
+    /// other. Returns the input tables, for deletion once the saved
     /// manifest no longer names them.
     fn compact_l0_to_l1(&self) -> Result<Vec<TableMeta>> {
         let _span = tu_obs::span("lsm.compact.l0_l1");
         // Select the oldest L0 partition plus everything overlapping it.
-        let (l0_sel, l1_sel, out_len) = {
-            let mut lv = self.levels.lock();
-            if lv.l0.is_empty() {
+        let (sel_range, all_tables, stale, out_len) = {
+            let lv = self.levels.lock();
+            let Some(victim) = lv.l0.first() else {
                 return Ok(Vec::new());
-            }
-            let victim_range = lv.l0[0].range;
-            let mut sel_range = victim_range;
+            };
+            let mut sel_range = victim.range;
             // Gather overlapping L0 partitions (multi-grid overlap after
             // dynamic resizing) transitively.
             let mut changed = true;
             while changed {
                 changed = false;
-                for p in &lv.l0 {
-                    if p.range.overlaps(&sel_range) && !sel_range.covers(&p.range) {
-                        sel_range = sel_range.union(&p.range);
-                        changed = true;
-                    }
-                }
-                for p in &lv.l1 {
+                for p in lv.l0.iter().chain(lv.l1.iter()) {
                     if p.range.overlaps(&sel_range) && !sel_range.covers(&p.range) {
                         sel_range = sel_range.union(&p.range);
                         changed = true;
                     }
                 }
             }
-            let l0_sel: Vec<Partition> = lv
-                .l0
-                .iter()
-                .filter(|p| p.range.overlaps(&sel_range))
-                .cloned()
-                .collect();
-            let l1_sel: Vec<Partition> = lv
-                .l1
-                .iter()
-                .filter(|p| p.range.overlaps(&sel_range))
-                .cloned()
-                .collect();
+            let selected = |level: &Vec<Partition>| -> Vec<Partition> {
+                let overlapping = level.iter().filter(|p| p.range.overlaps(&sel_range));
+                overlapping.cloned().collect()
+            };
+            let (l0_sel, l1_sel) = (selected(&lv.l0), selected(&lv.l1));
+            let sel = l0_sel.iter().chain(l1_sel.iter());
             // Figure 12: output aligned to the shortest selected length.
-            let out_len = l0_sel
-                .iter()
-                .chain(l1_sel.iter())
-                .map(|p| p.range.len())
-                .min()
-                .unwrap_or(lv.r1_ms)
-                .max(1);
-            lv.l0.retain(|p| !p.range.overlaps(&sel_range));
-            lv.l1.retain(|p| !p.range.overlaps(&sel_range));
-            (l0_sel, l1_sel, out_len)
+            let out_len = sel.clone().map(|p| p.range.len()).min().unwrap_or(lv.r1_ms);
+            let tables: Vec<TableMeta> = sel.flat_map(|p| p.tables.iter().cloned()).collect();
+            (sel_range, tables, !l1_sel.is_empty(), out_len.max(1))
         };
-        let stale = !l1_sel.is_empty();
-        let all_tables: Vec<TableMeta> = l0_sel
-            .iter()
-            .chain(l1_sel.iter())
-            .flat_map(|p| p.tables.iter().cloned())
-            .collect();
         let merged = self.merge_tables(&all_tables)?;
         // Split merged entries into output partitions on the out_len grid.
         let mut buckets: BTreeMap<i64, Vec<(Vec<u8>, Vec<u8>)>> = BTreeMap::new();
@@ -707,20 +715,21 @@ impl TimeTree {
             // Entries are grouped per series already (BTreeMap over the
             // id-prefixed key), giving the data locality the paper wants.
             let range = TimeRange::new(slot * out_len, (slot + 1) * out_len);
-            let tables = self.build_tables(&entries, 1, range)?;
+            let tables = self.write_tables(self.encode_tables(&entries)?, 1, range)?;
             new_parts.push(Partition { range, tables });
         }
         {
             let mut lv = self.levels.lock();
+            lv.l0.retain(|p| !p.range.overlaps(&sel_range));
+            lv.l1.retain(|p| !p.range.overlaps(&sel_range));
             lv.l1.extend(new_parts);
             lv.l1.sort_by_key(|p| p.range.start);
         }
-        let mut stats = self.stats.lock();
-        stats.l0_to_l1_compactions += 1;
-        if stale {
-            stats.stale_l0_merges += 1;
+        {
+            let mut stats = self.stats.lock();
+            stats.l0_to_l1_compactions += 1;
+            stats.stale_l0_merges += u64::from(stale);
         }
-        drop(stats);
         tu_obs::log::info(
             "lsm.compact",
             "L0->L1 compaction",
@@ -734,72 +743,28 @@ impl TimeTree {
 
     // --- L1 -> L2 -------------------------------------------------------------
 
-    /// True when the oldest L2-grid window in L1 is "closed": newer data
-    /// exists beyond its end, so no in-order data will arrive for it.
-    fn l1_window_closed(&self) -> bool {
-        let lv = self.levels.lock();
-        let Some(oldest) = lv.l1.iter().map(|p| p.range.start).min() else {
-            return false;
-        };
-        let window_end = (oldest.div_euclid(lv.r2_ms) + 1) * lv.r2_ms;
-        let newest = lv
-            .l0
-            .iter()
-            .chain(lv.l1.iter())
-            .map(|p| p.range.end)
-            .max()
-            .unwrap_or(window_end);
-        newest > window_end
-    }
-
     /// Merges the oldest closed L2-grid window of L1 and uploads it: as
     /// new L2 partitions, or as patches (or patch merges) of the L2 tables
-    /// it overlaps. Returns the tables made obsolete — the L1 inputs and
-    /// what the patch merges replaced — for deletion once the saved
-    /// manifest no longer names them.
+    /// it overlaps. The L1 inputs leave the levels only once every output
+    /// is in, so a reader always finds one or the other. Returns the
+    /// tables made obsolete — the L1 inputs and what the patch merges
+    /// replaced — for deletion once the saved manifest no longer names
+    /// them.
     fn compact_l1_to_l2(&self) -> Result<Vec<TableMeta>> {
         let _span = tu_obs::span("lsm.compact.l1_l2");
-        let (selected, window) = {
-            let mut lv = self.levels.lock();
-            let Some(oldest) = lv.l1.iter().map(|p| p.range.start).min() else {
+        let (mut obsolete, window) = {
+            let lv = self.levels.lock();
+            let Some(oldest) = lv.l1.first() else {
                 return Ok(Vec::new());
             };
-            let w_start = oldest.div_euclid(lv.r2_ms) * lv.r2_ms;
-            let window = TimeRange::new(w_start, w_start + lv.r2_ms);
-            let selected: Vec<Partition> = lv
-                .l1
-                .iter()
-                .filter(|p| window.covers(&p.range))
-                .cloned()
-                .collect();
-            if selected.is_empty() {
-                // A straddling partition (possible after resizes): widen the
-                // window to cover it so progress is guaranteed, and take
-                // every partition the widened window now covers.
-                let Some(p) = lv.l1.iter().min_by_key(|p| p.range.start).cloned() else {
-                    return Ok(Vec::new()); // L1 emptied concurrently: nothing to move
-                };
-                let window = TimeRange::new(
-                    w_start.min(p.range.start),
-                    p.range.end.max(w_start + lv.r2_ms),
-                );
-                let sel: Vec<Partition> = lv
-                    .l1
-                    .iter()
-                    .filter(|q| window.covers(&q.range))
-                    .cloned()
-                    .collect();
-                lv.l1.retain(|q| !window.covers(&q.range));
-                (sel, window)
-            } else {
-                lv.l1.retain(|p| !window.covers(&p.range));
-                (selected, window)
-            }
+            let w_start = oldest.range.start.div_euclid(lv.r2_ms) * lv.r2_ms;
+            // A partition straddling the window's end (possible after
+            // resizes) widens the window, so progress is guaranteed.
+            let window = TimeRange::new(w_start, oldest.range.end.max(w_start + lv.r2_ms));
+            let selected = lv.l1.iter().filter(|p| window.covers(&p.range));
+            let tables: Vec<TableMeta> = selected.flat_map(|p| p.tables.iter().cloned()).collect();
+            (tables, window)
         };
-        let mut obsolete: Vec<TableMeta> = selected
-            .iter()
-            .flat_map(|p| p.tables.iter().cloned())
-            .collect();
         let input_tables = obsolete.len();
         let merged = self.merge_tables(&obsolete)?;
 
@@ -846,28 +811,10 @@ impl TimeTree {
             for (slot, entries) in buckets {
                 let range = TimeRange::new(slot * align, (slot + 1) * align);
                 let metas = self.upload_l2_tables(&entries, range)?;
-                let mut lv = self.levels.lock();
-                match lv.l2.iter_mut().find(|p| p.range == range) {
-                    Some(p) => p.tables.extend(metas.into_iter().map(|m| L2Table {
-                        base: m,
-                        patches: Vec::new(),
-                    })),
-                    None => {
-                        lv.l2.push(L2Partition {
-                            range,
-                            tables: metas
-                                .into_iter()
-                                .map(|m| L2Table {
-                                    base: m,
-                                    patches: Vec::new(),
-                                })
-                                .collect(),
-                        });
-                        lv.l2.sort_by_key(|p| p.range.start);
-                    }
-                }
+                add_l2_bases(&mut self.levels.lock(), range, metas);
             }
         }
+        self.levels.lock().l1.retain(|p| !window.covers(&p.range));
         self.stats.lock().l1_to_l2_compactions += 1;
         tu_obs::log::info(
             "lsm.compact",
@@ -934,29 +881,19 @@ impl TimeTree {
             // Snapshot the partition's tables: base name and ID range.
             let (range, targets) = {
                 let lv = self.levels.lock();
-                let p = lv
-                    .l2
+                let p = lv.l2.iter().find(|p| p.range.start == part_start);
+                let p = p.ok_or_else(|| Error::corruption("patch target partition vanished"))?;
+                let bases = p
+                    .tables
                     .iter()
-                    .find(|p| p.range.start == part_start)
-                    .ok_or_else(|| Error::corruption("patch target partition vanished"))?;
-                (
-                    p.range,
-                    p.tables
-                        .iter()
-                        .map(|t| (t.base.name.clone(), t.base.last_id()))
-                        .collect::<Vec<_>>(),
-                )
+                    .map(|t| (t.base.name.clone(), t.base.last_id()));
+                (p.range, bases.collect::<Vec<_>>())
             };
             if targets.is_empty() {
                 // Partition had no tables (shouldn't happen): the entries
                 // become its base tables.
                 let metas = self.upload_l2_tables(&entries, range)?;
-                let mut lv = self.levels.lock();
-                let p = l2_partition(&mut lv, range)?;
-                p.tables.extend(metas.into_iter().map(|base| L2Table {
-                    base,
-                    patches: Vec::new(),
-                }));
+                add_l2_bases(&mut self.levels.lock(), range, metas);
                 continue;
             }
             // Split entries by target table (ID ranges are disjoint; route
@@ -1031,13 +968,12 @@ impl TimeTree {
         let metas = self.upload_l2_tables(&merged, range)?;
         {
             let mut lv = self.levels.lock();
-            let p = l2_partition(&mut lv, range)?;
-            p.tables.retain(|t| t.base.name != base_name);
-            p.tables.extend(metas.into_iter().map(|base| L2Table {
-                base,
-                patches: Vec::new(),
-            }));
+            l2_partition(&mut lv, range)?
+                .tables
+                .retain(|t| t.base.name != base_name);
+            add_l2_bases(&mut lv, range, metas);
             // Keep tables sorted by their first key for routing.
+            let p = l2_partition(&mut lv, range)?;
             p.tables
                 .sort_by(|a, b| a.base.props.first_key.cmp(&b.base.props.first_key));
         }
@@ -1047,20 +983,14 @@ impl TimeTree {
 
     // --- dynamic size control (Algorithm 1) -----------------------------------
 
-    fn dynamic_size_control(&self) -> Result<()> {
+    fn dynamic_size_control(&self) {
         let Some(st) = self.opts.fast_limit_bytes else {
-            return Ok(());
+            return;
         };
         let mut lv = self.levels.lock();
-        let total_size: u64 = lv
-            .l0
-            .iter()
-            .chain(lv.l1.iter())
-            .flat_map(|p| p.tables.iter())
-            .map(|t| t.props.file_len)
-            .sum();
+        let total_size: u64 = lv.fast_tables().map(|t| t.props.file_len).sum();
         if total_size == 0 {
-            return Ok(());
+            return;
         }
         // thres = ST / total_size * R1: the partition length that would fit
         // the budget at the observed data density.
@@ -1097,7 +1027,6 @@ impl TimeTree {
                 }
             }
         }
-        Ok(())
     }
 
     // --- reads ----------------------------------------------------------------
@@ -1134,15 +1063,9 @@ impl TimeTree {
         // Snapshot the level metadata, then read without holding the lock.
         let metas: Vec<(TableMeta, std::ops::Range<usize>)> = {
             let lv = self.levels.lock();
-            let fast = lv.l0.iter().chain(lv.l1.iter());
-            let fast = fast
-                .filter(|p| p.range.overlaps(&tr))
-                .flat_map(|p| p.tables.iter());
-            let slow = lv.l2.iter().filter(|p| p.range.overlaps(&tr));
-            let slow = slow
-                .flat_map(|p| p.tables.iter())
-                .flat_map(|t| std::iter::once(&t.base).chain(t.patches.iter()));
-            fast.chain(slow)
+            let overlapping = lv.fast_tables().chain(lv.slow_tables());
+            overlapping
+                .filter(|t| t.range.overlaps(&tr))
                 .map(|t| (t, t.ids_covered(ids)))
                 .filter(|(_, covered)| !covered.is_empty())
                 .map(|(t, covered)| (t.clone(), covered))
@@ -1191,39 +1114,21 @@ impl TimeTree {
 
     // --- retention --------------------------------------------------------------
 
-    /// Deletes every partition that ends at or before `watermark`.
-    /// Returns the number of partitions removed, over L0, L1 and L2 (not
-    /// the tables and patches they held).
-    pub fn purge_before(&self, watermark: Timestamp) -> Result<usize> {
-        let (count, drop_fast, drop_slow) = {
-            let mut lv = self.levels.lock();
-            let mut fast = Vec::new();
-            let mut count = 0;
-            for p in lv.l0.iter().chain(lv.l1.iter()) {
-                if p.range.end <= watermark {
-                    fast.extend(p.tables.iter().cloned());
-                    count += 1;
-                }
-            }
-            let mut slow = Vec::new();
-            for p in &lv.l2 {
-                if p.range.end <= watermark {
-                    for t in &p.tables {
-                        slow.push(t.base.clone());
-                        slow.extend(t.patches.iter().cloned());
-                    }
-                    count += 1;
-                }
-            }
-            lv.l0.retain(|p| p.range.end > watermark);
-            lv.l1.retain(|p| p.range.end > watermark);
-            lv.l2.retain(|p| p.range.end > watermark);
-            (count, fast, slow)
-        };
-        self.save_manifest()?;
-        self.delete_tables(&drop_fast)?;
-        self.delete_tables(&drop_slow)?;
-        Ok(count)
+    /// Drops every partition that ends at or before `watermark` from the
+    /// levels. Returns how many went, over L0, L1 and L2 (not the tables
+    /// and patches they held), and their tables, for deletion once the
+    /// saved manifest no longer names them.
+    pub fn purge_before(&self, watermark: Timestamp) -> (usize, Obsolete) {
+        let mut lv = self.levels.lock();
+        let expired = |r: &TimeRange| r.end <= watermark;
+        let fast = lv.l0.iter().chain(&lv.l1).filter(|p| expired(&p.range));
+        let count = fast.count() + lv.l2.iter().filter(|p| expired(&p.range)).count();
+        let tables = lv.fast_tables().chain(lv.slow_tables());
+        let tables = tables.filter(|t| expired(&t.range)).cloned().collect();
+        lv.l0.retain(|p| !expired(&p.range));
+        lv.l1.retain(|p| !expired(&p.range));
+        lv.l2.retain(|p| !expired(&p.range));
+        (count, Obsolete(tables))
     }
 
     // --- observability ------------------------------------------------------------
@@ -1236,21 +1141,8 @@ impl TimeTree {
         s.l0_partitions = lv.l0.len();
         s.l1_partitions = lv.l1.len();
         s.l2_partitions = lv.l2.len();
-        s.fast_bytes = lv
-            .l0
-            .iter()
-            .chain(lv.l1.iter())
-            .flat_map(|p| p.tables.iter())
-            .map(|t| t.props.file_len)
-            .sum();
-        s.slow_bytes = lv
-            .l2
-            .iter()
-            .flat_map(|p| p.tables.iter())
-            .map(|t| {
-                t.base.props.file_len + t.patches.iter().map(|x| x.props.file_len).sum::<u64>()
-            })
-            .sum();
+        s.fast_bytes = lv.fast_tables().map(|t| t.props.file_len).sum();
+        s.slow_bytes = lv.slow_tables().map(|t| t.props.file_len).sum();
         s
     }
 
@@ -1268,66 +1160,57 @@ impl TimeTree {
                 patches,
             }
         }
-        fn fast_partition(p: &Partition) -> PartitionIntrospect {
+        /// One partition: its base tables, and totals over `all` of its
+        /// tables, patches included.
+        fn view<'a>(
+            range: TimeRange,
+            tier: &'static str,
+            tables: Vec<TableIntrospect>,
+            all: impl Iterator<Item = &'a TableMeta>,
+        ) -> PartitionIntrospect {
+            let (mut bytes, mut chunks, mut stats_chunks) = (0, 0, 0);
+            for t in all {
+                bytes += t.props.file_len;
+                chunks += t.props.entries;
+                stats_chunks += t.props.stats_chunks;
+            }
             PartitionIntrospect {
-                start_ms: p.range.start,
-                end_ms: p.range.end,
-                tier: "block",
-                bytes: p.tables.iter().map(|t| t.props.file_len).sum(),
-                chunks: p.tables.iter().map(|t| t.props.entries).sum(),
-                stats_chunks: p.tables.iter().map(|t| t.props.stats_chunks).sum(),
-                patches: 0,
-                tables: p.tables.iter().map(|t| table_view(t, 0)).collect(),
+                start_ms: range.start,
+                end_ms: range.end,
+                tier,
+                bytes,
+                chunks,
+                stats_chunks,
+                patches: tables.iter().map(|t| t.patches).sum(),
+                tables,
             }
         }
+        let fast = |p: &Partition| {
+            let tables = p.tables.iter().map(|t| table_view(t, 0)).collect();
+            view(p.range, "block", tables, p.tables.iter())
+        };
+        let slow = |p: &L2Partition| {
+            let tables = p.tables.iter();
+            let views = tables.clone().map(|t| table_view(&t.base, t.patches.len()));
+            let all = tables.flat_map(|t| std::iter::once(&t.base).chain(t.patches.iter()));
+            view(p.range, "object", views.collect(), all)
+        };
         let lv = self.levels.lock();
         let levels = vec![
             LevelIntrospect {
                 level: 0,
                 tier: "block",
-                partitions: lv.l0.iter().map(fast_partition).collect(),
+                partitions: lv.l0.iter().map(fast).collect(),
             },
             LevelIntrospect {
                 level: 1,
                 tier: "block",
-                partitions: lv.l1.iter().map(fast_partition).collect(),
+                partitions: lv.l1.iter().map(fast).collect(),
             },
             LevelIntrospect {
                 level: 2,
                 tier: "object",
-                partitions: lv
-                    .l2
-                    .iter()
-                    .map(|p| {
-                        fn all(t: &L2Table) -> impl Iterator<Item = &TableMeta> {
-                            std::iter::once(&t.base).chain(t.patches.iter())
-                        }
-                        PartitionIntrospect {
-                            start_ms: p.range.start,
-                            end_ms: p.range.end,
-                            tier: "object",
-                            bytes: p
-                                .tables
-                                .iter()
-                                .flat_map(all)
-                                .map(|t| t.props.file_len)
-                                .sum(),
-                            chunks: p.tables.iter().flat_map(all).map(|t| t.props.entries).sum(),
-                            stats_chunks: p
-                                .tables
-                                .iter()
-                                .flat_map(all)
-                                .map(|t| t.props.stats_chunks)
-                                .sum(),
-                            patches: p.tables.iter().map(|t| t.patches.len()).sum(),
-                            tables: p
-                                .tables
-                                .iter()
-                                .map(|t| table_view(&t.base, t.patches.len()))
-                                .collect(),
-                        }
-                    })
-                    .collect(),
+                partitions: lv.l2.iter().map(slow).collect(),
             },
         ];
         LsmIntrospect {
@@ -1363,7 +1246,8 @@ impl TimeTree {
 
     const MANIFEST: &'static str = "MANIFEST";
 
-    fn save_manifest(&self) -> Result<()> {
+    /// Replaces the `MANIFEST` with the levels as they stand.
+    pub fn save_manifest(&self) -> Result<()> {
         let lv = self.levels.lock();
         let mut out = String::new();
         use std::fmt::Write as _;
@@ -1390,14 +1274,11 @@ impl TimeTree {
                 m.props.stats_chunks,
             );
         };
-        for p in &lv.l0 {
-            for t in &p.tables {
-                table_line("L0", &p.range, t, &mut out);
-            }
-        }
-        for p in &lv.l1 {
-            for t in &p.tables {
-                table_line("L1", &p.range, t, &mut out);
+        for (tag, level) in [("L0", &lv.l0), ("L1", &lv.l1)] {
+            for p in level {
+                for t in &p.tables {
+                    table_line(tag, &p.range, t, &mut out);
+                }
             }
         }
         for p in &lv.l2 {
@@ -1477,23 +1358,7 @@ impl TimeTree {
                         }),
                     }
                 }
-                "L2" => {
-                    let part = match lv.l2.iter_mut().find(|p| p.range == range) {
-                        Some(p) => p,
-                        None => {
-                            lv.l2.push(L2Partition {
-                                range,
-                                tables: Vec::new(),
-                            });
-                            let end = lv.l2.len() - 1;
-                            &mut lv.l2[end]
-                        }
-                    };
-                    part.tables.push(L2Table {
-                        base: meta,
-                        patches: Vec::new(),
-                    });
-                }
+                "L2" => add_l2_bases(&mut lv, range, vec![meta]),
                 "PATCH" => {
                     let part = lv
                         .l2
@@ -1521,10 +1386,8 @@ impl TimeTree {
     fn delete_unnamed_tables(&self) -> Result<()> {
         let named: std::collections::HashSet<String> = {
             let lv = self.levels.lock();
-            let fast = lv.l0.iter().chain(lv.l1.iter()).flat_map(|p| p.tables.iter());
-            let slow = lv.l2.iter().flat_map(|p| p.tables.iter());
-            let slow = slow.flat_map(|t| std::iter::once(&t.base).chain(t.patches.iter()));
-            fast.chain(slow).map(|t| t.name.clone()).collect()
+            let all = lv.fast_tables().chain(lv.slow_tables());
+            all.map(|t| t.name.clone()).collect()
         };
         let block = &self.env.block;
         for name in [block.list_prefix("l0/"), block.list_prefix("l1/")].concat() {
@@ -1572,6 +1435,40 @@ fn unhex(s: &str) -> Result<Vec<u8>> {
 fn parse(s: &str, what: &str) -> Result<u64> {
     s.parse()
         .map_err(|_| Error::corruption(format!("manifest field {what} malformed")))
+}
+
+/// True when the oldest L2-grid window in L1 is "closed": newer data
+/// exists beyond its end, so no in-order data will arrive for it.
+fn l1_window_closed(lv: &Levels) -> bool {
+    let Some(oldest) = lv.l1.iter().map(|p| p.range.start).min() else {
+        return false;
+    };
+    let window_end = (oldest.div_euclid(lv.r2_ms) + 1) * lv.r2_ms;
+    let newest = lv
+        .l0
+        .iter()
+        .chain(lv.l1.iter())
+        .map(|p| p.range.end)
+        .max()
+        .unwrap_or(window_end);
+    newest > window_end
+}
+
+/// Adds fresh base tables to the L2 partition spanning exactly `range`,
+/// which is created if it does not exist.
+fn add_l2_bases(lv: &mut Levels, range: TimeRange, metas: Vec<TableMeta>) {
+    let tables = metas.into_iter().map(|base| L2Table {
+        base,
+        patches: Vec::new(),
+    });
+    match lv.l2.iter_mut().find(|p| p.range == range) {
+        Some(p) => p.tables.extend(tables),
+        None => {
+            let tables = tables.collect();
+            lv.l2.push(L2Partition { range, tables });
+            lv.l2.sort_by_key(|p| p.range.start);
+        }
+    }
 }
 
 /// The L2 partition spanning exactly `range`.
@@ -1867,7 +1764,11 @@ mod tests {
                 // A late chunk, a rewrite of a base chunk, and a rewrite of
                 // the previous round's late chunk.
                 let late = (r as i64 + 1) * MIN;
-                let writes = [(late, 5000 + r), (30 * MIN, 6000 + r), (late - MIN, 7000 + r)];
+                let writes = [
+                    (late, 5000 + r),
+                    (30 * MIN, 6000 + r),
+                    (late - MIN, 7000 + r),
+                ];
                 for (ts, tag) in writes {
                     t.put(0, ts, chunk(tag));
                     model.insert((0, ts), chunk(tag));
@@ -1918,7 +1819,7 @@ mod tests {
         let inputs = t.compact_l0_to_l1().unwrap();
         assert_eq!(inputs.len() as u64, K);
         assert_eq!(env.block.stats().since(&before).get_requests, K);
-        t.delete_tables(&inputs).unwrap();
+        t.delete_obsolete(Obsolete(inputs)).unwrap();
 
         // The L2 table takes `patch_threshold` patches without a Get; the
         // next append merges base + patches, one Get each, and uploads only
@@ -1997,8 +1898,10 @@ mod tests {
         t.put(1, 2 * HOUR + 10 * MIN, chunk(8));
         t.flush_all_to_slow().unwrap();
         assert_eq!(t.stats().patches_created, 2);
-        let removed = t.purge_before(4 * HOUR).unwrap();
+        let (removed, obsolete) = t.purge_before(4 * HOUR);
         assert_eq!(removed, 2, "the 2-hour L2 partitions ending by 4 h");
+        t.save_manifest().unwrap();
+        t.delete_obsolete(obsolete).unwrap();
         assert_eq!(t.stats().l2_partitions, 1);
         let remaining = t.range_chunks(0, 0, 7 * HOUR).unwrap();
         assert!(remaining.len() < 12);
