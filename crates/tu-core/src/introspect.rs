@@ -38,9 +38,9 @@ fn table_json(t: &TableIntrospect) -> String {
 
 fn partition_core_json(p: &PartitionIntrospect) -> String {
     format!(
-        "\"start_ms\":{},\"end_ms\":{},\"tier\":\"{}\",\"bytes\":{},\
+        "\"start_ms\":{},\"end_ms\":{},\"tier\":\"{}\",\"bytes\":{},\"fast_bytes\":{},\
          \"chunks\":{},\"stats_chunks\":{},\"patches\":{}",
-        p.start_ms, p.end_ms, p.tier, p.bytes, p.chunks, p.stats_chunks, p.patches
+        p.start_ms, p.end_ms, p.tier, p.bytes, p.fast_bytes, p.chunks, p.stats_chunks, p.patches
     )
 }
 
@@ -194,6 +194,7 @@ mod tests {
                         end_ms: 7_200_000,
                         tier: "block",
                         bytes: 4096,
+                        fast_bytes: 4096,
                         chunks: 12,
                         stats_chunks: 10,
                         patches: 0,
@@ -215,6 +216,7 @@ mod tests {
                         end_ms: 86_400_000,
                         tier: "object",
                         bytes: 65536,
+                        fast_bytes: 512,
                         chunks: 300,
                         stats_chunks: 300,
                         patches: 1,
@@ -273,6 +275,8 @@ mod tests {
         assert!(json.contains("\"level\":0,\"tier\":\"block\""));
         assert!(json.contains("\"name\":\"l0/000001.sst\",\"seq\":1"));
         assert!(json.contains("\"stats_chunks\":10"));
+        // An L2 partition's fast-tier patch bytes are their own field.
+        assert!(json.contains("\"tier\":\"object\",\"bytes\":65536,\"fast_bytes\":512"));
         assert!(json.contains("\"cache\":{\"shards\":16,\"used_bytes\":8192"));
         assert!(json.contains("\"bloom\":{\"checks\":100,\"negatives\":93}"));
         // Identical inputs render byte-identically (schema stability).

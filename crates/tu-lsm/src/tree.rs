@@ -7,7 +7,10 @@
 //! * **L2**, the *only* level on the slow tier (object store ≈ S3), holds
 //!   everything older in longer partitions (initially 2 hours). Keeping a
 //!   single slow level avoids the multiplicative rewrite traffic of a
-//!   classic leveled LSM (Equations 8–10).
+//!   classic leveled LSM (Equations 8–10). An L2 table's *patches* are the
+//!   exception: written once and read back by the merge that consumes
+//!   them, they stay on the fast tier until it does, and a drain merges
+//!   every one.
 //!
 //! Keys are the 16-byte `(series/group id, chunk start timestamp)` keys of
 //! [`tu_common::keys`]; values are serialized chunks. The tree maintains:
@@ -19,6 +22,7 @@
 //! * out-of-order handling via stale-partition merges (fast tier) and
 //!   *patches* appended to L2 SSTables (Figure 11); an append that would
 //!   give a table more than `patch_threshold` patches merges it instead,
+//!   and so does a drain,
 //! * dynamic size control of partition lengths (Algorithm 1, Figure 19),
 //! * retention purges of whole partitions.
 //!
@@ -109,10 +113,14 @@ pub struct TableIntrospect {
 pub struct PartitionIntrospect {
     pub start_ms: i64,
     pub end_ms: i64,
-    /// Residency tier: `"block"` (L0/L1) or `"object"` (L2).
+    /// Residency tier: `"object"` if any of its tables is on the slow tier
+    /// (an L2 partition's base tables are), else `"block"`.
     pub tier: &'static str,
     /// Total bytes across base tables and patches.
     pub bytes: u64,
+    /// The part of `bytes` on the fast tier: all of an L0/L1 partition,
+    /// an L2 partition's patches.
+    pub fast_bytes: u64,
     /// Total chunk entries across base tables and patches.
     pub chunks: u64,
     /// Entries carrying a stats envelope, for coverage ratios.
@@ -244,15 +252,17 @@ struct Levels {
 }
 
 impl Levels {
-    /// Every table of L0 and L1.
-    fn fast_tables(&self) -> impl Iterator<Item = &TableMeta> + Clone {
-        self.l0.iter().chain(&self.l1).flat_map(|p| &p.tables)
+    /// Every table of every level, L2 patches included.
+    fn tables(&self) -> impl Iterator<Item = &TableMeta> {
+        let fast = self.l0.iter().chain(&self.l1).flat_map(|p| &p.tables);
+        let l2 = self.l2.iter().flat_map(|p| &p.tables);
+        fast.chain(l2.flat_map(|t| std::iter::once(&t.base).chain(&t.patches)))
     }
 
-    /// Every table of L2, patches included.
-    fn slow_tables(&self) -> impl Iterator<Item = &TableMeta> + Clone {
-        let tables = self.l2.iter().flat_map(|p| &p.tables);
-        tables.flat_map(|t| std::iter::once(&t.base).chain(&t.patches))
+    /// Bytes of the tables on the slow tier, or on the fast one.
+    fn tier_bytes(&self, on_slow: bool) -> u64 {
+        let tables = self.tables().filter(|t| t.on_slow == on_slow);
+        tables.map(|t| t.props.file_len).sum()
     }
 }
 
@@ -470,15 +480,36 @@ impl TimeTree {
     }
 
     /// Merges or uploads L1's windows into L2, oldest first: the closed
-    /// ones, or every one when `drain`. Then runs dynamic size control.
+    /// ones, or every one when `drain`. A drain then merges every L2 table
+    /// that holds patches, so it leaves none on the fast tier. Then runs
+    /// dynamic size control.
     pub fn upload_windows(&self, drain: bool) -> Result<Obsolete> {
         let due = |lv: &Levels| match drain {
             true => !lv.l1.is_empty(),
             false => l1_window_closed(lv),
         };
-        let obsolete = self.compact_while(due, Self::compact_l1_to_l2)?;
+        let mut obsolete = self.compact_while(due, Self::compact_l1_to_l2)?;
+        if drain {
+            obsolete.extend(self.merge_patched_tables()?);
+        }
         self.dynamic_size_control();
         Ok(obsolete)
+    }
+
+    /// Merges every L2 table that holds patches into fresh base tables,
+    /// and returns the tables the merges replaced.
+    fn merge_patched_tables(&self) -> Result<Obsolete> {
+        let mut patched = Vec::new();
+        for p in &self.levels.lock().l2 {
+            for t in p.tables.iter().filter(|t| !t.patches.is_empty()) {
+                patched.push((p.range, t.base.name.clone()));
+            }
+        }
+        let mut obsolete = Vec::new();
+        for (range, base) in patched {
+            obsolete.extend(self.merge_table(range, &base, Vec::new())?);
+        }
+        Ok(Obsolete(obsolete))
     }
 
     /// The one compaction loop: runs `compact` while `due` holds, and
@@ -866,12 +897,13 @@ impl TimeTree {
     }
 
     /// Routes out-of-order entries to the L2 tables whose ID ranges cover
-    /// them (Figure 11). A table's share becomes a patch appended to it —
-    /// unless the table already holds `patch_threshold` patches: then its
-    /// base, its patches and the share merge straight into fresh base
-    /// tables, so the patch that would have tipped it over is never
-    /// uploaded, nor read back to be merged. Returns the tables the merges
-    /// made obsolete.
+    /// them (Figure 11). A table's share becomes a patch appended to it,
+    /// written to the fast tier: it is read back only by the merge that
+    /// consumes it, and by queries until then. But if the table already
+    /// holds `patch_threshold` patches, its base, its patches and the share
+    /// merge straight into fresh base tables, so the patch that would have
+    /// tipped it over is never written, nor read back to be merged.
+    /// Returns the tables the merges made obsolete.
     fn append_patches(
         &self,
         groups: BTreeMap<i64, Vec<(Vec<u8>, Vec<u8>)>>,
@@ -929,13 +961,13 @@ impl TimeTree {
                 let name = format!("l2/p{}-{}/patch-{seq:08}", range.start, range.end);
                 {
                     let _heat = tu_obs::heat::attribute(range.start, range.end);
-                    self.env.object.put(&name, &bytes)?;
+                    self.env.block.write_file(&name, &bytes)?;
                 }
                 let meta = TableMeta {
                     name,
                     seq,
                     props,
-                    on_slow: true,
+                    on_slow: false,
                     range,
                 };
                 l2_table(&mut self.levels.lock(), range, base_name)?
@@ -988,7 +1020,7 @@ impl TimeTree {
             return;
         };
         let mut lv = self.levels.lock();
-        let total_size: u64 = lv.fast_tables().map(|t| t.props.file_len).sum();
+        let total_size = lv.tier_bytes(false);
         if total_size == 0 {
             return;
         }
@@ -1063,8 +1095,7 @@ impl TimeTree {
         // Snapshot the level metadata, then read without holding the lock.
         let metas: Vec<(TableMeta, std::ops::Range<usize>)> = {
             let lv = self.levels.lock();
-            let overlapping = lv.fast_tables().chain(lv.slow_tables());
-            overlapping
+            lv.tables()
                 .filter(|t| t.range.overlaps(&tr))
                 .map(|t| (t, t.ids_covered(ids)))
                 .filter(|(_, covered)| !covered.is_empty())
@@ -1123,8 +1154,7 @@ impl TimeTree {
         let expired = |r: &TimeRange| r.end <= watermark;
         let fast = lv.l0.iter().chain(&lv.l1).filter(|p| expired(&p.range));
         let count = fast.count() + lv.l2.iter().filter(|p| expired(&p.range)).count();
-        let tables = lv.fast_tables().chain(lv.slow_tables());
-        let tables = tables.filter(|t| expired(&t.range)).cloned().collect();
+        let tables = lv.tables().filter(|t| expired(&t.range)).cloned().collect();
         lv.l0.retain(|p| !expired(&p.range));
         lv.l1.retain(|p| !expired(&p.range));
         lv.l2.retain(|p| !expired(&p.range));
@@ -1141,8 +1171,8 @@ impl TimeTree {
         s.l0_partitions = lv.l0.len();
         s.l1_partitions = lv.l1.len();
         s.l2_partitions = lv.l2.len();
-        s.fast_bytes = lv.fast_tables().map(|t| t.props.file_len).sum();
-        s.slow_bytes = lv.slow_tables().map(|t| t.props.file_len).sum();
+        s.fast_bytes = lv.tier_bytes(false);
+        s.slow_bytes = lv.tier_bytes(true);
         s
     }
 
@@ -1164,13 +1194,17 @@ impl TimeTree {
         /// tables, patches included.
         fn view<'a>(
             range: TimeRange,
-            tier: &'static str,
             tables: Vec<TableIntrospect>,
             all: impl Iterator<Item = &'a TableMeta>,
         ) -> PartitionIntrospect {
-            let (mut bytes, mut chunks, mut stats_chunks) = (0, 0, 0);
+            let (mut bytes, mut fast_bytes, mut chunks, mut stats_chunks) = (0, 0, 0, 0);
+            let mut tier = "block";
             for t in all {
                 bytes += t.props.file_len;
+                match t.on_slow {
+                    true => tier = "object",
+                    false => fast_bytes += t.props.file_len,
+                }
                 chunks += t.props.entries;
                 stats_chunks += t.props.stats_chunks;
             }
@@ -1179,6 +1213,7 @@ impl TimeTree {
                 end_ms: range.end,
                 tier,
                 bytes,
+                fast_bytes,
                 chunks,
                 stats_chunks,
                 patches: tables.iter().map(|t| t.patches).sum(),
@@ -1187,13 +1222,13 @@ impl TimeTree {
         }
         let fast = |p: &Partition| {
             let tables = p.tables.iter().map(|t| table_view(t, 0)).collect();
-            view(p.range, "block", tables, p.tables.iter())
+            view(p.range, tables, p.tables.iter())
         };
         let slow = |p: &L2Partition| {
             let tables = p.tables.iter();
             let views = tables.clone().map(|t| table_view(&t.base, t.patches.len()));
             let all = tables.flat_map(|t| std::iter::once(&t.base).chain(t.patches.iter()));
-            view(p.range, "object", views.collect(), all)
+            view(p.range, views.collect(), all)
         };
         let lv = self.levels.lock();
         let levels = vec![
@@ -1386,11 +1421,11 @@ impl TimeTree {
     fn delete_unnamed_tables(&self) -> Result<()> {
         let named: std::collections::HashSet<String> = {
             let lv = self.levels.lock();
-            let all = lv.fast_tables().chain(lv.slow_tables());
-            all.map(|t| t.name.clone()).collect()
+            lv.tables().map(|t| t.name.clone()).collect()
         };
         let block = &self.env.block;
-        for name in [block.list_prefix("l0/"), block.list_prefix("l1/")].concat() {
+        let levels = ["l0/", "l1/", "l2/"].map(|prefix| block.list_prefix(prefix));
+        for name in levels.concat() {
             if !named.contains(&name) {
                 block.delete(&name)?;
             }
@@ -1438,20 +1473,17 @@ fn parse(s: &str, what: &str) -> Result<u64> {
 }
 
 /// True when the oldest L2-grid window in L1 is "closed": newer data
-/// exists beyond its end, so no in-order data will arrive for it.
+/// exists beyond its end, so no in-order data will arrive for it, and no
+/// L0 partition overlaps it, so none of it would follow as a patch. An L0
+/// partition older than the window does not hold it open.
 fn l1_window_closed(lv: &Levels) -> bool {
     let Some(oldest) = lv.l1.iter().map(|p| p.range.start).min() else {
         return false;
     };
-    let window_end = (oldest.div_euclid(lv.r2_ms) + 1) * lv.r2_ms;
-    let newest = lv
-        .l0
-        .iter()
-        .chain(lv.l1.iter())
-        .map(|p| p.range.end)
-        .max()
-        .unwrap_or(window_end);
-    newest > window_end
+    let start = oldest.div_euclid(lv.r2_ms) * lv.r2_ms;
+    let window = TimeRange::new(start, start + lv.r2_ms);
+    let newer = lv.l0.iter().chain(&lv.l1).any(|p| p.range.end > window.end);
+    newer && !lv.l0.iter().any(|p| p.range.overlaps(&window))
 }
 
 /// Adds fresh base tables to the L2 partition spanning exactly `range`,
@@ -1541,6 +1573,42 @@ mod tests {
         }
         t.seal();
         t.maintain().unwrap();
+    }
+
+    /// Puts one chunk in each of two L0 partitions far past the loaded
+    /// data. They stay in L0, as `l0_compact_trigger` is 2, and close
+    /// every older window: a non-drain pass then takes a late partition,
+    /// the oldest, down to L1 and on to L2 as patches.
+    fn hold_newer_l0(t: &TimeTree) {
+        t.put(0, 100 * HOUR, chunk(1));
+        t.put(0, 100 * HOUR + 30 * MIN, chunk(2));
+        t.seal();
+        t.maintain().unwrap();
+        assert_eq!(t.stats().l0_partitions, 2);
+    }
+
+    /// Puts `writes` as `(id, ts, chunk tag)` and runs one non-drain pass.
+    fn late_pass(t: &TimeTree, writes: &[(u64, i64, u64)]) {
+        for &(id, ts, tag) in writes {
+            t.put(id, ts, chunk(tag));
+        }
+        t.seal();
+        t.maintain().unwrap();
+    }
+
+    /// Patch counts of every L2 table.
+    fn l2_patches(t: &TimeTree) -> Vec<usize> {
+        let l2 = t.introspect().levels.swap_remove(2).partitions;
+        l2.iter()
+            .flat_map(|p| p.tables.iter().map(|t| t.patches))
+            .collect()
+    }
+
+    /// After a drain no L2 table holds a patch, and the fast tier holds
+    /// nothing under `l2/`.
+    fn assert_drained(t: &TimeTree) {
+        assert!(l2_patches(t).iter().all(|&n| n == 0), "{:?}", l2_patches(t));
+        assert_eq!(t.env.block.list_prefix("l2/"), Vec::<String>::new());
     }
 
     /// The engine logs a chunk's WAL checkpoint once `flushed_epoch()`
@@ -1681,6 +1749,23 @@ mod tests {
         }
     }
 
+    /// In-order data reaches L2 only as whole windows: a window stays in
+    /// L1 while any of it is still in L0, so no part of it follows as a
+    /// patch.
+    #[test]
+    fn in_order_windows_upload_without_patches() {
+        let (_d, t) = tree_with(small_opts());
+        // A memtable fills about every 40 minutes of data, so flushes cut
+        // windows at every offset.
+        load(&t, 48, 16); // 8 hours: four 2h windows
+        let s = t.stats();
+        assert!(s.l1_to_l2_compactions >= 3, "{s:?}");
+        assert_eq!((s.patches_created, s.patch_merges), (0, 0), "{s:?}");
+        for id in 0..48 {
+            assert_eq!(t.range_chunks(id, 0, 9 * HOUR).unwrap().len(), 16);
+        }
+    }
+
     #[test]
     fn flush_all_to_slow_empties_fast_levels() {
         let (_d, t) = tree_with(small_opts());
@@ -1735,6 +1820,11 @@ mod tests {
         t.flush_all_to_slow().unwrap();
         let after = t.stats();
         assert!(after.patches_created > before.patches_created, "{after:?}");
+        assert_eq!(
+            after.patch_merges, after.patches_created,
+            "the drain merges them"
+        );
+        assert_drained(&t);
         assert_eq!(t.get_chunk(2, 10 * MIN).unwrap(), Some(chunk(4242)));
         // Old data in the patched partition is still there.
         assert_eq!(t.range_chunks(2, 0, 7 * HOUR).unwrap().len(), 13);
@@ -1743,7 +1833,8 @@ mod tests {
     /// Appends to one L2 table merge it exactly when it already holds
     /// `patch_threshold` patches, and every chunk reads back newest-wins
     /// throughout: late chunks, rewrites of base chunks, and rewrites of
-    /// chunks that are themselves in patches.
+    /// chunks that are themselves in patches. The appends run in non-drain
+    /// passes; the drain that ends the test merges what is left.
     #[test]
     fn excess_patches_trigger_merge() {
         for threshold in 1..=3usize {
@@ -1759,48 +1850,51 @@ mod tests {
             }
             load(&t, 2, 12);
             t.flush_all_to_slow().unwrap();
+            hold_newer_l0(&t);
             let rounds = 2 * (threshold as u64 + 1) + 1;
             for r in 0..rounds {
                 // A late chunk, a rewrite of a base chunk, and a rewrite of
                 // the previous round's late chunk.
                 let late = (r as i64 + 1) * MIN;
                 let writes = [
-                    (late, 5000 + r),
-                    (30 * MIN, 6000 + r),
-                    (late - MIN, 7000 + r),
+                    (0, late, 5000 + r),
+                    (0, 30 * MIN, 6000 + r),
+                    (0, late - MIN, 7000 + r),
                 ];
-                for (ts, tag) in writes {
-                    t.put(0, ts, chunk(tag));
-                    model.insert((0, ts), chunk(tag));
+                late_pass(&t, &writes);
+                for (id, ts, tag) in writes {
+                    model.insert((id, ts), chunk(tag));
                 }
-                t.flush_all_to_slow().unwrap();
-                let most = t.introspect().levels[2]
-                    .partitions
-                    .iter()
-                    .flat_map(|p| p.tables.iter().map(|t| t.patches))
-                    .max();
+                let most = l2_patches(&t).into_iter().max();
                 assert!(most <= Some(threshold), "threshold {threshold}, round {r}");
             }
             let s = t.stats();
             let merges = rounds / (threshold as u64 + 1);
             assert_eq!(s.patch_merges, merges, "threshold {threshold}: {s:?}");
             assert_eq!(s.patches_created, rounds - merges, "threshold {threshold}");
-            for id in 0..2u64 {
-                let want: Vec<(i64, Vec<u8>)> = model
-                    .range((id, i64::MIN)..(id + 1, i64::MIN))
-                    .map(|(&(_, ts), v)| (ts, v.clone()))
-                    .collect();
-                assert_eq!(
-                    t.range_chunks(id, 0, 7 * HOUR).unwrap(),
-                    want,
-                    "threshold {threshold}, series {id}"
-                );
-            }
+            let check = |what: &str| {
+                for id in 0..2u64 {
+                    let want: Vec<(i64, Vec<u8>)> = model
+                        .range((id, i64::MIN)..(id + 1, i64::MIN))
+                        .map(|(&(_, ts), v)| (ts, v.clone()))
+                        .collect();
+                    let got = t.range_chunks(id, 0, 7 * HOUR).unwrap();
+                    assert_eq!(got, want, "threshold {threshold}, series {id}, {what}");
+                }
+            };
+            check("after the appends");
+            // `rounds` is one more than a multiple of `threshold + 1`: one
+            // patch is left for the drain to merge.
+            t.flush_all_to_slow().unwrap();
+            assert_eq!(t.stats().patch_merges, merges + 1, "threshold {threshold}");
+            assert_drained(&t);
+            check("after the drain");
         }
     }
 
     /// A compaction pays one read request per input table, and a patch
-    /// merge reads nothing it just wrote.
+    /// merge reads nothing it just wrote. A patch is written to the fast
+    /// tier and read back from it.
     #[test]
     fn compaction_request_counts_are_exact() {
         let dir = tempfile::tempdir().unwrap();
@@ -1821,26 +1915,52 @@ mod tests {
         assert_eq!(env.block.stats().since(&before).get_requests, K);
         t.delete_obsolete(Obsolete(inputs)).unwrap();
 
-        // The L2 table takes `patch_threshold` patches without a Get; the
-        // next append merges base + patches, one Get each, and uploads only
-        // the merged table.
+        // Non-drain passes, run step by step, append to the one L2 table.
+        // Each upload reads the window's one L1 table from the fast tier.
+        // The table takes `patch_threshold` patches, each one fast-tier
+        // write and no S3 request; the next append merges base + patches,
+        // one Get each from its tier, and uploads only the merged table.
         t.flush_all_to_slow().unwrap();
+        hold_newer_l0(&t);
         let threshold = small_opts().patch_threshold as u64;
-        for r in 0..=threshold {
+        let append = |r: u64| {
             t.put(0, (10 + r as i64) * MIN, chunk(100 + r));
-            let before = env.object.stats();
-            t.flush_all_to_slow().unwrap();
-            let d = env.object.stats().since(&before);
+            t.seal();
+            t.flush_sealed().unwrap();
+            let mut obsolete = t.compact_l0(false).unwrap();
+            let (block, object) = (env.block.stats(), env.object.stats());
+            obsolete.extend(t.upload_windows(false).unwrap());
+            let b = env.block.stats().since(&block);
+            let o = env.object.stats().since(&object);
+            t.save_manifest().unwrap();
+            t.delete_obsolete(obsolete).unwrap();
+            (
+                (b.get_requests, b.put_requests),
+                (o.get_requests, o.put_requests),
+            )
+        };
+        for r in 0..=threshold {
+            let (block, object) = append(r);
             let s = t.stats();
             if r < threshold {
-                assert_eq!((d.get_requests, d.put_requests), (0, 1), "append {r}");
+                assert_eq!((block, object), ((1, 1), (0, 0)), "append {r}");
                 assert_eq!((s.patches_created, s.patch_merges), (r + 1, 0));
             } else {
-                assert_eq!((d.get_requests, d.put_requests), (threshold + 1, 1));
+                assert_eq!((block, object), ((1 + threshold, 0), (1, 1)), "merge");
                 assert_eq!((s.patches_created, s.patch_merges), (threshold, 1));
             }
         }
-        for r in 0..=threshold {
+        // One patch more; the drain merges it: the base and the patch are
+        // read once each, and the merged table and the held-open window
+        // are uploaded.
+        append(threshold + 1);
+        let before = env.object.stats();
+        t.flush_all_to_slow().unwrap();
+        let d = env.object.stats().since(&before);
+        assert_eq!((d.get_requests, d.put_requests), (1, 2));
+        assert_eq!(t.stats().patch_merges, 2);
+        assert_drained(&t);
+        for r in 0..=threshold + 1 {
             let ts = (10 + r as i64) * MIN;
             assert_eq!(t.get_chunk(0, ts).unwrap(), Some(chunk(100 + r)));
         }
@@ -1892,20 +2012,94 @@ mod tests {
         let (_d, t) = tree_with(small_opts());
         load(&t, 2, 12);
         t.flush_all_to_slow().unwrap();
+        hold_newer_l0(&t);
         // A late chunk in each of the first two windows becomes a patch:
         // a table of its partition, not a partition of its own.
-        t.put(0, 10 * MIN, chunk(7));
-        t.put(1, 2 * HOUR + 10 * MIN, chunk(8));
-        t.flush_all_to_slow().unwrap();
+        late_pass(&t, &[(0, 10 * MIN, 7), (1, 2 * HOUR + 10 * MIN, 8)]);
         assert_eq!(t.stats().patches_created, 2);
+        assert_eq!(t.env.block.list_prefix("l2/").len(), 2);
         let (removed, obsolete) = t.purge_before(4 * HOUR);
         assert_eq!(removed, 2, "the 2-hour L2 partitions ending by 4 h");
         t.save_manifest().unwrap();
         t.delete_obsolete(obsolete).unwrap();
         assert_eq!(t.stats().l2_partitions, 1);
+        assert_eq!(t.env.block.list_prefix("l2/"), Vec::<String>::new());
         let remaining = t.range_chunks(0, 0, 7 * HOUR).unwrap();
         assert!(remaining.len() < 12);
         assert!(remaining.iter().all(|(ts, _)| *ts >= 4 * HOUR - 30 * MIN));
+    }
+
+    /// A tree holding one fast-tier patch: 40 late chunks of the first
+    /// window, beside the two chunks [`hold_newer_l0`] keeps in L0.
+    fn tree_with_one_patch() -> (tempfile::TempDir, TimeTree) {
+        let (d, t) = tree_with(small_opts());
+        load(&t, 40, 12);
+        t.flush_all_to_slow().unwrap();
+        hold_newer_l0(&t);
+        let late: Vec<(u64, i64, u64)> = (0..40).map(|id| (id, 10 * MIN, 9000 + id)).collect();
+        late_pass(&t, &late);
+        assert_eq!(l2_patches(&t).iter().sum::<usize>(), 1);
+        (d, t)
+    }
+
+    /// File bytes under the level prefixes of the block store, and of the
+    /// object store.
+    fn stored_bytes(t: &TimeTree) -> (u64, u64) {
+        let (block, object) = (&t.env.block, &t.env.object);
+        let (mut fast, mut slow) = (0, 0);
+        for prefix in ["l0/", "l1/", "l2/"] {
+            fast += block
+                .list_prefix(prefix)
+                .iter()
+                .map(|n| block.len(n).unwrap())
+                .sum::<u64>();
+            slow += object
+                .list_prefix(prefix)
+                .iter()
+                .map(|n| object.len(n).unwrap())
+                .sum::<u64>();
+        }
+        (fast, slow)
+    }
+
+    /// Bytes are counted by the tier a table is on, not by its level: a
+    /// patch's bytes are fast-tier bytes in `TreeStats` and in
+    /// `introspect`.
+    #[test]
+    fn a_fast_tier_patch_counts_as_fast_bytes() {
+        let (_d, t) = tree_with_one_patch();
+        let s = t.stats();
+        assert_eq!((s.fast_bytes, s.slow_bytes), stored_bytes(&t), "{s:?}");
+        let view = t.introspect();
+        let parts = view.partitions();
+        let patched: Vec<_> = parts.iter().filter(|p| p.patches > 0).collect();
+        assert_eq!(patched.len(), 1);
+        let p = patched[0];
+        assert_eq!(p.tier, "object");
+        let patch = t.env.block.list_prefix("l2/");
+        assert_eq!(p.fast_bytes, t.env.block.len(&patch[0]).unwrap());
+        assert!(p.bytes > p.fast_bytes);
+        assert!(parts[..2]
+            .iter()
+            .all(|p| p.tier == "block" && p.fast_bytes == p.bytes));
+        let fast: u64 = parts.iter().map(|p| p.fast_bytes).sum();
+        let all: u64 = parts.iter().map(|p| p.bytes).sum();
+        assert_eq!((fast, all - fast), (s.fast_bytes, s.slow_bytes));
+    }
+
+    /// Algorithm 1's budget `ST` covers the patches on the fast tier: a
+    /// budget the patch alone tips over shrinks the partitions, where the
+    /// L0 bytes alone would have grown them.
+    #[test]
+    fn dynamic_control_counts_fast_tier_patches() {
+        let (_d, mut t) = tree_with_one_patch();
+        let patch = t.env.block.list_prefix("l2/");
+        let patch = t.env.block.len(&patch[0]).unwrap();
+        let fast = t.stats().fast_bytes;
+        assert!(patch > fast - patch, "the patch is most of the fast bytes");
+        t.opts.fast_limit_bytes = Some(fast / 2 - 1);
+        t.dynamic_size_control();
+        assert!(t.stats().r1_ms < 30 * MIN, "{:?}", t.stats());
     }
 
     #[test]
@@ -1933,11 +2127,14 @@ mod tests {
         {
             let t = TimeTree::open(env.clone(), small_opts()).unwrap();
             load(&t, 3, 12);
-            t.put(0, 3 * MIN, chunk(55)); // leave a patch behind
             t.flush_all_to_slow().unwrap();
+            hold_newer_l0(&t);
+            late_pass(&t, &[(0, 3 * MIN, 55)]); // leave a patch behind
         }
         let env2 = StorageEnv::open(dir.path(), LatencyMode::Off).unwrap();
         let t = TimeTree::open(env2, small_opts()).unwrap();
+        assert_eq!(l2_patches(&t).iter().sum::<usize>(), 1);
+        assert_eq!(t.env.block.list_prefix("l2/").len(), 1, "on the fast tier");
         for id in 0..3 {
             let expect = if id == 0 { 13 } else { 12 };
             assert_eq!(

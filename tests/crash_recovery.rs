@@ -1,10 +1,15 @@
 //! Crash-recovery integration: the sequence-ID logging scheme of §3.3
 //! must restore identifiers, head chunks, and in-flight memtable data
 //! after an unclean shutdown, and the WAL must shrink after checkpoints.
+//! L2 patches, which live on the fast tier until they merge, leave no
+//! orphan after a crash, go with their partition at retention, and are
+//! all merged by a drain.
 
+use timeunion::cloud::StorageEnv;
 use timeunion::engine::{Options, Selector, TimeUnion};
 use timeunion::lsm::TreeOptions;
 use timeunion::model::Labels;
+use tu_cloud::cost::LatencyMode;
 
 fn options() -> Options {
     Options {
@@ -442,4 +447,175 @@ fn late_chunk_versions_survive_a_torn_meta_replacement() {
     let bytes = std::fs::read(&short).unwrap();
     std::fs::write(&short, &bytes[..bytes.len() - 3]).unwrap();
     assert!(TimeUnion::open(dir.path().join("short"), options()).is_err());
+}
+
+/// Options under which every chunk put seals the memtable and only an
+/// explicit pass flushes it.
+fn patch_options() -> Options {
+    let mut opts = options();
+    opts.tree.memtable_bytes = 1;
+    opts.inline_maintenance = false;
+    opts
+}
+
+/// In-order samples of `metric="patched"`, one a minute over six hours,
+/// then late ones between the first window's in-order samples, each set
+/// acknowledged and then taken down by a pass. The first 2-hour window is
+/// closed and in L2 when the late chunk arrives, so the chunk becomes a
+/// patch of its table. `before_late` runs ahead of the late chunk's pass.
+/// Returns the samples written, by timestamp.
+fn write_then_patch(db: &TimeUnion, before_late: impl FnOnce()) -> Vec<(i64, f64)> {
+    const MIN: i64 = 60_000;
+    let l = Labels::from_pairs([("metric", "patched")]);
+    let id = db.put(&l, 0, 0.0).unwrap();
+    let mut want = vec![(0, 0.0)];
+    for i in 1..360i64 {
+        db.put_by_id(id, i * MIN, i as f64).unwrap();
+        want.push((i * MIN, i as f64));
+    }
+    db.sync().unwrap();
+    assert!(db.tree_stats().l2_partitions >= 2, "{:?}", db.tree_stats());
+    let late: Vec<(u64, i64, f64)> = (10..18i64)
+        .map(|i| (id, i * MIN + 30_000, -(i as f64)))
+        .collect();
+    db.put_batch(&late).unwrap();
+    before_late();
+    db.maintain().unwrap();
+    want.extend(late.iter().map(|&(_, t, v)| (t, v)));
+    want.sort_by_key(|&(t, _)| t);
+    want
+}
+
+/// The L2 patches a store holds, on either tier.
+fn patches(store: &StorageEnv) -> Vec<String> {
+    let mut names = [
+        store.block.list_prefix("l2/"),
+        store.object.list_prefix("l2/"),
+    ]
+    .concat();
+    names.retain(|n| n.contains("/patch-"));
+    names
+}
+
+/// A crash after a pass wrote an L2 patch but before it saved the
+/// manifest leaves a patch no manifest names. The reopen deletes it, and
+/// every acknowledged sample, the late ones too, reads back.
+#[test]
+fn crash_between_a_patch_write_and_the_manifest_save_leaves_no_orphan() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use tu_core::maintenance::Step;
+    let dir = tempfile::tempdir().unwrap();
+    let (db_dir, crash) = (dir.path().join("db"), dir.path().join("crash"));
+    let db = TimeUnion::open(&db_dir, patch_options()).unwrap();
+    let armed = Arc::new(AtomicBool::new(false));
+    {
+        let (armed, db_dir, crash) = (armed.clone(), db_dir.clone(), crash.clone());
+        db.set_step_hook(move |step| {
+            if step == Step::UploadWindows && armed.swap(false, Ordering::SeqCst) {
+                copy_dir(&db_dir, &crash);
+            }
+        });
+    }
+    let mut named = Vec::new();
+    let want = write_then_patch(&db, || {
+        named = patches(db.storage());
+        armed.store(true, Ordering::SeqCst);
+    });
+    let s = db.tree_stats();
+    assert_eq!(s.patches_created, named.len() as u64 + 1, "{s:?}");
+    drop(db);
+    let image = StorageEnv::open(&crash, LatencyMode::Off).unwrap();
+    assert_eq!(
+        patches(&image).len(),
+        named.len() + 1,
+        "the image holds the patch"
+    );
+    drop(image);
+
+    let db = TimeUnion::open(&crash, patch_options()).unwrap();
+    assert_eq!(
+        patches(db.storage()),
+        named,
+        "the unnamed patch is swept at open"
+    );
+    let got = db
+        .query(&[Selector::exact("metric", "patched")], 0, i64::MAX)
+        .unwrap();
+    let got: Vec<(i64, f64)> = got[0].samples.iter().map(|s| (s.t, s.v)).collect();
+    let lost: Vec<_> = want.iter().filter(|s| !got.contains(s)).collect();
+    assert!(
+        got == want,
+        "{} read back of {}, lost {lost:?}",
+        got.len(),
+        want.len()
+    );
+}
+
+/// Patches live on the fast tier until their table merges, and retention
+/// deletes them from there with their partition.
+#[test]
+fn retention_deletes_fast_tier_patches() {
+    use std::sync::Arc;
+    use tu_common::clock::SimClock;
+    const HOUR: i64 = 3_600_000;
+    let dir = tempfile::tempdir().unwrap();
+    let clock = SimClock::new(0);
+    let mut opts = patch_options();
+    opts.retention_ms = Some(HOUR);
+    opts.clock = Arc::new(clock.clone());
+    let db = TimeUnion::open(dir.path().join("db"), opts).unwrap();
+    let want = write_then_patch(&db, || {});
+    let block = &db.storage().block;
+    let on_block = block.list_prefix("l2/");
+    assert_eq!(
+        patches(db.storage()),
+        on_block,
+        "every patch is on the block store"
+    );
+    assert_eq!(on_block.len(), 1);
+    assert!(
+        on_block[0].starts_with("l2/p0-7200000/patch-"),
+        "{on_block:?}"
+    );
+
+    // The watermark is 2 h: the patched partition [0, 2 h) expires.
+    clock.set(3 * HOUR);
+    let (partitions, _) = db.apply_retention().unwrap();
+    assert!(partitions >= 1);
+    assert_eq!(block.list_prefix("l2/"), Vec::<String>::new());
+    let got = db
+        .query(&[Selector::exact("metric", "patched")], 0, i64::MAX)
+        .unwrap();
+    assert_eq!(got[0].samples.first().map(|s| s.t), Some(2 * HOUR));
+    assert_eq!(
+        got[0].samples.len(),
+        want.iter().filter(|s| s.0 >= 2 * HOUR).count()
+    );
+}
+
+/// A drain merges every patch into its table: afterwards the fast tier
+/// holds nothing under `l2/` and the manifest names no patch.
+#[test]
+fn flush_all_leaves_no_patch() {
+    let dir = tempfile::tempdir().unwrap();
+    let db = TimeUnion::open(dir.path().join("db"), patch_options()).unwrap();
+    let want = write_then_patch(&db, || {});
+    let store = db.storage();
+    assert_eq!(store.block.list_prefix("l2/").len(), 1);
+    db.flush_all().unwrap();
+    assert_eq!(store.block.list_prefix("l2/"), Vec::<String>::new());
+    let manifest = String::from_utf8(store.block.read_file("MANIFEST").unwrap()).unwrap();
+    assert!(
+        !manifest.lines().any(|l| l.starts_with("PATCH")),
+        "{manifest}"
+    );
+    let s = db.tree_stats();
+    assert_eq!((s.patches_created, s.patch_merges), (1, 1), "{s:?}");
+    assert_eq!(s.fast_bytes, 0, "{s:?}");
+    let got = db
+        .query(&[Selector::exact("metric", "patched")], 0, i64::MAX)
+        .unwrap();
+    let got: Vec<(i64, f64)> = got[0].samples.iter().map(|s| (s.t, s.v)).collect();
+    assert!(got == want, "{} read back of {}", got.len(), want.len());
 }
