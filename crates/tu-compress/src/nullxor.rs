@@ -376,10 +376,49 @@ impl<'a> GroupChunkDecoder<'a> {
     }
 }
 
+/// Puts legacy group chunk bytes in a stats envelope: the bytes
+/// [`GroupChunkEncoder::finish_framed`] wrote for the same rows. A framed
+/// or empty chunk is refused.
+pub fn frame_chunk(inner: &[u8]) -> Result<(ChunkStats, Vec<u8>)> {
+    let dec = GroupChunkDecoder::new(inner)?;
+    if dec.stats().is_some() {
+        return Err(Error::invalid("chunk is framed already"));
+    }
+    let (ts, cols) = dec.decode_all()?;
+    let mut enc = GroupChunkEncoder::new(cols.len());
+    let mut row = Vec::with_capacity(cols.len());
+    for (i, &t) in ts.iter().enumerate() {
+        row.clear();
+        row.extend(cols.iter().map(|c| c[i]));
+        enc.append_row(t, &row)?;
+    }
+    let stats = enc
+        .stats()
+        .ok_or_else(|| Error::corruption("empty chunk"))?;
+    Ok((stats, enc.finish_framed()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn frame_chunk_restores_the_framed_bytes() {
+        let encoder = || {
+            let mut enc = GroupChunkEncoder::new(2);
+            enc.append_row(5, &[Some(1.5), None]).unwrap();
+            enc.append_row(9, &[None, Some(-2.0)]).unwrap();
+            enc
+        };
+        let framed = encoder().finish_framed();
+        let (stats, again) = frame_chunk(&encoder().finish()).unwrap();
+        assert_eq!(again, framed);
+        assert_eq!((stats.min_ts, stats.max_ts, stats.count), (5, 9, 2));
+        assert!(frame_chunk(&framed).is_err(), "framed twice");
+        let empty = GroupChunkEncoder::new(1).finish();
+        assert!(frame_chunk(&empty).is_err(), "empty");
+    }
 
     fn round_trip(ts: &[Timestamp], cols: &[Vec<Option<f64>>]) {
         let mut enc = GroupChunkEncoder::new(cols.len());

@@ -10,29 +10,25 @@ use tu_common::lockdep::{self, Mutex, MutexGuard};
 use tu_cloud::cost::LatencyMode;
 use tu_cloud::StorageEnv;
 use tu_common::clock::{system_clock, SharedClock};
-use tu_common::types::is_group_id;
 use tu_common::{
     Error, GroupId, Labels, Result, SeriesId, SeriesRef, Timestamp, Value, GROUP_ID_FLAG,
 };
 use tu_compress::agg::{self, AggKind};
-use tu_compress::{gorilla, nullxor};
 use tu_index::{InvertedIndex, Selector};
 use tu_lsm::wal::{RecordKind, Wal};
 use tu_lsm::{TimeTree, TreeOptions};
 use tu_mmap::pagecache::PageCache;
-use tu_mmap::ChunkArena;
 
 use crate::catalog::{Catalog, CatalogRecord};
-use crate::group::{self, GroupInsert, GroupObject};
 use crate::maintenance::{Maintenance, PendingCheckpoint, StepHook};
 use crate::meta::{self, EngineMeta};
 use crate::model;
+use crate::object::{self, Arenas, Object, ROW};
 use crate::profile::QueryProfile;
 use crate::query::{
     aggregate_step, AggCounters, AggSpec, ChunkFormat, Column, ObjectRead, QueryResult,
     SeriesResult,
 };
-use crate::series::{self, SeriesObject, ROW};
 use crate::shard::ShardedMap;
 
 /// Engine configuration.
@@ -159,15 +155,12 @@ pub struct TimeUnion {
     pub(crate) wal: Wal,
     pub(crate) catalog: Catalog,
     page_cache: Arc<PageCache>,
-    pub(crate) series_arena: ChunkArena,
-    pub(crate) group_ts_arena: ChunkArena,
-    pub(crate) group_val_arena: ChunkArena,
-    /// Hot-path maps are sharded: concurrent writers on distinct series
+    pub(crate) arenas: Arenas,
+    /// Hot-path maps are sharded: concurrent writers on distinct objects
     /// lock different shards, so they only contend when they hash together.
-    pub(crate) series: ShardedMap<SeriesId, Arc<Mutex<SeriesObject>>>,
-    pub(crate) by_labels: ShardedMap<Vec<u8>, SeriesId>,
-    pub(crate) groups: ShardedMap<GroupId, Arc<Mutex<GroupObject>>>,
-    pub(crate) group_by_tags: ShardedMap<Vec<u8>, GroupId>,
+    /// Series and groups share both maps ([`tags_key`]).
+    pub(crate) objects: ShardedMap<SeriesId, Arc<Mutex<Object>>>,
+    pub(crate) by_tags: ShardedMap<Vec<u8>, SeriesId>,
     next_series: AtomicU64,
     next_group: AtomicU64,
     /// Longest time span observed in any sealed chunk; queries extend
@@ -271,30 +264,10 @@ impl TimeUnion {
         let tree = TimeTree::open(env.clone(), tree_opts)?;
         let wal = Wal::open(env.block.clone(), "wal/engine.log");
         let catalog = Catalog::open(env.block.clone(), "catalog/series.cat");
-        // Head chunks are rebuilt from the WAL; reset the arenas so handles
-        // can be reassigned deterministically.
-        for sub in ["heads/series", "heads/group-ts", "heads/group-val"] {
-            let p = dir.join(sub);
-            if p.exists() {
-                std::fs::remove_dir_all(&p)?;
-            }
-        }
-        let series_arena = ChunkArena::open(
-            page_cache.clone(),
-            dir.join("heads/series"),
-            series::slot_size(opts.chunk_samples),
-            opts.arena_chunks_per_file,
-        )?;
-        let group_ts_arena = ChunkArena::open(
-            page_cache.clone(),
-            dir.join("heads/group-ts"),
-            group::ts_slot_size(opts.chunk_samples),
-            opts.arena_chunks_per_file,
-        )?;
-        let group_val_arena = ChunkArena::open(
-            page_cache.clone(),
-            dir.join("heads/group-val"),
-            group::val_slot_size(opts.chunk_samples),
+        let arenas = Arenas::open(
+            &page_cache,
+            &dir.join("heads"),
+            opts.chunk_samples,
             opts.arena_chunks_per_file,
         )?;
         let engine = TimeUnion {
@@ -305,13 +278,9 @@ impl TimeUnion {
             wal,
             catalog,
             page_cache,
-            series_arena,
-            group_ts_arena,
-            group_val_arena,
-            series: ShardedMap::new(&lockdep::CORE_MAP_OBJECTS),
-            by_labels: ShardedMap::new(&lockdep::CORE_MAP_LABELS),
-            groups: ShardedMap::new(&lockdep::CORE_MAP_OBJECTS),
-            group_by_tags: ShardedMap::new(&lockdep::CORE_MAP_LABELS),
+            arenas,
+            objects: ShardedMap::new(&lockdep::CORE_MAP_OBJECTS),
+            by_tags: ShardedMap::new(&lockdep::CORE_MAP_LABELS),
             next_series: AtomicU64::new(1),
             next_group: AtomicU64::new(1),
             max_chunk_span: AtomicI64::new(0),
@@ -348,13 +317,12 @@ impl TimeUnion {
         let heat_clock = engine.opts.clock.clone();
         tu_obs::heat::install_clock(Arc::new(move || heat_clock.now_ms()));
         engine.recover()?;
+        // Series and groups together: telling them apart locks every object.
+        let objects = engine.objects.len();
         tu_obs::log::info(
             "core.open",
             "engine recovered",
-            &[
-                ("series", engine.series_count().into()),
-                ("groups", engine.group_count().into()),
-            ],
+            &[("objects", objects.into())],
         );
         Ok(engine)
     }
@@ -633,44 +601,34 @@ impl TimeUnion {
         //    most of their tag pairs, so the index is loaded as one batch.
         let mut index = self.index.batch();
         for record in self.catalog.replay()? {
-            match record {
-                CatalogRecord::Series { id, labels } => {
-                    let obj = SeriesObject::new(id, labels.clone(), &self.series_arena)?;
-                    index.add(&labels, id)?;
-                    self.by_labels.insert(labels.to_bytes(), id);
-                    self.series
-                        .insert(id, Arc::new(Mutex::new(&lockdep::CORE_OBJECT, obj)));
-                    self.next_series.fetch_max(id + 1, Ordering::Relaxed);
-                }
-                CatalogRecord::Group { gid, group_tags } => {
-                    let obj = GroupObject::new(gid, group_tags.clone(), &self.group_ts_arena)?;
-                    self.group_by_tags.insert(group_tags.to_bytes(), gid);
-                    self.groups
-                        .insert(gid, Arc::new(Mutex::new(&lockdep::CORE_OBJECT, obj)));
-                    self.next_group
-                        .fetch_max((gid & !GROUP_ID_FLAG) + 1, Ordering::Relaxed);
-                }
+            let (id, labels, next) = match record {
+                CatalogRecord::Series { id, labels } => (id, labels, &self.next_series),
+                CatalogRecord::Group { gid, group_tags } => (gid, group_tags, &self.next_group),
                 CatalogRecord::Member {
                     gid,
                     slot,
                     unique_tags,
                 } => {
                     let obj = self
-                        .groups
+                        .objects
                         .get(&gid)
                         .ok_or_else(|| Error::corruption("catalog member before its group"))?;
-                    let mut g = obj.lock();
-                    let got = g.add_member(&self.group_val_arena, unique_tags.clone())?;
-                    if got != slot {
-                        return Err(Error::corruption(
-                            "catalog member slots out of order".to_string(),
-                        ));
+                    let mut o = obj.lock();
+                    if o.add_member(&self.arenas, unique_tags.clone())? != slot {
+                        return Err(Error::corruption("catalog member slots out of order"));
                     }
-                    index.add(&g.group_tags.merge(&unique_tags), gid)?;
+                    index.add(&o.labels.merge(&unique_tags), gid)?;
+                    continue;
                 }
-            }
+            };
+            let obj = Object::new(id, labels.clone(), &self.arenas)?;
+            index.add(&labels, id)?;
+            self.by_tags.insert(tags_key(&labels, obj.is_group()), id);
+            self.objects
+                .insert(id, Arc::new(Mutex::new(&lockdep::CORE_OBJECT, obj)));
+            next.fetch_max((id & !GROUP_ID_FLAG) + 1, Ordering::Relaxed);
         }
-        // 2. Engine meta (monotonic hints). A series that wrote late
+        // 2. Engine meta (monotonic hints). An object that wrote late
         //    chunks knows the newest timestamp they hold again.
         if self.env.block.exists(meta::FILE) {
             let written = self.env.block.read_file(meta::FILE)?;
@@ -678,7 +636,7 @@ impl TimeUnion {
             self.max_chunk_span
                 .fetch_max(meta.max_chunk_span, Ordering::Relaxed);
             self.late_seq.fetch_max(meta.late_seq, Ordering::Relaxed);
-            meta.late_ts.retain(|id, t| match self.series.get(id) {
+            meta.late_ts.retain(|id, t| match self.objects.get(id) {
                 Some(obj) => {
                     let mut o = obj.lock();
                     o.last_ts = o.last_ts.max(*t);
@@ -695,47 +653,29 @@ impl TimeUnion {
         //    data: `seq` is also the newest number that must not be
         //    applied again (checkpointed, or replayed already from an
         //    earlier copy of the record), and each record is trimmed
-        //    against it sample by sample.
+        //    against it row by row.
         self.replaying.store(true, Ordering::SeqCst);
         let result = self.wal.recover(
             |stream, seq| {
-                if is_group_id(stream) {
-                    if let Some(obj) = self.groups.get(&stream) {
-                        let mut g = obj.lock();
-                        g.seq = g.seq.max(seq);
-                    }
-                } else if let Some(obj) = self.series.get(&stream) {
+                if let Some(obj) = self.objects.get(&stream) {
                     let mut o = obj.lock();
                     o.seq = o.seq.max(seq);
                 }
             },
             |r| {
-                if is_group_id(r.stream) {
-                    if r.kind != RecordKind::Rows {
-                        return Err(Error::corruption("wal chunk record for a group"));
-                    }
-                    let Some((t, entries)) = decode_group_row(r.payload) else {
-                        return Ok(()); // records for members lost to a torn catalog
-                    };
-                    if let Some(obj) = self.groups.get(&r.stream) {
-                        let g = obj.lock();
-                        let members = g.member_count();
-                        if r.seq > g.seq
-                            && entries.iter().all(|(slot, _)| (*slot as usize) < members)
-                        {
-                            self.insert_group_row(r.stream, g, t, &entries, Some(r.seq))?;
-                        }
-                    }
-                } else if let Some(obj) = self.series.get(&r.stream) {
-                    match r.kind {
-                        RecordKind::Chunk => self.replay_chunk(&obj, r.payload, r.seq)?,
-                        _ if r.payload.len().is_multiple_of(ROW) => {
-                            self.apply_run(&obj, r.payload, Some(r.seq))?
-                        }
-                        _ => {}
-                    }
+                let Some(obj) = self.objects.get(&r.stream) else {
+                    return Ok(());
+                };
+                let replayed = match r.kind {
+                    RecordKind::Chunk => self.replay_chunk(obj.lock(), r.payload, r.seq),
+                    _ => self.apply_run(obj.lock(), r.payload, Some(r.seq)),
+                };
+                // Rows that do not parse, or that name members a torn
+                // catalog lost, are skipped: they are input from disk.
+                match replayed {
+                    Err(Error::InvalidArgument(_)) => Ok(()),
+                    replayed => replayed,
                 }
-                Ok(())
             },
         );
         self.replaying.store(false, Ordering::SeqCst);
@@ -743,7 +683,7 @@ impl TimeUnion {
         // 4. Numbering carries on above every late chunk ever written.
         let late = self.late_seq.load(Ordering::Relaxed);
         if late > 0 {
-            for obj in self.series.values() {
+            for obj in self.objects.values() {
                 let mut o = obj.lock();
                 o.seq = o.seq.max(late);
             }
@@ -759,7 +699,7 @@ impl TimeUnion {
         if labels.is_empty() {
             return Err(Error::invalid("a timeseries needs at least one tag"));
         }
-        let id = self.get_or_create_series(labels)?;
+        let id = self.get_or_create(labels, false)?;
         self.put_by_id(id, t, v)?;
         Ok(id)
     }
@@ -769,15 +709,24 @@ impl TimeUnion {
     /// on distinct series contend only on their map shard and the shared
     /// WAL buffer.
     pub fn put_by_id(&self, id: SeriesId, t: Timestamp, v: Value) -> Result<()> {
-        self.put_run(id, &series::encode_row(t, v))
+        self.put_run(id, &object::encode_row(t, v))
     }
 
     fn put_run(&self, id: SeriesId, rows: &[u8]) -> Result<()> {
-        let obj = self
-            .series
-            .get(&id)
-            .ok_or_else(|| Error::not_found(format!("series {id}")))?;
-        self.apply_run(&obj, rows, None)
+        self.obs.ingest_samples.add((rows.len() / ROW) as u64);
+        self.put_rows(id, false, rows)
+    }
+
+    /// Applies `rows` to object `id`, which must be a group if `group` is
+    /// set and a series if not.
+    fn put_rows(&self, id: SeriesId, group: bool, rows: &[u8]) -> Result<()> {
+        let obj = self.objects.get(&id);
+        let obj = obj.as_ref().map(|obj| obj.lock());
+        let Some(obj) = obj.filter(|o| o.is_group() == group) else {
+            let what = if group { "group" } else { "series" };
+            return Err(Error::not_found(format!("{what} {id}")));
+        };
+        self.apply_run(obj, rows, None)
     }
 
     /// Batched parallel ingest: groups `samples` by series and fans the
@@ -816,7 +765,7 @@ impl TimeUnion {
         let mut rows = vec![0u8; samples.len() * ROW];
         for (&(_, t, v), &run) in samples.iter().zip(&run_of_sample) {
             let at = next_row[run as usize] * ROW;
-            rows[at..at + ROW].copy_from_slice(&series::encode_row(t, v));
+            rows[at..at + ROW].copy_from_slice(&object::encode_row(t, v));
             next_row[run as usize] += 1;
         }
         let pool = tu_common::pool::WorkerPool::new(self.ingest_threads.load(Ordering::Relaxed));
@@ -849,15 +798,16 @@ impl TimeUnion {
         self.ingest_threads.load(Ordering::Relaxed)
     }
 
-    /// Applies a run of one series' samples, given as rows, under one
-    /// hold of the object lock ([`SeriesObject::insert_run`]). The rows
-    /// that enter the head are logged as one rows record per
-    /// [`RUN_RECORD_ROWS`] rows, carrying the sequence number of its last
-    /// row (row `i` of `n` has `seq - (n - 1 - i)`); each late chunk is
-    /// logged as one chunk record numbered after them, holding the chunk
-    /// without its stats envelope (replay folds the stats again). Chunks
-    /// go to the tree before the lock is dropped, so a reader that no
-    /// longer finds a row in the head finds it there; a pass their puts
+    /// Applies a run of rows to an object, under the one hold of its lock
+    /// the caller took ([`Object::insert_run`]). The rows that enter the
+    /// head are logged as one rows record per [`RUN_RECORD_ROWS`] rows,
+    /// carrying the sequence number of its last row (row `i` of `n` has
+    /// `seq - (n - 1 - i)`); each late chunk is logged as one chunk record
+    /// numbered after them, holding the chunk without its stats envelope
+    /// (replay frames it again). A run that does not parse, or names a
+    /// member the group lacks, is refused before anything is logged.
+    /// Chunks go to the tree before the lock is dropped, so a reader that
+    /// no longer finds a row in the head finds it there; a pass their puts
     /// call for runs after.
     ///
     /// A late chunk is numbered above rows that may stay in the head; its
@@ -869,31 +819,32 @@ impl TimeUnion {
     /// up to its `seq` — are skipped.
     fn apply_run(
         &self,
-        obj: &Mutex<SeriesObject>,
+        mut obj: MutexGuard<'_, Object>,
         mut rows: &[u8],
         replayed: Option<u64>,
     ) -> Result<()> {
         let mut flushes = Vec::new();
-        let mut obj = obj.lock();
         let id = obj.id;
         if let Some(last_seq) = replayed {
-            let first_seq = (last_seq + 1).saturating_sub((rows.len() / ROW) as u64);
+            let n = obj.take_rows(rows, usize::MAX)?.1;
+            let first_seq = (last_seq + 1).saturating_sub(n as u64);
             let seen = (obj.seq + 1).saturating_sub(first_seq) as usize;
-            rows = rows.get(seen * ROW..).unwrap_or_default();
+            rows = &rows[obj.take_rows(rows, seen)?.0..];
             obj.seq = obj.seq.max(first_seq.saturating_sub(1));
-        } else {
-            self.obs.ingest_samples.add((rows.len() / ROW) as u64);
         }
         let grid = || self.tree.l2_partition_ms();
         let grid: Option<&dyn Fn() -> i64> = match replayed {
             None => Some(&grid),
             Some(_) => None,
         };
-        for part in rows.chunks(RUN_RECORD_ROWS * ROW) {
+        while !rows.is_empty() {
+            let (len, n) = obj.take_rows(rows, RUN_RECORD_ROWS)?;
+            let (part, rest) = rows.split_at(len);
+            rows = rest;
             let first_seq = obj.seq + 1;
             let from = flushes.len();
             let head_rows = obj.insert_run(
-                &self.series_arena,
+                &self.arenas,
                 part,
                 self.opts.chunk_samples,
                 first_seq,
@@ -901,11 +852,11 @@ impl TimeUnion {
                 &mut flushes,
             )?;
             if replayed.is_some() {
-                obj.seq += (part.len() / ROW) as u64;
+                obj.seq += n as u64;
                 continue;
             }
             if !head_rows.is_empty() {
-                obj.seq += (head_rows.len() / ROW) as u64;
+                obj.seq += obj.take_rows(&head_rows, usize::MAX)?.1 as u64;
                 self.log(RecordKind::Rows, id, obj.seq, &head_rows)?;
             }
             for f in flushes[from..].iter().filter(|f| f.late) {
@@ -927,12 +878,12 @@ impl TimeUnion {
     /// the stats envelope it had, unless a checkpoint or an earlier copy of
     /// the record covers it already (`engine.meta` then holds its newest
     /// timestamp).
-    fn replay_chunk(&self, obj: &Mutex<SeriesObject>, bare: &[u8], seq: u64) -> Result<()> {
-        let mut obj = obj.lock();
+    fn replay_chunk(&self, mut obj: MutexGuard<'_, Object>, bare: &[u8], seq: u64) -> Result<()> {
         if seq <= obj.seq {
             return Ok(());
         }
-        let (stats, chunk) = gorilla::frame_chunk(bare)
+        let (stats, chunk) = obj
+            .frame_chunk(bare)
             .map_err(|e| Error::corruption(format!("wal chunk record: {e}")))?;
         obj.seq = seq;
         obj.last_ts = obj.last_ts.max(stats.max_ts);
@@ -952,10 +903,9 @@ impl TimeUnion {
     }
 
     /// Puts a chunk into the tree and queues the checkpoint `seq` for when
-    /// its memtable reaches L0. A series' `late` chunk goes under a
-    /// versioned key, its version being `seq`; a group's keeps the plain
-    /// key (groups flush late rows one at a time). Returns whether the put
-    /// sealed a memtable. Never takes the maintenance lock.
+    /// its memtable reaches L0. A `late` chunk goes under a versioned key,
+    /// its version being `seq`. Returns whether the put sealed a memtable.
+    /// Never takes the maintenance lock.
     pub(crate) fn put_chunk(
         &self,
         stream: u64,
@@ -967,10 +917,9 @@ impl TimeUnion {
     ) -> bool {
         self.max_chunk_span
             .fetch_max(last_ts - first_ts, Ordering::Relaxed);
-        let sealed = if late && !is_group_id(stream) {
-            self.tree.put_version(stream, first_ts, seq, chunk)
-        } else {
-            self.tree.put(stream, first_ts, chunk)
+        let sealed = match late {
+            true => self.tree.put_version(stream, first_ts, seq, chunk),
+            false => self.tree.put(stream, first_ts, chunk),
         };
         // Read after the put, the epoch is that of the memtable the chunk
         // went into or a later one, so its checkpoint can wait but never
@@ -986,27 +935,39 @@ impl TimeUnion {
         sealed
     }
 
-    fn get_or_create_series(&self, labels: &Labels) -> Result<SeriesId> {
-        let key = labels.to_bytes();
-        if let Some(id) = self.by_labels.get(&key) {
+    /// Resolves or creates the series — or, with `group`, the group — that
+    /// `labels` name, returning its id. A group's id carries
+    /// [`GROUP_ID_FLAG`]; each kind numbers its own ids.
+    fn get_or_create(&self, labels: &Labels, group: bool) -> Result<SeriesId> {
+        let key = tags_key(labels, group);
+        if let Some(id) = self.by_tags.get(&key) {
             return Ok(id);
         }
         // Create with the key's shard write-locked to serialize racers on
-        // the same label set; creators of other series proceed in parallel.
-        let mut by_labels = self.by_labels.lock_shard(&key);
-        if let Some(&id) = by_labels.get(&key) {
+        // the same tags; creators of other objects proceed in parallel.
+        let mut by_tags = self.by_tags.lock_shard(&key);
+        if let Some(&id) = by_tags.get(&key) {
             return Ok(id);
         }
-        let id = self.next_series.fetch_add(1, Ordering::Relaxed);
-        let obj = SeriesObject::new(id, labels.clone(), &self.series_arena)?;
-        self.series
+        let id = match group {
+            true => self.next_group.fetch_add(1, Ordering::Relaxed) | GROUP_ID_FLAG,
+            false => self.next_series.fetch_add(1, Ordering::Relaxed),
+        };
+        let obj = Object::new(id, labels.clone(), &self.arenas)?;
+        self.objects
             .insert(id, Arc::new(Mutex::new(&lockdep::CORE_OBJECT, obj)));
-        by_labels.insert(key, id);
-        drop(by_labels);
+        by_tags.insert(key, id);
+        drop(by_tags);
+        // A group's tags are indexed under its id, so selectors on shared
+        // tags resolve to one postings entry (Figure 5).
         self.index.add(labels, id)?;
-        self.catalog.append(&CatalogRecord::Series {
-            id,
-            labels: labels.clone(),
+        let labels = labels.clone();
+        self.catalog.append(&match group {
+            true => CatalogRecord::Group {
+                gid: id,
+                group_tags: labels,
+            },
+            false => CatalogRecord::Series { id, labels },
         });
         Ok(id)
     }
@@ -1034,12 +995,12 @@ impl TimeUnion {
         if group_tags.is_empty() {
             return Err(Error::invalid("a group needs at least one group tag"));
         }
-        let gid = self.get_or_create_group(group_tags)?;
+        let gid = self.get_or_create(group_tags, true)?;
         let obj = self
-            .groups
+            .objects
             .get(&gid)
             .ok_or_else(|| Error::corruption("group object missing right after creation"))?;
-        let mut g = obj.lock();
+        let mut obj = obj.lock();
         let mut refs = Vec::with_capacity(member_tags.len());
         for tags in member_tags {
             let unique = match model::to_grouped(tags, group_tags) {
@@ -1047,10 +1008,10 @@ impl TimeUnion {
                 // Tags that don't carry the group tags are already unique.
                 Err(_) => tags.clone(),
             };
-            let slot = match g.member_slot(&unique) {
+            let slot = match obj.member_slot(&unique) {
                 Some(slot) => slot,
                 None => {
-                    let slot = g.add_member(&self.group_val_arena, unique.clone())?;
+                    let slot = obj.add_member(&self.arenas, unique.clone())?;
                     self.index.add(&group_tags.merge(&unique), gid)?;
                     self.catalog.append(&CatalogRecord::Member {
                         gid,
@@ -1062,14 +1023,14 @@ impl TimeUnion {
             };
             refs.push(slot);
         }
-        let entries: Vec<(SeriesRef, Value)> =
-            refs.iter().copied().zip(values.iter().copied()).collect();
-        self.obs.ingest_samples.add(entries.len() as u64);
-        self.insert_group_row(gid, g, t, &entries, None)?;
+        self.obs.ingest_samples.add(refs.len() as u64);
+        let row = group_row(t, &refs, values);
+        self.apply_run(obj, &row, None)?;
         Ok((gid, refs))
     }
 
-    /// Fast-path group insert by group ID and member slots (§3.4).
+    /// Fast-path group insert by group ID and member slots (§3.4): a run
+    /// of one row.
     pub fn put_group_fast(
         &self,
         gid: GroupId,
@@ -1080,90 +1041,8 @@ impl TimeUnion {
         if refs.len() != values.len() {
             return Err(Error::invalid("refs and values must have equal length"));
         }
-        let entries: Vec<(SeriesRef, Value)> =
-            refs.iter().copied().zip(values.iter().copied()).collect();
-        self.obs.ingest_samples.add(entries.len() as u64);
-        let obj = self
-            .groups
-            .get(&gid)
-            .ok_or_else(|| Error::not_found(format!("group {gid}")))?;
-        self.insert_group_row(gid, obj.lock(), t, &entries, None)
-    }
-
-    /// Inserts one row into a group and logs it under the group's next
-    /// sequence number; a row read back from the WAL (`replayed`, its
-    /// sequence number) is not logged again. A chunk the row seals goes to
-    /// the tree before the lock is dropped, as [`TimeUnion::apply_run`]'s
-    /// do, and a row older than the head goes there as a one-row chunk.
-    fn insert_group_row(
-        &self,
-        gid: GroupId,
-        mut g: MutexGuard<'_, GroupObject>,
-        t: Timestamp,
-        entries: &[(SeriesRef, Value)],
-        replayed: Option<u64>,
-    ) -> Result<()> {
-        let seq = match replayed {
-            Some(seq) => seq,
-            None => {
-                let seq = g.seq + 1;
-                self.log(RecordKind::Rows, gid, seq, &encode_group_row(t, entries))?;
-                seq
-            }
-        };
-        g.seq = g.seq.max(seq);
-        let member_count = g.member_count();
-        let outcome = g.insert_row(
-            &self.group_ts_arena,
-            &self.group_val_arena,
-            t,
-            entries,
-            self.opts.chunk_samples,
-        )?;
-        let sealed = match outcome {
-            GroupInsert::Buffered => false,
-            GroupInsert::Sealed {
-                first_ts,
-                last_ts,
-                chunk,
-            } => self.put_chunk(gid, first_ts, last_ts, chunk, seq, false),
-            GroupInsert::OlderThanHead => {
-                let mut enc = nullxor::GroupChunkEncoder::new(member_count);
-                let mut row = vec![None; member_count];
-                for (slot, v) in entries {
-                    row[*slot as usize] = Some(*v);
-                }
-                enc.append_row(t, &row)?;
-                self.put_chunk(gid, t, t, enc.finish_framed(), seq, true)
-            }
-        };
-        drop(g);
-        self.maintain_inline(sealed)
-    }
-
-    fn get_or_create_group(&self, group_tags: &Labels) -> Result<GroupId> {
-        let key = group_tags.to_bytes();
-        if let Some(gid) = self.group_by_tags.get(&key) {
-            return Ok(gid);
-        }
-        let mut by_tags = self.group_by_tags.lock_shard(&key);
-        if let Some(&gid) = by_tags.get(&key) {
-            return Ok(gid);
-        }
-        let gid = self.next_group.fetch_add(1, Ordering::Relaxed) | GROUP_ID_FLAG;
-        let obj = GroupObject::new(gid, group_tags.clone(), &self.group_ts_arena)?;
-        self.groups
-            .insert(gid, Arc::new(Mutex::new(&lockdep::CORE_OBJECT, obj)));
-        by_tags.insert(key, gid);
-        drop(by_tags);
-        // Group tags are indexed under the group ID so selectors on shared
-        // tags resolve to one postings entry (Figure 5).
-        self.index.add(group_tags, gid)?;
-        self.catalog.append(&CatalogRecord::Group {
-            gid,
-            group_tags: group_tags.clone(),
-        });
-        Ok(gid)
+        self.obs.ingest_samples.add(refs.len() as u64);
+        self.put_rows(gid, true, &group_row(t, refs, values))
     }
 
     // --- logging ----------------------------------------------------------------
@@ -1406,48 +1285,26 @@ impl TimeUnion {
     }
 
     /// The columns a read of object `id` returns, and the format of its
-    /// chunks: the one place a read tells series from groups. A series is
-    /// one column, not filtered again (the index matched it; a selector on
-    /// a key it lacks would drop it). A group gives one column per member
-    /// that every selector matches, the second-level index of §3.4. Labels
-    /// and heads are read under one hold of the object lock.
+    /// chunks ([`Object::columns`]). A series is one column, not filtered
+    /// again (the index matched it; a selector on a key it lacks would drop
+    /// it). A group gives one column per member that every selector
+    /// matches, the second-level index of §3.4. Labels and heads are read
+    /// under one hold of the object lock.
     fn columns_of(
         &self,
         id: SeriesId,
         selectors: &[Selector],
     ) -> Result<(ChunkFormat, Vec<Column>)> {
-        let mut cols = Vec::new();
-        if !is_group_id(id) {
-            if let Some(obj) = self.series.get(&id) {
-                let o = obj.lock();
-                let head = o.head_samples(&self.series_arena)?;
-                cols.push(Column {
-                    slot: 0,
-                    labels: o.labels.clone(),
-                    head,
-                });
-            }
-            return Ok((ChunkFormat::Gorilla, cols));
-        }
-        if let Some(obj) = self.groups.get(&id) {
-            let g = obj.lock();
-            for (slot, unique) in g.members() {
-                let labels = g.group_tags.merge(unique);
-                if selectors
-                    .iter()
-                    .all(|sel| labels.get(&sel.key).is_some_and(|v| sel.matches_value(v)))
-                {
-                    let head =
-                        g.head_samples_of(&self.group_ts_arena, &self.group_val_arena, slot)?;
-                    cols.push(Column {
-                        slot: slot as usize,
-                        labels,
-                        head,
-                    });
-                }
-            }
-        }
-        Ok((ChunkFormat::NullXor, cols))
+        let Some(obj) = self.objects.get(&id) else {
+            return Ok((ChunkFormat::Gorilla, Vec::new())); // purged since the select
+        };
+        let o = obj.lock();
+        let keep = |labels: &Labels| {
+            let matches =
+                |sel: &Selector| labels.get(&sel.key).is_some_and(|v| sel.matches_value(v));
+            selectors.iter().all(matches)
+        };
+        Ok((o.format(), o.columns(&self.arenas, keep)?))
     }
 
     /// Reads one matched object: a plain Get merges each of its columns;
@@ -1518,11 +1375,19 @@ impl TimeUnion {
     // --- observability ---------------------------------------------------------------
 
     pub fn series_count(&self) -> usize {
-        self.series.len()
+        self.count_objects(false)
     }
 
     pub fn group_count(&self) -> usize {
-        self.groups.len()
+        self.count_objects(true)
+    }
+
+    fn count_objects(&self, group: bool) -> usize {
+        let objects = self.objects.values();
+        objects
+            .iter()
+            .filter(|o| o.lock().is_group() == group)
+            .count()
     }
 
     /// The storage environment (request counters, virtual cost clock).
@@ -1547,18 +1412,8 @@ impl TimeUnion {
 
     /// Memory breakdown for the paper's memory experiments.
     pub fn memory_stats(&self) -> MemoryStats {
-        let objects_bytes: usize = self
-            .series
-            .values()
-            .iter()
-            .map(|o| o.lock().heap_bytes())
-            .sum::<usize>()
-            + self
-                .groups
-                .values()
-                .iter()
-                .map(|o| o.lock().heap_bytes())
-                .sum::<usize>();
+        let objects = self.objects.values();
+        let objects_bytes = objects.iter().map(|o| o.lock().heap_bytes()).sum();
         MemoryStats {
             postings_bytes: self.index.heap_bytes(),
             objects_bytes,
@@ -1587,62 +1442,37 @@ impl TimeUnion {
         let (lo, hi) = (i64::MIN / 2, i64::MAX / 2);
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut ids: Vec<SeriesId> = self
-            .series
+            .objects
             .entries()
             .into_iter()
             .map(|(id, _)| id)
             .collect();
+        // Series first, then groups: a group id has the top bit set.
         ids.sort_unstable();
         for id in ids {
-            let Some(obj) = self.series.get(&id) else {
+            let Some(obj) = self.objects.get(&id) else {
                 continue;
             };
             mix(&mut h, &id.to_le_bytes());
             let o = obj.lock();
             mix(&mut h, &o.labels.to_bytes());
-            let head = o.head_samples(&self.series_arena)?;
-            drop(o);
-            for s in head {
-                mix(&mut h, &s.t.to_le_bytes());
-                mix(&mut h, &s.v.to_le_bytes());
-            }
-            for (start_ts, chunk) in self.tree.range_chunks(id, lo, hi)? {
-                mix(&mut h, &start_ts.to_le_bytes());
-                mix(&mut h, &chunk);
-            }
-        }
-        let mut gids: Vec<GroupId> = self
-            .groups
-            .entries()
-            .into_iter()
-            .map(|(gid, _)| gid)
-            .collect();
-        gids.sort_unstable();
-        for gid in gids {
-            let Some(obj) = self.groups.get(&gid) else {
-                continue;
-            };
-            mix(&mut h, &gid.to_le_bytes());
-            let g = obj.lock();
-            mix(&mut h, &g.group_tags.to_bytes());
-            let mut heads = Vec::new();
-            for (slot, unique) in g.members() {
+            for (slot, unique) in o.members() {
                 mix(&mut h, &slot.to_le_bytes());
                 mix(&mut h, &unique.to_bytes());
-                heads.push((
-                    slot,
-                    g.head_samples_of(&self.group_ts_arena, &self.group_val_arena, slot)?,
-                ));
             }
-            drop(g);
-            for (slot, samples) in heads {
-                mix(&mut h, &slot.to_le_bytes());
-                for s in samples {
+            let group = o.is_group();
+            let heads = o.columns(&self.arenas, |_| true)?;
+            drop(o);
+            for col in heads {
+                if group {
+                    mix(&mut h, &(col.slot as SeriesRef).to_le_bytes());
+                }
+                for s in col.head {
                     mix(&mut h, &s.t.to_le_bytes());
                     mix(&mut h, &s.v.to_le_bytes());
                 }
             }
-            for (start_ts, chunk) in self.tree.range_chunks(gid, lo, hi)? {
+            for (start_ts, chunk) in self.tree.range_chunks(id, lo, hi)? {
                 mix(&mut h, &start_ts.to_le_bytes());
                 mix(&mut h, &chunk);
             }
@@ -1658,43 +1488,32 @@ impl Drop for TimeUnion {
     }
 }
 
-// --- WAL payload codecs ------------------------------------------------------
+// --- keys and rows -----------------------------------------------------------
 
-pub(crate) fn encode_group_row(t: Timestamp, entries: &[(SeriesRef, Value)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + entries.len() * 12);
-    out.extend_from_slice(&t.to_le_bytes());
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (slot, v) in entries {
-        out.extend_from_slice(&slot.to_le_bytes());
-        out.extend_from_slice(&v.to_le_bytes());
+/// An object's key in `by_tags`: its tags' bytes, and one more byte for a
+/// group. A series' key is empty or ends in 0, so it never equals a
+/// group's.
+pub(crate) fn tags_key(labels: &Labels, group: bool) -> Vec<u8> {
+    let mut key = labels.to_bytes();
+    if group {
+        key.push(1);
     }
-    out
+    key
 }
 
-fn decode_group_row(payload: &[u8]) -> Option<(Timestamp, Vec<(SeriesRef, Value)>)> {
-    if payload.len() < 12 {
-        return None;
-    }
-    let t = i64::from_le_bytes(payload[..8].try_into().ok()?);
-    let n = u32::from_le_bytes(payload[8..12].try_into().ok()?) as usize;
-    if payload.len() != 12 + n * 12 {
-        return None;
-    }
-    let mut entries = Vec::with_capacity(n);
-    for i in 0..n {
-        let off = 12 + i * 12;
-        entries.push((
-            u32::from_le_bytes(payload[off..off + 4].try_into().ok()?),
-            f64::from_le_bytes(payload[off + 4..off + 12].try_into().ok()?),
-        ));
-    }
-    Some((t, entries))
+/// One group row in its WAL layout ([`object::put_group_row`]).
+fn group_row(t: Timestamp, refs: &[SeriesRef], values: &[Value]) -> Vec<u8> {
+    let mut row = Vec::with_capacity(12 + 12 * refs.len());
+    let entries = refs.iter().copied().zip(values.iter().copied());
+    object::put_group_row(&mut row, t, entries);
+    row
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tu_common::Sample;
+    use tu_compress::gorilla;
 
     fn opts() -> Options {
         Options {

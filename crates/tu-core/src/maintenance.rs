@@ -13,13 +13,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use tu_common::types::is_group_id;
-use tu_common::{Error, GroupId, Result, SeriesId, Timestamp};
+use tu_common::{Error, Result, SeriesId, Timestamp};
 use tu_lsm::wal::RecordKind;
 
-use crate::engine::{encode_group_row, TimeUnion};
+use crate::engine::{tags_key, TimeUnion};
 use crate::meta::{self, EngineMeta};
-use crate::series::ROW;
 
 /// The steps of a pass, in the order it runs them. A step hook
 /// ([`TimeUnion::set_step_hook`]) sees each one as it ends, whether or
@@ -66,7 +64,7 @@ pub(crate) struct PendingCheckpoint {
     pub epoch: u64,
     /// For a late chunk — one that left ahead of its object's head — its
     /// newest timestamp. Its checkpoint is the only kind that can pass
-    /// rows still in a head, and a series' must carry the timestamp into
+    /// rows still in a head, and must carry the timestamp into
     /// `engine.meta` ([`EngineMeta::late_ts`]).
     pub late: Option<Timestamp>,
 }
@@ -193,27 +191,20 @@ impl TimeUnion {
         Ok((purged, !newest.is_empty()))
     }
 
-    /// The drain's seal step: seals every series and group head into the
-    /// tree, then the active memtable. A memtable that fills meanwhile is
-    /// flushed to L0 at once, which keeps the heap bounded and uploads
-    /// nothing.
+    /// The drain's seal step: seals every head into the tree, then the
+    /// active memtable. A memtable that fills meanwhile is flushed to L0 at
+    /// once, which keeps the heap bounded and uploads nothing.
     fn seal_heads(&self) -> Result<()> {
-        // Each chunk reaches the tree before its head lets go of it.
-        let series = self.series.values().into_iter().map(|obj| -> Result<bool> {
+        for obj in self.objects.values() {
+            // Each chunk reaches the tree before its head lets go of it.
             let mut o = obj.lock();
-            let sealed = o.seal(&self.series_arena)?;
-            Ok(sealed
-                .is_some_and(|(first, last, c)| self.put_chunk(o.id, first, last, c, o.seq, false)))
-        });
-        let groups = self.groups.values().into_iter().map(|obj| -> Result<bool> {
-            let mut o = obj.lock();
-            let sealed = o.seal(&self.group_ts_arena, &self.group_val_arena)?;
-            Ok(sealed.is_some_and(|(first, last, c)| {
-                self.put_chunk(o.gid, first, last, c, o.seq, false)
-            }))
-        });
-        for filled in series.chain(groups) {
-            if filled? {
+            let seq = o.seq;
+            let sealed = o.seal(&self.arenas, seq)?;
+            let filled = sealed.is_some_and(|f| {
+                self.put_chunk(o.id, f.first_ts, f.last_ts, f.chunk, f.seq, false)
+            });
+            drop(o);
+            if filled {
                 self.tree.flush_sealed()?;
             }
         }
@@ -221,49 +212,30 @@ impl TimeUnion {
         Ok(())
     }
 
-    /// Drops the series and group objects whose newest sample is older
-    /// than `watermark`. Returns how many went.
+    /// Drops the objects whose newest sample is older than `watermark`.
+    /// Returns how many went.
     fn purge_objects(&self, watermark: Timestamp) -> Result<usize> {
-        let mut objects = 0;
         let stale: Vec<SeriesId> = self
-            .series
+            .objects
             .entries()
             .into_iter()
             .filter(|(_, o)| o.lock().last_ts < watermark)
             .map(|(id, _)| id)
             .collect();
+        let mut objects = 0;
         for id in stale {
-            let Some(obj) = self.series.remove(&id) else {
+            let Some(obj) = self.objects.remove(&id) else {
                 continue;
             };
             let obj = Arc::try_unwrap(obj)
-                .map_err(|_| Error::Closed("series busy during retention".into()))?
+                .map_err(|_| Error::Closed("object busy during retention".into()))?
                 .into_inner();
-            self.by_labels.remove(&obj.labels.to_bytes());
+            self.by_tags.remove(&tags_key(&obj.labels, obj.is_group()));
             self.index.remove(&obj.labels, id)?;
-            obj.release(&self.series_arena)?;
-            objects += 1;
-        }
-        let stale: Vec<GroupId> = self
-            .groups
-            .entries()
-            .into_iter()
-            .filter(|(_, o)| o.lock().last_ts < watermark)
-            .map(|(gid, _)| gid)
-            .collect();
-        for gid in stale {
-            let Some(obj) = self.groups.remove(&gid) else {
-                continue;
-            };
-            let obj = Arc::try_unwrap(obj)
-                .map_err(|_| Error::Closed("group busy during retention".into()))?
-                .into_inner();
-            self.group_by_tags.remove(&obj.group_tags.to_bytes());
-            self.index.remove(&obj.group_tags, gid)?;
             for (_, unique) in obj.members() {
-                self.index.remove(&obj.group_tags.merge(unique), gid)?;
+                self.index.remove(&obj.labels.merge(unique), id)?;
             }
-            obj.release(&self.group_ts_arena, &self.group_val_arena)?;
+            obj.release(&self.arenas)?;
             objects += 1;
         }
         Ok(objects)
@@ -285,7 +257,7 @@ impl TimeUnion {
         let Maintenance { meta, written } = state;
         let mut newest: BTreeMap<u64, (u64, bool)> = BTreeMap::new();
         for c in &ready {
-            if let (Some(t), false) = (c.late, is_group_id(c.stream)) {
+            if let Some(t) = c.late {
                 let latest = meta.late_ts.entry(c.stream).or_insert(t);
                 *latest = (*latest).max(t);
             }
@@ -303,29 +275,13 @@ impl TimeUnion {
         Ok(newest)
     }
 
-    /// Logs the head rows of a series or group again, under fresh sequence
-    /// numbers, when the checkpoint `seq` would cover the oldest of them:
-    /// no checkpoint ever covers a row still in a head. The copy is queued
-    /// ahead of the checkpoint, so no wave holds the checkpoint without it.
+    /// Logs an object's head rows again, as one record under fresh
+    /// sequence numbers, when the checkpoint `seq` would cover the oldest
+    /// of them: no checkpoint ever covers a row still in a head. The copy
+    /// is queued ahead of the checkpoint, so no wave holds the checkpoint
+    /// without it.
     fn relog_head_below(&self, stream: u64, seq: u64) -> Result<()> {
-        if is_group_id(stream) {
-            let Some(obj) = self.groups.get(&stream) else {
-                return Ok(()); // purged by retention
-            };
-            let mut g = obj.lock();
-            if g.head_seq().is_none_or(|oldest| oldest > seq) {
-                return Ok(());
-            }
-            let first = g.seq + 1;
-            let rows = g.relog_head(&self.group_ts_arena, &self.group_val_arena, first)?;
-            for (t, entries) in rows {
-                g.seq += 1;
-                let row = encode_group_row(t, &entries);
-                self.log(RecordKind::Rows, stream, g.seq, &row)?;
-            }
-            return Ok(());
-        }
-        let Some(obj) = self.series.get(&stream) else {
+        let Some(obj) = self.objects.get(&stream) else {
             return Ok(()); // purged by retention
         };
         let mut obj = obj.lock();
@@ -333,8 +289,8 @@ impl TimeUnion {
             return Ok(());
         }
         let first = obj.seq + 1;
-        let rows = obj.relog_head(&self.series_arena, first)?;
-        obj.seq += (rows.len() / ROW) as u64;
+        let rows = obj.relog_head(&self.arenas, first)?;
+        obj.seq += obj.take_rows(&rows, usize::MAX)?.1 as u64;
         self.log(RecordKind::Rows, stream, obj.seq, &rows)
     }
 }

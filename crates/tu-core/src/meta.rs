@@ -2,7 +2,7 @@
 //! surviving WAL record tells it.
 //!
 //! Layout, little-endian: `i64 max_chunk_span`, `u64 late_seq`, then one
-//! `(u64 series id, i64 timestamp)` pair per series in `late_ts`, by id. A
+//! `(u64 object id, i64 timestamp)` pair per object in `late_ts`, by id. A
 //! file of only the first field is the layout from before late chunks. The
 //! file is replaced whole ([`tu_cloud::block::BlockStore::replace_file`]),
 //! so any other length is corruption.
@@ -23,10 +23,10 @@ pub struct EngineMeta {
     /// Highest sequence number any late chunk has had, which is also its
     /// version in the tree; numbering carries on above it after a reopen.
     pub late_seq: u64,
-    /// Per series, the newest timestamp any of its late chunks holds. A
-    /// reopened series treats rows at or below it as late, so a rewrite
-    /// of a late sample outranks the old chunk instead of opening a head
-    /// whose plain chunk the old, versioned one would override.
+    /// Per series or group, the newest timestamp any of its late chunks
+    /// holds. A reopened object treats rows at or below it as late, so a
+    /// rewrite of a late sample outranks the old chunk instead of opening
+    /// a head whose plain chunk the old, versioned one would override.
     pub late_ts: BTreeMap<SeriesId, Timestamp>,
 }
 

@@ -18,20 +18,19 @@ use parking_lot::{Mutex, RwLock};
 use tu_cloud::StorageEnv;
 use tu_common::{Error, Labels, Result, Sample, SeriesId, Timestamp, Value};
 use tu_compress::gorilla;
-use tu_core::series::{self, SeriesObject};
+use tu_core::object::{self, Arenas, Object};
 use tu_index::{InvertedIndex, Selector};
 use tu_lsm::leveled::{LeveledOptions, LeveledTree};
 use tu_mmap::pagecache::PageCache;
-use tu_mmap::ChunkArena;
 
 /// TimeUnion memory layer over a classic leveled LSM.
 pub struct TuLdb {
     index: InvertedIndex,
     tree: LeveledTree,
-    arena: ChunkArena,
+    arenas: Arenas,
     page_cache: Arc<PageCache>,
     chunk_samples: usize,
-    series: RwLock<HashMap<SeriesId, Arc<Mutex<SeriesObject>>>>,
+    series: RwLock<HashMap<SeriesId, Arc<Mutex<Object>>>>,
     by_labels: RwLock<HashMap<Vec<u8>, SeriesId>>,
     next_series: Mutex<u64>,
     max_chunk_span: std::sync::atomic::AtomicI64,
@@ -51,16 +50,11 @@ impl TuLdb {
         std::fs::create_dir_all(&dir)?;
         let page_cache = PageCache::new(page_cache_bytes);
         let index = InvertedIndex::open(page_cache.clone(), dir.join("index"), 1 << 16)?;
-        let arena = ChunkArena::open(
-            page_cache.clone(),
-            dir.join("heads"),
-            series::slot_size(chunk_samples),
-            1 << 14,
-        )?;
+        let arenas = Arenas::open(&page_cache, &dir.join("heads"), chunk_samples, 1 << 14)?;
         Ok(TuLdb {
             index,
             tree: LeveledTree::open(env, lsm)?,
-            arena,
+            arenas,
             page_cache,
             chunk_samples,
             series: RwLock::new(HashMap::new()),
@@ -91,7 +85,7 @@ impl TuLdb {
             *next += 1;
             id
         };
-        let obj = SeriesObject::new(id, labels.clone(), &self.arena)?;
+        let obj = Object::new(id, labels.clone(), &self.arenas)?;
         self.series.write().insert(id, Arc::new(Mutex::new(obj)));
         by_labels.insert(key, id);
         drop(by_labels);
@@ -111,8 +105,8 @@ impl TuLdb {
         // No WAL here, so sequence numbers do not matter; no slow-tier
         // partitions either, so a late sample is one chunk.
         o.insert_run(
-            &self.arena,
-            &series::encode_row(t, v),
+            &self.arenas,
+            &object::encode_row(t, v),
             self.chunk_samples,
             0,
             Some(&|| i64::MAX),
@@ -131,15 +125,15 @@ impl TuLdb {
 
     /// Seals every head and compacts to quiescence.
     pub fn flush_all(&self) -> Result<()> {
-        let objs: Vec<Arc<Mutex<SeriesObject>>> = self.series.read().values().cloned().collect();
+        let objs: Vec<Arc<Mutex<Object>>> = self.series.read().values().cloned().collect();
         for obj in objs {
             let mut o = obj.lock();
-            if let Some((first, last, chunk)) = o.seal(&self.arena)? {
+            if let Some(f) = o.seal(&self.arenas, 0)? {
                 let id = o.id;
                 drop(o);
                 self.max_chunk_span
-                    .fetch_max(last - first, std::sync::atomic::Ordering::Relaxed);
-                self.tree.put(id, first, chunk);
+                    .fetch_max(f.last_ts - f.first_ts, std::sync::atomic::Ordering::Relaxed);
+                self.tree.put(id, f.first_ts, f.chunk);
             }
         }
         self.tree.seal();
@@ -179,7 +173,7 @@ impl TuLdb {
                 }
             }
             let o = obj.lock();
-            for s in o.head_samples(&self.arena)? {
+            for s in o.head_samples(&self.arenas, 0)? {
                 if s.t >= start && s.t < end {
                     samples.push(s);
                 }

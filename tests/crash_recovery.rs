@@ -619,3 +619,131 @@ fn flush_all_leaves_no_patch() {
     let got: Vec<(i64, f64)> = got[0].samples.iter().map(|s| (s.t, s.v)).collect();
     assert!(got == want, "{} read back of {}", got.len(), want.len());
 }
+
+fn group_members() -> (Labels, Vec<Labels>) {
+    let tags = Labels::from_pairs([("host", "h1")]);
+    let members = (0..2)
+        .map(|i| Labels::from_pairs([("metric", format!("m{i}"))]))
+        .collect();
+    (tags, members)
+}
+
+/// Every sample of group member `m{member}`, as `(t, v)`.
+fn member_samples(db: &TimeUnion, member: usize) -> Vec<(i64, f64)> {
+    let sel = [Selector::exact("metric", format!("m{member}"))];
+    let res = db.query(&sel, 0, 1_000_000).unwrap();
+    res.iter()
+        .flat_map(|r| r.samples.iter().map(|s| (s.t, s.v)))
+        .collect()
+}
+
+/// A late group row is logged as a NULL-XOR chunk record. Acknowledged by
+/// `sync_wal` and read back from the log of a crash image taken before
+/// any pass, it still overrides only the member it carries, and the
+/// sealed chunk whose first timestamp it shares stays whole.
+#[test]
+fn late_group_chunk_acknowledged_by_sync_wal_survives_a_crash_image() {
+    let dir = tempfile::tempdir().unwrap();
+    let db = TimeUnion::open(dir.path().join("db"), options()).unwrap();
+    let (tags, members) = group_members();
+    let row = |t: i64| [t as f64, t as f64 + 0.5];
+    let (gid, refs) = db.put_group(&tags, &members, 10_000, &row(10_000)).unwrap();
+    for t in (11_000..20_000).step_by(1000) {
+        db.put_group_fast(gid, &refs, t, &row(t)).unwrap();
+    }
+    db.put_group_fast(gid, &refs[..1], 10_000, &[-1.0]).unwrap();
+    db.sync_wal().unwrap();
+    assert_eq!(db.tree_stats().flushes, 0, "no pass before the crash");
+    copy_dir(&dir.path().join("db"), &dir.path().join("crash"));
+
+    let want = |member: usize| -> Vec<(i64, f64)> {
+        (10_000..20_000)
+            .step_by(1000)
+            .map(|t| match (member, t) {
+                (0, 10_000) => (t, -1.0),
+                _ => (t, row(t)[member]),
+            })
+            .collect()
+    };
+    for (what, db) in [
+        ("live", db),
+        (
+            "recovered",
+            TimeUnion::open(dir.path().join("crash"), options()).unwrap(),
+        ),
+    ] {
+        for member in 0..2 {
+            let got = member_samples(&db, member);
+            assert_eq!(got, want(member), "{what} m{member}: {} of 10", got.len());
+        }
+    }
+}
+
+/// After a pass and a reopen whose log is empty, a group still knows the
+/// newest timestamp its late chunks hold (`engine.meta`): a new row at
+/// that timestamp is late again, so it outranks the old late chunk for
+/// the member it carries and leaves the other member's value alone.
+#[test]
+fn group_row_at_a_late_timestamp_is_late_after_a_restart() {
+    let dir = tempfile::tempdir().unwrap();
+    let (tags, members) = group_members();
+    {
+        let db = TimeUnion::open(dir.path().join("db"), options()).unwrap();
+        let (gid, refs) = db.put_group(&tags, &members, 10_000, &[1.0, 1.5]).unwrap();
+        db.put_group_fast(gid, &refs, 11_000, &[1.1, 1.6]).unwrap();
+        db.put_group_fast(gid, &refs, 5_000, &[0.5, 0.75]).unwrap();
+        db.flush_all().unwrap();
+    }
+    let want = [
+        vec![(5_000, 9.0), (10_000, 1.0), (11_000, 1.1)],
+        vec![(5_000, 0.75), (10_000, 1.5), (11_000, 1.6)],
+    ];
+    {
+        let db = TimeUnion::open(dir.path().join("db"), options()).unwrap();
+        db.put_group(&tags, &members[..1], 5_000, &[9.0]).unwrap();
+        db.flush_all().unwrap();
+        for (member, want) in want.iter().enumerate() {
+            assert_eq!(&member_samples(&db, member), want, "m{member}");
+        }
+    }
+    let db = TimeUnion::open(dir.path().join("db"), options()).unwrap();
+    for (member, want) in want.iter().enumerate() {
+        assert_eq!(
+            &member_samples(&db, member),
+            want,
+            "m{member} after a reopen"
+        );
+    }
+}
+
+/// The bytes of every WAL segment, by name.
+fn wal_bytes(db_dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(db_dir.join("block").join("wal"))
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name(), std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A group row naming a member slot the group lacks is refused before it
+/// is logged: no WAL record, no sequence number used up.
+#[test]
+fn rejected_group_row_leaves_no_wal_record() {
+    let dir = tempfile::tempdir().unwrap();
+    let db = TimeUnion::open(dir.path().join("db"), options()).unwrap();
+    let (tags, members) = group_members();
+    let (gid, refs) = db.put_group(&tags, &members, 10_000, &[1.0, 1.5]).unwrap();
+    db.sync_wal().unwrap();
+    let before = wal_bytes(&dir.path().join("db"));
+    let err = db.put_group_fast(gid, &[refs[0], 7], 11_000, &[1.1, 1.6]);
+    assert!(
+        matches!(err, Err(tu_common::Error::InvalidArgument(_))),
+        "{err:?}"
+    );
+    db.sync_wal().unwrap();
+    assert_eq!(wal_bytes(&dir.path().join("db")), before);
+}

@@ -229,3 +229,56 @@ fn out_of_order_volumes_remain_correct() {
         assert_eq!(res[0].samples.len(), 1);
     }
 }
+
+/// Writes two group members, `8 + in_head` rows with `chunk_samples = 8`
+/// (so the first eight rows seal), then one more row at t = 0 for member
+/// `a` only, then drains. The late row follows the series rule: it leaves
+/// as a versioned chunk of its own that overrides only `a`'s sample at
+/// t = 0, and the sealed chunk starting at t = 0 stays whole.
+fn late_group_row_keeps_the_stored_chunk(in_head: i64) {
+    let dir = tempfile::tempdir().unwrap();
+    let opts = Options {
+        chunk_samples: 8,
+        index_slots_per_segment: 1 << 14,
+        ..Options::default()
+    };
+    let db = TimeUnion::open(dir.path().join("db"), opts).unwrap();
+    let tags = Labels::from_pairs([("host", "h1")]);
+    let members = [
+        Labels::from_pairs([("metric", "a")]),
+        Labels::from_pairs([("metric", "b")]),
+    ];
+    let rows = 8 + in_head;
+    let (gid, refs) = db.put_group(&tags, &members, 0, &[0.0, 100.0]).unwrap();
+    for i in 1..rows {
+        let values = [i as f64, 100.0 + i as f64];
+        db.put_group_fast(gid, &refs, i * 1000, &values).unwrap();
+    }
+    db.put_group_fast(gid, &refs[..1], 0, &[-1.0]).unwrap();
+    db.flush_all().unwrap();
+
+    let read = |metric: &str| -> Vec<(i64, f64)> {
+        let sel = [timeunion::engine::Selector::exact("metric", metric)];
+        let res = db.query(&sel, 0, i64::MAX / 4).unwrap();
+        res.iter()
+            .flat_map(|r| r.samples.iter().map(|s| (s.t, s.v)))
+            .collect()
+    };
+    let want_a: Vec<(i64, f64)> = (0..rows)
+        .map(|i| (i * 1000, if i == 0 { -1.0 } else { i as f64 }))
+        .collect();
+    let want_b: Vec<(i64, f64)> = (0..rows).map(|i| (i * 1000, 100.0 + i as f64)).collect();
+    let (a, b) = (read("a"), read("b"));
+    assert_eq!(a, want_a, "member a read back {} of {rows}", a.len());
+    assert_eq!(b, want_b, "member b read back {} of {rows}", b.len());
+}
+
+#[test]
+fn late_group_row_after_a_sealed_chunk_keeps_it() {
+    late_group_row_keeps_the_stored_chunk(0);
+}
+
+#[test]
+fn late_group_row_below_the_head_keeps_the_sealed_chunk() {
+    late_group_row_keeps_the_stored_chunk(4);
+}

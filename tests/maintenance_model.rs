@@ -2,8 +2,9 @@
 //! boundary.
 //!
 //! Seeded op sequences — in-order, late and duplicate puts, batches, group
-//! rows, `sync_wal`, `sync`, `flush_all` and retention — run against one
-//! engine and a `BTreeMap` of every value written per `(series, t)`. A step
+//! rows in order, late or repeated, `sync_wal`, `sync`, `flush_all` and
+//! retention — run against one engine and a `BTreeMap` of every value
+//! written per `(series, t)`. A step
 //! hook copies the store at every step boundary of every pass, which is
 //! what a crash there would leave; each copy is reopened and must hold
 //! every acknowledged sample, at its last acknowledged value or a newer
@@ -335,7 +336,7 @@ fn run_seed(seed: u64, ops: usize) -> (usize, usize, usize) {
         let op = rng.gen_range(0..100);
         let what = match op {
             // In-order samples of one series.
-            0..=34 => {
+            0..=29 => {
                 let s = &mut series[rng.gen_range(0..SERIES)];
                 for _ in 0..rng.gen_range(1..12) {
                     s.last += STEP_MS;
@@ -350,7 +351,7 @@ fn run_seed(seed: u64, ops: usize) -> (usize, usize, usize) {
                 "put"
             }
             // A late sample, or a second value for one already written.
-            35..=54 => {
+            30..=46 => {
                 let s = &mut series[rng.gen_range(0..SERIES)];
                 let Some(id) = s.id else { continue };
                 let floor = watermark.max(0) / STEP_MS + 1;
@@ -365,7 +366,7 @@ fn run_seed(seed: u64, ops: usize) -> (usize, usize, usize) {
                 "late put"
             }
             // In-order samples of several series in one acknowledged batch.
-            55..=64 => {
+            47..=56 => {
                 let mut batch = Vec::new();
                 for s in series.iter_mut().filter(|s| s.id.is_some()) {
                     for _ in 0..rng.gen_range(0..6) {
@@ -381,7 +382,7 @@ fn run_seed(seed: u64, ops: usize) -> (usize, usize, usize) {
                 "put_batch"
             }
             // Rows of one group, in order.
-            65..=76 => {
+            57..=66 => {
                 let n = groups.len();
                 let g = &mut groups[rng.gen_range(0..n)];
                 for _ in 0..rng.gen_range(1..10) {
@@ -394,6 +395,33 @@ fn run_seed(seed: u64, ops: usize) -> (usize, usize, usize) {
                 }
                 now = now.max(g.last);
                 "group rows"
+            }
+            // Late group rows, or second values for rows already written,
+            // each carrying some of the members.
+            67..=76 => {
+                let n = groups.len();
+                let g = &mut groups[rng.gen_range(0..n)];
+                let floor = watermark.max(0) / STEP_MS + 1;
+                let top = g.last / STEP_MS;
+                if floor > top {
+                    continue;
+                }
+                for _ in 0..rng.gen_range(1..4) {
+                    let t =
+                        rng.gen_range(floor..=top) * STEP_MS + rng.gen_range(0..2i64) * STEP_MS / 3;
+                    let carried = rng.gen_range(1..1u32 << MEMBERS);
+                    let (mut refs, mut values) = (Vec::new(), Vec::new());
+                    for m in (0..MEMBERS).filter(|m| carried & (1 << m) != 0) {
+                        let v = value();
+                        model.write(&g.members[m], t, v);
+                        refs.push(g.refs[m]);
+                        values.push(v);
+                    }
+                    db.put_group_fast(g.gid, &refs, t, &values).unwrap();
+                    g.last = g.last.max(t);
+                }
+                now = now.max(g.last);
+                "late group row"
             }
             77..=84 => {
                 db.sync_wal().unwrap();
