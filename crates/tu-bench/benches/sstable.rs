@@ -42,15 +42,6 @@ fn bench_read(c: &mut Criterion) {
     g.bench_function("open", |b| {
         b.iter(|| Table::open(TableSource::Block(store.clone(), "sst".into()), None).unwrap())
     });
-    g.bench_function("point_get_warm", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i = (i + 1) % 10_000;
-            table
-                .get(&encode_key(i / 32, (i % 32) as i64 * 60_000))
-                .unwrap()
-        })
-    });
     g.bench_function("range_one_series", |b| {
         let mut id = 0u64;
         b.iter(|| {

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 
 use tu_common::lockdep::{self, Mutex, MutexGuard};
@@ -229,7 +230,7 @@ impl EngineObs {
 }
 
 struct Worker {
-    stop: crossbeam::channel::Sender<()>,
+    stop: SyncSender<()>,
     join: std::thread::JoinHandle<()>,
 }
 
@@ -382,14 +383,7 @@ impl TimeUnion {
         let lsm_weak = Arc::downgrade(self);
         let lsm_endpoint = tu_obs::Endpoint::new("/introspect/lsm", move || {
             let body = match lsm_weak.upgrade() {
-                Some(engine) => {
-                    let view = engine.tree.introspect();
-                    crate::introspect::lsm_json(
-                        &view,
-                        tu_obs::traced("lsm.bloom.checks").get(),
-                        tu_obs::traced("lsm.bloom.negatives").get(),
-                    )
-                }
+                Some(engine) => crate::introspect::lsm_json(&engine.tree.introspect()),
                 None => "{\"error\":\"engine closed\"}".to_string(),
             };
             ("application/json".to_string(), body)
@@ -542,14 +536,14 @@ impl TimeUnion {
         if worker.is_some() {
             return Ok(());
         }
-        let (stop_tx, stop_rx) = crossbeam::channel::bounded::<()>(1);
+        let (stop_tx, stop_rx) = sync_channel::<()>(1);
         let weak = Arc::downgrade(self);
         let join = std::thread::Builder::new()
             .name("timeunion-maintenance".into())
             .spawn(move || loop {
                 match stop_rx.recv_timeout(interval) {
-                    Ok(()) | Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
+                    Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
+                    Err(RecvTimeoutError::Timeout) => {}
                 }
                 let Some(engine) = weak.upgrade() else {
                     return;

@@ -5,8 +5,7 @@
 //! hand-rolled JSON (field order never changes between scrapes):
 //!
 //! * `/introspect/lsm` — [`lsm_json`]: levels, partition boundaries,
-//!   table inventory, stats-footer coverage, block-cache and bloom
-//!   counters.
+//!   table inventory, stats-footer coverage, block-cache counters.
 //! * `/introspect/partitions` — [`partitions_json`]: the LSM partition
 //!   view joined with the partition heat registry (requests, bytes,
 //!   decayed rate windows, hot/warm/cold class, last access).
@@ -45,8 +44,8 @@ fn partition_core_json(p: &PartitionIntrospect) -> String {
 }
 
 /// The `/introspect/lsm` body: tree geometry and table inventory, plus
-/// the process-global cache/bloom read-path counters.
-pub fn lsm_json(view: &LsmIntrospect, bloom_checks: u64, bloom_negatives: u64) -> String {
+/// the block cache's counters.
+pub fn lsm_json(view: &LsmIntrospect) -> String {
     let mut out = format!(
         "{{\"r1_ms\":{},\"r2_ms\":{},\"levels\":[",
         view.r1_ms, view.r2_ms
@@ -78,14 +77,12 @@ pub fn lsm_json(view: &LsmIntrospect, bloom_checks: u64, bloom_negatives: u64) -
     }
     out.push_str(&format!(
         "],\"cache\":{{\"shards\":{},\"used_bytes\":{},\"hits\":{},\
-         \"misses\":{},\"evictions\":{}}},\"bloom\":{{\"checks\":{},\"negatives\":{}}}}}",
+         \"misses\":{},\"evictions\":{}}}}}",
         view.cache.shards,
         view.cache.used_bytes,
         view.cache.hits,
         view.cache.misses,
-        view.cache.evictions,
-        bloom_checks,
-        bloom_negatives
+        view.cache.evictions
     ));
     out
 }
@@ -269,7 +266,7 @@ mod tests {
 
     #[test]
     fn lsm_json_is_stable_and_balanced() {
-        let json = lsm_json(&sample_view(), 100, 93);
+        let json = lsm_json(&sample_view());
         balanced(&json);
         assert!(json.starts_with("{\"r1_ms\":7200000,\"r2_ms\":86400000,\"levels\":["));
         assert!(json.contains("\"level\":0,\"tier\":\"block\""));
@@ -278,9 +275,8 @@ mod tests {
         // An L2 partition's fast-tier patch bytes are their own field.
         assert!(json.contains("\"tier\":\"object\",\"bytes\":65536,\"fast_bytes\":512"));
         assert!(json.contains("\"cache\":{\"shards\":16,\"used_bytes\":8192"));
-        assert!(json.contains("\"bloom\":{\"checks\":100,\"negatives\":93}"));
         // Identical inputs render byte-identically (schema stability).
-        assert_eq!(json, lsm_json(&sample_view(), 100, 93));
+        assert_eq!(json, lsm_json(&sample_view()));
     }
 
     #[test]
@@ -303,7 +299,7 @@ mod tests {
     fn table_names_are_escaped() {
         let mut view = sample_view();
         view.levels[0].partitions[0].tables[0].name = "we\"ird\\name".to_string();
-        let json = lsm_json(&view, 0, 0);
+        let json = lsm_json(&view);
         balanced(&json);
         assert!(json.contains("we\\\"ird\\\\name"));
     }

@@ -10,13 +10,12 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
 use crate::matcher::{Matcher, Selector};
 use crate::postings::{intersect, union, PostingsStore};
 use crate::trie::DoubleArrayTrie;
 use crate::KV_SEPARATOR;
 use tu_common::fs::replace_file;
+use tu_common::lockdep::{self, RwLock};
 use tu_common::{Labels, Result, SeriesId};
 use tu_mmap::pagecache::PageCache;
 
@@ -54,7 +53,7 @@ impl InvertedIndex {
         }
         Ok(InvertedIndex {
             trie,
-            postings: RwLock::new(postings),
+            postings: RwLock::new(&lockdep::INDEX_POSTINGS, postings),
             dir,
         })
     }

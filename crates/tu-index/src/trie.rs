@@ -19,9 +19,8 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use tu_common::fs::replace_file;
+use tu_common::lockdep::{self, Mutex};
 use tu_common::{varint, Error, Result};
 use tu_mmap::pagecache::PageCache;
 use tu_mmap::SegArray;
@@ -89,13 +88,16 @@ impl DoubleArrayTrie {
             }
         }
         Ok(DoubleArrayTrie {
-            inner: Mutex::new(Inner {
-                base,
-                check,
-                tail,
-                keys,
-                next_free_hint: ROOT + 1,
-            }),
+            inner: Mutex::new(
+                &lockdep::INDEX_TRIE,
+                Inner {
+                    base,
+                    check,
+                    tail,
+                    keys,
+                    next_free_hint: ROOT + 1,
+                },
+            ),
         })
     }
 

@@ -2,9 +2,8 @@
 //! classic leveled LSM used by the paper's baselines.
 //!
 //! * [`sstable`] — LevelDB-style SSTables: prefix-compressed 4 KiB data
-//!   blocks (Snappy), an index block, a bloom filter, and a properties
-//!   footer recording the key/ID range (patches need ID ranges, Fig. 11).
-//! * [`bloom`] — the filter behind point lookups.
+//!   blocks (Snappy), an index block, and a properties footer recording
+//!   the key/ID range (patches need ID ranges, Fig. 11).
 //! * [`cache`] — the block LRU cache (1 GiB in the paper's evaluation).
 //! * [`memtable`] — sorted write buffer plus the immutable-memtable queue
 //!   that lets multiple flushes proceed without blocking inserts.
@@ -18,7 +17,6 @@
 //! * [`analysis`] — the closed-form compaction cost model (Equations 7–10).
 
 pub mod analysis;
-pub mod bloom;
 pub mod cache;
 pub mod leveled;
 pub mod memtable;

@@ -1,15 +1,17 @@
-//! SSTable format: prefix-compressed data blocks, an index block, a bloom
-//! filter, and a properties footer.
+//! SSTable format: prefix-compressed data blocks, an index block, and a
+//! properties footer.
 //!
 //! Layout (offsets grow downward):
 //!
 //! ```text
 //! [data block 0][data block 1]...      Snappy-compressed, CRC-guarded
 //! [index block]                        last-key -> (offset, len) per block
-//! [bloom filter]
 //! [properties]                         entry count, first/last key
-//! [footer: 4 x (u64 offset, u64 len) + u64 magic]
+//! [footer: 2 x (u64 offset, u64 len) + 2 x u64 zero + u64 magic]
 //! ```
+//!
+//! Tables are read only by key range (a series' chunks over a time
+//! range), so there is no point-lookup filter.
 //!
 //! Every block (data, index, properties) is framed as
 //! `[payload][compression tag: 1 byte][masked crc32c: 4 bytes]`, like
@@ -25,14 +27,13 @@ use tu_cloud::object::ObjectStore;
 use tu_common::{varint, Error, Result};
 use tu_compress::{crc, snappy};
 
-use crate::bloom::BloomFilter;
 use crate::cache::BlockCache;
 
 /// A parsed data block as stored in the cache.
 type Block = Arc<Vec<(Vec<u8>, Vec<u8>)>>;
 
 const MAGIC: u64 = 0x7475_5353_5441_424c; // "tuSSTABL"
-const FOOTER_LEN: usize = 8 * 8 + 8;
+const FOOTER_LEN: usize = 6 * 8 + 8;
 const RESTART_INTERVAL: usize = 16;
 /// Target uncompressed data-block size; the paper's cost model bills one
 /// slow-storage Get per 4 KiB block (Table 1: `S_block`).
@@ -49,8 +50,6 @@ struct SstObs {
     coalesced_requests: tu_obs::TracedCounter,
     coalesced_blocks: tu_obs::TracedCounter,
     gap_bytes: tu_obs::TracedCounter,
-    bloom_checks: tu_obs::TracedCounter,
-    bloom_negatives: tu_obs::TracedCounter,
 }
 
 fn sst_obs() -> &'static SstObs {
@@ -61,8 +60,6 @@ fn sst_obs() -> &'static SstObs {
         coalesced_requests: tu_obs::traced("lsm.readahead.coalesced_requests"),
         coalesced_blocks: tu_obs::traced("lsm.readahead.coalesced_blocks"),
         gap_bytes: tu_obs::traced("lsm.readahead.gap_bytes"),
-        bloom_checks: tu_obs::traced("lsm.bloom.checks"),
-        bloom_negatives: tu_obs::traced("lsm.bloom.negatives"),
     })
 }
 
@@ -223,7 +220,6 @@ pub struct TableBuilder {
     buf: Vec<u8>,
     current: BlockBuilder,
     index: Vec<(Vec<u8>, u64, u64)>, // (last key, offset, len)
-    keys: Vec<Vec<u8>>,
     first_key: Option<Vec<u8>>,
     last_key: Vec<u8>,
     entries: u64,
@@ -242,7 +238,6 @@ impl TableBuilder {
             buf: Vec::new(),
             current: BlockBuilder::new(),
             index: Vec::new(),
-            keys: Vec::new(),
             first_key: None,
             last_key: Vec::new(),
             entries: 0,
@@ -262,7 +257,6 @@ impl TableBuilder {
         if tu_compress::agg::split_envelope(value).0.is_some() {
             self.stats_chunks += 1;
         }
-        self.keys.push(key.to_vec());
         self.last_key.clear();
         self.last_key.extend_from_slice(key);
         self.entries += 1;
@@ -314,11 +308,6 @@ impl TableBuilder {
         let index_framed = frame_block(&idx.finish());
         let index_off = self.buf.len() as u64;
         self.buf.extend_from_slice(&index_framed);
-        // Bloom filter.
-        let bloom = BloomFilter::build(self.keys.iter().map(|k| k.as_slice()), 10);
-        let bloom_bytes = bloom.to_bytes();
-        let bloom_off = self.buf.len() as u64;
-        self.buf.extend_from_slice(&bloom_bytes);
         // Properties block.
         let first_key = self
             .first_key
@@ -337,8 +326,6 @@ impl TableBuilder {
         for v in [
             index_off,
             index_framed.len() as u64,
-            bloom_off,
-            bloom_bytes.len() as u64,
             props_off,
             props_framed.len() as u64,
             0,
@@ -419,17 +406,15 @@ impl TableSource {
 /// A table's footer, checked against the table's length.
 struct Footer {
     file_len: u64,
-    /// Where the data blocks end and the tail begins: the index block, the
-    /// bloom filter and the properties block, back to back up to the footer.
+    /// Where the data blocks end and the tail begins: the index block and
+    /// the properties block, back to back up to the footer.
     index_off: u64,
     index_len: usize,
-    bloom_len: usize,
 }
 
 /// What a table's tail holds, parsed.
 struct Tail {
     index: Vec<(Vec<u8>, u64, u64)>,
-    bloom: BloomFilter,
     props: TableProps,
 }
 
@@ -442,19 +427,17 @@ impl Footer {
     }
 
     /// Parses the last `FOOTER_LEN` bytes of a `file_len`-byte table. Only
-    /// the layout [`TableBuilder::finish`] writes is accepted — the three
+    /// the layout [`TableBuilder::finish`] writes is accepted — the two
     /// tail sections contiguous and ending at the footer, the reserved pair
     /// zero — so a damaged word is corruption, never an offset to follow.
     fn parse(footer: &[u8], file_len: u64) -> Result<Footer> {
         let footer_off = Footer::offset(file_len)?;
         let word = |i: usize| tu_common::bytes::u64_le(&footer[i * 8..i * 8 + 8]);
-        if word(8) != MAGIC {
+        if word(6) != MAGIC {
             return Err(Error::corruption("sstable footer magic mismatch"));
         }
-        let [index_off, index_len, bloom_off, bloom_len, props_off, props_len, r0, r1] =
-            std::array::from_fn(word);
-        let laid_out = index_off.checked_add(index_len) == Some(bloom_off)
-            && bloom_off.checked_add(bloom_len) == Some(props_off)
+        let [index_off, index_len, props_off, props_len, r0, r1] = std::array::from_fn(word);
+        let laid_out = index_off.checked_add(index_len) == Some(props_off)
             && props_off.checked_add(props_len) == Some(footer_off)
             && r0 == 0
             && r1 == 0;
@@ -465,7 +448,6 @@ impl Footer {
             file_len,
             index_off,
             index_len: index_len as usize,
-            bloom_len: bloom_len as usize,
         })
     }
 
@@ -475,11 +457,9 @@ impl Footer {
     }
 
     /// Parses the tail's `tail_len()` bytes: the index (every block it
-    /// names must lie in the data region), the bloom filter and the
-    /// properties.
+    /// names must lie in the data region) and the properties.
     fn parse_tail(&self, tail: &[u8]) -> Result<Tail> {
-        let (index_framed, rest) = tail.split_at(self.index_len);
-        let (bloom_bytes, props_framed) = rest.split_at(self.bloom_len);
+        let (index_framed, props_framed) = tail.split_at(self.index_len);
         let mut index = Vec::new();
         for (key, value) in block_entries(&unframe_block(index_framed)?)? {
             let (off, n) = varint::read_u64(&value)?;
@@ -489,8 +469,6 @@ impl Footer {
             }
             index.push((key, off, len));
         }
-        let bloom = BloomFilter::from_bytes(bloom_bytes)
-            .ok_or_else(|| Error::corruption("sstable bloom filter truncated"))?;
         let props_block = unframe_block(props_framed)?;
         let mut rest = props_block.as_slice();
         let (entries, n) = varint::read_u64(rest)?;
@@ -515,7 +493,6 @@ impl Footer {
         };
         Ok(Tail {
             index,
-            bloom,
             props: TableProps {
                 entries,
                 first_key,
@@ -527,14 +504,13 @@ impl Footer {
     }
 }
 
-/// An open SSTable: footer, index, and bloom loaded; data blocks fetched on
-/// demand through the block cache.
+/// An open SSTable: footer and index loaded; data blocks fetched on demand
+/// through the block cache.
 pub struct Table {
     source: TableSource,
     cache: Option<Arc<BlockCache>>,
     cache_name: String,
     index: Vec<(Vec<u8>, u64, u64)>,
-    bloom: BloomFilter,
     props: TableProps,
 }
 
@@ -566,26 +542,21 @@ impl TableRead {
 }
 
 impl Table {
-    /// Opens a table, reading footer + index + bloom + properties.
+    /// Opens a table, reading footer + index + properties.
     pub fn open(source: TableSource, cache: Option<Arc<BlockCache>>) -> Result<Self> {
         let file_len = source.len()?;
         let footer_off = Footer::offset(file_len)?;
         let footer = Footer::parse(&source.read_at(footer_off, FOOTER_LEN)?, file_len)?;
-        // Index, bloom, and properties are laid out contiguously at the
-        // file tail; fetch them in a single request (one Get on the slow
-        // tier instead of three).
+        // Index and properties are laid out contiguously at the file tail;
+        // fetch them in a single request (one Get on the slow tier instead
+        // of two).
         let tail = source.read_at(footer.index_off, footer.tail_len())?;
-        let Tail {
-            index,
-            bloom,
-            props,
-        } = footer.parse_tail(&tail)?;
+        let Tail { index, props } = footer.parse_tail(&tail)?;
         Ok(Table {
             cache_name: source.cache_name(),
             source,
             cache,
             index,
-            bloom,
             props,
         })
     }
@@ -684,31 +655,6 @@ impl Table {
             .collect()
     }
 
-    /// Point lookup.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        if key < self.props.first_key.as_slice() || key > self.props.last_key.as_slice() {
-            return Ok(None);
-        }
-        sst_obs().bloom_checks.inc();
-        if !self.bloom.may_contain(key) {
-            sst_obs().bloom_negatives.inc();
-            return Ok(None);
-        }
-        let block_idx = match self
-            .index
-            .binary_search_by(|(last, _, _)| last.as_slice().cmp(key))
-        {
-            Ok(i) => i,
-            Err(i) if i < self.index.len() => i,
-            Err(_) => return Ok(None),
-        };
-        let entries = &self.load_blocks(&[block_idx])?[0];
-        Ok(entries
-            .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-            .ok()
-            .map(|i| entries[i].1.clone()))
-    }
-
     /// Fetches what the key ranges `[start, end)` — sorted and disjoint —
     /// need from this table. Every range's bounding blocks are located in
     /// the in-memory index first, so the union of needed blocks is known
@@ -784,6 +730,13 @@ mod tests {
         )
     }
 
+    /// The value stored under `key`, read the way every engine read is: as
+    /// the key range `[key, key ++ 0x00)`, which holds `key` alone.
+    fn lookup(t: &Table, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        let end = [key, &[0]].concat();
+        Ok(t.range(key, &end)?.pop().map(|(_, v)| v))
+    }
+
     fn open_on_block(bytes: &[u8]) -> (tempfile::TempDir, Table) {
         let dir = tempfile::tempdir().unwrap();
         let store = block_store(&dir);
@@ -793,7 +746,7 @@ mod tests {
     }
 
     #[test]
-    fn build_and_point_get() {
+    fn build_and_point_lookup() {
         let (bytes, props) = build_table(500);
         assert_eq!(props.entries, 500);
         let (_d, t) = open_on_block(&bytes);
@@ -801,13 +754,13 @@ mod tests {
         for i in (0..500u64).step_by(37) {
             let key = encode_key(i / 8, (i % 8) as i64 * 1000);
             assert_eq!(
-                t.get(&key).unwrap(),
+                lookup(&t, &key).unwrap(),
                 Some(format!("value-{i}").into_bytes()),
                 "entry {i}"
             );
         }
-        assert_eq!(t.get(&encode_key(999, 0)).unwrap(), None);
-        assert_eq!(t.get(&encode_key(0, 999)).unwrap(), None);
+        assert_eq!(lookup(&t, &encode_key(999, 0)).unwrap(), None);
+        assert_eq!(lookup(&t, &encode_key(0, 999)).unwrap(), None);
     }
 
     #[test]
@@ -863,7 +816,7 @@ mod tests {
         };
         let footer = bytes.len() - FOOTER_LEN;
         let file_len = bytes.len() as u64;
-        for word in 0..8 {
+        for word in 0..FOOTER_LEN / 8 {
             let at = footer + word * 8;
             let old = tu_common::bytes::u64_le(&bytes[at..at + 8]);
             for new in [
@@ -894,6 +847,33 @@ mod tests {
             bytes.len() - 1,
         ] {
             check(&bytes[..len], &format!("a truncation to {len} bytes"));
+        }
+    }
+
+    /// Every single-bit flip in a table's tail (index and properties) or in
+    /// its footer is corruption to both readers: no byte of the tail is
+    /// read unchecked.
+    #[test]
+    fn every_bit_flip_in_the_tail_is_corruption() {
+        let (bytes, _) = build_table(300);
+        let dir = tempfile::tempdir().unwrap();
+        let store = block_store(&dir);
+        let footer = bytes.len() - FOOTER_LEN;
+        let tail = tu_common::bytes::u64_le(&bytes[footer..footer + 8]) as usize;
+        for bit in tail * 8..bytes.len() * 8 {
+            let mut image = bytes.clone();
+            image[bit / 8] ^= 1 << (bit % 8);
+            store.write_file("sst", &image).unwrap();
+            let source = || TableSource::Block(store.clone(), "sst".into());
+            for (reader, read) in [
+                ("open", Table::open(source(), None).map(drop)),
+                ("scan_file", Table::scan_file(source()).map(drop)),
+            ] {
+                match read {
+                    Err(e) => assert!(e.is_corruption(), "{reader}, bit {bit} flipped: {e}"),
+                    Ok(()) => panic!("{reader} accepted bit {bit} flipped (tail from byte {tail})"),
+                }
+            }
         }
     }
 
@@ -935,7 +915,7 @@ mod tests {
         bytes[10] ^= 0xff;
         let (_d, t) = open_on_block(&bytes);
         let key = encode_key(0, 0);
-        let err = t.get(&key).unwrap_err();
+        let err = lookup(&t, &key).unwrap_err();
         assert!(err.is_corruption(), "got {err}");
     }
 
@@ -978,9 +958,9 @@ mod tests {
         .unwrap();
         let key = encode_key(5, 3000);
         let before = store.stats();
-        assert!(t.get(&key).unwrap().is_some());
+        assert!(lookup(&t, &key).unwrap().is_some());
         let after_first = store.stats();
-        assert!(t.get(&key).unwrap().is_some());
+        assert!(lookup(&t, &key).unwrap().is_some());
         let after_second = store.stats();
         assert!(after_first.get_requests > before.get_requests);
         assert_eq!(
@@ -1072,7 +1052,7 @@ mod tests {
         // smaller than what one EBS request latency buys, so it is bridged:
         // one request, billed the hole's bytes too, one block not loaded.
         let hole_key = encode_key(2500, 0);
-        on_block.get(&hole_key).unwrap();
+        lookup(&on_block, &hole_key).unwrap();
         let hole = on_block
             .index
             .partition_point(|(last, _, _)| last.as_slice() < hole_key.as_slice());

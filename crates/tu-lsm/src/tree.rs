@@ -326,7 +326,7 @@ pub struct TimeTree {
     cache: Arc<BlockCache>,
     next_seq: AtomicU64,
     stats: Mutex<TreeStats>,
-    /// Open table handles (footer/index/bloom parsed once per table, as
+    /// Open table handles (footer/index parsed once per table, as
     /// LevelDB's table cache does).
     tables: Mutex<std::collections::HashMap<String, Arc<Table>>>,
     /// Number of memtables flushed: with [`TimeTree::seal_epoch`], the

@@ -18,10 +18,9 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::file::PagedFile;
 use crate::pagecache::PageCache;
+use tu_common::lockdep::{self, Mutex};
 use tu_common::{Error, Result};
 
 const MAGIC: u32 = 0x54_55_43_41; // "TUCA"
@@ -74,10 +73,13 @@ impl ChunkArena {
             dir,
             chunk_size,
             chunks_per_file,
-            inner: Mutex::new(Inner {
-                files: Vec::new(),
-                free_list: Vec::new(),
-            }),
+            inner: Mutex::new(
+                &lockdep::MMAP_CHUNKFILE,
+                Inner {
+                    files: Vec::new(),
+                    free_list: Vec::new(),
+                },
+            ),
         };
         arena.recover()?;
         Ok(arena)

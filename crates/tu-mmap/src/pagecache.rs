@@ -14,8 +14,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
+use tu_common::lockdep::{self, Mutex};
 use tu_common::{Error, Result};
 
 /// Size of one cache page in bytes.
@@ -103,13 +102,16 @@ impl PageCache {
     /// (rounded down to whole pages, minimum one page).
     pub fn new(budget_bytes: usize) -> Arc<Self> {
         Arc::new(PageCache {
-            inner: Mutex::new(Inner {
-                files: HashMap::new(),
-                frames: Vec::new(),
-                map: HashMap::default(),
-                hand: 0,
-                next_file_id: 1,
-            }),
+            inner: Mutex::new(
+                &lockdep::MMAP_PAGECACHE,
+                Inner {
+                    files: HashMap::new(),
+                    frames: Vec::new(),
+                    map: HashMap::default(),
+                    hand: 0,
+                    next_file_id: 1,
+                },
+            ),
             budget_pages: (budget_bytes / PAGE_SIZE).max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),

@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use tu_common::lockdep::{self, RwLock};
 
 use crate::file::PagedFile;
 use crate::pagecache::PageCache;
@@ -83,7 +83,7 @@ impl<T: Element> SegArray<T> {
             dir,
             name: name.to_string(),
             slots_per_segment,
-            segments: RwLock::new(Vec::new()),
+            segments: RwLock::new(&lockdep::MMAP_SEGARR, Vec::new()),
             len: AtomicU64::new(0),
             _marker: std::marker::PhantomData,
         };

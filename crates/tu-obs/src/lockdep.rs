@@ -19,12 +19,10 @@
 //! defaults **on** and can be silenced with `TU_LOCK_WITNESS=0` (the env
 //! var is read once).
 //!
-//! The wrappers are API-compatible with the workspace's `parking_lot`
-//! stub — `lock()`/`read()`/`write()` return guards directly, `try_*`
-//! return `Option`, poisoning is swallowed — so retrofitting a lock is a
-//! type + constructor change only. [`Condvar`] additionally asserts the
-//! condvar discipline at `wait` time: the waiting thread must hold *only*
-//! the mutex it is about to release.
+//! `lock()`/`read()`/`write()` return guards directly, `try_*` return
+//! `Option`, and poisoning is swallowed. [`Condvar`] additionally asserts
+//! the condvar discipline at `wait` time: the waiting thread must hold
+//! *only* the mutex it is about to release.
 
 use std::cell::RefCell;
 use std::mem::ManuallyDrop;
@@ -68,6 +66,14 @@ macro_rules! classes {
 }
 
 classes! {
+    TSDB_WINDOW = ("tsdb.window", 2);
+    TSDB_HEAD = ("tsdb.head", 3);
+    TSDB_BLOCKS = ("tsdb.blocks", 4);
+    TSDB_BY_LABELS = ("tsdb.by_labels", 5);
+    TSDB_SERIES_MAP = ("tsdb.series_map", 6);
+    TSDB_LABELS_OF = ("tsdb.labels_of", 8);
+    TSDB_OBJECT = ("tsdb.object", 9);
+    TSDB_INDEX = ("tsdb.index", 12);
     ENGINE_MAINTENANCE = ("engine.maintenance", 16);
     ENGINE_WORKER = ("engine.worker", 18);
     ENGINE_SERVE = ("engine.serve", 20);
@@ -77,6 +83,11 @@ classes! {
     CORE_OBJECT = ("core.object", 34);
     ENGINE_CKPTS = ("engine.ckpts", 38);
     CORE_CATALOG_PENDING = ("core.catalog.pending", 42);
+    INDEX_TRIE = ("index.trie", 46);
+    INDEX_POSTINGS = ("index.postings", 50);
+    MMAP_SEGARR = ("mmap.segarr", 54, multi);
+    MMAP_CHUNKFILE = ("mmap.chunkfile", 58);
+    MMAP_PAGECACHE = ("mmap.pagecache", 62);
     LSM_MEMTABLE_ACTIVE = ("lsm.memtable.active", 66);
     LSM_MEMTABLE_IMM = ("lsm.memtable.imm", 68);
     LSM_TREE_LEVELS = ("lsm.tree.levels", 70);

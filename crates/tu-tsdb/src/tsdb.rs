@@ -17,11 +17,11 @@
 //! * Out-of-order samples are rejected, as in Prometheus (§2.2).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
-
 use tu_cloud::StorageEnv;
+use tu_common::lockdep::{self, RwLock};
 use tu_common::{Error, Labels, Result, Sample, SeriesId, TimeRange, Timestamp, Value};
 use tu_compress::gorilla;
 
@@ -123,8 +123,8 @@ pub struct Tsdb {
     blocks: RwLock<Vec<Arc<BlockMeta>>>,
     by_labels: RwLock<HashMap<Vec<u8>, SeriesId>>,
     labels_of: RwLock<HashMap<SeriesId, Labels>>,
-    next_series: Mutex<u64>,
-    next_block: Mutex<u64>,
+    next_series: AtomicU64,
+    next_block: AtomicU64,
     cache: Arc<BlockCache>,
     obs_samples: tu_obs::TracedCounter,
     obs_queries: tu_obs::TracedCounter,
@@ -135,12 +135,12 @@ impl Tsdb {
         let cache = Arc::new(BlockCache::new(opts.chunk_cache_bytes));
         Ok(Tsdb {
             env,
-            head: RwLock::new(Head::new(TimeRange::empty())),
-            blocks: RwLock::new(Vec::new()),
-            by_labels: RwLock::new(HashMap::new()),
-            labels_of: RwLock::new(HashMap::new()),
-            next_series: Mutex::new(1),
-            next_block: Mutex::new(0),
+            head: RwLock::new(&lockdep::TSDB_HEAD, Head::new(TimeRange::empty())),
+            blocks: RwLock::new(&lockdep::TSDB_BLOCKS, Vec::new()),
+            by_labels: RwLock::new(&lockdep::TSDB_BY_LABELS, HashMap::new()),
+            labels_of: RwLock::new(&lockdep::TSDB_LABELS_OF, HashMap::new()),
+            next_series: AtomicU64::new(1),
+            next_block: AtomicU64::new(0),
             cache,
             opts,
             obs_samples: tu_obs::traced("tsdb.ingest.samples"),
@@ -164,9 +164,7 @@ impl Tsdb {
         if let Some(&id) = by_labels.get(&key) {
             return id;
         }
-        let mut next = self.next_series.lock();
-        let id = *next;
-        *next += 1;
+        let id = self.next_series.fetch_add(1, Ordering::Relaxed);
         by_labels.insert(key, id);
         self.labels_of.write().insert(id, labels.clone());
         id
@@ -260,12 +258,7 @@ impl Tsdb {
             return Ok(());
         }
         let range = head.range;
-        let block_no = {
-            let mut n = self.next_block.lock();
-            let v = *n;
-            *n += 1;
-            v
-        };
+        let block_no = self.next_block.fetch_add(1, Ordering::Relaxed);
         let storage_name = format!("tsdb/block-{block_no:06}");
         let mut chunks_file = Vec::new();
         let mut series_meta: HashMap<SeriesId, (Labels, Vec<ChunkRef>)> = HashMap::new();

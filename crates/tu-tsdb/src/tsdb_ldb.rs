@@ -10,10 +10,10 @@
 //! accumulates in memory when compaction cannot keep up.
 
 use std::collections::HashMap;
-
-use parking_lot::RwLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use tu_cloud::StorageEnv;
+use tu_common::lockdep::{self, RwLock};
 use tu_common::{Error, Labels, Result, Sample, SeriesId, Timestamp, Value};
 use tu_compress::gorilla;
 use tu_lsm::leveled::{LeveledOptions, LeveledTree};
@@ -30,7 +30,7 @@ pub struct TsdbLdb {
     labels_of: RwLock<HashMap<SeriesId, Labels>>,
     heads: RwLock<HashMap<SeriesId, Vec<Sample>>>,
     index: RwLock<HashMap<String, HashMap<String, Vec<SeriesId>>>>,
-    next_series: RwLock<u64>,
+    next_series: AtomicU64,
     /// Longest time span of any flushed chunk (query slack).
     max_chunk_span: std::sync::atomic::AtomicI64,
 }
@@ -45,12 +45,12 @@ impl TsdbLdb {
             tree: LeveledTree::open(env, lsm)?,
             chunk_samples,
             block_range_ms: 2 * 60 * 60 * 1000,
-            window: RwLock::new(tu_common::TimeRange::empty()),
-            by_labels: RwLock::new(HashMap::new()),
-            labels_of: RwLock::new(HashMap::new()),
-            heads: RwLock::new(HashMap::new()),
-            index: RwLock::new(HashMap::new()),
-            next_series: RwLock::new(1),
+            window: RwLock::new(&lockdep::TSDB_WINDOW, tu_common::TimeRange::empty()),
+            by_labels: RwLock::new(&lockdep::TSDB_BY_LABELS, HashMap::new()),
+            labels_of: RwLock::new(&lockdep::TSDB_LABELS_OF, HashMap::new()),
+            heads: RwLock::new(&lockdep::TSDB_HEAD, HashMap::new()),
+            index: RwLock::new(&lockdep::TSDB_INDEX, HashMap::new()),
+            next_series: AtomicU64::new(1),
             max_chunk_span: std::sync::atomic::AtomicI64::new(0),
         })
     }
@@ -70,9 +70,7 @@ impl TsdbLdb {
         if let Some(&id) = by_labels.get(&key) {
             return id;
         }
-        let mut next = self.next_series.write();
-        let id = *next;
-        *next += 1;
+        let id = self.next_series.fetch_add(1, Ordering::Relaxed);
         by_labels.insert(key, id);
         self.labels_of.write().insert(id, labels.clone());
         let mut index = self.index.write();

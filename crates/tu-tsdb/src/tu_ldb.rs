@@ -11,11 +11,11 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
-
 use tu_cloud::StorageEnv;
+use tu_common::lockdep::{self, Mutex, RwLock};
 use tu_common::{Error, Labels, Result, Sample, SeriesId, Timestamp, Value};
 use tu_compress::gorilla;
 use tu_core::object::{self, Arenas, Object};
@@ -32,7 +32,7 @@ pub struct TuLdb {
     chunk_samples: usize,
     series: RwLock<HashMap<SeriesId, Arc<Mutex<Object>>>>,
     by_labels: RwLock<HashMap<Vec<u8>, SeriesId>>,
-    next_series: Mutex<u64>,
+    next_series: AtomicU64,
     max_chunk_span: std::sync::atomic::AtomicI64,
 }
 
@@ -57,9 +57,9 @@ impl TuLdb {
             arenas,
             page_cache,
             chunk_samples,
-            series: RwLock::new(HashMap::new()),
-            by_labels: RwLock::new(HashMap::new()),
-            next_series: Mutex::new(1),
+            series: RwLock::new(&lockdep::TSDB_SERIES_MAP, HashMap::new()),
+            by_labels: RwLock::new(&lockdep::TSDB_BY_LABELS, HashMap::new()),
+            next_series: AtomicU64::new(1),
             max_chunk_span: std::sync::atomic::AtomicI64::new(0),
         })
     }
@@ -79,14 +79,11 @@ impl TuLdb {
         if let Some(&id) = by_labels.get(&key) {
             return Ok(id);
         }
-        let id = {
-            let mut next = self.next_series.lock();
-            let id = *next;
-            *next += 1;
-            id
-        };
+        let id = self.next_series.fetch_add(1, Ordering::Relaxed);
         let obj = Object::new(id, labels.clone(), &self.arenas)?;
-        self.series.write().insert(id, Arc::new(Mutex::new(obj)));
+        self.series
+            .write()
+            .insert(id, Arc::new(Mutex::new(&lockdep::TSDB_OBJECT, obj)));
         by_labels.insert(key, id);
         drop(by_labels);
         self.index.add(labels, id)?;

@@ -365,7 +365,7 @@ fn introspection_endpoints_serve_stable_json_under_ingest() {
 
     // Spot-check each endpoint's content.
     let lsm = body_of(&get(addr, "/introspect/lsm")).to_string();
-    for needle in ["\"r1_ms\":", "\"levels\":[", "\"cache\":{", "\"bloom\":{"] {
+    for needle in ["\"r1_ms\":", "\"levels\":[", "\"cache\":{"] {
         assert!(
             lsm.contains(needle),
             "/introspect/lsm missing {needle}: {lsm}"

@@ -176,16 +176,13 @@ fn catalog_matches_recorded_metrics() {
         "span.core.query.ns",
         "obs.http.requests",
         "obs.flight.dropped_events",
-        // The introspection plane: heat coverage, ledger windows, the
-        // capacity gauges the ledger prices, and the bloom read-path
-        // counters behind /introspect/lsm.
+        // The introspection plane: heat coverage, ledger windows, and the
+        // capacity gauges the ledger prices.
         "heat.attributed.requests",
         "heat.unattributed.bytes",
         "ledger.windows",
         "cloud.block.used_bytes",
         "cloud.object.used_bytes",
-        "lsm.bloom.checks",
-        "lsm.bloom.negatives",
     ] {
         assert!(code.contains(anchor), "code scan lost {anchor}");
         assert!(docs.contains(anchor), "doc scan lost {anchor}");

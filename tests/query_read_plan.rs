@@ -162,7 +162,7 @@ fn series_sharing_one_l2_table_share_one_get() {
     // Tables up to 2 MiB: the hour of data below is one L2 table, and no
     // two of its blocks are further apart than S3's merge limit.
     let db = TimeUnion::open(dir.path(), opts(8 << 20, 2 << 20)).unwrap();
-    let ids: Vec<_> = (0..200)
+    let ids: Vec<_> = (0..210)
         .map(|s| {
             let labels =
                 Labels::from_pairs([("metric", "cpu"), ("host", format!("h{s}").as_str())]);
