@@ -18,16 +18,8 @@
 //! docs/OBSERVABILITY.md). `--metrics-json` emits it as JSON instead of
 //! the aligned text table.
 //!
-//! Exporters (docs/OBSERVABILITY.md "Tracing & profiles"):
-//! `--prom-out <path>` additionally writes the final snapshot in the
-//! Prometheus text exposition format, and `--trace-out <path>` enables the
-//! flight recorder for the whole run and writes the drained events as a
-//! chrome://tracing `trace_event` JSON array.
-//!
-//! `--serve <addr>` exposes the process-wide registry live over HTTP for
-//! the duration of the run (`/metrics`, `/vitals`, …) — experiments create
-//! and drop many engines, so health is reported as always-ok and the
-//! vitals monitor samples on wall-clock.
+//! The Prometheus and chrome-trace exporters and the live HTTP plane are
+//! driven through the quickstart example (docs/OBSERVABILITY.md).
 
 mod analysis;
 mod fig1;
@@ -75,18 +67,10 @@ impl Scale {
     }
 }
 
-/// Events the flight recorder buffers when `--trace-out` is given: big
-/// enough that a normal figure run keeps every span, bounded so a long
-/// `all` run degrades to "most recent window" instead of growing.
-const FLIGHT_CAPACITY: usize = 1 << 16;
-
-/// Parses `--flag value` / `--flag=value` flags plus the experiment name.
+/// The experiment name plus the two flags.
 struct Args {
     quick: bool,
     json: bool,
-    trace_out: Option<String>,
-    prom_out: Option<String>,
-    serve: Option<String>,
     cmd: String,
 }
 
@@ -94,28 +78,13 @@ fn parse_args(args: &[String]) -> Args {
     let mut out = Args {
         quick: false,
         json: false,
-        trace_out: None,
-        prom_out: None,
-        serve: None,
         cmd: "all".to_string(),
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value_of = |flag: &str| -> Option<String> {
-            a.strip_prefix(&format!("{flag}="))
-                .map(|v| v.to_string())
-                .or_else(|| (a.as_str() == flag).then(|| it.next().cloned()).flatten())
-        };
+    for a in args {
         if a == "--quick" {
             out.quick = true;
         } else if a == "--metrics-json" {
             out.json = true;
-        } else if let Some(v) = value_of("--trace-out") {
-            out.trace_out = Some(v);
-        } else if let Some(v) = value_of("--prom-out") {
-            out.prom_out = Some(v);
-        } else if let Some(v) = value_of("--serve") {
-            out.serve = Some(v);
         } else if !a.starts_with("--") {
             out.cmd = a.clone();
         } else {
@@ -134,30 +103,6 @@ fn main() {
     } else {
         Scale::normal()
     };
-    if args.trace_out.is_some() {
-        tu_obs::flight().enable(FLIGHT_CAPACITY);
-    }
-    // A process-level live plane: experiments open and close many engines,
-    // so the server carries always-ok health and a wall-clock monitor
-    // rather than any single engine's state.
-    let server = args.serve.as_ref().map(|addr| {
-        let monitor = std::sync::Arc::new(tu_obs::Monitor::new(tu_obs::MonitorOptions::default()));
-        monitor.start();
-        let server = tu_obs::ObsServer::bind(
-            addr.as_str(),
-            tu_obs::ServeSources {
-                health: std::sync::Arc::new(tu_obs::HealthReport::ok),
-                monitor: Some(std::sync::Arc::clone(&monitor)),
-                extra: Vec::new(),
-            },
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("failed to bind {addr}: {e}");
-            std::process::exit(1);
-        });
-        println!("live endpoints on http://{}", server.local_addr());
-        (server, monitor)
-    });
     if let Err(e) = run(&args.cmd, scale) {
         eprintln!("experiment {} failed: {e}", args.cmd);
         std::process::exit(1);
@@ -172,38 +117,6 @@ fn main() {
     } else {
         println!("\n-------------------- metrics --------------------");
         print!("{snapshot}");
-    }
-    if let Some(path) = &args.prom_out {
-        let text = tu_obs::prometheus_text(&snapshot);
-        // Round-trip through the format checker before writing, so a bad
-        // exposition fails the run instead of the scrape.
-        if let Err(e) = tu_obs::parse_prometheus_text(&text) {
-            eprintln!("invalid prometheus exposition: {e}");
-            std::process::exit(1);
-        }
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("prometheus snapshot written to {path}");
-    }
-    if let Some(path) = &args.trace_out {
-        let recorder = tu_obs::flight();
-        let dropped = recorder.dropped();
-        let events = recorder.drain();
-        recorder.disable();
-        if let Err(e) = std::fs::write(path, tu_obs::chrome_trace_json(&events)) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "chrome trace written to {path} ({} events, {dropped} dropped)",
-            events.len()
-        );
-    }
-    if let Some((server, monitor)) = server {
-        server.shutdown();
-        monitor.stop();
     }
 }
 

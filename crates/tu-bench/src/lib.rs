@@ -1,5 +1,5 @@
 //! Shared harness for the figure/table reproduction binary and the
-//! criterion micro-benchmarks.
+//! `tu-e2e` benchmark.
 //!
 //! ## Time accounting
 //!

@@ -2,12 +2,14 @@
 //!
 //! Tag sets must survive restarts so the inverted index and the memory
 //! objects can be rebuilt. The catalog is an append-only, CRC-framed file
-//! on the fast tier with three record kinds:
+//! on the fast tier with four record kinds:
 //!
 //! * `Series(id, labels)` — an individual timeseries was created.
 //! * `Group(gid, group_tags)` — a group was created.
 //! * `Member(gid, slot, unique_tags)` — a member joined a group at `slot`
 //!   (slots are append-only positions, §3.4).
+//! * `Removed(id)` — retention purged a series or group (members
+//!   included). Recovery drops it again, and never hands its id out anew.
 
 use std::sync::Arc;
 
@@ -33,6 +35,9 @@ pub enum CatalogRecord {
         slot: SeriesRef,
         unique_tags: Labels,
     },
+    Removed {
+        id: SeriesId,
+    },
 }
 
 fn write_labels(out: &mut Vec<u8>, labels: &Labels) {
@@ -46,32 +51,34 @@ fn write_labels(out: &mut Vec<u8>, labels: &Labels) {
 }
 
 fn read_labels(buf: &[u8]) -> Result<(Labels, usize)> {
-    let mut off = 0usize;
-    let (n, used) = varint::read_u64(&buf[off..])?;
-    off += used;
-    let mut pairs = Vec::with_capacity(n as usize);
+    let (n, mut off) = varint::read_u64(buf)?;
+    // Each pair takes at least two bytes, so the bytes that remain bound
+    // the count a well-formed record can hold.
+    let mut pairs = Vec::with_capacity((n as usize).min((buf.len() - off) / 2));
     for _ in 0..n {
-        let (klen, used) = varint::read_u64(&buf[off..])?;
+        let (k, used) = read_str(&buf[off..], "key")?;
         off += used;
-        let k = std::str::from_utf8(
-            buf.get(off..off + klen as usize)
-                .ok_or_else(|| Error::corruption("catalog label key truncated"))?,
-        )
-        .map_err(|_| Error::corruption("catalog label key not utf-8"))?
-        .to_string();
-        off += klen as usize;
-        let (vlen, used) = varint::read_u64(&buf[off..])?;
+        let (v, used) = read_str(&buf[off..], "value")?;
         off += used;
-        let v = std::str::from_utf8(
-            buf.get(off..off + vlen as usize)
-                .ok_or_else(|| Error::corruption("catalog label value truncated"))?,
-        )
-        .map_err(|_| Error::corruption("catalog label value not utf-8"))?
-        .to_string();
-        off += vlen as usize;
         pairs.push((k, v));
     }
     Ok((Labels::from_pairs(pairs), off))
+}
+
+/// Reads one length-prefixed UTF-8 string, returning it and the bytes it
+/// took.
+fn read_str(buf: &[u8], what: &str) -> Result<(String, usize)> {
+    let (len, used) = varint::read_u64(buf)?;
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|len| used.checked_add(len))
+        .ok_or_else(|| Error::corruption(format!("catalog label {what} length overflows")))?;
+    let bytes = buf
+        .get(used..end)
+        .ok_or_else(|| Error::corruption(format!("catalog label {what} truncated")))?;
+    let s = std::str::from_utf8(bytes)
+        .map_err(|_| Error::corruption(format!("catalog label {what} not utf-8")))?;
+    Ok((s.to_string(), end))
 }
 
 impl CatalogRecord {
@@ -97,6 +104,10 @@ impl CatalogRecord {
                 body.extend_from_slice(&gid.to_le_bytes());
                 body.extend_from_slice(&slot.to_le_bytes());
                 write_labels(&mut body, unique_tags);
+            }
+            CatalogRecord::Removed { id } => {
+                body.push(4);
+                body.extend_from_slice(&id.to_le_bytes());
             }
         }
         let mut out = Vec::with_capacity(8 + body.len());
@@ -142,6 +153,13 @@ impl CatalogRecord {
                     slot,
                     unique_tags,
                 })
+            }
+            4 => {
+                let id = tu_common::bytes::u64_le(
+                    body.get(1..9)
+                        .ok_or_else(|| Error::corruption("catalog removed id truncated"))?,
+                );
+                Ok(CatalogRecord::Removed { id })
             }
             other => Err(Error::corruption(format!(
                 "unknown catalog record tag {other}"
@@ -254,6 +272,10 @@ mod tests {
                 id: 8,
                 labels: Labels::new(),
             },
+            CatalogRecord::Removed { id: 7 },
+            CatalogRecord::Removed {
+                id: 1 | tu_common::GROUP_ID_FLAG,
+            },
         ];
         for r in &records {
             c.append(r);
@@ -296,5 +318,57 @@ mod tests {
         c.append(&rec);
         c.flush().unwrap();
         assert_eq!(c.replay().unwrap(), vec![rec]);
+    }
+
+    /// Every record kind, cut at every length and with each byte flipped,
+    /// decodes to a record or to `Error::corruption`, never a panic. The
+    /// input is a record body that passed its CRC.
+    #[test]
+    fn damaged_bodies_decode_or_fail_as_corruption() {
+        let records = [
+            CatalogRecord::Series {
+                id: 7,
+                labels: labels(&[("metric", "cpu"), ("host", "h1")]),
+            },
+            CatalogRecord::Group {
+                gid: 1 | tu_common::GROUP_ID_FLAG,
+                group_tags: labels(&[("host", "h1")]),
+            },
+            CatalogRecord::Member {
+                gid: 1 | tu_common::GROUP_ID_FLAG,
+                slot: 3,
+                unique_tags: labels(&[("metric", "mem")]),
+            },
+            CatalogRecord::Removed { id: 7 },
+        ];
+        let check = |body: &[u8]| match CatalogRecord::decode(body) {
+            Ok(_) => {}
+            Err(e) => assert!(e.is_corruption(), "{body:?}: {e}"),
+        };
+        for record in &records {
+            let body = record.encode()[8..].to_vec();
+            for len in 0..body.len() {
+                check(&body[..len]);
+            }
+            for i in 0..body.len() {
+                for mask in [0x01, 0x80, 0xff] {
+                    let mut damaged = body.clone();
+                    damaged[i] ^= mask;
+                    check(&damaged);
+                }
+            }
+        }
+        // A label count or length near u64::MAX asks for no allocation
+        // and overflows no offset.
+        let huge = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        let mut body = vec![1];
+        body.extend_from_slice(&7u64.to_le_bytes());
+        body.extend_from_slice(&huge);
+        check(&body);
+        let mut body = vec![1];
+        body.extend_from_slice(&7u64.to_le_bytes());
+        body.push(1);
+        body.extend_from_slice(&huge);
+        check(&body);
     }
 }

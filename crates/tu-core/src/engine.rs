@@ -593,6 +593,9 @@ impl TimeUnion {
         // 1. Catalog: rebuild identifier maps, memory objects, and index
         //    postings (idempotent on the persisted trie). Series share
         //    most of their tag pairs, so the index is loaded as one batch.
+        //    A removal drops its object as retention did, postings the
+        //    synced sidecar still held included; its creation record has
+        //    already moved numbering past its id.
         let mut index = self.index.batch();
         for record in self.catalog.replay()? {
             let (id, labels, next) = match record {
@@ -612,6 +615,10 @@ impl TimeUnion {
                         return Err(Error::corruption("catalog member slots out of order"));
                     }
                     index.add(&o.labels.merge(&unique_tags), gid)?;
+                    continue;
+                }
+                CatalogRecord::Removed { id } => {
+                    self.drop_object(id)?;
                     continue;
                 }
             };
@@ -1421,7 +1428,7 @@ impl TimeUnion {
     /// series and group with its labels, every chunk in the tree (key and
     /// raw bytes), and every buffered head sample, folded in id order.
     ///
-    /// Used by the parallel-ingest tests and the `ingest_scaling` bench to
+    /// Used by the parallel-ingest tests and the end-to-end benchmark to
     /// pin that the on-disk state after a parallel ingest is byte-identical
     /// to the sequential path: same chunk boundaries, same compressed chunk
     /// bytes, same tree contents for every thread count.

@@ -16,6 +16,7 @@ use std::sync::Arc;
 use tu_common::{Error, Result, SeriesId, Timestamp};
 use tu_lsm::wal::RecordKind;
 
+use crate::catalog::CatalogRecord;
 use crate::engine::{tags_key, TimeUnion};
 use crate::meta::{self, EngineMeta};
 
@@ -212,8 +213,9 @@ impl TimeUnion {
         Ok(())
     }
 
-    /// Drops the objects whose newest sample is older than `watermark`.
-    /// Returns how many went.
+    /// Drops the objects whose newest sample is older than `watermark`,
+    /// and records each removal in the catalog: the pass's `FlushWal` step
+    /// makes it durable. Returns how many went.
     fn purge_objects(&self, watermark: Timestamp) -> Result<usize> {
         let stale: Vec<SeriesId> = self
             .objects
@@ -224,21 +226,31 @@ impl TimeUnion {
             .collect();
         let mut objects = 0;
         for id in stale {
-            let Some(obj) = self.objects.remove(&id) else {
-                continue;
-            };
-            let obj = Arc::try_unwrap(obj)
-                .map_err(|_| Error::Closed("object busy during retention".into()))?
-                .into_inner();
-            self.by_tags.remove(&tags_key(&obj.labels, obj.is_group()));
-            self.index.remove(&obj.labels, id)?;
-            for (_, unique) in obj.members() {
-                self.index.remove(&obj.labels.merge(unique), id)?;
+            if self.drop_object(id)? {
+                self.catalog.append(&CatalogRecord::Removed { id });
+                objects += 1;
             }
-            obj.release(&self.arenas)?;
-            objects += 1;
         }
         Ok(objects)
+    }
+
+    /// Removes object `id` from memory: its map entries, its postings
+    /// (each member's too) and its head slot. Retention and the replay of
+    /// a removal record both go through here. Returns whether it existed.
+    pub(crate) fn drop_object(&self, id: SeriesId) -> Result<bool> {
+        let Some(obj) = self.objects.remove(&id) else {
+            return Ok(false);
+        };
+        let obj = Arc::try_unwrap(obj)
+            .map_err(|_| Error::Closed("object busy during retention".into()))?
+            .into_inner();
+        self.by_tags.remove(&tags_key(&obj.labels, obj.is_group()));
+        self.index.remove(&obj.labels, id)?;
+        for (_, unique) in obj.members() {
+            self.index.remove(&obj.labels.merge(unique), id)?;
+        }
+        obj.release(&self.arenas)?;
+        Ok(true)
     }
 
     /// Takes the checkpoints whose chunks reached L0 and replaces

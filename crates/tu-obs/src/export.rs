@@ -1,9 +1,9 @@
 //! Exporters: Prometheus text exposition for [`MetricsSnapshot`]s and
 //! chrome://tracing `trace_event` JSON for [`FlightEvent`]s.
 //!
-//! Both formats are emitted by the `figures` harness (`--prom-out`,
-//! `--trace-out`) so a figure run leaves behind machine-readable cost
-//! evidence next to the rendered numbers. [`parse_prometheus_text`] is the
+//! Both formats are emitted by the quickstart example (`--prom-out`,
+//! `--trace-out`) so a run leaves behind machine-readable cost evidence
+//! next to its printed numbers. [`parse_prometheus_text`] is the
 //! matching format checker: it re-parses an exposition and validates the
 //! histogram invariants (cumulative buckets, `+Inf` == `_count`), which CI
 //! uses to prove the exporter round-trips.

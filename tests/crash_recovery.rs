@@ -594,6 +594,53 @@ fn retention_deletes_fast_tier_patches() {
     );
 }
 
+/// A series and a group retention purged stay purged across a reopen: the
+/// catalog's removal records keep them, the group's members included, out
+/// of the tag values, the counts and every query, and no id is handed out
+/// again.
+#[test]
+fn retention_survives_a_reopen() {
+    use std::sync::Arc;
+    use tu_common::clock::SimClock;
+    let dir = tempfile::tempdir().unwrap();
+    let clock = SimClock::new(0);
+    let opts = || Options {
+        retention_ms: Some(1_000_000),
+        clock: Arc::new(clock.clone()),
+        ..options()
+    };
+    let old = Labels::from_pairs([("metric", "old")]);
+    let new = Labels::from_pairs([("metric", "new")]);
+    let metric = |v: &str| vec![Selector::exact("metric", v)];
+    let old_id = {
+        let db = TimeUnion::open(dir.path().join("db"), opts()).unwrap();
+        let old_id = db.put(&old, 1_000, 1.0).unwrap();
+        let group = Labels::from_pairs([("job", "old")]);
+        let member = Labels::from_pairs([("metric", "member")]);
+        db.put_group(&group, &[member], 1_000, &[4.0]).unwrap();
+        db.put(&new, 5_000_000, 2.0).unwrap();
+        db.sync().unwrap();
+        clock.set(6_000_000);
+        let (_, objects) = db.apply_retention().unwrap();
+        assert_eq!(objects, 2, "the watermark is 5 000 000: both go");
+        assert_eq!(db.tag_values("metric").unwrap(), vec!["new"]);
+        old_id
+    };
+    let db = TimeUnion::open(dir.path().join("db"), opts()).unwrap();
+    assert_eq!(db.tag_values("metric").unwrap(), vec!["new"]);
+    assert!(db.tag_values("job").unwrap().is_empty());
+    assert_eq!((db.series_count(), db.group_count()), (1, 0));
+    assert!(db.query(&metric("old"), 0, i64::MAX).unwrap().is_empty());
+    assert!(db.query(&metric("member"), 0, i64::MAX).unwrap().is_empty());
+
+    let fresh = Labels::from_pairs([("metric", "fresh")]);
+    let fresh_id = db.put(&fresh, 6_000_000, 3.0).unwrap();
+    assert!(fresh_id > old_id, "{fresh_id} reuses a purged id");
+    let got = db.query(&metric("fresh"), 0, i64::MAX).unwrap();
+    let samples: Vec<(i64, f64)> = got[0].samples.iter().map(|s| (s.t, s.v)).collect();
+    assert_eq!(samples, vec![(6_000_000, 3.0)]);
+}
+
 /// A drain merges every patch into its table: afterwards the fast tier
 /// holds nothing under `l2/` and the manifest names no patch.
 #[test]

@@ -103,13 +103,10 @@ struct History {
 #[derive(Default)]
 struct Model {
     live: BTreeMap<Key, History>,
-    /// Retention dropped these from a series that lives on: they must
+    /// Retention dropped these, from a series that lives on or with the
+    /// series itself: once the pass that dropped them has ended, they must
     /// never read back.
     purged: BTreeSet<Key>,
-    /// Samples of series whose objects retention dropped. The catalog has
-    /// no removal record, so a reopen brings such a series back, and with
-    /// it whatever of it the tree or the WAL still holds.
-    orphaned: BTreeMap<Key, History>,
 }
 
 impl Model {
@@ -139,11 +136,14 @@ impl Model {
         let db = TimeUnion::open(image, options(&SimClock::new(0))).unwrap();
         let got = read_all(&db);
         for (key, v) in &got {
-            let allowed = match (self.live.get(key), self.orphaned.get(key)) {
-                (Some(h), _) => &h.writes[h.acked.saturating_sub(1)..],
-                (None, Some(h)) => &h.writes[..],
-                (None, None) => panic!("{what}: {key:?} = {v} read back, but was purged"),
+            let Some(h) = self.live.get(key) else {
+                let why = match self.purged.contains(key) {
+                    true => "was purged",
+                    false => "was never written",
+                };
+                panic!("{what}: {key:?} = {v} read back, but {why}");
             };
+            let allowed = &h.writes[h.acked.saturating_sub(1)..];
             assert!(
                 allowed.contains(v),
                 "{what}: {key:?} read back as {v}, expected one of {allowed:?}"
@@ -491,12 +491,8 @@ fn run_seed(seed: u64, ops: usize) -> (usize, usize, usize) {
             model.ack_all();
         }
         for key in optional {
-            let h = model.live.remove(&key).unwrap();
-            if live_series(&series, &groups, &key.0) {
-                model.purged.insert(key);
-            } else {
-                model.orphaned.insert(key, h);
-            }
+            model.live.remove(&key);
+            model.purged.insert(key);
         }
         assert_eq!(
             live,
@@ -517,13 +513,6 @@ fn run_seed(seed: u64, ops: usize) -> (usize, usize, usize) {
     );
     let boundaries = images.lock().unwrap().boundaries;
     (boundaries, checked, passes.load(Ordering::SeqCst))
-}
-
-fn live_series(series: &[Target], groups: &[Group], labels: &[u8]) -> bool {
-    series.iter().any(|s| s.labels.to_bytes() == labels)
-        || groups
-            .iter()
-            .any(|g| g.members.iter().any(|m| m.to_bytes() == labels))
 }
 
 #[test]

@@ -87,7 +87,7 @@ fn digest_at(threads: usize) -> String {
 #[test]
 fn parallel_ingest_state_is_identical_across_thread_counts() {
     let baseline = digest_at(1);
-    for threads in [2, 8] {
+    for threads in [2, 4, 8] {
         assert_eq!(
             digest_at(threads),
             baseline,
