@@ -2,25 +2,19 @@
 //!
 //! Each storage tier charges requests according to a [`LatencyModel`]
 //! calibrated to the paper's §2.1 measurements. Charges are accumulated on a
-//! shared [`CostClock`], which either (a) only tracks *virtual* nanoseconds
-//! (deterministic, the default for the figure harness), (b) additionally
-//! sleeps a scaled-down real duration (for end-to-end throughput runs where
-//! background threads must actually contend), or (c) is disabled.
+//! shared [`CostClock`], which either tracks *virtual* nanoseconds
+//! (deterministic, the default for the figure harness) or is disabled.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// How modelled latency is applied.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LatencyMode {
     /// No accounting at all (pure-correctness tests).
     Off,
-    /// Accumulate virtual nanoseconds only. Deterministic and fast.
+    /// Accumulate virtual nanoseconds. Deterministic and fast.
     Virtual,
-    /// Accumulate virtual nanoseconds *and* sleep `scale` × the modelled
-    /// duration (e.g. `0.01` compresses a 30 ms S3 GET to 300 µs).
-    Sleep(f64),
 }
 
 /// Per-tier latency/bandwidth parameters.
@@ -323,20 +317,10 @@ impl CostClock {
         self.mode
     }
 
-    /// Charges `ns` of modelled time (and sleeps if in sleep mode).
+    /// Charges `ns` of modelled time.
     pub fn charge(&self, ns: u64) {
-        match self.mode {
-            LatencyMode::Off => {}
-            LatencyMode::Virtual => {
-                self.inner.virtual_ns.fetch_add(ns, Ordering::Relaxed);
-            }
-            LatencyMode::Sleep(scale) => {
-                self.inner.virtual_ns.fetch_add(ns, Ordering::Relaxed);
-                let real = (ns as f64 * scale) as u64;
-                if real > 0 {
-                    std::thread::sleep(Duration::from_nanos(real));
-                }
-            }
+        if self.mode == LatencyMode::Virtual {
+            self.inner.virtual_ns.fetch_add(ns, Ordering::Relaxed);
         }
     }
 

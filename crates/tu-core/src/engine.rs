@@ -1780,6 +1780,37 @@ mod tests {
         );
     }
 
+    /// A writer can recreate a purged series' tags before retention logs
+    /// the removal. Replaying `Series(old)`, `Series(new)`, `Removed(old)`
+    /// leaves the tags with `new`: one object answers them, and `put`
+    /// resolves to it instead of creating a third.
+    #[test]
+    fn removal_replay_keeps_a_recreated_series() {
+        let dir = tempfile::tempdir().unwrap();
+        let l = labels(&[("metric", "cpu")]);
+        let new = {
+            let e = TimeUnion::open(dir.path().join("db"), opts()).unwrap();
+            let old = e.put(&l, 1_000, 1.0).unwrap();
+            let new = old + 1;
+            e.catalog.append(&CatalogRecord::Series {
+                id: new,
+                labels: l.clone(),
+            });
+            e.catalog.append(&CatalogRecord::Removed { id: old });
+            e.sync().unwrap();
+            new
+        };
+        let e = TimeUnion::open(dir.path().join("db"), opts()).unwrap();
+        assert_eq!(e.series_count(), 1);
+        assert_eq!(e.put(&l, 2_000, 2.0).unwrap(), new);
+        let res = e
+            .query(&[Selector::exact("metric", "cpu")], 0, 10_000)
+            .unwrap();
+        assert_eq!(res.len(), 1);
+        assert_eq!(res[0].id, new);
+        assert_eq!(res[0].samples, vec![Sample::new(2_000, 2.0)]);
+    }
+
     #[test]
     fn retention_drops_old_series() {
         use tu_common::clock::SimClock;

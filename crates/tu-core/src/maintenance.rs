@@ -237,6 +237,10 @@ impl TimeUnion {
     /// Removes object `id` from memory: its map entries, its postings
     /// (each member's too) and its head slot. Retention and the replay of
     /// a removal record both go through here. Returns whether it existed.
+    ///
+    /// The tags stay mapped when they already name another id: a writer
+    /// may recreate them before the removal is logged, so the catalog can
+    /// hold the newer object's creation ahead of this removal.
     pub(crate) fn drop_object(&self, id: SeriesId) -> Result<bool> {
         let Some(obj) = self.objects.remove(&id) else {
             return Ok(false);
@@ -244,7 +248,12 @@ impl TimeUnion {
         let obj = Arc::try_unwrap(obj)
             .map_err(|_| Error::Closed("object busy during retention".into()))?
             .into_inner();
-        self.by_tags.remove(&tags_key(&obj.labels, obj.is_group()));
+        let key = tags_key(&obj.labels, obj.is_group());
+        let mut by_tags = self.by_tags.lock_shard(&key);
+        if by_tags.get(&key) == Some(&id) {
+            by_tags.remove(&key);
+        }
+        drop(by_tags);
         self.index.remove(&obj.labels, id)?;
         for (_, unique) in obj.members() {
             self.index.remove(&obj.labels.merge(unique), id)?;

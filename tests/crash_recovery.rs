@@ -596,8 +596,9 @@ fn retention_deletes_fast_tier_patches() {
 
 /// A series and a group retention purged stay purged across a reopen: the
 /// catalog's removal records keep them, the group's members included, out
-/// of the tag values, the counts and every query, and no id is handed out
-/// again.
+/// of the tag values, the counts and every query. The purged series holds
+/// the highest id, so numbering derived from the live objects alone would
+/// hand that id out again: the next series must be numbered above it.
 #[test]
 fn retention_survives_a_reopen() {
     use std::sync::Arc;
@@ -614,11 +615,12 @@ fn retention_survives_a_reopen() {
     let metric = |v: &str| vec![Selector::exact("metric", v)];
     let old_id = {
         let db = TimeUnion::open(dir.path().join("db"), opts()).unwrap();
+        let new_id = db.put(&new, 5_000_000, 2.0).unwrap();
         let old_id = db.put(&old, 1_000, 1.0).unwrap();
+        assert!(old_id > new_id);
         let group = Labels::from_pairs([("job", "old")]);
         let member = Labels::from_pairs([("metric", "member")]);
         db.put_group(&group, &[member], 1_000, &[4.0]).unwrap();
-        db.put(&new, 5_000_000, 2.0).unwrap();
         db.sync().unwrap();
         clock.set(6_000_000);
         let (_, objects) = db.apply_retention().unwrap();
