@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 
@@ -164,9 +164,6 @@ pub struct TimeUnion {
     pub(crate) by_tags: ShardedMap<Vec<u8>, SeriesId>,
     next_series: AtomicU64,
     next_group: AtomicU64,
-    /// Longest time span observed in any sealed chunk; queries extend
-    /// their range start by this much to catch straddling chunks.
-    pub(crate) max_chunk_span: AtomicI64,
     /// Highest sequence number a late chunk has had, which is also its
     /// version in the tree: persisted in `engine.meta` before any
     /// checkpoint, and every series numbers on above it after a reopen, so
@@ -284,7 +281,6 @@ impl TimeUnion {
             by_tags: ShardedMap::new(&lockdep::CORE_MAP_LABELS),
             next_series: AtomicU64::new(1),
             next_group: AtomicU64::new(1),
-            max_chunk_span: AtomicI64::new(0),
             late_seq: AtomicU64::new(0),
             pending_ckpts: Mutex::new(&lockdep::ENGINE_CKPTS, Vec::new()),
             wal_unflushed: AtomicU64::new(0),
@@ -634,8 +630,6 @@ impl TimeUnion {
         if self.env.block.exists(meta::FILE) {
             let written = self.env.block.read_file(meta::FILE)?;
             let mut meta = EngineMeta::decode(&written)?;
-            self.max_chunk_span
-                .fetch_max(meta.max_chunk_span, Ordering::Relaxed);
             self.late_seq.fetch_max(meta.late_seq, Ordering::Relaxed);
             meta.late_ts.retain(|id, t| match self.objects.get(id) {
                 Some(obj) => {
@@ -916,8 +910,6 @@ impl TimeUnion {
         seq: u64,
         late: bool,
     ) -> bool {
-        self.max_chunk_span
-            .fetch_max(last_ts - first_ts, Ordering::Relaxed);
         let sealed = match late {
             true => self.tree.put_version(stream, first_ts, seq, chunk),
             false => self.tree.put(stream, first_ts, chunk),
@@ -1254,8 +1246,7 @@ impl TimeUnion {
             let cols: Vec<(ChunkFormat, Vec<Column>)> = cols.into_iter().collect::<Result<_>>()?;
             let plan = {
                 let _plan = tu_obs::span("core.query.plan");
-                let from = start.saturating_sub(self.max_chunk_span.load(Ordering::Relaxed) + 1);
-                self.tree.plan_reads(&ids, from, end)?
+                self.tree.plan_reads(&ids, start, end)?
             };
             pool.run(ids.len(), |i| {
                 let (format, cols) = &cols[i];

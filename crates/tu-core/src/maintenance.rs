@@ -286,7 +286,6 @@ impl TimeUnion {
             *seq = (*seq).max(c.seq);
             *late |= c.late.is_some();
         }
-        meta.max_chunk_span = self.max_chunk_span.load(Ordering::Relaxed);
         meta.late_seq = self.late_seq.load(Ordering::Relaxed);
         let bytes = meta.encode();
         if bytes != *written {

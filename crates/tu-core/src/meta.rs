@@ -6,6 +6,11 @@
 //! file of only the first field is the layout from before late chunks. The
 //! file is replaced whole ([`tu_cloud::block::BlockStore::replace_file`]),
 //! so any other length is corruption.
+//!
+//! The first field is unused: it is written as 0 and ignored on read, so
+//! files written while it held a query slack still open. Queries bound
+//! their keys by the reach each table and memtable records
+//! (`TimeTree::plan_reads`).
 
 use std::collections::BTreeMap;
 
@@ -18,8 +23,6 @@ pub const FILE: &str = "engine.meta";
 /// The persisted hints.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct EngineMeta {
-    /// Longest time span of any chunk put into the tree: the query slack.
-    pub max_chunk_span: i64,
     /// Highest sequence number any late chunk has had, which is also its
     /// version in the tree; numbering carries on above it after a reopen.
     pub late_seq: u64,
@@ -33,7 +36,7 @@ pub struct EngineMeta {
 impl EngineMeta {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + 16 * self.late_ts.len());
-        out.extend_from_slice(&self.max_chunk_span.to_le_bytes());
+        out.extend_from_slice(&0i64.to_le_bytes());
         out.extend_from_slice(&self.late_seq.to_le_bytes());
         for (id, t) in &self.late_ts {
             out.extend_from_slice(&id.to_le_bytes());
@@ -45,9 +48,8 @@ impl EngineMeta {
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         let mut meta = EngineMeta::default();
         match bytes.len() {
-            8 => meta.max_chunk_span = i64_le(bytes),
+            8 => {}
             n if n >= 16 && n % 16 == 0 => {
-                meta.max_chunk_span = i64_le(&bytes[..8]);
                 meta.late_seq = u64_le(&bytes[8..16]);
                 for pair in bytes[16..].chunks_exact(16) {
                     meta.late_ts.insert(u64_le(pair), i64_le(&pair[8..]));
@@ -66,16 +68,19 @@ mod tests {
     #[test]
     fn round_trips_and_reads_the_span_only_layout() {
         let meta = EngineMeta {
-            max_chunk_span: 7_200_000,
             late_seq: 41,
             late_ts: BTreeMap::from([(3, -5), (9, 1 << 40)]),
         };
         let bytes = meta.encode();
         assert_eq!(bytes.len(), 48);
+        assert_eq!(bytes[..8], [0; 8], "the old span field is written as 0");
         assert_eq!(EngineMeta::decode(&bytes).unwrap(), meta);
+        // A span written before is ignored, in either layout.
+        let mut spanned = bytes.clone();
+        spanned[..8].copy_from_slice(&7_200_000i64.to_le_bytes());
+        assert_eq!(EngineMeta::decode(&spanned).unwrap(), meta);
         let old = EngineMeta::decode(&310i64.to_le_bytes()).unwrap();
-        assert_eq!((old.max_chunk_span, old.late_seq), (310, 0));
-        assert!(old.late_ts.is_empty());
+        assert_eq!(old, EngineMeta::default());
     }
 
     #[test]

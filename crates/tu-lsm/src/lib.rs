@@ -7,6 +7,8 @@
 //! * [`cache`] — the block LRU cache (1 GiB in the paper's evaluation).
 //! * [`memtable`] — sorted write buffer plus the immutable-memtable queue
 //!   that lets multiple flushes proceed without blocking inserts.
+//! * [`reach`] — how far a table's or memtable's chunks reach past their
+//!   keys, which bounds the keys a query for a time window must read.
 //! * [`wal`] — record-framed write-ahead log with sequence-ID checkpoints
 //!   (§3.3 "Logging").
 //! * [`tree`] — the time-partitioned three-level tree: L0/L1 on the fast
@@ -20,12 +22,14 @@ pub mod analysis;
 pub mod cache;
 pub mod leveled;
 pub mod memtable;
+pub mod reach;
 pub mod sstable;
 pub mod tree;
 pub mod wal;
 
 pub use leveled::{LeveledOptions, LeveledTree};
 pub use memtable::MemTable;
+pub use reach::Reach;
 pub use tree::{
     CacheIntrospect, LevelIntrospect, LsmIntrospect, PartitionIntrospect, ReadPlan,
     TableIntrospect, TimeTree, TreeOptions,

@@ -9,12 +9,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tu_common::lockdep::{self, Mutex, RwLock};
+use tu_common::Timestamp;
+
+use crate::reach::ReachFold;
 
 /// A sorted in-memory write buffer. Last write wins per key.
 #[derive(Debug, Default)]
 pub struct MemTable {
     map: BTreeMap<Vec<u8>, Vec<u8>>,
     bytes: usize,
+    /// The reach of every chunk put, replaced ones included.
+    reach: ReachFold,
 }
 
 impl MemTable {
@@ -26,6 +31,8 @@ impl MemTable {
     pub fn put(&mut self, key: Vec<u8>, value: Vec<u8>) -> usize {
         let key_len = key.len();
         let value_len = value.len();
+        let stats = tu_compress::agg::split_envelope(&value).0;
+        self.reach.add(&key, stats.as_ref());
         match self.map.insert(key, value) {
             Some(old) => {
                 // Key bytes were already counted; swap the value charge.
@@ -38,6 +45,13 @@ impl MemTable {
 
     pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
         self.map.get(key).map(|v| v.as_slice())
+    }
+
+    /// The lowest key timestamp a chunk put here with a sample at or
+    /// after `start` can have; `None` if none can have one
+    /// ([`ReachFold::key_bound`]).
+    pub fn key_bound(&self, start: Timestamp) -> Option<Timestamp> {
+        self.reach.key_bound(start)
     }
 
     /// Entries with keys in `[start, end)`.
@@ -158,21 +172,19 @@ impl MemTableSet {
     }
 
     /// Range scan across active + immutables; newest value wins per key.
-    /// The active table stays read-locked throughout, so no seal moves it
-    /// into the queue between the two reads.
     pub fn range(&self, start: &[u8], end: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.with_tables(|tables| range_of(tables, start, end))
+    }
+
+    /// Runs `f` over every table, oldest first and the active one last,
+    /// with the active table read-locked and the sealed queue locked: no
+    /// put, seal or retire changes the set while `f` runs.
+    pub fn with_tables<R>(&self, f: impl FnOnce(&[&MemTable]) -> R) -> R {
         let active = self.active.read();
-        let mut out: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        // Oldest first so newer writes overwrite.
-        for t in self.immutables.lock().iter() {
-            for (k, v) in t.range(start, end) {
-                out.insert(k.to_vec(), v.to_vec());
-            }
-        }
-        for (k, v) in active.range(start, end) {
-            out.insert(k.to_vec(), v.to_vec());
-        }
-        out.into_iter().collect()
+        let queue = self.immutables.lock();
+        let mut tables: Vec<&MemTable> = queue.iter().map(|t| t.as_ref()).collect();
+        tables.push(&active);
+        f(&tables)
     }
 
     /// Approximate bytes across active and immutable tables.
@@ -186,6 +198,18 @@ impl MemTableSet {
     pub fn immutable_count(&self) -> usize {
         self.immutables.lock().len()
     }
+}
+
+/// Entries of `tables`, given oldest first, with keys in `[start, end)`;
+/// the newest value wins per key.
+pub fn range_of(tables: &[&MemTable], start: &[u8], end: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut out: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    for t in tables {
+        for (k, v) in t.range(start, end) {
+            out.insert(k.to_vec(), v.to_vec());
+        }
+    }
+    out.into_iter().collect()
 }
 
 #[cfg(test)]

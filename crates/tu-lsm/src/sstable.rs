@@ -28,6 +28,7 @@ use tu_common::{varint, Error, Result};
 use tu_compress::{crc, snappy};
 
 use crate::cache::BlockCache;
+use crate::reach::{Reach, ReachFold};
 
 /// A parsed data block as stored in the cache.
 type Block = Arc<Vec<(Vec<u8>, Vec<u8>)>>;
@@ -213,6 +214,10 @@ pub struct TableProps {
     /// pushdown-eligible fraction the introspection plane reports as
     /// "stats-footer coverage".
     pub stats_chunks: u64,
+    /// How far the table's chunks reach past their keys; `None` when one
+    /// has no stats envelope. Kept by the tree's manifest, not in the
+    /// table file: a table opened from its file reports `None`.
+    pub reach: Option<Reach>,
 }
 
 /// Builds a serialized SSTable in memory from sorted `(key, value)` adds.
@@ -224,6 +229,7 @@ pub struct TableBuilder {
     last_key: Vec<u8>,
     entries: u64,
     stats_chunks: u64,
+    reach: ReachFold,
 }
 
 impl Default for TableBuilder {
@@ -242,6 +248,7 @@ impl TableBuilder {
             last_key: Vec::new(),
             entries: 0,
             stats_chunks: 0,
+            reach: ReachFold::default(),
         }
     }
 
@@ -254,9 +261,9 @@ impl TableBuilder {
             self.first_key = Some(key.to_vec());
         }
         self.current.add(key, value);
-        if tu_compress::agg::split_envelope(value).0.is_some() {
-            self.stats_chunks += 1;
-        }
+        let stats = tu_compress::agg::split_envelope(value).0;
+        self.stats_chunks += u64::from(stats.is_some());
+        self.reach.add(key, stats.as_ref());
         self.last_key.clear();
         self.last_key.extend_from_slice(key);
         self.entries += 1;
@@ -340,6 +347,7 @@ impl TableBuilder {
             last_key: self.last_key,
             file_len: self.buf.len() as u64,
             stats_chunks: self.stats_chunks,
+            reach: self.reach.reach(),
         };
         Ok((self.buf, props))
     }
@@ -499,6 +507,7 @@ impl Footer {
                 last_key,
                 file_len: self.file_len,
                 stats_chunks,
+                reach: None,
             },
         })
     }

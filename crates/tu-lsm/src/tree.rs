@@ -43,7 +43,8 @@ use tu_common::pool::{WorkerPool, INGEST_THREADS_ENV};
 use tu_common::{Error, Result, TimeRange, Timestamp};
 
 use crate::cache::BlockCache;
-use crate::memtable::{MemTable, MemTableSet};
+use crate::memtable::{range_of, MemTable, MemTableSet};
+use crate::reach::Reach;
 use crate::sstable::{Table, TableBuilder, TableProps, TableRead, TableSource};
 
 /// Configuration of the tree.
@@ -207,6 +208,16 @@ impl TableMeta {
     fn last_id(&self) -> u64 {
         decode_id(&self.props.last_key).unwrap_or(u64::MAX)
     }
+    /// The lowest key a chunk of this table with a sample at or after
+    /// `start` can have; `None` if none can have one. Every key of the
+    /// table lies in its partition's range.
+    fn key_bound(&self, start: Timestamp) -> Option<Timestamp> {
+        match self.props.reach {
+            None => Some(self.range.start),
+            Some(r) => r.key_bound(start).map(|b| b.max(self.range.start)),
+        }
+    }
+
     /// The part of the ascending `ids` this table's id range covers.
     fn ids_covered(&self, ids: &[u64]) -> std::ops::Range<usize> {
         let (first, last) = (self.first_id(), self.last_id());
@@ -257,6 +268,11 @@ impl Levels {
         let fast = self.l0.iter().chain(&self.l1).flat_map(|p| &p.tables);
         let l2 = self.l2.iter().flat_map(|p| &p.tables);
         fast.chain(l2.flat_map(|t| std::iter::once(&t.base).chain(&t.patches)))
+    }
+
+    /// True when a level lists the table `name`.
+    fn names(&self, name: &str) -> bool {
+        self.tables().any(|t| t.name == name)
     }
 
     /// Bytes of the tables on the slow tier, or on the fast one.
@@ -1064,72 +1080,122 @@ impl TimeTree {
     // --- reads ----------------------------------------------------------------
 
     /// Plans and performs the storage reads of one query: everything the
-    /// tree holds for the strictly ascending `ids` in chunks whose *start
-    /// timestamp* lies in `[start, end)`. Callers extend `start` downward
-    /// by the maximum chunk duration to catch chunks straddling the range
-    /// start.
+    /// tree holds for the strictly ascending `ids` that can have a sample
+    /// in `[start, end)`.
     ///
-    /// The level metadata is snapshotted once, and each overlapping table
-    /// is read once for all the ids it covers (`Table::read`), under that
-    /// table's partition heat guard. The returned plan owns what was
-    /// fetched; [`ReadPlan::chunks`] decodes one id from it without
-    /// touching storage, from any thread.
+    /// A chunk is keyed by its first sample, so one that straddles `start`
+    /// is keyed before it. How far before, each table and memtable records
+    /// ([`Reach`]), and one key lower bound `from` serves the whole query:
+    /// the lowest, over every table and memtable with a chunk reaching
+    /// `start`, of
+    ///
+    /// * `max(range.start, start − span)` for a table of known reach (its
+    ///   keys lie in its partition's range),
+    /// * `range.start` for a table of unknown reach (one of its chunks has
+    ///   no stats envelope, or its manifest line predates reach),
+    /// * `start − span` for a memtable, or the lowest key of a chunk
+    ///   without an envelope if that is lower.
+    ///
+    /// Every table overlapping `[from, end)` is then read, and every
+    /// memtable, for keys `[from, end)` of every id, whether or not its own
+    /// chunks reach `start`. A chunk with a sample in the window has a key
+    /// at or after `from`, and any newer write of that key lies in a table
+    /// whose range holds the key, or in a memtable, so it is read too and
+    /// newest-wins resolution ([`ReadPlan::chunks`]) finds it. Chunks keyed
+    /// before `start` that end before it may still come back; the reader
+    /// clips them.
+    ///
+    /// The memtables are read and the level metadata is snapshotted under
+    /// one hold of the memtable locks, so no flush or compaction moves a
+    /// chunk between the two and no source's reach changes while `from` is
+    /// worked out. Each overlapping table is then read once for all the ids
+    /// it covers (`Table::read`), under that table's partition heat guard;
+    /// if a concurrent pass replaced and deleted one since the snapshot,
+    /// the plan starts over. The returned plan owns what was fetched;
+    /// [`ReadPlan::chunks`] decodes one id from it without touching
+    /// storage, from any thread.
     pub fn plan_reads(&self, ids: &[u64], start: Timestamp, end: Timestamp) -> Result<ReadPlan> {
+        self.read_keys(ids, end, |mems, lv| {
+            let tables = lv.tables().filter_map(|t| t.key_bound(start));
+            let mems = mems.iter().filter_map(|m| m.key_bound(start));
+            // With no source reaching `start`, there is nothing to read.
+            tables.chain(mems).min().unwrap_or(end)
+        })
+    }
+
+    /// Reads the chunks of `ids` keyed in `[from, end)`, where `from` is
+    /// worked out from the memtables and the levels under the locks the
+    /// reads are planned under ([`TimeTree::plan_reads`]).
+    fn read_keys(
+        &self,
+        ids: &[u64],
+        end: Timestamp,
+        from: impl Fn(&[&MemTable], &Levels) -> Timestamp,
+    ) -> Result<ReadPlan> {
         if ids.windows(2).any(|w| w[0] >= w[1]) {
             return Err(Error::invalid("planned ids must be strictly ascending"));
         }
-        let end = end.max(start);
-        let tr = TimeRange::new(start, end);
-        let keys: Vec<([u8; 16], [u8; 16])> = ids
-            .iter()
-            .map(|&id| (encode_key(id, start), encode_key(id, end)))
-            .collect();
-        // Read the memtables BEFORE snapshotting the level metadata. Flush
-        // publishes tables to the levels first and only then retires the
-        // flushed memtable, so in this order every entry is visible in at
-        // least one of the two reads (possibly both — deduped by key, with
-        // the memtable copy winning via seq = MAX). The reverse order has
-        // a lost-visibility window: levels snapshotted before the publish,
-        // memtable read after the retire.
-        let mem = keys.iter().map(|(s, e)| self.mem.range(s, e)).collect();
-        // Snapshot the level metadata, then read without holding the lock.
-        let metas: Vec<(TableMeta, std::ops::Range<usize>)> = {
-            let lv = self.levels.lock();
-            lv.tables()
-                .filter(|t| t.range.overlaps(&tr))
-                .map(|t| (t, t.ids_covered(ids)))
-                .filter(|(_, covered)| !covered.is_empty())
-                .map(|(t, covered)| (t.clone(), covered))
-                .collect()
-        };
-        let mut tables = Vec::with_capacity(metas.len());
-        for (meta, covered) in metas {
-            // Charge this table's block fetches to its owning partition.
-            let _heat = tu_obs::heat::attribute(meta.range.start, meta.range.end);
-            let ranges: Vec<(&[u8], &[u8])> = keys[covered.clone()]
-                .iter()
-                .map(|(s, e)| (s.as_slice(), e.as_slice()))
-                .collect();
-            let read = self.open_table(&meta)?.read(&ranges)?;
-            tables.push(PlannedTable {
-                seq: meta.seq,
-                ids: covered,
-                read,
+        'plan: loop {
+            // The memtable locks rank before the levels lock. A flush
+            // publishes its tables to the levels before it retires the
+            // memtable, and neither can happen while both are held, so
+            // every entry is in one of the two reads, or in both (deduped
+            // by key, the memtable copy winning with seq = MAX).
+            let (keys, mem, metas) = self.mem.with_tables(|mems| {
+                let lv = self.levels.lock();
+                let from = from(mems, &lv).min(end);
+                let keys: Vec<([u8; 16], [u8; 16])> = ids
+                    .iter()
+                    .map(|&id| (encode_key(id, from), encode_key(id, end)))
+                    .collect();
+                let mem = keys.iter().map(|(s, e)| range_of(mems, s, e)).collect();
+                let tr = TimeRange::new(from, end);
+                let metas: Vec<(TableMeta, std::ops::Range<usize>)> = lv
+                    .tables()
+                    .filter(|t| t.range.overlaps(&tr))
+                    .map(|t| (t, t.ids_covered(ids)))
+                    .filter(|(_, covered)| !covered.is_empty())
+                    .map(|(t, covered)| (t.clone(), covered))
+                    .collect();
+                (keys, mem, metas)
             });
+            let mut tables = Vec::with_capacity(metas.len());
+            for (meta, covered) in metas {
+                // Charge this table's block fetches to its owning partition.
+                let _heat = tu_obs::heat::attribute(meta.range.start, meta.range.end);
+                let ranges: Vec<(&[u8], &[u8])> = keys[covered.clone()]
+                    .iter()
+                    .map(|(s, e)| (s.as_slice(), e.as_slice()))
+                    .collect();
+                match self.open_table(&meta).and_then(|t| t.read(&ranges)) {
+                    Ok(read) => tables.push(PlannedTable {
+                        seq: meta.seq,
+                        ids: covered,
+                        read,
+                    }),
+                    // A pass replaced the table and deleted it after the
+                    // snapshot; its outputs are in the levels by now.
+                    Err(e) if e.is_not_found() && !self.levels.lock().names(&meta.name) => {
+                        continue 'plan
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            return Ok(ReadPlan { keys, mem, tables });
         }
-        Ok(ReadPlan { keys, mem, tables })
     }
 
-    /// All chunks of `id` whose *start timestamp* lies in `[start, end)`,
-    /// newest version per key, sorted by key: the one-id case of
-    /// [`TimeTree::plan_reads`].
+    /// All chunks of `id` whose *key* (start) timestamp lies in
+    /// `[start, end)`, newest version per key, in [`ReadPlan::chunks`]
+    /// order. Unlike [`TimeTree::plan_reads`] it bounds keys, not samples:
+    /// a chunk keyed before `start` is not returned even if it reaches it.
     pub fn range_chunks(
         &self,
         id: u64,
         start: Timestamp,
         end: Timestamp,
     ) -> Result<Vec<(Timestamp, Vec<u8>)>> {
-        let plan = self.plan_reads(&[id], start, end)?;
+        let plan = self.read_keys(&[id], end, |_, _| start)?;
         let chunks = plan.chunks(0)?;
         Ok(chunks.into_iter().map(|(t, c)| (t, c.to_vec())).collect())
     }
@@ -1294,9 +1360,13 @@ impl TimeTree {
             lv.r2_ms
         );
         let table_line = |tag: &str, range: &TimeRange, m: &TableMeta, out: &mut String| {
+            let reach = match m.props.reach {
+                Some(r) => format!("{} {}", r.last_ts, r.span),
+                None => "- -".to_string(),
+            };
             let _ = writeln!(
                 out,
-                "{tag} {} {} {} {} {} {} {} {} {} {}",
+                "{tag} {} {} {} {} {} {} {} {} {} {} {reach}",
                 range.start,
                 range.end,
                 m.name,
@@ -1349,19 +1419,26 @@ impl TimeTree {
                 }
                 self.next_seq
                     .store(parse(fields[1], "seq")?, Ordering::Relaxed);
-                lv.r1_ms = parse(fields[2], "r1")? as i64;
-                lv.r2_ms = parse(fields[3], "r2")? as i64;
+                lv.r1_ms = parse(fields[2], "r1")?;
+                lv.r2_ms = parse(fields[3], "r2")?;
                 continue;
             }
             // 10-field lines predate stats-footer coverage tracking; they
-            // load with a coverage of zero.
-            if fields.len() != 10 && fields.len() != 11 {
+            // load with a coverage of zero. Lines of 10 or 11 fields predate
+            // reach tracking; they load with an unknown reach, which queries
+            // read conservatively. "- -" is an unknown reach too.
+            if !(10..=13).contains(&fields.len()) {
                 return Err(Error::corruption("manifest table line malformed"));
             }
-            let range = TimeRange::new(
-                parse(fields[1], "start")? as i64,
-                parse(fields[2], "end")? as i64,
-            );
+            let reach = match (fields.get(11), fields.get(12)) {
+                (Some(&"-"), Some(&"-")) | (None, None) => None,
+                (Some(last_ts), Some(span)) => Some(Reach {
+                    last_ts: parse(last_ts, "reach last_ts")?,
+                    span: parse(span, "reach span")?,
+                }),
+                _ => return Err(Error::corruption("manifest table line malformed")),
+            };
+            let range = TimeRange::new(parse(fields[1], "start")?, parse(fields[2], "end")?);
             let meta = TableMeta {
                 name: fields[3].to_string(),
                 seq: parse(fields[4], "seq")?,
@@ -1374,6 +1451,7 @@ impl TimeTree {
                         Some(f) => parse(f, "stats_chunks")?,
                         None => 0,
                     },
+                    reach,
                 },
                 on_slow: fields[9] == "1",
                 range,
@@ -1467,7 +1545,7 @@ fn unhex(s: &str) -> Result<Vec<u8>> {
         .collect()
 }
 
-fn parse(s: &str, what: &str) -> Result<u64> {
+fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T> {
     s.parse()
         .map_err(|_| Error::corruption(format!("manifest field {what} malformed")))
 }
@@ -2120,19 +2198,52 @@ mod tests {
         assert_eq!(t.l2_partition_ms(), s.r2_ms);
     }
 
+    /// A chunk keyed at `key` whose stats envelope says its samples run
+    /// to `key + span`; the tree reads a chunk's envelope, never its
+    /// samples.
+    fn framed(key: Timestamp, span: i64, tag: u64) -> Vec<u8> {
+        let stats = tu_compress::agg::ChunkStats {
+            min_ts: key,
+            max_ts: key + span,
+            count: 2,
+            min_v: 0.0,
+            max_v: tag as f64,
+            sum: tag as f64,
+        };
+        tu_compress::agg::frame_with_stats(&stats, &chunk(tag))
+    }
+
+    /// Every table's name and reach.
+    fn reaches(t: &TimeTree) -> Vec<(String, Option<Reach>)> {
+        let lv = t.levels.lock();
+        lv.tables()
+            .map(|m| (m.name.clone(), m.props.reach))
+            .collect()
+    }
+
     #[test]
     fn manifest_round_trip_preserves_everything() {
         let dir = tempfile::tempdir().unwrap();
         let env = StorageEnv::open(dir.path(), LatencyMode::Off).unwrap();
-        {
+        let before = {
             let t = TimeTree::open(env.clone(), small_opts()).unwrap();
             load(&t, 3, 12);
+            // Series 3 has envelopes, and partitions of its own after the
+            // others' six hours, so its tables have a known reach.
+            for c in 0..12 {
+                let key = 6 * HOUR + c * 30 * MIN;
+                t.put(3, key, framed(key, 40 * MIN, c as u64));
+            }
             t.flush_all_to_slow().unwrap();
             hold_newer_l0(&t);
             late_pass(&t, &[(0, 3 * MIN, 55)]); // leave a patch behind
-        }
+            reaches(&t)
+        };
+        assert!(before.iter().any(|(_, r)| r.is_some()), "{before:?}");
+        assert!(before.iter().any(|(_, r)| r.is_none()), "{before:?}");
         let env2 = StorageEnv::open(dir.path(), LatencyMode::Off).unwrap();
         let t = TimeTree::open(env2, small_opts()).unwrap();
+        assert_eq!(reaches(&t), before);
         assert_eq!(l2_patches(&t).iter().sum::<usize>(), 1);
         assert_eq!(t.env.block.list_prefix("l2/").len(), 1, "on the fast tier");
         for id in 0..3 {
@@ -2143,7 +2254,96 @@ mod tests {
                 "series {id}"
             );
         }
+        assert_eq!(t.range_chunks(3, 0, 13 * HOUR).unwrap().len(), 12);
         assert_eq!(t.get_chunk(0, 3 * MIN).unwrap(), Some(chunk(55)));
+    }
+
+    /// Manifest lines of 10 and 11 fields, written before tables recorded
+    /// their reach, load with an unknown reach, and a query reads such a
+    /// table from its range's start: a chunk straddling into the window
+    /// comes back however far it reaches.
+    #[test]
+    fn legacy_manifest_lines_load_with_an_unknown_reach() {
+        let dir = tempfile::tempdir().unwrap();
+        let env = StorageEnv::open(dir.path(), LatencyMode::Off).unwrap();
+        {
+            let t = TimeTree::open(env.clone(), small_opts()).unwrap();
+            for c in 0..8 {
+                t.put(1, c * 30 * MIN, framed(c * 30 * MIN, 25 * MIN, c as u64));
+            }
+            // Keyed in the first hour, reaching into the fourth.
+            t.put(2, 10 * MIN, framed(10 * MIN, 3 * HOUR, 99));
+            t.flush_all_to_slow().unwrap();
+            assert!(reaches(&t).iter().all(|(_, r)| r.is_some()));
+        }
+        let manifest = String::from_utf8(env.block.read_file("MANIFEST").unwrap()).unwrap();
+        let mut lines: Vec<String> = manifest.lines().map(str::to_string).collect();
+        for (i, line) in lines.iter_mut().enumerate().skip(1) {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            assert_eq!(fields.len(), 13, "{line}");
+            *line = fields[..if i % 2 == 0 { 10 } else { 11 }].join(" ");
+        }
+        env.block
+            .replace_file("MANIFEST", (lines.join("\n") + "\n").as_bytes())
+            .unwrap();
+        let t = TimeTree::open(env.clone(), small_opts()).unwrap();
+        let loaded = reaches(&t);
+        assert!(!loaded.is_empty() && loaded.iter().all(|(_, r)| r.is_none()));
+        let plan = t.plan_reads(&[1, 2], 3 * HOUR, 4 * HOUR).unwrap();
+        assert!(plan.chunks(1).unwrap().iter().any(|(k, _)| *k == 10 * MIN));
+        // A saved manifest writes the unknown reach as "- -".
+        t.save_manifest().unwrap();
+        let saved = String::from_utf8(env.block.read_file("MANIFEST").unwrap()).unwrap();
+        assert!(
+            saved.lines().skip(1).all(|l| l.ends_with(" - -")),
+            "{saved}"
+        );
+        drop(t);
+        let t = TimeTree::open(env, small_opts()).unwrap();
+        assert_eq!(reaches(&t), loaded);
+    }
+
+    /// Every key of every table lies inside the range of the partition
+    /// that lists it — flushes, compactions on a grid that dynamic size
+    /// control moved, uploads, patches and patch merges. A query's key
+    /// bound relies on it ([`TimeTree::plan_reads`]).
+    #[test]
+    fn every_table_keeps_its_keys_inside_its_range() {
+        let (_d, t) = tree_with(TreeOptions {
+            fast_limit_bytes: Some(24 << 10),
+            l0_partition_ms: HOUR,
+            ..small_opts()
+        });
+        // Checks every table the levels list now; returns how many.
+        let check = || {
+            let lv = t.levels.lock();
+            let mut tables = 0;
+            for meta in lv.tables() {
+                for (k, _) in Table::scan_file(t.source(meta)).unwrap() {
+                    let ts = decode_ts(&k).unwrap();
+                    assert!(meta.range.contains(ts), "{}: key at {ts}", meta.name);
+                }
+                tables += 1;
+            }
+            tables
+        };
+        load(&t, 16, 24);
+        hold_newer_l0(&t);
+        let mut tables = check();
+        for r in 0..6u64 {
+            let late: Vec<(u64, i64, u64)> = (0..16)
+                .map(|id| (id, (7 * r as i64 + id as i64) * MIN, 500 + r * 16 + id))
+                .collect();
+            late_pass(&t, &late);
+            tables += check();
+        }
+        let s = t.stats();
+        let moved = s.r1_ms != HOUR;
+        assert!(
+            moved && s.patches_created > 0 && s.patch_merges > 0,
+            "{s:?}"
+        );
+        assert!(tables > 40, "{tables} tables checked");
     }
 
     #[test]

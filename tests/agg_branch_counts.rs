@@ -124,8 +124,9 @@ fn branch_counts(
 
 /// The two ranges every kind is asked for: one whose windows hold whole
 /// chunks (footer answers and value skips), and one that starts
-/// mid-stream with a step that cuts chunks across windows (time skips
-/// and stream folds).
+/// mid-stream with a step that cuts chunks across windows (stream folds).
+/// The chunk that ends at 23 s, just before `CUT` starts, is not read at
+/// all: no chunk of its table reaches past its key by more than 7 s.
 const ALIGNED: (i64, i64, i64) = (0, 100 * SEC, 16 * SEC);
 const CUT: (i64, i64, i64) = (23 * SEC + 1, 88 * SEC, 12 * SEC);
 
@@ -157,12 +158,12 @@ fn series_pushdown_branch_counts_are_exact() {
         &db,
         &sel,
         &[
-            (AggKind::Sum, [(6, 6, 0), (5, 3, 1)]),
-            (AggKind::Min, [(0, 6, 6), (3, 4, 2)]),
-            (AggKind::Max, [(0, 6, 6), (3, 4, 2)]),
-            (AggKind::Count, [(0, 12, 0), (3, 5, 1)]),
-            (AggKind::Avg, [(6, 6, 0), (5, 3, 1)]),
-            (AggKind::Rate, [(12, 0, 0), (8, 0, 1)]),
+            (AggKind::Sum, [(6, 6, 0), (5, 3, 0)]),
+            (AggKind::Min, [(0, 6, 6), (3, 4, 1)]),
+            (AggKind::Max, [(0, 6, 6), (3, 4, 1)]),
+            (AggKind::Count, [(0, 12, 0), (3, 5, 0)]),
+            (AggKind::Avg, [(6, 6, 0), (5, 3, 0)]),
+            (AggKind::Rate, [(12, 0, 0), (8, 0, 0)]),
         ],
     );
 }
@@ -176,12 +177,12 @@ fn group_pushdown_branch_counts_are_exact() {
         &db,
         &all,
         &[
-            (AggKind::Sum, [(12, 0, 0), (8, 0, 1)]),
-            (AggKind::Min, [(7, 0, 5), (8, 0, 1)]),
-            (AggKind::Max, [(6, 0, 6), (8, 0, 1)]),
-            (AggKind::Count, [(12, 0, 0), (8, 0, 1)]),
-            (AggKind::Avg, [(12, 0, 0), (8, 0, 1)]),
-            (AggKind::Rate, [(12, 0, 0), (8, 0, 1)]),
+            (AggKind::Sum, [(12, 0, 0), (8, 0, 0)]),
+            (AggKind::Min, [(7, 0, 5), (8, 0, 0)]),
+            (AggKind::Max, [(6, 0, 6), (8, 0, 0)]),
+            (AggKind::Count, [(12, 0, 0), (8, 0, 0)]),
+            (AggKind::Avg, [(12, 0, 0), (8, 0, 0)]),
+            (AggKind::Rate, [(12, 0, 0), (8, 0, 0)]),
         ],
     );
     let one = [
@@ -192,12 +193,46 @@ fn group_pushdown_branch_counts_are_exact() {
         &db,
         &one,
         &[
-            (AggKind::Sum, [(12, 0, 0), (8, 0, 1)]),
-            (AggKind::Min, [(6, 0, 6), (8, 0, 1)]),
-            (AggKind::Max, [(6, 0, 6), (8, 0, 1)]),
-            (AggKind::Count, [(12, 0, 0), (8, 0, 1)]),
-            (AggKind::Avg, [(12, 0, 0), (8, 0, 1)]),
-            (AggKind::Rate, [(12, 0, 0), (8, 0, 1)]),
+            (AggKind::Sum, [(12, 0, 0), (8, 0, 0)]),
+            (AggKind::Min, [(6, 0, 6), (8, 0, 0)]),
+            (AggKind::Max, [(6, 0, 6), (8, 0, 0)]),
+            (AggKind::Count, [(12, 0, 0), (8, 0, 0)]),
+            (AggKind::Avg, [(12, 0, 0), (8, 0, 0)]),
+            (AggKind::Rate, [(12, 0, 0), (8, 0, 0)]),
+        ],
+    );
+}
+
+/// One series with 7-second chunks beside one with 70-second chunks, in
+/// the same tables: the long chunks make the tables reach 70 s back, so
+/// a `CUT` query of the short-chunk series reads its chunks that end
+/// before the range starts too, and skips them on time.
+#[test]
+fn short_chunks_read_beside_long_ones_skip_on_time() {
+    let dir = tempfile::tempdir().unwrap();
+    let db = TimeUnion::open(dir.path().join("mixed"), opts()).unwrap();
+    let labels = |host: &str| Labels::from_pairs([("metric", "cpu"), ("host", host)]);
+    let short = db.put(&labels("short"), 0, value(0, 0)).unwrap();
+    let long = db.put(&labels("long"), 0, value(0, 1)).unwrap();
+    for i in 1..96 {
+        db.put_by_id(short, i * SEC, value(i, 0)).unwrap();
+        db.put_by_id(long, i * 10 * SEC, value(i, 1)).unwrap();
+    }
+    db.flush_all().unwrap();
+    for i in 96..100 {
+        db.put_by_id(short, i * SEC, value(i, 0)).unwrap();
+    }
+    let sel = [Selector::exact("host", "short")];
+    assert_counts(
+        &db,
+        &sel,
+        &[
+            (AggKind::Sum, [(6, 6, 0), (5, 3, 3)]),
+            (AggKind::Min, [(0, 6, 6), (3, 4, 4)]),
+            (AggKind::Max, [(0, 6, 6), (3, 4, 4)]),
+            (AggKind::Count, [(0, 12, 0), (3, 5, 3)]),
+            (AggKind::Avg, [(6, 6, 0), (5, 3, 3)]),
+            (AggKind::Rate, [(12, 0, 0), (8, 0, 3)]),
         ],
     );
 }

@@ -10,6 +10,13 @@
 //! every acknowledged sample, at its last acknowledged value or a newer
 //! one, and nothing retention purged. While a pass compacts, a second
 //! thread reads the live engine and must see the same samples throughout.
+//!
+//! Before some retention passes a series goes quiet just short of the
+//! watermark, its last chunk keyed in the L2 partition before the
+//! watermark's and straddling into that one, which retention keeps. Every
+//! image, and the live engine, is also read from that partition's start:
+//! a window whose samples come from a chunk keyed before it, found through
+//! the key bound each table and memtable's reach gives a query.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
@@ -79,8 +86,13 @@ type Key = (Vec<u8>, i64);
 /// Every sample the engine returns for `job="model"`, series and group
 /// members alike.
 fn read_all(db: &TimeUnion) -> BTreeMap<Key, f64> {
+    read_from(db, 0)
+}
+
+/// [`read_all`] of the samples at or after `start`.
+fn read_from(db: &TimeUnion, start: i64) -> BTreeMap<Key, f64> {
     let res = db
-        .query(&[Selector::exact("job", "model")], 0, i64::MAX / 4)
+        .query(&[Selector::exact("job", "model")], start, i64::MAX / 4)
         .unwrap();
     res.into_iter()
         .flat_map(|r| {
@@ -107,6 +119,19 @@ struct Model {
     /// series itself: once the pass that dropped them has ended, they must
     /// never read back.
     purged: BTreeSet<Key>,
+    /// Every read is repeated from here, and must give the samples of the
+    /// full read at or after it ([`check_window`]).
+    probe: i64,
+}
+
+/// Reads `db` from `probe` and compares with `all`, a read from 0.
+fn check_window(db: &TimeUnion, all: &BTreeMap<Key, f64>, probe: i64, what: &str) {
+    let want: BTreeMap<Key, f64> = all
+        .iter()
+        .filter(|(k, _)| k.1 >= probe)
+        .map(|(k, v)| (k.clone(), *v))
+        .collect();
+    assert_eq!(read_from(db, probe), want, "{what}: read from {probe}");
 }
 
 impl Model {
@@ -135,6 +160,7 @@ impl Model {
     fn check_image(&self, image: &Path, optional: &BTreeSet<Key>, what: &str) {
         let db = TimeUnion::open(image, options(&SimClock::new(0))).unwrap();
         let got = read_all(&db);
+        check_window(&db, &got, self.probe, what);
         for (key, v) in &got {
             let Some(h) = self.live.get(key) else {
                 let why = match self.purged.contains(key) {
@@ -231,9 +257,9 @@ fn series_labels(n: usize) -> Labels {
 }
 
 /// Runs `ops` seeded ops, checking every crash image each op's passes
-/// leave. Returns the step boundaries passed, the distinct images checked
-/// and the passes run.
-fn run_seed(seed: u64, ops: usize) -> (usize, usize, usize) {
+/// leave. Returns the step boundaries passed, the distinct images checked,
+/// the passes run and the series that went quiet before a retention pass.
+fn run_seed(seed: u64, ops: usize) -> (usize, usize, usize, usize) {
     let dir = tempfile::tempdir().unwrap();
     let db_dir = dir.path().join("db");
     let image_dir = dir.path().join("images");
@@ -296,6 +322,7 @@ fn run_seed(seed: u64, ops: usize) -> (usize, usize, usize) {
         next_value
     };
     let mut watermark = i64::MIN;
+    let mut quiet = 0;
     let mut checked = 0;
     let mut now = 0;
     for op_no in 0..ops {
@@ -441,12 +468,41 @@ fn run_seed(seed: u64, ops: usize) -> (usize, usize, usize) {
             _ => {
                 clock.set(now);
                 watermark = now - RETENTION_MS;
+                // A series goes quiet 10 s short of the watermark. Of its
+                // two chunks (eight samples each), the first is keyed a
+                // minute before the L2 partition the watermark falls in,
+                // which retention keeps, and straddles into it; the
+                // second is keyed inside it, so retention leaves it in
+                // the tree after purging the series. A 17th sample stays
+                // in its head.
+                let part = watermark.div_euclid(4 * MIN) * 4 * MIN;
+                if part > 0 && watermark - part >= 90_000 {
+                    let labels = Labels::from_pairs([
+                        ("job", "model".to_string()),
+                        ("series", format!("quiet{op_no}")),
+                    ]);
+                    let (first, step) = (part - MIN, (watermark - 10_000 - part + MIN) / 16);
+                    let mut id = None;
+                    for t in (0..17).map(|i| first + i * step) {
+                        let v = value();
+                        model.write(&labels, t, v);
+                        match id {
+                            Some(id) => db.put_by_id(id, t, v).unwrap(),
+                            None => id = Some(db.put(&labels, t, v).unwrap()),
+                        }
+                    }
+                    let last = first + 16 * step;
+                    series.push(Target { labels, id, last });
+                    model.probe = part;
+                    quiet += 1;
+                }
                 retention = Some(watermark);
                 db.apply_retention().unwrap();
                 "retention"
             }
         };
         let live = read_all(&db);
+        check_window(&db, &live, model.probe, &format!("seed {seed} op {op_no}"));
         // Retention drops partitions that end by the watermark, and series
         // whose newest sample is older than it. A chunk lives in the
         // partition its first sample falls in, so it may take samples up
@@ -512,17 +568,23 @@ fn run_seed(seed: u64, ops: usize) -> (usize, usize, usize) {
         "no read overlapped a compaction"
     );
     let boundaries = images.lock().unwrap().boundaries;
-    (boundaries, checked, passes.load(Ordering::SeqCst))
+    (boundaries, checked, passes.load(Ordering::SeqCst), quiet)
 }
 
 #[test]
 fn every_step_boundary_of_every_pass_recovers_to_the_model() {
+    let mut quiet = 0;
     for seed in 1..=4 {
-        let (boundaries, checked, passes) = run_seed(seed, 70);
+        let (boundaries, checked, passes, q) = run_seed(seed, 70);
         assert!(passes > 5, "seed {seed}: {passes} passes");
         assert_eq!(boundaries, passes * 12, "seed {seed}: twelve steps a pass");
         assert!(checked > passes, "seed {seed}: {checked} images checked");
+        quiet += q;
     }
+    assert!(
+        quiet >= 4,
+        "{quiet} series went quiet before a retention pass"
+    );
 }
 
 /// Retention runs as a pass of its own: it waits for a running pass to
