@@ -4,7 +4,10 @@
 //! calibrated to the paper's §2.1 measurements. Charges are accumulated on a
 //! shared [`CostClock`], which either tracks *virtual* nanoseconds
 //! (deterministic, the default for the figure harness) or is disabled.
+//! Requests issued together are charged as one wave: the clock gains what
+//! the caller waits for them, and keeps what they took one by one apart.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -288,9 +291,37 @@ impl StorageStats {
     }
 }
 
+/// How many lanes of a wave ([`CostClock::charge_wave`]) are in flight at
+/// once: the reader issues at most this many requests together, and the
+/// wave's makespan is modelled over this many slots.
+pub const WAVE_IN_FLIGHT: usize = 16;
+
 #[derive(Default)]
 struct ClockInner {
+    /// What the callers waited: every charge outside a lane, and the
+    /// makespan of every wave.
     virtual_ns: AtomicU64,
+    /// What the requests took: every charge outside a lane, and the sum of
+    /// every wave's lanes.
+    work_ns: AtomicU64,
+}
+
+thread_local! {
+    /// The lanes open on this thread, innermost last: the identity of the
+    /// clock each captures, and the nanoseconds charged to it so far.
+    static LANES: RefCell<Vec<(usize, u64)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Closes the innermost lane of this thread when dropped, so a panicking
+/// lane does not leave it open to swallow later charges.
+struct LaneGuard;
+
+impl Drop for LaneGuard {
+    fn drop(&mut self) {
+        // Never panics: the stack is borrowed only inside `CostClock`'s own
+        // calls, none of which is open while a guard drops.
+        let _ = LANES.try_with(|lanes| lanes.try_borrow_mut().map(|mut lanes| lanes.pop()));
+    }
 }
 
 /// Shared accumulator of modelled storage time.
@@ -298,7 +329,13 @@ struct ClockInner {
 /// Cloning shares the accumulator; the block and object tiers of one
 /// [`crate::StorageEnv`] charge the same clock so an experiment can read one
 /// total. Use [`CostClock::virtual_ns`] snapshots around an operation to
-/// attribute cost to it (single-threaded measurement sections).
+/// attribute cost to it.
+///
+/// Requests issued together are charged as a *wave*: each runs in a
+/// [`CostClock::lane`], and [`CostClock::charge_wave`] charges what the
+/// caller waits for all of them ([`CostClock::virtual_ns`]) and what they
+/// took one by one ([`CostClock::work_ns`]). A charge outside a lane adds
+/// to both.
 #[derive(Clone)]
 pub struct CostClock {
     inner: Arc<ClockInner>,
@@ -317,16 +354,75 @@ impl CostClock {
         self.mode
     }
 
-    /// Charges `ns` of modelled time.
+    /// The identity a lane captures charges by: shared by every clone.
+    fn id(&self) -> usize {
+        Arc::as_ptr(&self.inner) as usize
+    }
+
+    /// Charges `ns` of modelled time: to the innermost lane of this clock
+    /// open on this thread, if there is one, else to the clock.
     pub fn charge(&self, ns: u64) {
-        if self.mode == LatencyMode::Virtual {
+        if self.mode != LatencyMode::Virtual {
+            return;
+        }
+        let id = self.id();
+        let in_lane = LANES.with(|lanes| {
+            let mut lanes = lanes.borrow_mut();
+            let lane = lanes.iter_mut().rev().find(|(clock, _)| *clock == id);
+            lane.map(|(_, charged)| *charged += ns).is_some()
+        });
+        if !in_lane {
             self.inner.virtual_ns.fetch_add(ns, Ordering::Relaxed);
+            self.inner.work_ns.fetch_add(ns, Ordering::Relaxed);
         }
     }
 
-    /// Total modelled nanoseconds charged so far.
+    /// Runs `f` and returns, with its result, the nanoseconds this thread
+    /// charged to this clock inside it. Those charges are *not* added to
+    /// the clock: the caller charges them as one lane of a wave
+    /// ([`CostClock::charge_wave`]). Charges to any other clock pass
+    /// through unchanged.
+    pub fn lane<R>(&self, f: impl FnOnce() -> R) -> (R, u64) {
+        LANES.with(|lanes| lanes.borrow_mut().push((self.id(), 0)));
+        let guard = LaneGuard;
+        let out = f();
+        let charged = LANES.with(|lanes| lanes.borrow().last().map_or(0, |&(_, ns)| ns));
+        drop(guard);
+        (out, charged)
+    }
+
+    /// Charges a wave of lanes issued together, each lane's nanoseconds
+    /// as [`CostClock::lane`] returned them, in the order they were
+    /// issued. At most [`WAVE_IN_FLIGHT`] lanes run at once, and each
+    /// starts as soon as a slot frees (list scheduling in lane order); the
+    /// clock's wait grows by the wave's makespan and its work by the sum.
+    /// A wave is charged to the clock itself, never to an open lane.
+    pub fn charge_wave(&self, lanes: &[u64]) {
+        if self.mode != LatencyMode::Virtual {
+            return;
+        }
+        let mut slots = vec![0u64; lanes.len().min(WAVE_IN_FLIGHT)];
+        for &ns in lanes {
+            if let Some(first_free) = slots.iter_mut().min() {
+                *first_free += ns;
+            }
+        }
+        let makespan = slots.into_iter().max().unwrap_or(0);
+        self.inner.virtual_ns.fetch_add(makespan, Ordering::Relaxed);
+        self.inner
+            .work_ns
+            .fetch_add(lanes.iter().sum(), Ordering::Relaxed);
+    }
+
+    /// Total modelled nanoseconds the callers waited so far.
     pub fn virtual_ns(&self) -> u64 {
         self.inner.virtual_ns.load(Ordering::Relaxed)
+    }
+
+    /// Total modelled nanoseconds of every request, as if each had been
+    /// issued alone: `virtual_ns` with every wave charged its sum.
+    pub fn work_ns(&self) -> u64 {
+        self.inner.work_ns.load(Ordering::Relaxed)
     }
 }
 
@@ -335,6 +431,7 @@ impl std::fmt::Debug for CostClock {
         f.debug_struct("CostClock")
             .field("mode", &self.mode)
             .field("virtual_ns", &self.virtual_ns())
+            .field("work_ns", &self.work_ns())
             .finish()
     }
 }
@@ -394,6 +491,108 @@ mod tests {
         let c = CostClock::new(LatencyMode::Off);
         c.charge(1_000_000);
         assert_eq!(c.virtual_ns(), 0);
+    }
+
+    /// Charges `lanes` as one wave on a fresh virtual clock; returns its
+    /// wait and its work.
+    fn wave(lanes: &[u64]) -> (u64, u64) {
+        let c = CostClock::new(LatencyMode::Virtual);
+        c.charge_wave(lanes);
+        (c.virtual_ns(), c.work_ns())
+    }
+
+    #[test]
+    fn an_empty_wave_charges_nothing() {
+        assert_eq!(wave(&[]), (0, 0));
+    }
+
+    #[test]
+    fn a_wave_that_fits_in_flight_waits_for_its_longest_lane() {
+        assert_eq!(wave(&[5]), (5, 5));
+        assert_eq!(wave(&[3, 9, 4]), (9, 16));
+        let full = vec![7u64; WAVE_IN_FLIGHT];
+        assert_eq!(wave(&full), (7, 7 * WAVE_IN_FLIGHT as u64));
+    }
+
+    #[test]
+    fn lanes_past_the_in_flight_limit_wait_for_a_free_slot() {
+        let lanes = vec![10u64; 2 * WAVE_IN_FLIGHT];
+        assert_eq!(wave(&lanes), (20, 10 * lanes.len() as u64));
+        // List scheduling in lane order: the 17th lane starts when the
+        // shortest of the first sixteen ends.
+        let mut lanes = vec![100u64; WAVE_IN_FLIGHT];
+        lanes[3] = 1;
+        lanes.push(50);
+        assert_eq!(wave(&lanes).0, 100);
+    }
+
+    #[test]
+    fn off_mode_charges_no_wave() {
+        let c = CostClock::new(LatencyMode::Off);
+        c.charge_wave(&[10, 20]);
+        assert_eq!((c.virtual_ns(), c.work_ns()), (0, 0));
+    }
+
+    #[test]
+    fn work_gains_every_charge_and_every_wave_sum() {
+        let c = CostClock::new(LatencyMode::Virtual);
+        c.charge(4);
+        c.charge_wave(&[10, 30]);
+        c.charge(6);
+        assert_eq!(c.virtual_ns(), 4 + 30 + 6);
+        assert_eq!(c.work_ns(), 4 + 40 + 6);
+    }
+
+    #[test]
+    fn a_lane_captures_its_clocks_charges_and_passes_others_through() {
+        let c = CostClock::new(LatencyMode::Virtual);
+        let other = CostClock::new(LatencyMode::Virtual);
+        let shared = c.clone();
+        let (out, ns) = c.lane(|| {
+            c.charge(5);
+            shared.charge(7);
+            other.charge(11);
+            "done"
+        });
+        assert_eq!((out, ns), ("done", 12));
+        assert_eq!((c.virtual_ns(), c.work_ns()), (0, 0));
+        assert_eq!((other.virtual_ns(), other.work_ns()), (11, 11));
+        // Closed: later charges reach the clock again.
+        c.charge(3);
+        assert_eq!(c.virtual_ns(), 3);
+    }
+
+    #[test]
+    fn nested_lanes_each_capture_their_own_clock() {
+        let a = CostClock::new(LatencyMode::Virtual);
+        let b = CostClock::new(LatencyMode::Virtual);
+        let (((), b_ns), a_ns) = a.lane(|| {
+            a.charge(1);
+            b.lane(|| {
+                a.charge(2);
+                b.charge(4);
+            })
+        });
+        assert_eq!((a_ns, b_ns), (3, 4));
+        assert_eq!((a.virtual_ns(), b.virtual_ns()), (0, 0));
+    }
+
+    #[test]
+    fn lanes_on_other_threads_capture_only_their_own_charges() {
+        let c = CostClock::new(LatencyMode::Virtual);
+        let lanes: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (1..=4u64)
+                .map(|i| {
+                    let c = &c;
+                    s.spawn(move || c.lane(|| c.charge(i * 10)).1)
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(lanes, vec![10, 20, 30, 40]);
+        assert_eq!(c.virtual_ns(), 0);
+        c.charge_wave(&lanes);
+        assert_eq!((c.virtual_ns(), c.work_ns()), (40, 100));
     }
 
     #[test]

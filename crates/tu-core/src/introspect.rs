@@ -5,7 +5,8 @@
 //! hand-rolled JSON (field order never changes between scrapes):
 //!
 //! * `/introspect/lsm` — [`lsm_json`]: levels, partition boundaries,
-//!   table inventory, stats-footer coverage, block-cache counters.
+//!   table inventory (each table's reach, `null` when unknown),
+//!   stats-footer coverage, block-cache counters.
 //! * `/introspect/partitions` — [`partitions_json`]: the LSM partition
 //!   view joined with the partition heat registry (requests, bytes,
 //!   decayed rate windows, hot/warm/cold class, last access).
@@ -23,15 +24,19 @@ fn esc(s: &str) -> String {
 }
 
 fn table_json(t: &TableIntrospect) -> String {
+    let reach = t.reach.map_or("null".to_string(), |r| {
+        format!("{{\"last_ts\":{},\"span\":{}}}", r.last_ts, r.span)
+    });
     format!(
         "{{\"name\":\"{}\",\"seq\":{},\"entries\":{},\"file_len\":{},\
-         \"stats_chunks\":{},\"patches\":{}}}",
+         \"stats_chunks\":{},\"patches\":{},\"reach\":{}}}",
         esc(&t.name),
         t.seq,
         t.entries,
         t.file_len,
         t.stats_chunks,
-        t.patches
+        t.patches,
+        reach
     )
 }
 
@@ -202,6 +207,7 @@ mod tests {
                             file_len: 4096,
                             stats_chunks: 10,
                             patches: 0,
+                            reach: None,
                         }],
                     }],
                 },
@@ -293,6 +299,23 @@ mod tests {
         // The heat-only partition lands under "unmapped".
         assert!(json.contains("\"unmapped\":[{\"start_ms\":-7200000,\"end_ms\":0"));
         assert!(json.contains("\"unattributed\":{"));
+    }
+
+    #[test]
+    fn a_tables_reach_is_an_object_or_null() {
+        let mut view = sample_view();
+        let json = lsm_json(&view);
+        assert!(json.contains("\"patches\":0,\"reach\":null}"), "{json}");
+        view.levels[0].partitions[0].tables[0].reach = Some(tu_lsm::Reach {
+            last_ts: 7_199_000,
+            span: 110_000,
+        });
+        let json = lsm_json(&view);
+        balanced(&json);
+        assert!(
+            json.contains("\"patches\":0,\"reach\":{\"last_ts\":7199000,\"span\":110000}}"),
+            "{json}"
+        );
     }
 
     #[test]

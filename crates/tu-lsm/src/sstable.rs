@@ -534,6 +534,27 @@ pub struct TableRead {
     spans: Vec<std::ops::Range<usize>>,
 }
 
+/// A table read whose needed blocks are known and probed in the cache,
+/// but not yet fetched ([`Table::probe`]). Fetching it ([`Table::fetch`])
+/// is the read's only storage I/O, so a reader can issue many tables'
+/// fetches together.
+pub struct PendingRead {
+    /// Needed blocks, as ascending positions in the table's index.
+    needed: Vec<usize>,
+    /// Per needed block: its cached copy, or `None` for a miss.
+    cached: Vec<Option<Block>>,
+    /// Per key range: its blocks, as positions in `needed`.
+    spans: Vec<std::ops::Range<usize>>,
+}
+
+impl PendingRead {
+    /// True when the cache held every needed block: fetching it touches
+    /// no storage.
+    pub fn is_cached(&self) -> bool {
+        self.cached.iter().all(Option::is_some)
+    }
+}
+
 impl TableRead {
     /// Entries of key range `i` of the read, which was `[start, end)`.
     pub fn entries<'a>(
@@ -603,73 +624,13 @@ impl Table {
         self.index.len()
     }
 
-    /// Loads the blocks at the given ascending index positions: one cache
-    /// probe per block (one hit or one miss each), then all the misses in
-    /// as few store requests as the tier's latency model prices cheapest —
-    /// blocks a request latency apart or less share one, whatever lies
-    /// between them. Each fetched frame is parsed and dropped before the
-    /// next, so a read never holds a block in both forms.
-    ///
-    /// `lsm.sstable.block_loads`/`block_load_bytes` count every block that
-    /// reached storage; `lsm.readahead.coalesced_requests`/`coalesced_blocks`
-    /// the requests that carried two or more and the blocks they carried
-    /// (the per-request term of Equations 4/6 that was saved);
-    /// `lsm.readahead.gap_bytes` what was transferred only to bridge gaps.
-    fn load_blocks(&self, needed: &[usize]) -> Result<Vec<Block>> {
-        let mut out: Vec<Option<Block>> = Vec::with_capacity(needed.len());
-        let mut missing: Vec<usize> = Vec::new(); // positions in `needed`
-        for (pos, &idx) in needed.iter().enumerate() {
-            let hit = self
-                .cache
-                .as_ref()
-                .and_then(|cache| cache.get(&self.cache_name, self.index[idx].1));
-            if hit.is_none() {
-                missing.push(pos);
-            }
-            out.push(hit);
-        }
-        if !missing.is_empty() {
-            let wanted: Vec<(u64, usize)> = missing
-                .iter()
-                .map(|&pos| {
-                    let (_, off, len) = self.index[needed[pos]];
-                    (off, len as usize)
-                })
-                .collect();
-            let read = self.source.read_ranges(&wanted)?;
-            let wanted_bytes: u64 = wanted.iter().map(|&(_, len)| len as u64).sum();
-            let transferred: u64 = read.requests.iter().map(|r| r.len).sum();
-            let merged = read.requests.iter().filter(|r| r.ranges.len() >= 2);
-            let merged_blocks: u64 = merged.clone().map(|r| r.ranges.len() as u64).sum();
-            let obs = sst_obs();
-            obs.block_loads.add(wanted.len() as u64);
-            obs.block_load_bytes.add(wanted_bytes);
-            if merged_blocks > 0 {
-                obs.coalesced_requests.add(merged.count() as u64);
-                obs.coalesced_blocks.add(merged_blocks);
-            }
-            if transferred > wanted_bytes {
-                obs.gap_bytes.add(transferred - wanted_bytes);
-            }
-            for ((pos, framed), (off, len)) in missing.into_iter().zip(read.parts).zip(wanted) {
-                let entries = Arc::new(block_entries(&unframe_block(&framed)?)?);
-                if let Some(cache) = &self.cache {
-                    cache.insert(&self.cache_name, off, entries.clone(), len);
-                }
-                out[pos] = Some(entries);
-            }
-        }
-        out.into_iter()
-            .map(|b| b.ok_or_else(|| Error::corruption("block neither cached nor fetched")))
-            .collect()
-    }
-
-    /// Fetches what the key ranges `[start, end)` — sorted and disjoint —
-    /// need from this table. Every range's bounding blocks are located in
-    /// the in-memory index first, so the union of needed blocks is known
-    /// before any data is fetched and is loaded in one pass
-    /// (see `load_blocks`).
-    pub fn read(&self, ranges: &[(&[u8], &[u8])]) -> Result<TableRead> {
+    /// Works out which blocks the key ranges `[start, end)` — sorted and
+    /// disjoint — need from this table, and probes the cache for each.
+    /// Every range's bounding blocks are located in the in-memory index
+    /// first, so the union of needed blocks is known before any data is
+    /// fetched; each is then probed once (one hit or one miss). No storage
+    /// is touched: the misses are left to [`Table::fetch`].
+    pub fn probe(&self, ranges: &[(&[u8], &[u8])]) -> Result<PendingRead> {
         let mut needed: Vec<usize> = Vec::new();
         let mut spans = Vec::with_capacity(ranges.len());
         let mut prev_end: &[u8] = &[];
@@ -699,10 +660,80 @@ impl Table {
             needed.extend(next..=last);
             spans.push(from..needed.len());
         }
-        Ok(TableRead {
-            blocks: self.load_blocks(&needed)?,
+        let cached = needed
+            .iter()
+            .map(|&idx| {
+                let cache = self.cache.as_ref()?;
+                cache.get(&self.cache_name, self.index[idx].1)
+            })
+            .collect();
+        Ok(PendingRead {
+            needed,
+            cached,
             spans,
         })
+    }
+
+    /// Completes a probed read: every block the cache missed, in as few
+    /// store requests as the tier's latency model prices cheapest — blocks
+    /// a request latency apart or less share one, whatever lies between
+    /// them. A read the cache answered whole touches no storage. Each
+    /// fetched frame is parsed and dropped before the next, so a read never
+    /// holds a block in both forms.
+    ///
+    /// `lsm.sstable.block_loads`/`block_load_bytes` count every block that
+    /// reached storage; `lsm.readahead.coalesced_requests`/`coalesced_blocks`
+    /// the requests that carried two or more and the blocks they carried
+    /// (the per-request term of Equations 4/6 that was saved);
+    /// `lsm.readahead.gap_bytes` what was transferred only to bridge gaps.
+    pub fn fetch(&self, pending: &PendingRead) -> Result<TableRead> {
+        let mut out = pending.cached.clone();
+        let missing: Vec<usize> = (0..out.len()).filter(|&pos| out[pos].is_none()).collect();
+        if !missing.is_empty() {
+            let wanted: Vec<(u64, usize)> = missing
+                .iter()
+                .map(|&pos| {
+                    let (_, off, len) = self.index[pending.needed[pos]];
+                    (off, len as usize)
+                })
+                .collect();
+            let read = self.source.read_ranges(&wanted)?;
+            let wanted_bytes: u64 = wanted.iter().map(|&(_, len)| len as u64).sum();
+            let transferred: u64 = read.requests.iter().map(|r| r.len).sum();
+            let merged = read.requests.iter().filter(|r| r.ranges.len() >= 2);
+            let merged_blocks: u64 = merged.clone().map(|r| r.ranges.len() as u64).sum();
+            let obs = sst_obs();
+            obs.block_loads.add(wanted.len() as u64);
+            obs.block_load_bytes.add(wanted_bytes);
+            if merged_blocks > 0 {
+                obs.coalesced_requests.add(merged.count() as u64);
+                obs.coalesced_blocks.add(merged_blocks);
+            }
+            if transferred > wanted_bytes {
+                obs.gap_bytes.add(transferred - wanted_bytes);
+            }
+            for ((pos, framed), (off, len)) in missing.into_iter().zip(read.parts).zip(wanted) {
+                let entries = Arc::new(block_entries(&unframe_block(&framed)?)?);
+                if let Some(cache) = &self.cache {
+                    cache.insert(&self.cache_name, off, entries.clone(), len);
+                }
+                out[pos] = Some(entries);
+            }
+        }
+        let blocks = out
+            .into_iter()
+            .map(|b| b.ok_or_else(|| Error::corruption("block neither cached nor fetched")))
+            .collect::<Result<_>>()?;
+        Ok(TableRead {
+            blocks,
+            spans: pending.spans.clone(),
+        })
+    }
+
+    /// Fetches what the key ranges `[start, end)` — sorted and disjoint —
+    /// need from this table: [`Table::probe`], then [`Table::fetch`].
+    pub fn read(&self, ranges: &[(&[u8], &[u8])]) -> Result<TableRead> {
+        self.fetch(&self.probe(ranges)?)
     }
 
     /// Entries with keys in `[start, end)`: the one-range case of

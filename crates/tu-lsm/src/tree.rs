@@ -37,6 +37,7 @@ use std::sync::Arc;
 
 use tu_common::lockdep::{self, Mutex};
 
+use tu_cloud::cost::WAVE_IN_FLIGHT;
 use tu_cloud::StorageEnv;
 use tu_common::keys::{decode_id, decode_ts, decode_version, encode_key, encode_versioned_key};
 use tu_common::pool::{WorkerPool, INGEST_THREADS_ENV};
@@ -107,6 +108,9 @@ pub struct TableIntrospect {
     pub stats_chunks: u64,
     /// Patch tables appended to this base table (L2 only).
     pub patches: usize,
+    /// How far the table's chunks reach ([`TableProps::reach`]); `None`
+    /// when unknown.
+    pub reach: Option<Reach>,
 }
 
 /// One time partition of one level, as reported by [`TimeTree::introspect`].
@@ -1109,9 +1113,15 @@ impl TimeTree {
     /// one hold of the memtable locks, so no flush or compaction moves a
     /// chunk between the two and no source's reach changes while `from` is
     /// worked out. Each overlapping table is then read once for all the ids
-    /// it covers (`Table::read`), under that table's partition heat guard;
-    /// if a concurrent pass replaced and deleted one since the snapshot,
-    /// the plan starts over. The returned plan owns what was fetched;
+    /// it covers: its index and the block cache are probed on this thread
+    /// (`Table::probe`), and every table that needs storage — a handle to
+    /// load, or blocks the cache missed — is fetched as one lane of a
+    /// single wave, the lanes concurrently on up to [`WAVE_IN_FLIGHT`]
+    /// threads, each under its table's partition heat guard. The clock is
+    /// charged the wave's makespan, what the caller waits; it does not
+    /// depend on the threads' scheduling, only on each lane's own charges.
+    /// If a concurrent pass replaced and deleted a table since the
+    /// snapshot, the plan starts over. The returned plan owns what was fetched;
     /// [`ReadPlan::chunks`] decodes one id from it without touching
     /// storage, from any thread.
     pub fn plan_reads(&self, ids: &[u64], start: Timestamp, end: Timestamp) -> Result<ReadPlan> {
@@ -1159,22 +1169,60 @@ impl TimeTree {
                     .collect();
                 (keys, mem, metas)
             });
-            let mut tables = Vec::with_capacity(metas.len());
-            for (meta, covered) in metas {
-                // Charge this table's block fetches to its owning partition.
+            let ranges_of = |covered: &std::ops::Range<usize>| -> Vec<(&[u8], &[u8])> {
+                let keys = keys[covered.clone()].iter();
+                keys.map(|(s, e)| (s.as_slice(), e.as_slice())).collect()
+            };
+            // What needs no storage runs inline: the index lookup and the
+            // cache probe of every table whose handle is open.
+            let mut probed = Vec::with_capacity(metas.len());
+            for (meta, covered) in &metas {
+                let open = self.tables.lock().get(&meta.name).cloned();
+                probed.push(match open {
+                    Some(table) => Some((table.probe(&ranges_of(covered))?, table)),
+                    None => None,
+                });
+            }
+            let read_table = |i: usize| match &probed[i] {
+                Some((pending, table)) => table.fetch(pending),
+                None => {
+                    let (meta, covered) = &metas[i];
+                    self.open_table(meta)
+                        .and_then(|t| t.read(&ranges_of(covered)))
+                }
+            };
+            // Every other table is one lane of a wave: its handle load on
+            // first touch, then one fetch of its missed blocks. The lanes
+            // are issued together, and the clock is charged what the
+            // caller waits for the slowest (`CostClock::charge_wave`).
+            let (cached, lanes): (Vec<usize>, Vec<usize>) = (0..metas.len())
+                .partition(|&i| probed[i].as_ref().is_some_and(|(p, _)| p.is_cached()));
+            let clock = &self.env.clock;
+            let wave = WorkerPool::new(lanes.len().min(WAVE_IN_FLIGHT)).run(lanes.len(), |l| {
+                let meta = &metas[lanes[l]].0;
+                // The attribution guard is thread-local and the pool does
+                // not propagate it: charge this table's reads to its
+                // owning partition from inside the lane.
                 let _heat = tu_obs::heat::attribute(meta.range.start, meta.range.end);
-                let ranges: Vec<(&[u8], &[u8])> = keys[covered.clone()]
-                    .iter()
-                    .map(|(s, e)| (s.as_slice(), e.as_slice()))
-                    .collect();
-                match self.open_table(&meta).and_then(|t| t.read(&ranges)) {
+                clock.lane(|| read_table(lanes[l]))
+            });
+            let (fetched, lane_ns): (Vec<_>, Vec<u64>) = wave.into_iter().unzip();
+            clock.charge_wave(&lane_ns);
+            let mut reads: Vec<(usize, Result<TableRead>)> =
+                cached.into_iter().map(|i| (i, read_table(i))).collect();
+            reads.extend(lanes.into_iter().zip(fetched));
+            reads.sort_unstable_by_key(|&(i, _)| i);
+            let mut tables = Vec::with_capacity(metas.len());
+            for ((meta, covered), (_, read)) in metas.into_iter().zip(reads) {
+                match read {
                     Ok(read) => tables.push(PlannedTable {
                         seq: meta.seq,
                         ids: covered,
                         read,
                     }),
                     // A pass replaced the table and deleted it after the
-                    // snapshot; its outputs are in the levels by now.
+                    // snapshot; its outputs are in the levels by now. The
+                    // wave that found it gone is charged all the same.
                     Err(e) if e.is_not_found() && !self.levels.lock().names(&meta.name) => {
                         continue 'plan
                     }
@@ -1254,6 +1302,7 @@ impl TimeTree {
                 file_len: m.props.file_len,
                 stats_chunks: m.props.stats_chunks,
                 patches,
+                reach: m.props.reach,
             }
         }
         /// One partition: its base tables, and totals over `all` of its

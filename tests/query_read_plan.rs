@@ -3,12 +3,15 @@
 //! query and the data, not of the fan-out width, the scheduler or the
 //! block cache's size:
 //!
-//! * the object-tier Get count of each cold query is identical at 1, 2
-//!   and 8 query threads (before the plan, two workers missing the same
-//!   block both fetched it) and with an 8 MiB, a 64 KiB or no block cache;
+//! * the object-tier Get count of each cold query, and the modelled time
+//!   its caller waits, are identical at 1, 2 and 8 query threads (before
+//!   the plan, two workers missing the same block both fetched it) and
+//!   with an 8 MiB, a 64 KiB or no block cache;
 //! * results are identical across all of those;
 //! * k series confined to one L2 table, with gaps the S3 model prices
 //!   cheaper to bridge than to re-request, cost exactly one Get;
+//! * the tables of one cold query are fetched as one wave: it waits for
+//!   its slowest table, not for the sum of them;
 //! * a cold query reads only the partitions its window can reach: a late
 //!   chunk that spans most of one partition does not send a query of that
 //!   partition back into the one before.
@@ -19,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use timeunion::engine::{AggKind, Options, QueryResult, Selector, TimeUnion};
 use timeunion::lsm::TreeOptions;
 use timeunion::model::{Labels, Sample};
-use tu_cloud::cost::LatencyMode;
+use tu_cloud::cost::{LatencyMode, LatencyModel};
 
 const MIN: i64 = 60_000;
 
@@ -109,22 +112,24 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-/// Runs `case` cold; returns its result and what it cost on the slow tier.
-fn run_cold(db: &TimeUnion, case: &Case) -> (QueryResult, u64) {
+/// Runs `case` cold; returns its result, its Gets on the slow tier and
+/// the modelled nanoseconds the caller waited for storage.
+fn run_cold(db: &TimeUnion, case: &Case) -> (QueryResult, u64, u64) {
     db.clear_block_cache();
     let before = db.storage().object.stats();
+    let waited = db.storage().clock.virtual_ns();
     let out = match case {
         Case::Raw(sel, start, end) => db.query(sel, *start, *end),
         Case::Agg(sel, kind, start, end) => db.query_aggregate(sel, *kind, *start, *end, 15 * MIN),
     }
     .unwrap();
     let gets = db.storage().object.stats().since(&before).get_requests;
-    (out, gets)
+    (out, gets, db.storage().clock.virtual_ns() - waited)
 }
 
 #[test]
 fn cold_query_gets_do_not_depend_on_threads_or_cache_size() {
-    let mut reference: Option<Vec<(QueryResult, u64)>> = None;
+    let mut reference: Option<Vec<(QueryResult, u64, u64)>> = None;
     // 8 MiB holds everything; 64 KiB thrashes within a query; 0 caches
     // nothing at all.
     for cache_bytes in [8 << 20, 64 << 10, 0] {
@@ -138,9 +143,10 @@ fn cold_query_gets_do_not_depend_on_threads_or_cache_size() {
         for threads in [1usize, 2, 8] {
             db.set_query_threads(threads);
             let got: Vec<_> = cases().iter().map(|c| run_cold(&db, c)).collect();
-            for (i, (out, gets)) in got.iter().enumerate() {
+            for (i, (out, gets, ns)) in got.iter().enumerate() {
                 assert!(!out.is_empty(), "case {i} matched nothing");
                 assert!(*gets > 0, "case {i} never reached the slow tier");
+                assert!(*ns > 0, "case {i} waited for no storage");
             }
             match &reference {
                 None => reference = Some(got),
@@ -149,6 +155,10 @@ fn cold_query_gets_do_not_depend_on_threads_or_cache_size() {
                         assert_eq!(
                             g.1, w.1,
                             "case {i}: Gets differ at {threads} threads, {cache_bytes} B cache"
+                        );
+                        assert_eq!(
+                            g.2, w.2,
+                            "case {i}: modelled ns differ at {threads} threads, {cache_bytes} B cache"
                         );
                         assert_eq!(
                             g.0, w.0,
@@ -206,6 +216,66 @@ fn series_sharing_one_l2_table_share_one_get() {
             "the request is billed its blocks plus the gaps it bridged"
         );
         assert!(profile.readahead_gap_bytes > 0);
+    }
+}
+
+/// 32 series, an hour of a sample a minute, in one L2 partition of at
+/// least 4 small tables (each well under the 16 KiB the S3 model reads at
+/// a flat latency). Eight hosts spread over the id range touch every one
+/// of them, so a cold query of the eight costs one Get per table. The
+/// Gets go out as one wave: at every query-thread count, the time the
+/// caller waits grows by less than two Gets, while the work — the sum of
+/// the lanes — grows by one Get per table.
+#[test]
+fn a_cold_query_waits_for_its_slowest_table() {
+    let dir = tempfile::tempdir().unwrap();
+    let db = TimeUnion::open(dir.path(), opts(8 << 20, 4 << 10)).unwrap();
+    let ids: Vec<_> = (0..32)
+        .map(|s| {
+            let labels =
+                Labels::from_pairs([("metric", "cpu"), ("host", format!("h{s:02}").as_str())]);
+            db.put(&labels, 0, s as f64).unwrap()
+        })
+        .collect();
+    for step in 1..60i64 {
+        for (s, &id) in ids.iter().enumerate() {
+            db.put_by_id(id, step * MIN, (step * s as i64) as f64)
+                .unwrap();
+        }
+    }
+    db.flush_all().unwrap();
+    let l2 = db.storage().object.list_prefix("l2/");
+    let partition = |name: &String| name.rsplit_once('/').map(|(p, _)| p.to_string());
+    assert!(
+        l2.iter().all(|t| partition(t) == partition(&l2[0])),
+        "one partition: {l2:?}"
+    );
+    let tables = l2.len() as u64;
+    assert!((4..=8).contains(&tables), "{tables} tables");
+
+    let get_ns = LatencyModel::s3().read_ns(0, false);
+    let sel = [Selector::regex("host", "h(03|07|11|15|19|23|27|31)").unwrap()];
+    db.query(&sel, 0, HOUR).unwrap(); // opens the tables: footer + index
+    for threads in [1usize, 2, 8] {
+        db.set_query_threads(threads);
+        db.clear_block_cache();
+        let clock = &db.storage().clock;
+        let before = (
+            db.storage().object.stats(),
+            clock.virtual_ns(),
+            clock.work_ns(),
+        );
+        let out = db.query(&sel, 0, HOUR).unwrap();
+        assert_eq!(out.len(), 8);
+        assert!(out.iter().all(|s| s.samples.len() == 60));
+        let gets = db.storage().object.stats().since(&before.0).get_requests;
+        let (waited, work) = (clock.virtual_ns() - before.1, clock.work_ns() - before.2);
+        assert_eq!(gets, tables, "one Get per table at {threads} threads");
+        assert_eq!(work, gets * get_ns, "the lanes' sum at {threads} threads");
+        assert!(
+            waited < 2 * get_ns,
+            "waited {waited} ns at {threads} threads, a Get is {get_ns} ns"
+        );
     }
 }
 
