@@ -11,6 +11,8 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use tu_common::pool::WorkerPool;
+
 /// How modelled latency is applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LatencyMode {
@@ -414,6 +416,29 @@ impl CostClock {
             .fetch_add(lanes.iter().sum(), Ordering::Relaxed);
     }
 
+    /// Issues `n` independent requests together as one wave: runs
+    /// `lane(0), .., lane(n - 1)` on `pool`, at most one thread per lane,
+    /// each in its own [`CostClock::lane`], charges them once with
+    /// [`CostClock::charge_wave`], and returns their results in lane
+    /// order. The charge depends only on what each lane charged, never on
+    /// the pool's width or how its threads were scheduled: the width only
+    /// bounds how many lanes hold their buffers at once. A caller with
+    /// nothing to bound passes [`WorkerPool::new`]`(WAVE_IN_FLIGHT)`.
+    /// Thread-local state the requests need, such as a partition heat
+    /// guard, must be installed inside `lane`: only the trace context
+    /// follows a lane onto its thread.
+    pub fn wave<T: Send>(
+        &self,
+        pool: WorkerPool,
+        n: usize,
+        lane: impl Fn(usize) -> T + Sync,
+    ) -> Vec<T> {
+        let lanes = pool.run(n, |i| self.lane(|| lane(i)));
+        let (out, ns): (Vec<T>, Vec<u64>) = lanes.into_iter().unzip();
+        self.charge_wave(&ns);
+        out
+    }
+
     /// Total modelled nanoseconds the callers waited so far.
     pub fn virtual_ns(&self) -> u64 {
         self.inner.virtual_ns.load(Ordering::Relaxed)
@@ -593,6 +618,28 @@ mod tests {
         assert_eq!(c.virtual_ns(), 0);
         c.charge_wave(&lanes);
         assert_eq!((c.virtual_ns(), c.work_ns()), (40, 100));
+    }
+
+    #[test]
+    fn a_wave_returns_lanes_in_order_and_charges_them_once() {
+        for width in [1, 2, WAVE_IN_FLIGHT] {
+            let pool = WorkerPool::new(width);
+            let c = CostClock::new(LatencyMode::Virtual);
+            c.charge(1);
+            let out = c.wave(pool, 4, |i| {
+                c.charge(10 * (i as u64 + 1));
+                i * i
+            });
+            assert_eq!(out, vec![0, 1, 4, 9]);
+            assert_eq!((c.virtual_ns(), c.work_ns()), (1 + 40, 1 + 100), "{width}");
+            // Past the in-flight limit the lanes queue for a slot.
+            let lanes = 2 * WAVE_IN_FLIGHT + 1;
+            let c = CostClock::new(LatencyMode::Virtual);
+            assert_eq!(c.wave(pool, lanes, |_| c.charge(5)).len(), lanes);
+            assert_eq!((c.virtual_ns(), c.work_ns()), (15, 5 * lanes as u64));
+            assert!(c.wave(pool, 0, |_| c.charge(5)).is_empty());
+            assert_eq!(c.virtual_ns(), 15);
+        }
     }
 
     #[test]

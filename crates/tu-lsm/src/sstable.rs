@@ -341,6 +341,9 @@ impl TableBuilder {
             self.buf.extend_from_slice(&v.to_le_bytes());
         }
         self.buf.extend_from_slice(&MAGIC.to_le_bytes());
+        // The buffer grew by doubling: hand back the table, not the slack,
+        // as finished tables are held until their writes complete.
+        self.buf.shrink_to_fit();
         let props = TableProps {
             entries: self.entries,
             first_key,
@@ -801,6 +804,22 @@ mod tests {
         }
         assert_eq!(lookup(&t, &encode_key(999, 0)).unwrap(), None);
         assert_eq!(lookup(&t, &encode_key(0, 999)).unwrap(), None);
+    }
+
+    /// A finished table does not keep the slack its buffer grew by: an
+    /// upload holds every table it built until its wave of Puts completes.
+    #[test]
+    fn a_finished_table_holds_at_most_one_block_of_slack() {
+        for n in [1, 100, 5_000, 40_000] {
+            let (bytes, props) = build_table(n);
+            assert_eq!(bytes.len() as u64, props.file_len);
+            assert!(
+                bytes.capacity() <= bytes.len() + BLOCK_SIZE,
+                "{n} entries: {} B table in a {} B buffer",
+                bytes.len(),
+                bytes.capacity()
+            );
+        }
     }
 
     #[test]

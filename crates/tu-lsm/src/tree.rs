@@ -31,6 +31,7 @@
 //! maintenance steps ([`TimeTree::maintain`] runs them in order), which the
 //! embedding engine runs inside its own maintenance pass.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -355,9 +356,10 @@ pub struct TimeTree {
     /// `flushed_epoch() > e`.
     flushed: AtomicU64,
     /// Workers for flush encoding and compaction table scans. The on-disk
-    /// result is independent of the width: encoded blobs are written and
-    /// sequence-numbered sequentially in bucket order, and merges fold the
-    /// parallel scans back in table order.
+    /// result is independent of the width: encoded blobs are
+    /// sequence-numbered and named in bucket order, and merges fold the
+    /// scans in table order. So is the modelled time: the scans are
+    /// charged as one wave whatever the width.
     flush_pool: WorkerPool,
 }
 
@@ -567,9 +569,9 @@ impl TimeTree {
         let mut entries_flushed = 0usize;
         // Encode every bucket's SSTables across the flush workers (the CPU
         // cost: sorting is done, but block building, compression framing and
-        // checksumming are not). Writes and sequence numbers are assigned
-        // sequentially in bucket order below, so the on-disk layout is
-        // identical for every worker count.
+        // checksumming are not). Sequence numbers and names are assigned in
+        // bucket order below, so the on-disk layout is identical for every
+        // worker count.
         let buckets: Vec<(i64, Vec<(Vec<u8>, Vec<u8>)>)> = buckets.into_iter().collect();
         let encoded = self
             .flush_pool
@@ -604,50 +606,67 @@ impl TimeTree {
 
     /// Encodes sorted entries into SSTable blobs split at the configured
     /// size. Pure CPU — no naming, sequencing, or I/O — so buckets can be
-    /// encoded concurrently without affecting the on-disk layout.
-    fn encode_tables(&self, entries: &[(Vec<u8>, Vec<u8>)]) -> Result<Vec<(Vec<u8>, TableProps)>> {
+    /// encoded concurrently without affecting the on-disk layout. Entries
+    /// passed by value are dropped as they are added, so they and the
+    /// finished blobs are never both whole in memory.
+    fn encode_tables<E: Borrow<(Vec<u8>, Vec<u8>)>>(
+        &self,
+        entries: impl IntoIterator<Item = E>,
+    ) -> Result<Vec<(Vec<u8>, TableProps)>> {
         let mut out = Vec::new();
         let mut builder = TableBuilder::new();
-        let mut finish = |builder: &mut TableBuilder| -> Result<()> {
-            if builder.is_empty() {
-                return Ok(());
-            }
-            out.push(std::mem::take(builder).finish()?);
-            Ok(())
-        };
-        for (k, v) in entries {
+        for entry in entries {
+            let (k, v) = entry.borrow();
             builder.add(k, v)?;
             if builder.estimated_len() >= self.opts.max_sstable_bytes {
-                finish(&mut builder)?;
+                out.push(std::mem::take(&mut builder).finish()?);
             }
         }
-        finish(&mut builder)?;
+        if !builder.is_empty() {
+            out.push(builder.finish()?);
+        }
         Ok(out)
     }
 
-    /// Writes encoded blobs to the fast tier, assigning sequence numbers
-    /// and names in order.
+    /// Writes encoded blobs as tables of `level` — L2's to the slow tier,
+    /// the others to the fast tier — assigning sequence numbers and names
+    /// in blob order. The writes are independent and issued together, as
+    /// one wave ([`tu_cloud::cost::CostClock::wave`]).
     fn write_tables(
         &self,
         blobs: Vec<(Vec<u8>, TableProps)>,
         level: u8,
         range: TimeRange,
     ) -> Result<Vec<TableMeta>> {
-        let mut out = Vec::new();
-        let _heat = tu_obs::heat::attribute(range.start, range.end);
-        for (bytes, props) in blobs {
-            let seq = self.next_seq();
-            let name = format!("l{level}/p{}-{}/sst-{seq:08}", range.start, range.end);
-            self.env.block.write_file(&name, &bytes)?;
-            out.push(TableMeta {
-                name,
-                seq,
-                props,
-                on_slow: false,
-                range,
-            });
-        }
-        Ok(out)
+        let (blobs, metas): (Vec<Vec<u8>>, Vec<TableMeta>) = blobs
+            .into_iter()
+            .map(|(bytes, props)| {
+                let seq = self.next_seq();
+                let name = format!("l{level}/p{}-{}/sst-{seq:08}", range.start, range.end);
+                let on_slow = level == 2;
+                (
+                    bytes,
+                    TableMeta {
+                        name,
+                        seq,
+                        props,
+                        on_slow,
+                        range,
+                    },
+                )
+            })
+            .unzip();
+        let pool = WorkerPool::new(WAVE_IN_FLIGHT);
+        let writes = self.env.clock.wave(pool, metas.len(), |i| {
+            let _heat = tu_obs::heat::attribute(range.start, range.end);
+            let (meta, bytes) = (&metas[i], &blobs[i]);
+            match meta.on_slow {
+                true => self.env.object.put(&meta.name, bytes),
+                false => self.env.block.write_file(&meta.name, bytes),
+            }
+        });
+        writes.into_iter().collect::<Result<()>>()?;
+        Ok(metas)
     }
 
     fn source(&self, meta: &TableMeta) -> TableSource {
@@ -686,15 +705,17 @@ impl TimeTree {
 
     /// Merges a set of tables newest-wins into sorted entries. Each table
     /// costs one read request ([`Table::scan_file`]) and no open handle.
-    /// The scans — the I/O-heavy part, often against the slow tier — fan
-    /// out across the flush workers; the newest-wins fold runs sequentially
-    /// in table order afterwards, so the result is independent of the
-    /// worker count.
+    /// The scans — the I/O-heavy part, often against the slow tier — are
+    /// issued together as one wave ([`tu_cloud::cost::CostClock::wave`]);
+    /// the newest-wins fold runs sequentially in table order afterwards.
+    /// The wave runs on the flush workers, not on a thread per scan: a
+    /// scan holds its whole input file while it decodes it, and sixteen
+    /// at once raised the `ooo_backfill` drain's peak heap by up to 6 %.
     fn merge_tables(&self, metas: &[TableMeta]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let scans = self.flush_pool.run(metas.len(), |i| {
-            // The attribution guard is thread-local and the pool does not
-            // propagate it, so it must be installed inside the per-table
-            // closure for compaction reads to land on the right partition.
+        let scans = self.env.clock.wave(self.flush_pool, metas.len(), |i| {
+            // The attribution guard is thread-local and a lane does not
+            // inherit it, so it must be installed inside the lane for
+            // compaction reads to land on the right partition.
             let _heat = tu_obs::heat::attribute(metas[i].range.start, metas[i].range.end);
             Table::scan_file(self.source(&metas[i]))
         });
@@ -766,7 +787,7 @@ impl TimeTree {
             // Entries are grouped per series already (BTreeMap over the
             // id-prefixed key), giving the data locality the paper wants.
             let range = TimeRange::new(slot * out_len, (slot + 1) * out_len);
-            let tables = self.write_tables(self.encode_tables(&entries)?, 1, range)?;
+            let tables = self.write_tables(self.encode_tables(entries)?, 1, range)?;
             new_parts.push(Partition { range, tables });
         }
         {
@@ -861,7 +882,7 @@ impl TimeTree {
             }
             for (slot, entries) in buckets {
                 let range = TimeRange::new(slot * align, (slot + 1) * align);
-                let metas = self.upload_l2_tables(&entries, range)?;
+                let metas = self.upload_l2_tables(entries, range)?;
                 add_l2_bases(&mut self.levels.lock(), range, metas);
             }
         }
@@ -879,41 +900,15 @@ impl TimeTree {
         Ok(obsolete)
     }
 
-    /// Builds and uploads SSTables to the slow tier.
+    /// Builds every SSTable of `entries`, then uploads them to the slow
+    /// tier as one wave of Puts: the caller waits for the slowest Put, not
+    /// for their sum.
     fn upload_l2_tables(
         &self,
-        entries: &[(Vec<u8>, Vec<u8>)],
+        entries: impl IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
         range: TimeRange,
     ) -> Result<Vec<TableMeta>> {
-        let mut out = Vec::new();
-        let _heat = tu_obs::heat::attribute(range.start, range.end);
-        let mut builder = TableBuilder::new();
-        let mut flush = |builder: &mut TableBuilder| -> Result<()> {
-            if builder.is_empty() {
-                return Ok(());
-            }
-            let done = std::mem::take(builder);
-            let (bytes, props) = done.finish()?;
-            let seq = self.next_seq();
-            let name = format!("l2/p{}-{}/sst-{seq:08}", range.start, range.end);
-            self.env.object.put(&name, &bytes)?;
-            out.push(TableMeta {
-                name,
-                seq,
-                props,
-                on_slow: true,
-                range,
-            });
-            Ok(())
-        };
-        for (k, v) in entries {
-            builder.add(k, v)?;
-            if builder.estimated_len() >= self.opts.max_sstable_bytes {
-                flush(&mut builder)?;
-            }
-        }
-        flush(&mut builder)?;
-        Ok(out)
+        self.write_tables(self.encode_tables(entries)?, 2, range)
     }
 
     /// Routes out-of-order entries to the L2 tables whose ID ranges cover
@@ -944,7 +939,7 @@ impl TimeTree {
             if targets.is_empty() {
                 // Partition had no tables (shouldn't happen): the entries
                 // become its base tables.
-                let metas = self.upload_l2_tables(&entries, range)?;
+                let metas = self.upload_l2_tables(entries, range)?;
                 add_l2_bases(&mut self.levels.lock(), range, metas);
                 continue;
             }
@@ -1016,8 +1011,7 @@ impl TimeTree {
         let mut merged: BTreeMap<Vec<u8>, Vec<u8>> =
             self.merge_tables(&inputs)?.into_iter().collect();
         merged.extend(newest);
-        let merged: Vec<(Vec<u8>, Vec<u8>)> = merged.into_iter().collect();
-        let metas = self.upload_l2_tables(&merged, range)?;
+        let metas = self.upload_l2_tables(merged, range)?;
         {
             let mut lv = self.levels.lock();
             l2_partition(&mut lv, range)?
@@ -1116,10 +1110,10 @@ impl TimeTree {
     /// it covers: its index and the block cache are probed on this thread
     /// (`Table::probe`), and every table that needs storage — a handle to
     /// load, or blocks the cache missed — is fetched as one lane of a
-    /// single wave, the lanes concurrently on up to [`WAVE_IN_FLIGHT`]
-    /// threads, each under its table's partition heat guard. The clock is
-    /// charged the wave's makespan, what the caller waits; it does not
-    /// depend on the threads' scheduling, only on each lane's own charges.
+    /// single wave ([`tu_cloud::cost::CostClock::wave`]), each under its
+    /// table's partition heat guard. The clock is charged the wave's
+    /// makespan, what the caller waits; it does not depend on the threads'
+    /// scheduling, only on each lane's own charges.
     /// If a concurrent pass replaced and deleted a table since the
     /// snapshot, the plan starts over. The returned plan owns what was fetched;
     /// [`ReadPlan::chunks`] decodes one id from it without touching
@@ -1194,20 +1188,16 @@ impl TimeTree {
             // Every other table is one lane of a wave: its handle load on
             // first touch, then one fetch of its missed blocks. The lanes
             // are issued together, and the clock is charged what the
-            // caller waits for the slowest (`CostClock::charge_wave`).
+            // caller waits for the slowest (`CostClock::wave`).
             let (cached, lanes): (Vec<usize>, Vec<usize>) = (0..metas.len())
                 .partition(|&i| probed[i].as_ref().is_some_and(|(p, _)| p.is_cached()));
-            let clock = &self.env.clock;
-            let wave = WorkerPool::new(lanes.len().min(WAVE_IN_FLIGHT)).run(lanes.len(), |l| {
+            let pool = WorkerPool::new(WAVE_IN_FLIGHT);
+            let fetched = self.env.clock.wave(pool, lanes.len(), |l| {
                 let meta = &metas[lanes[l]].0;
-                // The attribution guard is thread-local and the pool does
-                // not propagate it: charge this table's reads to its
-                // owning partition from inside the lane.
+                // Charge this table's reads to its owning partition.
                 let _heat = tu_obs::heat::attribute(meta.range.start, meta.range.end);
-                clock.lane(|| read_table(lanes[l]))
+                read_table(lanes[l])
             });
-            let (fetched, lane_ns): (Vec<_>, Vec<u64>) = wave.into_iter().unzip();
-            clock.charge_wave(&lane_ns);
             let mut reads: Vec<(usize, Result<TableRead>)> =
                 cached.into_iter().map(|i| (i, read_table(i))).collect();
             reads.extend(lanes.into_iter().zip(fetched));
@@ -1650,7 +1640,7 @@ fn l2_table<'a>(lv: &'a mut Levels, range: TimeRange, base_name: &str) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tu_cloud::cost::LatencyMode;
+    use tu_cloud::cost::{LatencyMode, LatencyModel};
 
     const MIN: i64 = 60_000;
     const HOUR: i64 = 60 * MIN;
@@ -2090,6 +2080,77 @@ mod tests {
         for r in 0..=threshold + 1 {
             let ts = (10 + r as i64) * MIN;
             assert_eq!(t.get_chunk(0, ts).unwrap(), Some(chunk(100 + r)));
+        }
+    }
+
+    /// An upload builds every table of its window, then Puts them all as
+    /// one wave: its work is the sum of the Puts, but it waits only for the
+    /// slowest. Seqs and names follow the build order.
+    #[test]
+    fn an_upload_waits_for_its_slowest_put() {
+        let dir = tempfile::tempdir().unwrap();
+        let env = StorageEnv::open(dir.path(), LatencyMode::Virtual).unwrap();
+        let t = TimeTree::open(env.clone(), small_opts()).unwrap();
+        // One 2-hour window of 300 series × 4 chunks: about five 32 KiB
+        // tables.
+        let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..300u64)
+            .flat_map(|id| {
+                (0..4i64).map(move |c| {
+                    let key = encode_key(id, c * 30 * MIN).to_vec();
+                    (key, chunk(id * 1000 + c as u64))
+                })
+            })
+            .collect();
+        let (wait, work) = (env.clock.virtual_ns(), env.clock.work_ns());
+        let puts = env.object.stats().put_requests;
+        let metas = t
+            .upload_l2_tables(entries, TimeRange::new(0, 2 * HOUR))
+            .unwrap();
+        assert!(metas.len() >= 4, "{} tables", metas.len());
+        assert_eq!(env.object.stats().put_requests - puts, metas.len() as u64);
+        assert!(metas
+            .windows(2)
+            .all(|w| w[0].seq < w[1].seq && w[0].props.last_key < w[1].props.first_key));
+        let put_ns: Vec<u64> = metas
+            .iter()
+            .map(|m| LatencyModel::s3().write_ns(m.props.file_len))
+            .collect();
+        assert_eq!(env.clock.work_ns() - work, put_ns.iter().sum::<u64>());
+        let waited = env.clock.virtual_ns() - wait;
+        assert_eq!(Some(&waited), put_ns.iter().max());
+        assert!(waited < 2 * put_ns.iter().min().unwrap(), "{waited} ns");
+    }
+
+    /// The modelled time of maintenance — flushes, both compactions,
+    /// patches, their merges and drains — does not depend on the number of
+    /// flush workers, and its waves make the passes wait less than the
+    /// requests took one by one.
+    #[test]
+    fn compaction_modelled_time_does_not_depend_on_flush_threads() {
+        let run = |flush_threads: usize| {
+            let dir = tempfile::tempdir().unwrap();
+            let env = StorageEnv::open(dir.path(), LatencyMode::Virtual).unwrap();
+            let opts = TreeOptions {
+                flush_threads,
+                ..small_opts()
+            };
+            let t = TimeTree::open(env.clone(), opts).unwrap();
+            load(&t, 48, 12);
+            t.flush_all_to_slow().unwrap();
+            hold_newer_l0(&t);
+            for r in 0..4u64 {
+                late_pass(&t, &[(r, 10 * MIN, 9000 + r), (r + 24, 70 * MIN, 9100 + r)]);
+            }
+            t.flush_all_to_slow().unwrap();
+            let s = t.stats();
+            assert!(s.patch_merges > 0, "{s:?}");
+            let (b, o) = (env.block.stats(), env.object.stats());
+            (env.clock.virtual_ns(), env.clock.work_ns(), b, o)
+        };
+        let one = run(1);
+        assert!(one.0 < one.1, "{one:?}");
+        for flush_threads in [2, 8] {
+            assert_eq!(run(flush_threads), one, "{flush_threads} flush threads");
         }
     }
 
