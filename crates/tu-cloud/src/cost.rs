@@ -176,15 +176,7 @@ pub struct RangesRead {
 /// The counters are [`tu_obs::TracedCounter`]s: every charge also lands on
 /// the active trace context, so a profiled query knows exactly how many
 /// billable Gets and bytes each tier charged it (Eq. 4/6 per operation).
-///
-/// Every charge is also mirrored into the partition heat registry
-/// ([`tu_obs::heat`]) through the same call, so per-partition heat totals
-/// equal the `cloud.<tier>.*` counter deltas *exactly* — the invariant
-/// `tests/introspection.rs` pins. Charges made while no partition guard is
-/// installed (WAL, manifest, catalog IO) land in the heat registry's
-/// unattributed bucket, keeping the totals balanced either way.
 pub(crate) struct TierCounters {
-    tier: &'static str,
     gets: tu_obs::TracedCounter,
     puts: tu_obs::TracedCounter,
     deletes: tu_obs::TracedCounter,
@@ -193,46 +185,10 @@ pub(crate) struct TierCounters {
     first_reads: tu_obs::TracedCounter,
 }
 
-/// Attribution-quality counters: how much cloud traffic carried a partition
-/// attribution versus fell through to the heat catch-all bucket. These let
-/// dashboards (and the lint self-test) verify attribution coverage without
-/// walking the heat map.
-struct HeatObs {
-    attributed_requests: tu_obs::TracedCounter,
-    attributed_bytes: tu_obs::TracedCounter,
-    unattributed_requests: tu_obs::TracedCounter,
-    unattributed_bytes: tu_obs::TracedCounter,
-}
-
-fn heat_obs() -> &'static HeatObs {
-    static OBS: std::sync::OnceLock<HeatObs> = std::sync::OnceLock::new();
-    OBS.get_or_init(|| HeatObs {
-        attributed_requests: tu_obs::traced("heat.attributed.requests"),
-        attributed_bytes: tu_obs::traced("heat.attributed.bytes"),
-        unattributed_requests: tu_obs::traced("heat.unattributed.requests"),
-        unattributed_bytes: tu_obs::traced("heat.unattributed.bytes"),
-    })
-}
-
-fn charge_heat_quality(attributed: bool, requests: u64, bytes: u64) {
-    let obs = heat_obs();
-    if attributed {
-        obs.attributed_requests.add(requests);
-        obs.attributed_bytes.add(bytes);
-    } else {
-        obs.unattributed_requests.add(requests);
-        obs.unattributed_bytes.add(bytes);
-    }
-}
-
 impl TierCounters {
     /// Resolves the `cloud.<tier>.*` counters from the global registry.
     pub fn for_tier(tier: &str) -> Self {
-        // The heat registry keys tiers by `&'static str`; both stores use
-        // one of the two canonical names.
-        let tier_name: &'static str = if tier == "block" { "block" } else { "object" };
         TierCounters {
-            tier: tier_name,
             gets: tu_obs::traced(&format!("cloud.{tier}.get_requests")),
             puts: tu_obs::traced(&format!("cloud.{tier}.put_requests")),
             deletes: tu_obs::traced(&format!("cloud.{tier}.delete_requests")),
@@ -243,30 +199,24 @@ impl TierCounters {
     }
 
     /// Charges one read request of `bytes` (plus the first-read marker) to
-    /// the registry, the active trace, and the partition heat map.
+    /// the registry and the active trace.
     pub fn record_read(&self, bytes: u64, first: bool) {
         self.gets.inc();
         self.bytes_read.add(bytes);
         if first {
             self.first_reads.inc();
         }
-        let attributed = tu_obs::heat::record_read(self.tier, 1, bytes, first as u64);
-        charge_heat_quality(attributed, 1, bytes);
     }
 
     /// Charges one write request of `bytes`.
     pub fn record_write(&self, bytes: u64) {
         self.puts.inc();
         self.bytes_written.add(bytes);
-        let attributed = tu_obs::heat::record_write(self.tier, 1, bytes);
-        charge_heat_quality(attributed, 1, bytes);
     }
 
     /// Charges one delete request.
     pub fn record_delete(&self) {
         self.deletes.inc();
-        let attributed = tu_obs::heat::record_delete(self.tier, 1);
-        charge_heat_quality(attributed, 1, 0);
     }
 }
 
@@ -424,9 +374,8 @@ impl CostClock {
     /// the pool's width or how its threads were scheduled: the width only
     /// bounds how many lanes hold their buffers at once. A caller with
     /// nothing to bound passes [`WorkerPool::new`]`(WAVE_IN_FLIGHT)`.
-    /// Thread-local state the requests need, such as a partition heat
-    /// guard, must be installed inside `lane`: only the trace context
-    /// follows a lane onto its thread.
+    /// Thread-local state the requests need must be installed inside
+    /// `lane`: only the trace context follows a lane onto its thread.
     pub fn wave<T: Send>(
         &self,
         pool: WorkerPool,

@@ -1,8 +1,9 @@
-//! The windowed cost ledger: periodic `cloud.<tier>.*` snapshots priced
-//! against the Eq. 3–6 cost model.
+//! The cost ledger: pricing of `cloud.<tier>.*` metric samples against the
+//! Eq. 3–6 cost model.
 //!
-//! Each recorded window holds, per tier, the request/byte deltas since the
-//! previous sample (via [`tu_obs::MetricsSnapshot::since`]) and their
+//! [`price_window`] turns two timestamped snapshots into one window that
+//! holds, per tier, the request/byte deltas between them (taken as
+//! [`tu_obs::MetricsSnapshot::since`] takes them) and their
 //! $-decomposition:
 //!
 //! * **request_usd** — the per-request traffic terms of Eq. 4/6 (only
@@ -12,15 +13,10 @@
 //!   `cloud.<tier>.used_bytes` gauge at window end, prorated from the
 //!   GB-month price sheet over the window's duration.
 //!
-//! The ledger rides the [`tu_obs::Monitor`] sampler: [`CostLedger::observer`]
-//! returns a [`tu_obs::SampleObserver`] that records one window per monitor
-//! sample, so "what did the last hour cost and why" is one struct with no
-//! extra threads. Tests drive [`CostLedger::record`] directly with synthetic
-//! timestamps for determinism.
-
-use std::sync::{Arc, OnceLock};
-
-use tu_common::lockdep::{self, Mutex};
+//! The ledger keeps no state of its own. The live plane's `/costs` prices
+//! each consecutive pair of the [`tu_obs::Monitor`]'s sample ring
+//! ([`tu_obs::Monitor::map_pairs`]) and renders them with [`to_json`];
+//! tests price synthetic rings the same way.
 
 use crate::pricing::{self, Tier};
 use tu_obs::MetricsSnapshot;
@@ -72,205 +68,119 @@ impl CostWindow {
     }
 }
 
-struct Inner {
-    capacity: usize,
-    windows: Vec<CostWindow>,
-    last: Option<(i64, MetricsSnapshot)>,
-}
-
-/// Fixed-capacity ring of [`CostWindow`]s fed by metrics snapshots.
-pub struct CostLedger {
-    inner: Mutex<Inner>,
-}
-
-fn windows_counter() -> tu_obs::TracedCounter {
-    static C: OnceLock<tu_obs::TracedCounter> = OnceLock::new();
-    *C.get_or_init(|| tu_obs::traced("ledger.windows"))
-}
-
-fn tier_counter(snap: &MetricsSnapshot, tier: &str, suffix: &str) -> u64 {
-    snap.counter(&format!("cloud.{tier}.{suffix}")).unwrap_or(0)
-}
-
-impl CostLedger {
-    /// Creates a ledger retaining the most recent `capacity` windows
-    /// (minimum 1).
-    pub fn new(capacity: usize) -> Arc<Self> {
-        Arc::new(CostLedger {
-            inner: Mutex::new(
-                &lockdep::CLOUD_LEDGER_INNER,
-                Inner {
-                    capacity: capacity.max(1),
-                    windows: Vec::new(),
-                    last: None,
-                },
-            ),
-        })
-    }
-
-    /// Records one sample. The first call only establishes the baseline;
-    /// every subsequent call closes a window `[last_at, at_ms)` from the
-    /// counter deltas and prices it.
-    pub fn record(&self, at_ms: i64, snap: &MetricsSnapshot) {
-        let mut inner = self.inner.lock();
-        if let Some((last_at, last_snap)) = inner.last.take() {
-            let delta = snap.since(&last_snap);
-            let dur_ms = (at_ms - last_at).max(0);
-            let tiers = LEDGER_TIERS.map(|(name, tier)| {
-                let gets = tier_counter(&delta, name, "get_requests");
-                let puts = tier_counter(&delta, name, "put_requests");
-                let used = snap
-                    .gauge(&format!("cloud.{name}.used_bytes"))
-                    .unwrap_or(0)
-                    .max(0) as u64;
-                WindowTier {
-                    tier: name,
-                    get_requests: gets,
-                    put_requests: puts,
-                    delete_requests: tier_counter(&delta, name, "delete_requests"),
-                    bytes_read: tier_counter(&delta, name, "bytes_read"),
-                    bytes_written: tier_counter(&delta, name, "bytes_written"),
-                    used_bytes: used,
-                    request_usd: pricing::request_cost_usd(tier, gets, puts),
-                    storage_usd: pricing::monthly_cost_usd(tier, used) * dur_ms as f64 / MONTH_MS,
-                }
-            });
-            let window = CostWindow {
-                start_ms: last_at,
-                end_ms: at_ms,
-                tiers,
-            };
-            if inner.windows.len() == inner.capacity {
-                inner.windows.remove(0);
-            }
-            inner.windows.push(window);
-            windows_counter().inc();
-        }
-        inner.last = Some((at_ms, snap.clone()));
-    }
-
-    /// Returns a [`tu_obs::SampleObserver`] that feeds this ledger from the
-    /// monitor's sampling cadence.
-    pub fn observer(self: &Arc<Self>) -> tu_obs::SampleObserver {
-        let ledger = Arc::clone(self);
-        Arc::new(move |at_ms, snap| ledger.record(at_ms, snap))
-    }
-
-    /// The retained windows, oldest first.
-    pub fn windows(&self) -> Vec<CostWindow> {
-        self.inner.lock().windows.clone()
-    }
-
-    /// Sums request/byte counts and $-costs across all retained windows,
-    /// per tier. The integer counts equal the `cloud.<tier>.*` counter
-    /// deltas between the first and last retained sample.
-    pub fn totals(&self) -> [WindowTier; 2] {
-        let windows = self.windows();
-        let mut out = LEDGER_TIERS.map(|(name, _)| WindowTier {
+/// Prices the window `[from.0, to.0)` between two timestamped samples of
+/// the metric registry: counter deltas for traffic, `to`'s capacity
+/// gauges for storage.
+pub fn price_window(from: &(i64, MetricsSnapshot), to: &(i64, MetricsSnapshot)) -> CostWindow {
+    let ((start_ms, first), (end_ms, last)) = (from, to);
+    let dur_ms = (end_ms - start_ms).max(0);
+    let tiers = LEDGER_TIERS.map(|(name, tier)| {
+        // The delta as `MetricsSnapshot::since` takes it, for one counter.
+        let delta = |suffix: &str| {
+            let key = format!("cloud.{name}.{suffix}");
+            let at = |snap: &MetricsSnapshot| snap.counter(&key).unwrap_or(0);
+            at(last).saturating_sub(at(first))
+        };
+        let (gets, puts) = (delta("get_requests"), delta("put_requests"));
+        let used = last
+            .gauge(&format!("cloud.{name}.used_bytes"))
+            .unwrap_or(0)
+            .max(0) as u64;
+        WindowTier {
             tier: name,
-            get_requests: 0,
-            put_requests: 0,
-            delete_requests: 0,
-            bytes_read: 0,
-            bytes_written: 0,
-            used_bytes: 0,
-            request_usd: 0.0,
-            storage_usd: 0.0,
-        });
-        for w in &windows {
-            for (acc, t) in out.iter_mut().zip(w.tiers.iter()) {
-                acc.get_requests += t.get_requests;
-                acc.put_requests += t.put_requests;
-                acc.delete_requests += t.delete_requests;
-                acc.bytes_read += t.bytes_read;
-                acc.bytes_written += t.bytes_written;
-                acc.used_bytes = t.used_bytes; // level, not a delta: keep latest
-                acc.request_usd += t.request_usd;
-                acc.storage_usd += t.storage_usd;
-            }
+            get_requests: gets,
+            put_requests: puts,
+            delete_requests: delta("delete_requests"),
+            bytes_read: delta("bytes_read"),
+            bytes_written: delta("bytes_written"),
+            used_bytes: used,
+            request_usd: pricing::request_cost_usd(tier, gets, puts),
+            storage_usd: pricing::monthly_cost_usd(tier, used) * dur_ms as f64 / MONTH_MS,
         }
-        out
+    });
+    CostWindow {
+        start_ms: *start_ms,
+        end_ms: *end_ms,
+        tiers,
     }
+}
 
-    /// Stable JSON rendering: `{"windows":[...],"totals":{...}}`.
-    pub fn to_json(&self) -> String {
-        fn tier_json(t: &WindowTier) -> String {
-            format!(
-                "{{\"get_requests\":{},\"put_requests\":{},\"delete_requests\":{},\
-                 \"bytes_read\":{},\"bytes_written\":{},\"used_bytes\":{},\
-                 \"request_usd\":{:.9},\"storage_usd\":{:.9},\"total_usd\":{:.9}}}",
-                t.get_requests,
-                t.put_requests,
-                t.delete_requests,
-                t.bytes_read,
-                t.bytes_written,
-                t.used_bytes,
-                t.request_usd,
-                t.storage_usd,
-                t.total_usd()
-            )
+/// Sums request/byte counts and $-costs across `windows`, per tier. Over
+/// the windows of consecutive samples, the integer counts equal the
+/// `cloud.<tier>.*` counter deltas between the first and last sample.
+pub fn totals(windows: &[CostWindow]) -> [WindowTier; 2] {
+    let mut out = LEDGER_TIERS.map(|(name, _)| WindowTier {
+        tier: name,
+        get_requests: 0,
+        put_requests: 0,
+        delete_requests: 0,
+        bytes_read: 0,
+        bytes_written: 0,
+        used_bytes: 0,
+        request_usd: 0.0,
+        storage_usd: 0.0,
+    });
+    for w in windows {
+        for (acc, t) in out.iter_mut().zip(w.tiers.iter()) {
+            acc.get_requests += t.get_requests;
+            acc.put_requests += t.put_requests;
+            acc.delete_requests += t.delete_requests;
+            acc.bytes_read += t.bytes_read;
+            acc.bytes_written += t.bytes_written;
+            acc.used_bytes = t.used_bytes; // level, not a delta: keep latest
+            acc.request_usd += t.request_usd;
+            acc.storage_usd += t.storage_usd;
         }
-        let windows = self.windows();
-        let mut out = String::from("{\"windows\":[");
-        for (i, w) in windows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"start_ms\":{},\"end_ms\":{},\"total_usd\":{:.9},\"tiers\":{{",
-                w.start_ms,
-                w.end_ms,
-                w.total_usd()
-            ));
-            for (j, t) in w.tiers.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":{}", t.tier, tier_json(t)));
-            }
-            out.push_str("}}");
+    }
+    out
+}
+
+/// Stable JSON rendering: `{"windows":[...],"totals":{...}}`.
+pub fn to_json(windows: &[CostWindow]) -> String {
+    fn tier_json(t: &WindowTier) -> String {
+        format!(
+            "{{\"get_requests\":{},\"put_requests\":{},\"delete_requests\":{},\
+             \"bytes_read\":{},\"bytes_written\":{},\"used_bytes\":{},\
+             \"request_usd\":{:.9},\"storage_usd\":{:.9},\"total_usd\":{:.9}}}",
+            t.get_requests,
+            t.put_requests,
+            t.delete_requests,
+            t.bytes_read,
+            t.bytes_written,
+            t.used_bytes,
+            t.request_usd,
+            t.storage_usd,
+            t.total_usd()
+        )
+    }
+    let mut out = String::from("{\"windows\":[");
+    for (i, w) in windows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        out.push_str("],\"totals\":{");
-        for (j, t) in self.totals().iter().enumerate() {
+        out.push_str(&format!(
+            "{{\"start_ms\":{},\"end_ms\":{},\"total_usd\":{:.9},\"tiers\":{{",
+            w.start_ms,
+            w.end_ms,
+            w.total_usd()
+        ));
+        for (j, t) in w.tiers.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
             out.push_str(&format!("\"{}\":{}", t.tier, tier_json(t)));
         }
         out.push_str("}}");
-        out
     }
-
-    /// Human-readable text table, one row per (window, tier).
-    pub fn text_table(&self) -> String {
-        let mut out = String::from(
-            "start_ms     end_ms       tier    gets     puts     bytes_read   bytes_written  request_usd    storage_usd\n",
-        );
-        for w in self.windows() {
-            for t in &w.tiers {
-                out.push_str(&format!(
-                    "{:<12} {:<12} {:<7} {:<8} {:<8} {:<12} {:<14} {:<14.9} {:<14.9}\n",
-                    w.start_ms,
-                    w.end_ms,
-                    t.tier,
-                    t.get_requests,
-                    t.put_requests,
-                    t.bytes_read,
-                    t.bytes_written,
-                    t.request_usd,
-                    t.storage_usd
-                ));
-            }
+    out.push_str("],\"totals\":{");
+    for (j, t) in totals(windows).iter().enumerate() {
+        if j > 0 {
+            out.push(',');
         }
-        let totals = self.totals();
-        out.push_str(&format!(
-            "TOTAL usd: block={:.9} object={:.9} all={:.9}\n",
-            totals[0].total_usd(),
-            totals[1].total_usd(),
-            totals[0].total_usd() + totals[1].total_usd()
-        ));
-        out
+        out.push_str(&format!("\"{}\":{}", t.tier, tier_json(t)));
     }
+    out.push_str("}}");
+    out
 }
 
 #[cfg(test)]
@@ -288,29 +198,39 @@ mod tests {
         s
     }
 
+    /// The windows of consecutive samples, as `/costs` prices the
+    /// monitor's ring.
+    fn price(ring: &[(i64, MetricsSnapshot)]) -> Vec<CostWindow> {
+        ring.windows(2)
+            .map(|p| price_window(&p[0], &p[1]))
+            .collect()
+    }
+
     #[test]
-    fn first_record_is_baseline_only() {
-        let ledger = CostLedger::new(4);
-        ledger.record(1_000, &snap_with(&[("cloud.object.get_requests", 5)], &[]));
-        assert!(ledger.windows().is_empty());
+    fn one_sample_prices_no_window() {
+        let ring = [(1_000, snap_with(&[("cloud.object.get_requests", 5)], &[]))];
+        let windows = price(&ring);
+        assert!(windows.is_empty());
+        assert_eq!(totals(&windows)[1].get_requests, 0);
     }
 
     #[test]
     fn windows_hold_deltas_and_prices() {
-        let ledger = CostLedger::new(4);
-        ledger.record(0, &snap_with(&[("cloud.object.get_requests", 10)], &[]));
-        ledger.record(
-            60_000,
-            &snap_with(
-                &[
-                    ("cloud.object.get_requests", 1_010),
-                    ("cloud.object.put_requests", 200),
-                    ("cloud.block.get_requests", 7),
-                ],
-                &[("cloud.object.used_bytes", 1 << 30)],
+        let ring = [
+            (0, snap_with(&[("cloud.object.get_requests", 10)], &[])),
+            (
+                60_000,
+                snap_with(
+                    &[
+                        ("cloud.object.get_requests", 1_010),
+                        ("cloud.object.put_requests", 200),
+                        ("cloud.block.get_requests", 7),
+                    ],
+                    &[("cloud.object.used_bytes", 1 << 30)],
+                ),
             ),
-        );
-        let w = ledger.windows();
+        ];
+        let w = price(&ring);
         assert_eq!(w.len(), 1);
         let obj = &w[0].tiers[1];
         assert_eq!(obj.get_requests, 1_000);
@@ -328,28 +248,29 @@ mod tests {
     }
 
     #[test]
-    fn ring_evicts_oldest_and_totals_accumulate() {
-        let ledger = CostLedger::new(2);
-        for i in 0..5u64 {
-            ledger.record(
-                i as i64 * 1_000,
-                &snap_with(&[("cloud.block.get_requests", i * 10)], &[]),
-            );
-        }
-        let w = ledger.windows();
-        assert_eq!(w.len(), 2);
-        assert_eq!(w[0].start_ms, 2_000);
-        assert_eq!(w[1].end_ms, 4_000);
-        let totals = ledger.totals();
-        assert_eq!(totals[0].get_requests, 20, "two retained windows of 10");
+    fn totals_sum_every_window_and_keep_the_last_level() {
+        let ring: Vec<_> = (0..5u64)
+            .map(|i| {
+                let gauges = [("cloud.block.used_bytes", i as i64 * 100)];
+                let snap = snap_with(&[("cloud.block.get_requests", i * 10)], &gauges);
+                (i as i64 * 1_000, snap)
+            })
+            .collect();
+        let w = price(&ring);
+        assert_eq!(w.len(), 4);
+        assert_eq!((w[0].start_ms, w[3].end_ms), (0, 4_000));
+        let totals = totals(&w);
+        assert_eq!(totals[0].get_requests, 40, "first-to-last delta");
+        assert_eq!(totals[0].used_bytes, 400);
     }
 
     #[test]
     fn json_is_balanced_and_mentions_tiers() {
-        let ledger = CostLedger::new(2);
-        ledger.record(0, &MetricsSnapshot::default());
-        ledger.record(1_000, &MetricsSnapshot::default());
-        let json = ledger.to_json();
+        let ring = [
+            (0, MetricsSnapshot::default()),
+            (1_000, MetricsSnapshot::default()),
+        ];
+        let json = to_json(&price(&ring));
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes, "balanced braces in {json}");
@@ -357,15 +278,5 @@ mod tests {
         assert!(json.contains("\"totals\""));
         assert!(json.contains("\"block\""));
         assert!(json.contains("\"object\""));
-        assert!(!ledger.text_table().is_empty());
-    }
-
-    #[test]
-    fn observer_feeds_ledger() {
-        let ledger = CostLedger::new(4);
-        let obs = ledger.observer();
-        obs(0, &MetricsSnapshot::default());
-        obs(500, &MetricsSnapshot::default());
-        assert_eq!(ledger.windows().len(), 1);
     }
 }

@@ -15,8 +15,8 @@
 //!   accumulates modelled storage time deterministically.
 //! * [`pricing`] — the Figure 1a price sheet (RAM vs. EBS vs. S3) plus the
 //!   per-request prices Eq. 4/6 charge on object storage.
-//! * [`ledger`] — the windowed [`ledger::CostLedger`]: periodic counter
-//!   snapshots priced into a per-window, per-tier $-decomposition.
+//! * [`ledger`] — [`ledger::price_window`]: two metric snapshots priced
+//!   into a per-tier $-decomposition of the window between them.
 //!
 //! Data lives in real files under a root directory, so large datasets do not
 //! inflate the heap-memory measurements of the engines above.

@@ -79,11 +79,6 @@ pub struct Options {
     /// at 8). On-disk state is identical for every thread count; see
     /// [`TimeUnion::set_ingest_threads`].
     pub ingest_threads: usize,
-    /// Address for the live observability endpoint (e.g.
-    /// `"127.0.0.1:9090"`; port `0` picks a free port). `None` serves
-    /// nothing. Consulted by [`TimeUnion::serve_if_configured`], where the
-    /// `TU_SERVE_ADDR` environment variable overrides this field.
-    pub serve_addr: Option<String>,
 }
 
 impl Default for Options {
@@ -104,7 +99,6 @@ impl Default for Options {
             clock: system_clock(),
             query_threads: 0,
             ingest_threads: 0,
-            serve_addr: None,
         }
     }
 }
@@ -154,7 +148,7 @@ pub struct TimeUnion {
     pub(crate) index: InvertedIndex,
     pub(crate) tree: TimeTree,
     pub(crate) wal: Wal,
-    pub(crate) catalog: Catalog,
+    pub(crate) catalog: Arc<Catalog>,
     page_cache: Arc<PageCache>,
     pub(crate) arenas: Arenas,
     /// Hot-path maps are sharded: concurrent writers on distinct objects
@@ -232,11 +226,10 @@ struct Worker {
 }
 
 /// The live observability plane of one serving engine: the HTTP server
-/// plus the monitor sampling windowed vitals behind `/vitals`.
+/// plus the monitor whose samples `/vitals` and `/costs` read.
 struct ServePlane {
     server: tu_obs::ObsServer,
     monitor: Arc<tu_obs::Monitor>,
-    ledger: Arc<tu_cloud::ledger::CostLedger>,
 }
 
 impl TimeUnion {
@@ -261,7 +254,12 @@ impl TimeUnion {
         }
         let tree = TimeTree::open(env.clone(), tree_opts)?;
         let wal = Wal::open(env.block.clone(), "wal/engine.log");
-        let catalog = Catalog::open(env.block.clone(), "catalog/series.cat");
+        let catalog = Arc::new(Catalog::open(env.block.clone(), "catalog/series.cat"));
+        // A record is only recoverable if its series is, and a recovered
+        // engine hands the id of a series it does not know to the next one
+        // created: every wave makes the catalog durable first.
+        let wave_catalog = Arc::clone(&catalog);
+        wal.set_before_append(move || wave_catalog.flush());
         let arenas = Arenas::open(
             &page_cache,
             &dir.join("heads"),
@@ -308,11 +306,6 @@ impl TimeUnion {
             .set(engine.query_threads.load(Ordering::Relaxed) as i64);
         tu_obs::gauge("core.ingest.parallel.threads")
             .set(engine.ingest_threads.load(Ordering::Relaxed) as i64);
-        // Partition heat timestamps follow the engine clock, so
-        // last-access and decay windows line up with query time ranges
-        // in tests and simulations driven by a virtual clock.
-        let heat_clock = engine.opts.clock.clone();
-        tu_obs::heat::install_clock(Arc::new(move || heat_clock.now_ms()));
         engine.recover()?;
         // Series and groups together: telling them apart locks every object.
         let objects = engine.objects.len();
@@ -326,24 +319,10 @@ impl TimeUnion {
 
     // --- live observability plane ----------------------------------------------
 
-    /// Starts the embedded observability endpoint if configured: the
-    /// `TU_SERVE_ADDR` environment variable wins, then
-    /// [`Options::serve_addr`]. Returns the bound address, or `None` when
-    /// neither is set.
-    pub fn serve_if_configured(self: &Arc<Self>) -> Result<Option<std::net::SocketAddr>> {
-        let addr = match std::env::var("TU_SERVE_ADDR") {
-            Ok(v) if !v.is_empty() => Some(v),
-            _ => self.opts.serve_addr.clone(),
-        };
-        match addr {
-            Some(addr) => self.start_serving(&addr).map(Some),
-            None => Ok(None),
-        }
-    }
-
     /// Binds the live endpoint on `addr` (port `0` picks a free port) and
-    /// starts the vitals monitor. `/healthz`, `/readyz`, and `/vitals`
-    /// reflect this engine; `/metrics`, `/metrics.json`, and `/flight`
+    /// starts the vitals monitor. `/healthz`, `/readyz`, `/vitals` and
+    /// `/introspect/lsm` reflect this engine, and `/costs` prices the
+    /// monitor's samples; `/metrics`, `/metrics.json`, and `/flight`
     /// expose the process-global registry and flight recorder. Idempotent:
     /// a second call returns the already-bound address.
     pub fn start_serving(self: &Arc<Self>, addr: &str) -> Result<std::net::SocketAddr> {
@@ -372,10 +351,6 @@ impl TimeUnion {
                 )],
             },
         });
-        // The cost ledger rides the monitor's sampling cadence: every
-        // vitals sample also closes a billing window.
-        let ledger = tu_cloud::ledger::CostLedger::new(128);
-        monitor.add_observer(ledger.observer());
         let lsm_weak = Arc::downgrade(self);
         let lsm_endpoint = tu_obs::Endpoint::new("/introspect/lsm", move || {
             let body = match lsm_weak.upgrade() {
@@ -384,27 +359,21 @@ impl TimeUnion {
             };
             ("application/json".to_string(), body)
         });
-        let parts_weak = Arc::downgrade(self);
-        let parts_endpoint = tu_obs::Endpoint::new("/introspect/partitions", move || {
-            let body = match parts_weak.upgrade() {
-                Some(engine) => {
-                    let view = engine.tree.introspect();
-                    crate::introspect::partitions_json(&view, &tu_obs::heat::snapshot())
-                }
-                None => "{\"error\":\"engine closed\"}".to_string(),
-            };
-            ("application/json".to_string(), body)
-        });
-        let costs_ledger = Arc::clone(&ledger);
+        // `/costs` prices each consecutive pair of the monitor's samples.
+        let costs_monitor = Arc::clone(&monitor);
         let costs_endpoint = tu_obs::Endpoint::new("/costs", move || {
-            ("application/json".to_string(), costs_ledger.to_json())
+            let windows = costs_monitor.map_pairs(tu_cloud::ledger::price_window);
+            (
+                "application/json".to_string(),
+                tu_cloud::ledger::to_json(&windows),
+            )
         });
         let server = tu_obs::ObsServer::bind(
             addr,
             tu_obs::ServeSources {
                 health,
                 monitor: Some(Arc::clone(&monitor)),
-                extra: vec![lsm_endpoint, parts_endpoint, costs_endpoint],
+                extra: vec![lsm_endpoint, costs_endpoint],
             },
         )?;
         let local = server.local_addr();
@@ -413,11 +382,7 @@ impl TimeUnion {
             "observability endpoint listening",
             &[("addr", local.to_string().into())],
         );
-        *serve = Some(ServePlane {
-            server,
-            monitor,
-            ledger,
-        });
+        *serve = Some(ServePlane { server, monitor });
         Ok(local)
     }
 
@@ -434,11 +399,6 @@ impl TimeUnion {
     /// The vitals monitor of the live endpoint, while serving.
     pub fn monitor(&self) -> Option<Arc<tu_obs::Monitor>> {
         self.serve.lock().as_ref().map(|p| Arc::clone(&p.monitor))
-    }
-
-    /// The windowed cost ledger behind `/costs`, while serving.
-    pub fn cost_ledger(&self) -> Option<Arc<tu_cloud::ledger::CostLedger>> {
-        self.serve.lock().as_ref().map(|p| Arc::clone(&p.ledger))
     }
 
     /// Marks the engine as draining: `/readyz` and `/healthz` start
@@ -949,19 +909,23 @@ impl TimeUnion {
         let obj = Object::new(id, labels.clone(), &self.arenas)?;
         self.objects
             .insert(id, Arc::new(Mutex::new(&lockdep::CORE_OBJECT, obj)));
+        // The catalog record is queued before the tags resolve to the id,
+        // so no writer logs a record of the object ahead of it.
+        self.catalog.append(&match group {
+            true => CatalogRecord::Group {
+                gid: id,
+                group_tags: labels.clone(),
+            },
+            false => CatalogRecord::Series {
+                id,
+                labels: labels.clone(),
+            },
+        });
         by_tags.insert(key, id);
         drop(by_tags);
         // A group's tags are indexed under its id, so selectors on shared
         // tags resolve to one postings entry (Figure 5).
         self.index.add(labels, id)?;
-        let labels = labels.clone();
-        self.catalog.append(&match group {
-            true => CatalogRecord::Group {
-                gid: id,
-                group_tags: labels,
-            },
-            false => CatalogRecord::Series { id, labels },
-        });
         Ok(id)
     }
 
@@ -1075,9 +1039,9 @@ impl TimeUnion {
     /// Flushes the WAL, mirroring the outcome into the `wal` health check
     /// (and logging the first failure of a failure streak).
     ///
-    /// The catalog goes first: a sample is only recoverable if its series
-    /// is, so an acknowledged wave never holds records of a series whose
-    /// catalog record could still be lost.
+    /// The catalog goes first, so every series and group created so far
+    /// is durable, even one with no record queued yet; each wave flushes
+    /// it again before its append (see [`TimeUnion::open`]).
     pub(crate) fn flush_wal(&self) -> Result<()> {
         self.catalog.flush()?;
         self.wal_health(self.wal.flush())
@@ -1195,13 +1159,11 @@ impl TimeUnion {
         agg: Option<AggSpec>,
     ) -> Result<(QueryResult, QueryProfile)> {
         let ctx = tu_obs::TraceContext::start(op);
-        let heat_before = tu_obs::heat::snapshot();
         let t0 = tu_obs::Stopwatch::start();
         let (out, matched) = self.fan_out(selectors, start, end, agg)?;
         let wall_ns = t0.elapsed_ns();
         let threads = self.query_threads.load(Ordering::Relaxed);
-        let mut profile = QueryProfile::from_summary(&ctx.finish(), matched, threads, wall_ns);
-        profile.fill_heat(&heat_before, &tu_obs::heat::snapshot());
+        let profile = QueryProfile::from_summary(&ctx.finish(), matched, threads, wall_ns);
         Ok((out, profile))
     }
 
@@ -1915,20 +1877,15 @@ mod tests {
     #[test]
     fn serve_plane_binds_and_stops() {
         let dir = tempfile::tempdir().unwrap();
-        let mut o = opts();
-        o.serve_addr = Some("127.0.0.1:0".to_string());
-        let e = Arc::new(TimeUnion::open(dir.path().join("db"), o).unwrap());
-        let addr = e.serve_if_configured().unwrap().expect("configured");
+        let e = Arc::new(TimeUnion::open(dir.path().join("db"), opts()).unwrap());
+        assert!(e.monitor().is_none(), "nothing serves until asked");
+        let addr = e.start_serving("127.0.0.1:0").unwrap();
         assert!(addr.port() != 0, "port 0 resolves to a real port");
         // Idempotent: a second call reuses the bound plane.
         assert_eq!(e.start_serving("127.0.0.1:0").unwrap(), addr);
         assert!(e.monitor().is_some());
         e.stop_serving();
         assert!(e.monitor().is_none());
-        // And nothing serves when not configured.
-        let dir2 = tempfile::tempdir().unwrap();
-        let e2 = Arc::new(TimeUnion::open(dir2.path().join("db"), opts()).unwrap());
-        assert!(e2.serve_if_configured().unwrap().is_none());
     }
 
     #[test]

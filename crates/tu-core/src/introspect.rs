@@ -1,21 +1,17 @@
-//! JSON payloads behind the storage introspection endpoints.
+//! JSON payload behind the storage introspection endpoint.
 //!
-//! [`crate::TimeUnion::start_serving`] registers three extra endpoints on
-//! the live plane; this module renders their bodies with stable,
-//! hand-rolled JSON (field order never changes between scrapes):
+//! [`crate::TimeUnion::start_serving`] registers two extra endpoints on
+//! the live plane. This module renders the body of one of them with
+//! stable, hand-rolled JSON (field order never changes between scrapes):
 //!
 //! * `/introspect/lsm` — [`lsm_json`]: levels, partition boundaries,
 //!   table inventory (each table's reach, `null` when unknown),
 //!   stats-footer coverage, block-cache counters.
-//! * `/introspect/partitions` — [`partitions_json`]: the LSM partition
-//!   view joined with the partition heat registry (requests, bytes,
-//!   decayed rate windows, hot/warm/cold class, last access).
-//! * `/costs` — rendered by [`tu_cloud::ledger::CostLedger::to_json`];
-//!   not duplicated here.
+//!
+//! The other, `/costs`, is rendered by [`tu_cloud::ledger::to_json`]
+//! from the monitor's samples.
 
-use tu_lsm::{LsmIntrospect, PartitionIntrospect, TableIntrospect};
-use tu_obs::heat::{classify, HEAT_TIERS};
-use tu_obs::{HeatSnapshot, TierHeat};
+use tu_lsm::{LsmIntrospect, TableIntrospect};
 
 /// Escapes `"` and `\` for embedding in a JSON string literal (table
 /// names are filesystem-safe, so control characters cannot appear).
@@ -40,14 +36,6 @@ fn table_json(t: &TableIntrospect) -> String {
     )
 }
 
-fn partition_core_json(p: &PartitionIntrospect) -> String {
-    format!(
-        "\"start_ms\":{},\"end_ms\":{},\"tier\":\"{}\",\"bytes\":{},\"fast_bytes\":{},\
-         \"chunks\":{},\"stats_chunks\":{},\"patches\":{}",
-        p.start_ms, p.end_ms, p.tier, p.bytes, p.fast_bytes, p.chunks, p.stats_chunks, p.patches
-    )
-}
-
 /// The `/introspect/lsm` body: tree geometry and table inventory, plus
 /// the block cache's counters.
 pub fn lsm_json(view: &LsmIntrospect) -> String {
@@ -67,9 +55,19 @@ pub fn lsm_json(view: &LsmIntrospect) -> String {
             if j > 0 {
                 out.push(',');
             }
-            out.push('{');
-            out.push_str(&partition_core_json(p));
-            out.push_str(",\"tables\":[");
+            out.push_str(&format!(
+                "{{\"start_ms\":{},\"end_ms\":{},\"tier\":\"{}\",\"bytes\":{},\
+                 \"fast_bytes\":{},\"chunks\":{},\"stats_chunks\":{},\"patches\":{},\
+                 \"tables\":[",
+                p.start_ms,
+                p.end_ms,
+                p.tier,
+                p.bytes,
+                p.fast_bytes,
+                p.chunks,
+                p.stats_chunks,
+                p.patches
+            ));
             for (k, t) in p.tables.iter().enumerate() {
                 if k > 0 {
                     out.push(',');
@@ -92,96 +90,10 @@ pub fn lsm_json(view: &LsmIntrospect) -> String {
     out
 }
 
-fn tier_heat_json(h: &TierHeat) -> String {
-    format!(
-        "{{\"get_requests\":{},\"put_requests\":{},\"delete_requests\":{},\
-         \"bytes_read\":{},\"bytes_written\":{},\"first_reads\":{},\
-         \"last_access_ms\":{},\"rates\":{{\"1m\":{:.6},\"10m\":{:.6},\"1h\":{:.6}}}}}",
-        h.get_requests,
-        h.put_requests,
-        h.delete_requests,
-        h.bytes_read,
-        h.bytes_written,
-        h.first_reads,
-        h.last_access_ms,
-        h.rates[0],
-        h.rates[1],
-        h.rates[2]
-    )
-}
-
-fn heat_cell_json(tiers: &[TierHeat; 2]) -> String {
-    let mut out = String::from("{");
-    for (i, name) in HEAT_TIERS.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{}", name, tier_heat_json(&tiers[i])));
-    }
-    let combined: [f64; 3] = std::array::from_fn(|w| tiers.iter().map(|t| t.rates[w]).sum::<f64>());
-    out.push_str(&format!(",\"class\":\"{}\"}}", classify(&combined)));
-    out
-}
-
-/// The `/introspect/partitions` body: every LSM partition with its heat
-/// cell joined in, plus heat-only partitions (data already compacted or
-/// purged away) and the unattributed catch-all, so that summing every
-/// heat cell in the document reproduces the `cloud.<tier>.*` counter
-/// totals exactly.
-pub fn partitions_json(view: &LsmIntrospect, heat: &HeatSnapshot) -> String {
-    let empty = [TierHeat::default(), TierHeat::default()];
-    let mut out = format!("{{\"at_ms\":{},\"partitions\":[", heat.at_ms);
-    let lsm_parts = view.partitions();
-    for (i, p) in lsm_parts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let cell = heat
-            .partition(p.start_ms, p.end_ms)
-            .map(|h| &h.tiers)
-            .unwrap_or(&empty);
-        out.push('{');
-        out.push_str(&partition_core_json(p));
-        out.push_str(&format!(
-            ",\"tables\":{},\"heat\":{}}}",
-            p.tables.len(),
-            heat_cell_json(cell)
-        ));
-    }
-    // Heat the registry still holds for time ranges the tree no longer
-    // reports (merged-away boundaries, purged partitions).
-    out.push_str("],\"unmapped\":[");
-    let mut first = true;
-    for h in &heat.partitions {
-        let mapped = lsm_parts
-            .iter()
-            .any(|p| p.start_ms == h.key.start_ms && p.end_ms == h.key.end_ms);
-        if mapped {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"start_ms\":{},\"end_ms\":{},\"heat\":{}}}",
-            h.key.start_ms,
-            h.key.end_ms,
-            heat_cell_json(&h.tiers)
-        ));
-    }
-    out.push_str(&format!(
-        "],\"unattributed\":{}}}",
-        heat_cell_json(&heat.unattributed)
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tu_lsm::{CacheIntrospect, LevelIntrospect};
-    use tu_obs::{PartitionHeat, PartitionKey};
+    use tu_lsm::{CacheIntrospect, LevelIntrospect, PartitionIntrospect};
 
     fn sample_view() -> LsmIntrospect {
         LsmIntrospect {
@@ -237,34 +149,6 @@ mod tests {
         }
     }
 
-    fn sample_heat() -> HeatSnapshot {
-        let mut hot = TierHeat::default();
-        hot.get_requests = 5;
-        hot.bytes_read = 2048;
-        hot.last_access_ms = 1000;
-        hot.rates = [3.0, 3.0, 3.0];
-        HeatSnapshot {
-            at_ms: 1234,
-            partitions: vec![
-                PartitionHeat {
-                    key: PartitionKey {
-                        start_ms: 0,
-                        end_ms: 7_200_000,
-                    },
-                    tiers: [hot, TierHeat::default()],
-                },
-                PartitionHeat {
-                    key: PartitionKey {
-                        start_ms: -7_200_000,
-                        end_ms: 0,
-                    },
-                    tiers: [TierHeat::default(), hot],
-                },
-            ],
-            unattributed: [TierHeat::default(), TierHeat::default()],
-        }
-    }
-
     fn balanced(json: &str) {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
@@ -283,22 +167,6 @@ mod tests {
         assert!(json.contains("\"cache\":{\"shards\":16,\"used_bytes\":8192"));
         // Identical inputs render byte-identically (schema stability).
         assert_eq!(json, lsm_json(&sample_view()));
-    }
-
-    #[test]
-    fn partitions_json_joins_heat_and_keeps_unmapped() {
-        let json = partitions_json(&sample_view(), &sample_heat());
-        balanced(&json);
-        assert!(json.contains("\"at_ms\":1234"));
-        // The L0 partition carries its heat cell.
-        assert!(json.contains("\"start_ms\":0,\"end_ms\":7200000,\"tier\":\"block\""));
-        assert!(json.contains("\"get_requests\":5"));
-        assert!(json.contains("\"class\":\"hot\""));
-        // The L2 partition has no heat yet: zero cell, cold.
-        assert!(json.contains("\"class\":\"cold\""));
-        // The heat-only partition lands under "unmapped".
-        assert!(json.contains("\"unmapped\":[{\"start_ms\":-7200000,\"end_ms\":0"));
-        assert!(json.contains("\"unattributed\":{"));
     }
 
     #[test]

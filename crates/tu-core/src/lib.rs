@@ -17,9 +17,8 @@
 //!   ([`catalog`], recovery in [`engine`]),
 //! * the **grouping cost model** of Equations 1–6 ([`analysis`]),
 //! * the **storage introspection plane**: per-query cost profiles
-//!   ([`profile`]) and the stable JSON bodies behind the
-//!   `/introspect/lsm`, `/introspect/partitions`, and `/costs`
-//!   endpoints ([`introspect`]).
+//!   ([`profile`]) and the stable JSON body behind the `/introspect/lsm`
+//!   endpoint ([`introspect`]).
 
 pub mod analysis;
 pub mod catalog;
@@ -34,7 +33,7 @@ pub mod query;
 pub mod shard;
 
 pub use engine::{Options, TimeUnion};
-pub use profile::{HeatContribution, QueryProfile, StageTiming, TierProfile};
+pub use profile::{QueryProfile, StageTiming, TierProfile};
 pub use query::{aggregate_step, AggKind, QueryResult, SeriesResult};
 
 /// A series' head slot size, under the path the end-to-end harness

@@ -38,7 +38,9 @@ pub enum Step {
     /// Retention drops what is past its watermark. Passes are serialized,
     /// so no compaction publishes a partition it dropped.
     Purge,
-    /// The LSM `MANIFEST` is replaced, once per pass.
+    /// The catalog is flushed, then the LSM `MANIFEST` replaced, once per
+    /// pass: a table the manifest names holds chunks only of series and
+    /// groups the catalog knows.
     SaveManifest,
     /// Tables the saved manifest no longer names are deleted.
     DeleteObsolete,
@@ -171,6 +173,7 @@ impl TimeUnion {
             purged = (partitions, self.purge_objects(watermark)?);
         }
         self.step(Step::Purge);
+        self.catalog.flush()?;
         self.tree.save_manifest()?;
         self.step(Step::SaveManifest);
         self.tree.delete_obsolete(obsolete)?;
@@ -214,8 +217,8 @@ impl TimeUnion {
     }
 
     /// Drops the objects whose newest sample is older than `watermark`,
-    /// and records each removal in the catalog: the pass's `FlushWal` step
-    /// makes it durable. Returns how many went.
+    /// and records each removal in the catalog: the pass's `SaveManifest`
+    /// step makes it durable. Returns how many went.
     fn purge_objects(&self, watermark: Timestamp) -> Result<usize> {
         let stale: Vec<SeriesId> = self
             .objects

@@ -383,7 +383,7 @@ impl Object {
     /// Inserts a run of rows, in arrival order and in the object's WAL
     /// layout, and pushes onto `out` every chunk that leaves the head on
     /// the way. `cap` is the seal threshold (32 in the paper). Every row
-    /// is checked ([`Object::take_rows`]) before any is inserted.
+    /// is checked (`Object::take_rows`) before any is inserted.
     ///
     /// Rows that continue the head are written a rising stretch at a time,
     /// up to the chunk boundary; rows inside the head's range are merged

@@ -38,22 +38,6 @@ impl TierProfile {
     }
 }
 
-/// Heat one query contributed to one time partition on one tier, from
-/// the partition heat registry's before/after delta around the query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeatContribution {
-    /// Partition start (inclusive, ms since epoch).
-    pub start_ms: i64,
-    /// Partition end (exclusive, ms since epoch).
-    pub end_ms: i64,
-    /// Owning tier (`block` or `object`).
-    pub tier: &'static str,
-    /// Requests this query charged the partition.
-    pub requests: u64,
-    /// Bytes this query moved for the partition.
-    pub bytes: u64,
-}
-
 /// One timed stage of a query (from the trace context's span deltas).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageTiming {
@@ -102,9 +86,6 @@ pub struct QueryProfile {
     /// Every raw counter delta of the trace context, for consumers that
     /// need a metric this struct does not surface.
     pub counters: BTreeMap<String, u64>,
-    /// Per-partition heat this query contributed (filled by the engine
-    /// from a heat-registry delta; empty when no partition was touched).
-    pub heat: Vec<HeatContribution>,
 }
 
 /// Stage span names, in display order, with their short labels. `plan`
@@ -153,36 +134,6 @@ impl QueryProfile {
             readahead_blocks: summary.counter("lsm.readahead.coalesced_blocks"),
             readahead_gap_bytes: summary.counter("lsm.readahead.gap_bytes"),
             counters: summary.counters.clone(),
-            heat: Vec::new(),
-        }
-    }
-
-    /// Fills [`QueryProfile::heat`] from two heat-registry snapshots taken
-    /// around the query: the per-partition lifetime request/byte deltas
-    /// between them are this query's contribution.
-    pub fn fill_heat(&mut self, before: &tu_obs::HeatSnapshot, after: &tu_obs::HeatSnapshot) {
-        self.heat.clear();
-        for p in &after.partitions {
-            let prior = before.partition(p.key.start_ms, p.key.end_ms);
-            for (t, tier) in p.tiers.iter().enumerate() {
-                let (req0, bytes0) = prior
-                    .map(|q| {
-                        let h = &q.tiers[t];
-                        (h.requests(), h.bytes_read + h.bytes_written)
-                    })
-                    .unwrap_or((0, 0));
-                let requests = tier.requests().saturating_sub(req0);
-                let bytes = (tier.bytes_read + tier.bytes_written).saturating_sub(bytes0);
-                if requests > 0 || bytes > 0 {
-                    self.heat.push(HeatContribution {
-                        start_ms: p.key.start_ms,
-                        end_ms: p.key.end_ms,
-                        tier: tu_obs::heat::HEAT_TIERS[t],
-                        requests,
-                        bytes,
-                    });
-                }
-            }
         }
     }
 
@@ -216,16 +167,6 @@ impl QueryProfile {
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{}}}",
                 s.name, s.count, s.total_ns
-            ));
-        }
-        out.push_str("],\"heat\":[");
-        for (i, h) in self.heat.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"start_ms\":{},\"end_ms\":{},\"tier\":\"{}\",\"requests\":{},\"bytes\":{}}}",
-                h.start_ms, h.end_ms, h.tier, h.requests, h.bytes
             ));
         }
         out.push_str("],\"tiers\":{\"block\":");
@@ -300,13 +241,6 @@ impl fmt::Display for QueryProfile {
             "  readahead coalesced_requests={} coalesced_blocks={} gap_bytes={}",
             self.readahead_requests, self.readahead_blocks, self.readahead_gap_bytes
         )?;
-        for h in &self.heat {
-            writeln!(
-                f,
-                "  heat partition=[{}..{}) tier={:<7} requests={:<6} bytes={}",
-                h.start_ms, h.end_ms, h.tier, h.requests, h.bytes
-            )?;
-        }
         Ok(())
     }
 }
@@ -385,49 +319,6 @@ mod tests {
         assert!(json.contains("\"coalesced_blocks\":39,\"gap_bytes\":70000}"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn heat_delta_fills_and_renders() {
-        use tu_obs::{HeatSnapshot, PartitionHeat, PartitionKey, TierHeat};
-        let key = PartitionKey {
-            start_ms: 0,
-            end_ms: 7_200_000,
-        };
-        let cell = |gets: u64, bytes: u64| TierHeat {
-            get_requests: gets,
-            bytes_read: bytes,
-            ..TierHeat::default()
-        };
-        let before = HeatSnapshot {
-            at_ms: 0,
-            partitions: vec![PartitionHeat {
-                key,
-                tiers: [cell(2, 100), TierHeat::default()],
-            }],
-            unattributed: [TierHeat::default(), TierHeat::default()],
-        };
-        let after = HeatSnapshot {
-            at_ms: 1,
-            partitions: vec![PartitionHeat {
-                key,
-                tiers: [cell(5, 400), cell(1, 64)],
-            }],
-            unattributed: [TierHeat::default(), TierHeat::default()],
-        };
-        let mut p = QueryProfile::from_summary(&sample_summary(), 1, 1, 1);
-        p.fill_heat(&before, &after);
-        assert_eq!(p.heat.len(), 2);
-        assert_eq!(p.heat[0].tier, "block");
-        assert_eq!(p.heat[0].requests, 3);
-        assert_eq!(p.heat[0].bytes, 300);
-        assert_eq!(p.heat[1].tier, "object");
-        assert_eq!(p.heat[1].requests, 1);
-        let text = p.to_string();
-        assert!(text.contains("heat partition=[0..7200000) tier=block"));
-        let json = p.to_json();
-        assert!(json.contains("\"heat\":[{\"start_ms\":0,\"end_ms\":7200000,\"tier\":\"block\",\"requests\":3,\"bytes\":300}"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

@@ -165,17 +165,6 @@ pub struct LsmIntrospect {
     pub cache: CacheIntrospect,
 }
 
-impl LsmIntrospect {
-    /// All partitions across all levels, flattened (the
-    /// `/introspect/partitions` view before heat is joined in).
-    pub fn partitions(&self) -> Vec<&PartitionIntrospect> {
-        self.levels
-            .iter()
-            .flat_map(|l| l.partitions.iter())
-            .collect()
-    }
-}
-
 /// Counters for the experiments.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct TreeStats {
@@ -201,8 +190,7 @@ struct TableMeta {
     seq: u64,
     props: TableProps,
     on_slow: bool,
-    /// Owning time partition — the attribution key every storage request
-    /// for this table is charged to in the partition heat registry.
+    /// Owning time partition.
     range: TimeRange,
 }
 
@@ -658,7 +646,6 @@ impl TimeTree {
             .unzip();
         let pool = WorkerPool::new(WAVE_IN_FLIGHT);
         let writes = self.env.clock.wave(pool, metas.len(), |i| {
-            let _heat = tu_obs::heat::attribute(range.start, range.end);
             let (meta, bytes) = (&metas[i], &blobs[i]);
             match meta.on_slow {
                 true => self.env.object.put(&meta.name, bytes),
@@ -691,7 +678,6 @@ impl TimeTree {
     pub fn delete_obsolete(&self, obsolete: Obsolete) -> Result<()> {
         for meta in &obsolete.0 {
             self.tables.lock().remove(&meta.name);
-            let _heat = tu_obs::heat::attribute(meta.range.start, meta.range.end);
             if meta.on_slow {
                 self.env.object.delete(&meta.name)?;
                 self.cache.invalidate_table(&format!("o:{}", meta.name));
@@ -713,10 +699,6 @@ impl TimeTree {
     /// at once raised the `ooo_backfill` drain's peak heap by up to 6 %.
     fn merge_tables(&self, metas: &[TableMeta]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let scans = self.env.clock.wave(self.flush_pool, metas.len(), |i| {
-            // The attribution guard is thread-local and a lane does not
-            // inherit it, so it must be installed inside the lane for
-            // compaction reads to land on the right partition.
-            let _heat = tu_obs::heat::attribute(metas[i].range.start, metas[i].range.end);
             Table::scan_file(self.source(&metas[i]))
         });
         let mut merged: BTreeMap<Vec<u8>, (u64, Vec<u8>)> = BTreeMap::new();
@@ -974,10 +956,7 @@ impl TimeTree {
                 let (bytes, props) = builder.finish()?;
                 let seq = self.next_seq();
                 let name = format!("l2/p{}-{}/patch-{seq:08}", range.start, range.end);
-                {
-                    let _heat = tu_obs::heat::attribute(range.start, range.end);
-                    self.env.block.write_file(&name, &bytes)?;
-                }
+                self.env.block.write_file(&name, &bytes)?;
                 let meta = TableMeta {
                     name,
                     seq,
@@ -1110,10 +1089,9 @@ impl TimeTree {
     /// it covers: its index and the block cache are probed on this thread
     /// (`Table::probe`), and every table that needs storage — a handle to
     /// load, or blocks the cache missed — is fetched as one lane of a
-    /// single wave ([`tu_cloud::cost::CostClock::wave`]), each under its
-    /// table's partition heat guard. The clock is charged the wave's
-    /// makespan, what the caller waits; it does not depend on the threads'
-    /// scheduling, only on each lane's own charges.
+    /// single wave ([`tu_cloud::cost::CostClock::wave`]). The clock is
+    /// charged the wave's makespan, what the caller waits; it does not
+    /// depend on the threads' scheduling, only on each lane's own charges.
     /// If a concurrent pass replaced and deleted a table since the
     /// snapshot, the plan starts over. The returned plan owns what was fetched;
     /// [`ReadPlan::chunks`] decodes one id from it without touching
@@ -1192,12 +1170,10 @@ impl TimeTree {
             let (cached, lanes): (Vec<usize>, Vec<usize>) = (0..metas.len())
                 .partition(|&i| probed[i].as_ref().is_some_and(|(p, _)| p.is_cached()));
             let pool = WorkerPool::new(WAVE_IN_FLIGHT);
-            let fetched = self.env.clock.wave(pool, lanes.len(), |l| {
-                let meta = &metas[lanes[l]].0;
-                // Charge this table's reads to its owning partition.
-                let _heat = tu_obs::heat::attribute(meta.range.start, meta.range.end);
-                read_table(lanes[l])
-            });
+            let fetched = self
+                .env
+                .clock
+                .wave(pool, lanes.len(), |l| read_table(lanes[l]));
             let mut reads: Vec<(usize, Result<TableRead>)> =
                 cached.into_iter().map(|i| (i, read_table(i))).collect();
             reads.extend(lanes.into_iter().zip(fetched));
@@ -2259,7 +2235,7 @@ mod tests {
         let s = t.stats();
         assert_eq!((s.fast_bytes, s.slow_bytes), stored_bytes(&t), "{s:?}");
         let view = t.introspect();
-        let parts = view.partitions();
+        let parts: Vec<_> = view.levels.iter().flat_map(|l| &l.partitions).collect();
         let patched: Vec<_> = parts.iter().filter(|p| p.patches > 0).collect();
         assert_eq!(patched.len(), 1);
         let p = patched[0];

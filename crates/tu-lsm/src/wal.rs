@@ -51,7 +51,7 @@
 //! replay and truncation claim leadership, so neither races an append.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use tu_common::lockdep::{self, Condvar, Mutex, MutexGuard};
 
@@ -68,6 +68,9 @@ const SEGMENT_BYTES: u64 = 1 << 20;
 /// it is no larger than this; a longer log is read twice instead, one
 /// segment at a time.
 const RECOVERY_CACHE_BYTES: u64 = 16 << 20;
+
+/// The function a wave runs before its append.
+type BeforeAppend = Box<dyn Fn() -> Result<()> + Send + Sync>;
 
 /// Frame header: length + masked CRC.
 const HEADER: usize = 8;
@@ -341,6 +344,9 @@ pub struct Wal {
     /// Group-commit wave state, with the [`Condvar`] followers park on.
     commit: Mutex<CommitState>,
     wave_done: Condvar,
+    /// Run by each wave between taking its batch and appending it
+    /// ([`Wal::set_before_append`]).
+    before_append: OnceLock<BeforeAppend>,
     obs_appends: tu_obs::TracedCounter,
     obs_flushed_bytes: tu_obs::TracedCounter,
     obs_gc_batches: tu_obs::TracedCounter,
@@ -391,6 +397,7 @@ impl Wal {
             pending: Mutex::new(&lockdep::LSM_WAL_PENDING, PendingBuf::default()),
             commit: Mutex::new(&lockdep::LSM_WAL_COMMIT, commit),
             wave_done: Condvar::new(),
+            before_append: OnceLock::new(),
             obs_appends: tu_obs::traced("lsm.wal.append_records"),
             obs_flushed_bytes: tu_obs::traced("lsm.wal.flushed_bytes"),
             obs_gc_batches: tu_obs::traced("lsm.wal.group_commit.batches"),
@@ -399,6 +406,15 @@ impl Wal {
             obs_segments: tu_obs::gauge("lsm.wal.segments"),
             obs_segments_deleted: tu_obs::traced("lsm.wal.segments_deleted"),
         }
+    }
+
+    /// Installs a function every wave runs after it takes the queued
+    /// records and before it appends them; its error fails the wave like
+    /// a failed append. Whatever the records depend on, and had queued
+    /// before they were, is made durable there first. Only the first
+    /// function installed takes.
+    pub fn set_before_append(&self, hook: impl Fn() -> Result<()> + Send + Sync + 'static) {
+        let _ = self.before_append.set(Box::new(hook));
     }
 
     fn segment_name(&self, id: u64) -> String {
@@ -451,9 +467,9 @@ impl Wal {
     }
 
     /// Runs one group-commit wave: swaps out everything queued so far,
-    /// appends it to the active segment with a single store write, and
-    /// publishes the new durable watermark. The caller must hold
-    /// leadership.
+    /// runs the [`Wal::set_before_append`] function, appends the batch to
+    /// the active segment with a single store write, and publishes the new
+    /// durable watermark. The caller must hold leadership.
     fn wave(&self) -> Result<()> {
         let (batch, records, upto) = {
             let mut pending = self.pending.lock();
@@ -464,7 +480,8 @@ impl Wal {
         let result = if batch.is_empty() {
             Ok(())
         } else {
-            self.write_batch(&batch, records)
+            let before = self.before_append.get().map_or(Ok(()), |f| f());
+            before.and_then(|()| self.write_batch(&batch, records))
         };
         let mut commit = self.lock_commit();
         commit.durable = commit.durable.max(upto);

@@ -247,7 +247,7 @@ pub fn parse_prometheus_text(text: &str) -> Result<PromParsed, String> {
 }
 
 /// Renders flight-recorder events as a chrome://tracing `trace_event` JSON
-/// array (load via chrome://tracing or https://ui.perfetto.dev). `ts` and
+/// array (load via chrome://tracing or <https://ui.perfetto.dev>). `ts` and
 /// `dur` are microseconds since the recorder was enabled; the trace id and
 /// operation label ride along in `args`.
 pub fn chrome_trace_json(events: &[FlightEvent]) -> String {

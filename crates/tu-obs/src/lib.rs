@@ -16,7 +16,7 @@
 //!   (registration leaks one small allocation per metric), so steady-state
 //!   instrumentation never takes a lock; the registry's `RwLock` guards
 //!   only registration and snapshotting.
-//! * [`span!`] / [`span_ns`] — RAII timers that record wall-clock (or
+//! * [`span!`] / [`span_of`] — RAII timers that record wall-clock (or
 //!   caller-supplied virtual) nanoseconds into a histogram on drop.
 //! * [`MetricsSnapshot`] — a point-in-time copy of every metric with a
 //!   stable [`std::fmt::Display`] rendering and a [`MetricsSnapshot::to_json`]
@@ -39,11 +39,9 @@
 //!   live endpoints (`/metrics`, `/metrics.json`, `/flight`, `/healthz`,
 //!   `/readyz`, `/vitals`) on a `std::net::TcpListener`.
 //! * [`Monitor`] — a background sampler keeping a ring of snapshots and
-//!   deriving windowed [`Vitals`] rates via [`MetricsSnapshot::since`],
-//!   with pluggable per-sample observers (the cost ledger rides it).
-//! * [`heat`] — the partition heat registry: per-(time partition, tier)
-//!   request/byte totals mirrored from the cloud charge sites, with
-//!   exponential-decay 1m/10m/1h access rates for hot/cold placement.
+//!   deriving windowed [`Vitals`] rates via [`MetricsSnapshot::since`];
+//!   [`Monitor::map_pairs`] lends its consecutive samples to other
+//!   windowed views (the `/costs` pricing).
 //! * [`log`] — a leveled, rate-limited structured event log (JSON lines,
 //!   trace-id-correlated with the flight recorder).
 //! * [`HealthReport`] — aggregated engine health driving `/healthz` and
@@ -69,7 +67,6 @@
 mod export;
 mod flight;
 pub mod health;
-pub mod heat;
 pub mod lockdep;
 pub mod log;
 mod monitor;
@@ -85,8 +82,7 @@ pub use export::{
 };
 pub use flight::{flight, FlightEvent, FlightPhase, FlightRecorder};
 pub use health::{Health, HealthCheck, HealthReport, HealthSource};
-pub use heat::{HeatGuard, HeatSnapshot, PartitionHeat, PartitionKey, TierHeat};
-pub use monitor::{Monitor, MonitorOptions, SampleObserver, SpanQuantiles, TierRates, Vitals};
+pub use monitor::{Monitor, MonitorOptions, SpanQuantiles, TierRates, Vitals};
 pub use registry::{
     bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, Registry, BUCKETS,
 };

@@ -103,14 +103,9 @@ classes! {
     CLOUD_OBJECT_STATE = ("cloud.object.state", 92);
     OBS_MONITOR_SAMPLER = ("obs.monitor.sampler", 96);
     OBS_MONITOR_STATE = ("obs.monitor.state", 98);
-    OBS_MONITOR_OBSERVERS = ("obs.monitor.observers", 100);
-    CLOUD_LEDGER_INNER = ("cloud.ledger.inner", 102);
     OBS_MONITOR_RING = ("obs.monitor.ring", 104);
     OBS_SERVE_THREADS = ("obs.serve.threads", 106);
     OBS_SERVE_RX = ("obs.serve.rx", 108);
-    OBS_HEAT_CLOCK = ("obs.heat.clock", 110);
-    OBS_HEAT_SHARD = ("obs.heat.shard", 112, multi);
-    OBS_HEAT_UNATTRIBUTED = ("obs.heat.unattributed", 114);
     OBS_FLIGHT_RING = ("obs.flight.ring", 116);
     OBS_TRACE_SPANS = ("obs.trace.spans", 118);
     OBS_TRACE_COUNTERS = ("obs.trace.counters", 120);

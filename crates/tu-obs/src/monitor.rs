@@ -72,11 +72,6 @@ pub struct SpanQuantiles {
     pub p99_ns: u64,
 }
 
-/// A callback invoked with every sample the monitor takes, before the
-/// sample enters the ring: `(at_ms, snapshot)`. Recorders that need the
-/// monitor's cadence without re-sampling (the cost ledger) register one.
-pub type SampleObserver = Arc<dyn Fn(i64, &MetricsSnapshot) + Send + Sync>;
-
 /// Windowed rates over the monitor ring (oldest sample → newest).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Vitals {
@@ -197,7 +192,6 @@ pub struct Monitor {
     sampler: Mutex<Option<thread::JoinHandle<()>>>,
     state: Arc<(Mutex<SamplerState>, Condvar)>,
     running: AtomicBool,
-    observers: Mutex<Vec<SampleObserver>>,
 }
 
 /// Milliseconds since an arbitrary process-local epoch — the default
@@ -221,33 +215,17 @@ impl Monitor {
                 Condvar::new(),
             )),
             running: AtomicBool::new(false),
-            observers: Mutex::new(&lockdep::OBS_MONITOR_OBSERVERS, Vec::new()),
         }
-    }
-
-    /// Registers a callback invoked with every future sample (manual or
-    /// background). Observers run on the sampling thread; keep them cheap.
-    pub fn add_observer(&self, obs: SampleObserver) {
-        self.observers.lock().push(obs);
     }
 
     fn lock_ring(&self) -> lockdep::MutexGuard<'_, VecDeque<(i64, MetricsSnapshot)>> {
         self.ring.lock()
     }
 
-    /// Takes one timestamped snapshot of the global registry now,
-    /// feeding it to every registered observer before it enters the ring.
+    /// Takes one timestamped snapshot of the global registry now.
     pub fn sample(&self) {
         let at = (self.now_ms)();
         let snap = crate::global().snapshot();
-        // Clone the observer list out so the callbacks run with no lock
-        // held: an observer may take locks of any rank, which the witness
-        // would flag below this one if the observers lock were still on
-        // the stack.
-        let observers: Vec<SampleObserver> = self.observers.lock().clone();
-        for obs in observers.iter() {
-            obs(at, &snap);
-        }
         let mut ring = self.lock_ring();
         if ring.len() >= self.capacity {
             ring.pop_front();
@@ -263,6 +241,20 @@ impl Monitor {
     /// True when no samples are buffered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Applies `f` to each pair of consecutive buffered samples, oldest
+    /// first, under the ring lock: `f` must take no lock. A ring of `n`
+    /// samples yields `n - 1` results (none while warming up).
+    pub fn map_pairs<R>(
+        &self,
+        mut f: impl FnMut(&(i64, MetricsSnapshot), &(i64, MetricsSnapshot)) -> R,
+    ) -> Vec<R> {
+        let ring = self.lock_ring();
+        ring.iter()
+            .zip(ring.iter().skip(1))
+            .map(|(a, b)| f(a, b))
+            .collect()
     }
 
     /// Windowed rates from the oldest to the newest buffered sample, or
@@ -551,28 +543,23 @@ mod tests {
     }
 
     #[test]
-    fn observers_see_every_sample() {
+    fn map_pairs_visits_consecutive_samples_in_order() {
         let (t, now) = manual_clock();
         let m = Monitor::new(MonitorOptions {
-            capacity: 4,
+            capacity: 3,
             now_ms: Some(now),
             ..Default::default()
         });
-        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let sink = seen.clone();
-        m.add_observer(Arc::new(move |at, snap| {
-            sink.lock()
-                .unwrap()
-                .push((at, snap.counters.contains_key("montest.observer")));
-        }));
-        crate::counter("montest.observer").inc();
-        m.sample();
-        t.store(500, Ordering::Relaxed);
-        m.sample();
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.len(), 2);
-        assert_eq!(seen[0], (0, true));
-        assert_eq!(seen[1], (500, true));
+        assert!(m.map_pairs(|a, b| (a.0, b.0)).is_empty());
+        for at in [0, 500, 1_500, 4_000] {
+            t.store(at, Ordering::Relaxed);
+            m.sample();
+        }
+        // The ring holds the newest three samples.
+        assert_eq!(
+            m.map_pairs(|a, b| (a.0, b.0)),
+            [(500, 1_500), (1_500, 4_000)]
+        );
     }
 
     #[test]

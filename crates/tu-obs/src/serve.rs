@@ -16,7 +16,7 @@
 //! | `/vitals`       | windowed [`Vitals`](crate::Vitals) JSON from the monitor (`?window=<secs>` picks the delta window) |
 //!
 //! Embedders register additional routes via [`ServeSources::extra`] (the
-//! engine adds `/introspect/lsm`, `/introspect/partitions`, `/costs`).
+//! engine adds `/introspect/lsm` and `/costs`).
 //!
 //! Shutdown is graceful and bounded: [`ObsServer::shutdown`] flips a flag,
 //! nudges the accept loop awake with a loopback connect, and joins every
@@ -82,9 +82,9 @@ pub struct ServeSources {
     pub health: HealthSource,
     /// Backs `/vitals`; `None` answers a `warming-up` placeholder.
     pub monitor: Option<Arc<Monitor>>,
-    /// Additional endpoints (the engine registers `/introspect/lsm`,
-    /// `/introspect/partitions`, `/costs` here). Built-in paths win on
-    /// conflict; extras are matched in registration order.
+    /// Additional endpoints (the engine registers `/introspect/lsm` and
+    /// `/costs` here). Built-in paths win on conflict; extras are matched
+    /// in registration order.
     pub extra: Vec<Endpoint>,
 }
 

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example devops_monitoring`
 //!
-//! Pass `--serve <addr>` (or set `TU_SERVE_ADDR`) to watch the run live:
+//! Pass `--serve <addr>` to watch the run live:
 //! `curl http://<addr>/vitals` shows windowed ingest and cloud-request
 //! rates while the fleet streams in.
 
@@ -30,12 +30,9 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let dir = tempfile::tempdir()?;
-    let opts = Options {
-        serve_addr: flag_value(&args, "--serve"),
-        ..Options::default()
-    };
-    let db = Arc::new(TimeUnion::open(dir.path().join("db"), opts)?);
-    if let Some(addr) = db.serve_if_configured()? {
+    let db = Arc::new(TimeUnion::open(dir.path().join("db"), Options::default())?);
+    if let Some(addr) = flag_value(&args, "--serve") {
+        let addr = db.start_serving(&addr)?;
         println!("live endpoints on http://{addr} — try /metrics /healthz /vitals");
     }
 

@@ -8,7 +8,7 @@
 //! as chrome://tracing JSON; `--prom-out <path>` writes the final metrics
 //! snapshot in the Prometheus text exposition format.
 //!
-//! Live observability plane: `--serve <addr>` (or `TU_SERVE_ADDR`) starts
+//! Live observability plane: `--serve <addr>` starts
 //! the embedded HTTP endpoint — `curl http://<addr>/metrics` while the run
 //! is live. `--serve-hold-ms <ms>` keeps the process serving that long
 //! after the workload so a scraper (CI's smoke job) can probe it, then
@@ -42,13 +42,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let dir = tempfile::tempdir()?;
-    let opts = Options {
-        serve_addr: flag_value(&args, "--serve"),
-        ..Options::default()
-    };
-    let db = Arc::new(TimeUnion::open(dir.path().join("db"), opts)?);
-    // Binds when --serve or TU_SERVE_ADDR asked for it; port 0 works.
-    if let Some(addr) = db.serve_if_configured()? {
+    let db = Arc::new(TimeUnion::open(dir.path().join("db"), Options::default())?);
+    // Port 0 works.
+    if let Some(addr) = flag_value(&args, "--serve") {
+        let addr = db.start_serving(&addr)?;
         println!("live endpoints on http://{addr} — try /metrics /healthz /vitals");
     }
 

@@ -42,7 +42,7 @@
 pub mod engine {
     pub use tu_core::engine::{Options, TimeUnion};
     pub use tu_core::introspect;
-    pub use tu_core::profile::{HeatContribution, QueryProfile, StageTiming, TierProfile};
+    pub use tu_core::profile::{QueryProfile, StageTiming, TierProfile};
     pub use tu_core::query::{aggregate_step, AggKind, QueryResult, SeriesResult};
     pub use tu_index::matcher::Selector;
 }
@@ -58,7 +58,6 @@ pub mod model {
 pub mod cloud {
     pub use tu_cloud::block::BlockStore;
     pub use tu_cloud::cost::{CostClock, LatencyModel};
-    pub use tu_cloud::ledger::{CostLedger, CostWindow, WindowTier};
     pub use tu_cloud::object::ObjectStore;
     pub use tu_cloud::pricing;
     pub use tu_cloud::StorageEnv;
@@ -107,15 +106,13 @@ pub mod tsbs {
 /// and the live plane — the embedded HTTP endpoint, vitals monitor, health
 /// model, and structured event log (see `docs/OBSERVABILITY.md`).
 pub mod obs {
-    pub use tu_obs::heat;
     pub use tu_obs::log;
     pub use tu_obs::{
         chrome_trace_json, counter, flight, gauge, global, histogram, parse_prometheus_text,
         prometheus_text, span, span_of, traced, Counter, Endpoint, FlightEvent, FlightPhase,
-        FlightRecorder, Gauge, Health, HealthCheck, HealthReport, HealthSource, HeatGuard,
-        HeatSnapshot, Histogram, HistogramSnapshot, MetricsSnapshot, Monitor, MonitorOptions,
-        ObsServer, PartitionHeat, PartitionKey, Registry, SampleObserver, ServeSources, SpanDelta,
-        SpanQuantiles, SpanTimer, TierHeat, TierRates, TraceContext, TraceHandle, TraceSummary,
-        TracedCounter, Vitals,
+        FlightRecorder, Gauge, Health, HealthCheck, HealthReport, HealthSource, Histogram,
+        HistogramSnapshot, MetricsSnapshot, Monitor, MonitorOptions, ObsServer, Registry,
+        ServeSources, SpanDelta, SpanQuantiles, SpanTimer, TierRates, TraceContext, TraceHandle,
+        TraceSummary, TracedCounter, Vitals,
     };
 }

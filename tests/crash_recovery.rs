@@ -796,3 +796,92 @@ fn rejected_group_row_leaves_no_wal_record() {
     db.sync_wal().unwrap();
     assert_eq!(wal_bytes(&dir.path().join("db")), before);
 }
+
+/// Every sample `label` reads back over all time, in order.
+fn read_metric(db: &TimeUnion, label: &str) -> Vec<(i64, f64)> {
+    let res = db
+        .query(&[Selector::exact("metric", label)], 0, i64::MAX)
+        .unwrap();
+    res.iter()
+        .flat_map(|s| s.samples.iter().map(|p| (p.t, p.v)))
+        .collect()
+}
+
+/// A series the crash lost must not give its id to the next series
+/// created: the WAL records it left behind would replay into the new one.
+/// Each WAL wave makes the catalog durable before the records it appends.
+#[test]
+fn a_lost_series_never_gives_its_id_to_the_next_one() {
+    let dir = tempfile::tempdir().unwrap();
+    let opts = || Options {
+        wal_batch_records: 1,
+        ..options()
+    };
+    let (db_dir, crash1, crash2) = (
+        dir.path().join("db"),
+        dir.path().join("crash1"),
+        dir.path().join("crash2"),
+    );
+    {
+        let db = TimeUnion::open(&db_dir, opts()).unwrap();
+        db.put(&Labels::from_pairs([("metric", "x")]), 1_000, 111.0)
+            .unwrap();
+        copy_dir(&db_dir, &crash1);
+    }
+    {
+        let db = TimeUnion::open(&crash1, opts()).unwrap();
+        db.put(&Labels::from_pairs([("metric", "y")]), 2_000, 222.0)
+            .unwrap();
+        db.sync_wal().unwrap();
+        copy_dir(&crash1, &crash2);
+    }
+    let db = TimeUnion::open(&crash2, opts()).unwrap();
+    assert_eq!(read_metric(&db, "y"), [(2_000, 222.0)]);
+    let x = read_metric(&db, "x");
+    assert!(x.is_empty() || x == [(1_000, 111.0)], "x read {x:?}");
+}
+
+/// Likewise for the chunks a pass stored: an image taken once the pass
+/// saved a manifest naming the tables that hold `x`'s chunks must know
+/// `x`, or the next series created would read them as its own. No WAL
+/// wave runs before the pass here, so only the pass can flush the catalog.
+#[test]
+fn a_lost_series_never_gives_its_stored_chunks_to_the_next_one() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use tu_core::maintenance::Step;
+    let dir = tempfile::tempdir().unwrap();
+    let opts = || Options {
+        wal_batch_records: 1 << 20,
+        ..options()
+    };
+    let (db_dir, crash) = (dir.path().join("db"), dir.path().join("crash"));
+    let db = TimeUnion::open(&db_dir, opts()).unwrap();
+    let armed = Arc::new(AtomicBool::new(false));
+    {
+        let (armed, db_dir, crash) = (armed.clone(), db_dir.clone(), crash.clone());
+        db.set_step_hook(move |step| {
+            if step == Step::SaveManifest && armed.swap(false, Ordering::SeqCst) {
+                copy_dir(&db_dir, &crash);
+            }
+        });
+    }
+    let x: Vec<(i64, f64)> = (0..40).map(|i| (i * 1_000, i as f64)).collect();
+    let id = db
+        .put(&Labels::from_pairs([("metric", "x")]), x[0].0, x[0].1)
+        .unwrap();
+    for &(t, v) in &x[1..] {
+        db.put_by_id(id, t, v).unwrap();
+    }
+    armed.store(true, Ordering::SeqCst);
+    db.flush_all().unwrap();
+    assert!(!armed.load(Ordering::SeqCst), "the pass took no image");
+    drop(db);
+
+    let db = TimeUnion::open(&crash, opts()).unwrap();
+    db.put(&Labels::from_pairs([("metric", "y")]), 100_000, 222.0)
+        .unwrap();
+    assert_eq!(read_metric(&db, "y"), [(100_000, 222.0)]);
+    let got = read_metric(&db, "x");
+    assert!(got.is_empty() || got == x, "x read {got:?}");
+}

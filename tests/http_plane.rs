@@ -28,17 +28,13 @@ fn opts() -> Options {
             max_sstable_bytes: 16 << 10,
             ..TreeOptions::default()
         },
-        serve_addr: Some("127.0.0.1:0".to_string()),
         ..Options::default()
     }
 }
 
 fn open_serving(dir: &std::path::Path, opts: Options) -> (Arc<TimeUnion>, SocketAddr) {
     let db = Arc::new(TimeUnion::open(dir, opts).unwrap());
-    let addr = db
-        .serve_if_configured()
-        .unwrap()
-        .expect("serve_addr was configured");
+    let addr = db.start_serving("127.0.0.1:0").unwrap();
     (db, addr)
 }
 

@@ -1,11 +1,9 @@
-//! The storage introspection plane, end to end: partition heat vs. the
-//! `cloud.<tier>.*` counters, the windowed cost ledger vs. the
-//! cost-model totals, and the three introspection endpoints under load.
+//! The storage introspection plane, end to end: the `/costs` pricing vs.
+//! the cost-model totals, and the introspection endpoints under load.
 //!
-//! The heat registry, the metric registry, and the `cloud.<tier>.*`
-//! gauges are process-global, so every test here takes a file-local lock
-//! and compares *deltas* — absolute values belong to whichever test ran
-//! first.
+//! The metric registry and the `cloud.<tier>.*` gauges are process-global,
+//! so every test here takes a file-local lock and compares *deltas* —
+//! absolute values belong to whichever test ran first.
 
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
@@ -17,10 +15,9 @@ use timeunion::engine::{Options, Selector, TimeUnion};
 use timeunion::lsm::TreeOptions;
 use timeunion::model::Labels;
 use tu_cloud::cost::LatencyMode;
-use tu_cloud::ledger::CostLedger;
+use tu_cloud::ledger::{self, price_window};
 use tu_cloud::pricing::{self, Tier};
 use tu_cloud::StorageEnv;
-use tu_common::clock::SimClock;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -41,121 +38,8 @@ fn opts() -> Options {
     }
 }
 
-fn tier_delta(d: &tu_obs::MetricsSnapshot, tier: &str, suffix: &str) -> u64 {
-    d.counter(&format!("cloud.{tier}.{suffix}")).unwrap_or(0)
-}
-
-/// The tentpole invariant: the heat registry's per-tier totals (partitions
-/// plus the unattributed bucket) move in lockstep with the traced
-/// `cloud.<tier>.*` counters, because both are charged by the same
-/// `TierCounters` record call. Checked across ingest, flush, and a
-/// profiled query at the given fan-out width.
-fn heat_matches_cloud_counters(threads: usize) {
-    let _g = lock();
-    let dir = tempfile::tempdir().unwrap();
-    let clock = SimClock::new(0);
-    let mut o = opts();
-    o.clock = Arc::new(clock.clone());
-    let db = TimeUnion::open(dir.path(), o).unwrap();
-    db.set_query_threads(threads);
-
-    let snap0 = tu_obs::global().snapshot();
-    let heat0 = tu_obs::heat::snapshot();
-
-    let ids: Vec<_> = (0..4)
-        .map(|s| {
-            let labels =
-                Labels::from_pairs([("metric", "heat_exact"), ("host", &format!("h{s}") as &str)]);
-            db.put(&labels, 0, 0.0).unwrap()
-        })
-        .collect();
-    // Samples span many partition lengths so several heat cells exist.
-    for t in 1..1_500i64 {
-        let id = ids[(t % 4) as usize];
-        db.put_by_id(id, t * 60_000, t as f64).unwrap();
-    }
-    db.flush_all().unwrap();
-    db.sync().unwrap();
-    let (out, profile) = db
-        .query_profiled(&[Selector::exact("metric", "heat_exact")], 0, i64::MAX / 4)
-        .unwrap();
-    assert_eq!(out.len(), 4);
-
-    let delta = tu_obs::global().snapshot().since(&snap0);
-    let heat1 = tu_obs::heat::snapshot();
-    for tier in tu_obs::heat::HEAT_TIERS {
-        let h0 = heat0.tier_totals(tier);
-        let h1 = heat1.tier_totals(tier);
-        for (field, got, want) in [
-            (
-                "get_requests",
-                h1.get_requests - h0.get_requests,
-                tier_delta(&delta, tier, "get_requests"),
-            ),
-            (
-                "put_requests",
-                h1.put_requests - h0.put_requests,
-                tier_delta(&delta, tier, "put_requests"),
-            ),
-            (
-                "delete_requests",
-                h1.delete_requests - h0.delete_requests,
-                tier_delta(&delta, tier, "delete_requests"),
-            ),
-            (
-                "bytes_read",
-                h1.bytes_read - h0.bytes_read,
-                tier_delta(&delta, tier, "bytes_read"),
-            ),
-            (
-                "bytes_written",
-                h1.bytes_written - h0.bytes_written,
-                tier_delta(&delta, tier, "bytes_written"),
-            ),
-            (
-                "first_reads",
-                h1.first_reads - h0.first_reads,
-                tier_delta(&delta, tier, "first_reads"),
-            ),
-        ] {
-            assert_eq!(
-                got, want,
-                "heat vs cloud.{tier}.{field} at {threads} threads"
-            );
-        }
-    }
-    // The workload definitely moved bytes, so the equality is not vacuous,
-    // and some of it landed in actual partitions (not just the WAL bucket).
-    let block = heat1.tier_totals("block");
-    assert!(block.bytes_written > heat0.tier_totals("block").bytes_written);
-    assert!(
-        heat1.partitions.iter().any(|p| p.tiers[0].requests() > 0),
-        "no partition-attributed heat at {threads} threads"
-    );
-
-    // The profiled query surfaced its own partition contributions: the
-    // read came from freshly flushed, uncached SSTables (on whichever
-    // tier compaction left them).
-    assert!(
-        profile.heat.iter().any(|h| h.requests > 0),
-        "profile carried no heat lines: {profile}"
-    );
-    assert!(profile.to_string().contains("heat partition=["));
-    assert!(profile.to_json().contains("\"heat\":[{"));
-}
-
-#[test]
-fn heat_equals_cloud_deltas_single_thread() {
-    heat_matches_cloud_counters(1);
-}
-
-#[test]
-fn heat_equals_cloud_deltas_eight_threads() {
-    heat_matches_cloud_counters(8);
-}
-
 /// Milliseconds in the 30-day month the GB-month price sheet assumes
-/// (mirrors the ledger's internal proration constant).
+/// (mirrors the pricing's internal proration constant).
 const MONTH_MS: f64 = 30.0 * 24.0 * 3600.0 * 1000.0;
 
 #[test]
@@ -163,16 +47,17 @@ fn ledger_totals_match_storage_stats_dollars() {
     let _g = lock();
     let dir = tempfile::tempdir().unwrap();
     let env = StorageEnv::open_unmetered(dir.path()).unwrap();
-    let ledger = CostLedger::new(8);
+    // A synthetic sample ring, timestamped the way the monitor stamps it.
+    let mut ring = Vec::new();
 
     let blk0 = env.block.stats();
     let obj0 = env.object.stats();
-    ledger.record(0, &tu_obs::global().snapshot());
+    ring.push((0, tu_obs::global().snapshot()));
 
     env.object.put("sst/a", &[1u8; 4096]).unwrap();
     env.object.get("sst/a").unwrap();
     env.block.write_file("wal/w", &[0u8; 512]).unwrap();
-    ledger.record(60_000, &tu_obs::global().snapshot());
+    ring.push((60_000, tu_obs::global().snapshot()));
     let used_obj_w1 = env.object.used_bytes();
     let used_blk_w1 = env.block.used_bytes();
 
@@ -180,13 +65,18 @@ fn ledger_totals_match_storage_stats_dollars() {
     env.object.get_range("sst/a", 0, 1024).unwrap();
     env.object.delete("sst/a").unwrap();
     env.block.read_file("wal/w").unwrap();
-    ledger.record(120_000, &tu_obs::global().snapshot());
+    ring.push((120_000, tu_obs::global().snapshot()));
     let used_obj_w2 = env.object.used_bytes();
     let used_blk_w2 = env.block.used_bytes();
 
     let blk = env.block.stats().since(&blk0);
     let obj = env.object.stats().since(&obj0);
-    let totals = ledger.totals();
+    let windows: Vec<_> = ring
+        .windows(2)
+        .map(|p| price_window(&p[0], &p[1]))
+        .collect();
+    assert_eq!(windows.len(), 2);
+    let totals = ledger::totals(&windows);
 
     // Integer traffic totals equal the per-store StorageStats deltas.
     assert_eq!(totals[0].tier, "block");
@@ -200,6 +90,19 @@ fn ledger_totals_match_storage_stats_dollars() {
     assert_eq!(totals[1].delete_requests, obj.delete_requests);
     assert_eq!(totals[1].bytes_read, obj.bytes_read);
     assert_eq!(totals[1].bytes_written, obj.bytes_written);
+    // ... and the counter deltas between the ring's first and last sample.
+    let delta = ring[2].1.since(&ring[0].1);
+    for t in &totals {
+        let counter = |suffix: &str| {
+            let name = format!("cloud.{}.{suffix}", t.tier);
+            delta.counter(&name).unwrap_or(0)
+        };
+        assert_eq!(t.get_requests, counter("get_requests"), "{}", t.tier);
+        assert_eq!(t.put_requests, counter("put_requests"), "{}", t.tier);
+        assert_eq!(t.delete_requests, counter("delete_requests"), "{}", t.tier);
+        assert_eq!(t.bytes_read, counter("bytes_read"), "{}", t.tier);
+        assert_eq!(t.bytes_written, counter("bytes_written"), "{}", t.tier);
+    }
 
     // Request-traffic $: Eq. 4/6 applied to those deltas. Block storage
     // bills no per-request cost (Eq. 3) — that asymmetry must survive.
@@ -222,20 +125,16 @@ fn ledger_totals_match_storage_stats_dollars() {
     assert!((totals[0].storage_usd - expect_blk_store).abs() < 1e-12);
 
     // The JSON rendering carries the same totals.
-    let json = ledger.to_json();
+    let json = ledger::to_json(&windows);
     assert!(json.contains(&format!("\"get_requests\":{}", obj.get_requests)));
     assert!(json.contains("\"totals\":{"));
 }
 
 // --- endpoint plumbing (mirrors tests/http_plane.rs) ------------------------
 
-fn open_serving(dir: &std::path::Path, mut o: Options) -> (Arc<TimeUnion>, SocketAddr) {
-    o.serve_addr = Some("127.0.0.1:0".to_string());
+fn open_serving(dir: &std::path::Path, o: Options) -> (Arc<TimeUnion>, SocketAddr) {
     let db = Arc::new(TimeUnion::open(dir, o).unwrap());
-    let addr = db
-        .serve_if_configured()
-        .unwrap()
-        .expect("serve_addr was configured");
+    let addr = db.start_serving("127.0.0.1:0").unwrap();
     (db, addr)
 }
 
@@ -328,7 +227,7 @@ fn introspection_endpoints_serve_stable_json_under_ingest() {
         i64::MAX / 4,
     )
     .unwrap();
-    // Two manual monitor samples close at least one ledger window.
+    // Two manual monitor samples give `/costs` at least one window.
     let monitor = db.monitor().expect("serving engine has a monitor");
     monitor.sample();
     monitor.sample();
@@ -346,7 +245,7 @@ fn introspection_endpoints_serve_stable_json_under_ingest() {
         })
     };
 
-    for path in ["/introspect/lsm", "/introspect/partitions", "/costs"] {
+    for path in ["/introspect/lsm", "/costs"] {
         let r1 = get(addr, path);
         assert_eq!(status_of(&r1), 200, "{path}: {r1:?}");
         assert!(r1.contains("application/json"), "{path}: {r1:?}");
@@ -371,18 +270,6 @@ fn introspection_endpoints_serve_stable_json_under_ingest() {
             "/introspect/lsm missing {needle}: {lsm}"
         );
     }
-    let parts = body_of(&get(addr, "/introspect/partitions")).to_string();
-    for needle in [
-        "\"partitions\":[",
-        "\"heat\":{",
-        "\"class\":\"",
-        "\"unattributed\":{",
-    ] {
-        assert!(
-            parts.contains(needle),
-            "/introspect/partitions missing {needle}: {parts}"
-        );
-    }
     let costs = body_of(&get(addr, "/costs")).to_string();
     for needle in [
         "\"windows\":[",
@@ -392,12 +279,12 @@ fn introspection_endpoints_serve_stable_json_under_ingest() {
     ] {
         assert!(costs.contains(needle), "/costs missing {needle}: {costs}");
     }
-    // The manual samples above closed at least one window.
+    // The manual samples above priced at least one window.
     assert!(costs.contains("\"start_ms\":"), "no window closed: {costs}");
 
-    // The live plane's own index advertises the new endpoints.
+    // The live plane's own index advertises the engine's endpoints.
     let index = get(addr, "/");
-    for path in ["/introspect/lsm", "/introspect/partitions", "/costs"] {
+    for path in ["/introspect/lsm", "/costs"] {
         assert!(body_of(&index).contains(path), "index missing {path}");
     }
 

@@ -176,11 +176,7 @@ fn catalog_matches_recorded_metrics() {
         "span.core.query.ns",
         "obs.http.requests",
         "obs.flight.dropped_events",
-        // The introspection plane: heat coverage, ledger windows, and the
-        // capacity gauges the ledger prices.
-        "heat.attributed.requests",
-        "heat.unattributed.bytes",
-        "ledger.windows",
+        // The capacity gauges `/costs` prices.
         "cloud.block.used_bytes",
         "cloud.object.used_bytes",
     ] {
@@ -283,13 +279,7 @@ fn endpoint_catalog_matches_served_paths() {
     let docs = doc_paths(root);
 
     // Anchors so a broken scanner cannot pass vacuously.
-    for anchor in [
-        "/metrics",
-        "/vitals",
-        "/introspect/lsm",
-        "/introspect/partitions",
-        "/costs",
-    ] {
+    for anchor in ["/metrics", "/vitals", "/introspect/lsm", "/costs"] {
         assert!(served.contains(anchor), "code scan lost {anchor}");
         assert!(docs.contains(anchor), "doc scan lost {anchor}");
     }
