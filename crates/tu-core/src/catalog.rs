@@ -189,13 +189,17 @@ impl Catalog {
         self.pending.lock().extend_from_slice(&record.encode());
     }
 
+    /// Appends every queued record. The queue stays locked across the
+    /// append, so a flush that returns `Ok` finds everything queued before
+    /// it durable; a failed append leaves the records queued for the next
+    /// flush.
     pub fn flush(&self) -> Result<()> {
         let mut pending = self.pending.lock();
         if pending.is_empty() {
             return Ok(());
         }
-        let batch = std::mem::take(&mut *pending);
-        self.store.append(&self.name, &batch)?;
+        self.store.append(&self.name, &pending)?;
+        pending.clear();
         Ok(())
     }
 
@@ -306,6 +310,23 @@ mod tests {
         c.store.append("catalog", &tail[..tail.len() - 3]).unwrap();
         let got = c.replay().unwrap();
         assert_eq!(got.len(), 1);
+    }
+
+    #[test]
+    fn failed_flush_keeps_the_records_queued() {
+        let (d, c) = catalog();
+        let rec = CatalogRecord::Series {
+            id: 1,
+            labels: labels(&[("a", "b")]),
+        };
+        c.append(&rec);
+        // A directory where the file belongs makes the append fail.
+        let path = d.path().join("b").join("catalog");
+        std::fs::create_dir_all(&path).unwrap();
+        assert!(c.flush().is_err());
+        std::fs::remove_dir(&path).unwrap();
+        c.flush().unwrap();
+        assert_eq!(c.replay().unwrap(), vec![rec]);
     }
 
     #[test]

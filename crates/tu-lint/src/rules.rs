@@ -641,6 +641,36 @@ fn f() {
     }
 
     #[test]
+    fn counter_flags_raw_tier_counters_in_cloud() {
+        // The per-tier request counters back the exactness invariants of
+        // the introspection plane (a query profile's per-tier totals ==
+        // `cloud.<tier>.*` deltas, `/costs` windows == priced counter
+        // deltas); a raw registry counter would bypass per-operation
+        // trace attribution and break those equalities silently.
+        let src = r#"
+fn f() {
+    tu_obs::counter("cloud.object.get_requests").inc();
+    tu_obs::global().counter("cloud.object.put_requests").inc();
+}
+"#;
+        let fs = unallowed("crates/tu-cloud/src/cost.rs", src);
+        assert_eq!(fs.len(), 2, "{fs:?}");
+        assert!(fs.iter().all(|f| f.rule == "counter-discipline"));
+    }
+
+    #[test]
+    fn counter_permits_traced_tier_counters() {
+        let src = r#"
+fn f() {
+    tu_obs::traced("cloud.object.get_requests").add(2);
+    tu_obs::traced("cloud.object.get_bytes").add(512);
+    tu_obs::traced("cloud.block.put_requests").inc();
+}
+"#;
+        assert!(unallowed("crates/tu-cloud/src/ledger.rs", src).is_empty());
+    }
+
+    #[test]
     fn counter_rule_only_applies_to_traced_crates() {
         let src = "fn f() { let c = tu_obs::counter(\"x\"); }";
         assert!(unallowed("crates/tu-obs/src/lib.rs", src).is_empty());

@@ -885,3 +885,46 @@ fn a_lost_series_never_gives_its_stored_chunks_to_the_next_one() {
     let got = read_metric(&db, "x");
     assert!(got.is_empty() || got == x, "x read {got:?}");
 }
+
+/// A wave whose catalog flush fails fails like a failed append, and
+/// leaves the catalog records queued: the next wave makes them durable
+/// before it appends records of the series they create. Were they
+/// dropped, a later wave would log `x`'s samples under an id that no
+/// recovered engine knows, and the next series created would read them.
+#[test]
+fn a_failed_catalog_flush_keeps_the_series_for_the_next_wave() {
+    let dir = tempfile::tempdir().unwrap();
+    let opts = || Options {
+        wal_batch_records: 1,
+        ..options()
+    };
+    let (db_dir, crash1, crash2) = (
+        dir.path().join("db"),
+        dir.path().join("crash1"),
+        dir.path().join("crash2"),
+    );
+    let x = Labels::from_pairs([("metric", "x")]);
+    {
+        let db = TimeUnion::open(&db_dir, opts()).unwrap();
+        // A directory where the catalog file belongs fails its append.
+        let cat = db_dir.join("block/catalog/series.cat");
+        assert!(!cat.exists(), "the catalog was written before any series");
+        std::fs::create_dir_all(&cat).unwrap();
+        assert!(db.put(&x, 1_000, 111.0).is_err());
+        std::fs::remove_dir(&cat).unwrap();
+        db.put(&x, 2_000, 112.0).unwrap();
+        db.sync_wal().unwrap();
+        copy_dir(&db_dir, &crash1);
+    }
+    {
+        let db = TimeUnion::open(&crash1, opts()).unwrap();
+        assert_eq!(read_metric(&db, "x"), [(2_000, 112.0)]);
+        db.put(&Labels::from_pairs([("metric", "y")]), 3_000, 222.0)
+            .unwrap();
+        db.sync_wal().unwrap();
+        copy_dir(&crash1, &crash2);
+    }
+    let db = TimeUnion::open(&crash2, opts()).unwrap();
+    assert_eq!(read_metric(&db, "y"), [(3_000, 222.0)]);
+    assert_eq!(read_metric(&db, "x"), [(2_000, 112.0)]);
+}
