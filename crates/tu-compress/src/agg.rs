@@ -274,11 +274,17 @@ pub const ENVELOPE_VERSION: u8 = 1;
 /// Bytes the envelope prepends: discriminator (2) + version (1) + stats.
 pub const ENVELOPE_HEADER_LEN: usize = 3 + ChunkStats::ENCODED_LEN;
 
+/// Appends a version-1 stats envelope for `stats` to `out`: the legacy
+/// chunk bytes follow it.
+pub(crate) fn put_envelope(stats: &ChunkStats, out: &mut Vec<u8>) {
+    out.extend_from_slice(&[0, 0, ENVELOPE_VERSION]);
+    stats.encode_into(out);
+}
+
 /// Wraps legacy chunk bytes in a version-1 stats envelope.
 pub fn frame_with_stats(stats: &ChunkStats, inner: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(ENVELOPE_HEADER_LEN + inner.len());
-    out.extend_from_slice(&[0, 0, ENVELOPE_VERSION]);
-    stats.encode_into(&mut out);
+    put_envelope(stats, &mut out);
     out.extend_from_slice(inner);
     out
 }

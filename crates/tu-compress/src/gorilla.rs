@@ -25,6 +25,10 @@ const DOD_BUCKETS: [(u8, u8, i64); 3] = [
 ];
 const DOD_BITS: [u8; 3] = [14, 17, 20];
 
+/// Initial capacity of an encoder's bitstream: a 32-sample chunk (the
+/// paper's head size) at up to 10 bytes a sample fits without regrowth.
+pub(crate) const STREAM_CAPACITY: usize = 320;
+
 /// Streaming delta-of-delta timestamp codec state.
 ///
 /// The same struct drives encoding and decoding; it holds the previous
@@ -45,30 +49,36 @@ impl TsCodec {
     ///
     /// The first timestamp is written as a zigzag varint bit-aligned into
     /// the stream; the second as a zigzag-varint delta; the rest as
-    /// bucketed delta-of-deltas.
-    pub fn encode(&mut self, w: &mut BitWriter, t: Timestamp) {
+    /// bucketed delta-of-deltas. A delta or delta-of-delta outside `i64`
+    /// is refused before anything is written: the decoder could not add it
+    /// back.
+    pub fn encode(&mut self, w: &mut BitWriter, t: Timestamp) -> Result<()> {
+        let prev = self.prev_ts;
+        let too_far = move || Error::invalid(format!("timestamp {t} is too far from {prev}"));
         match self.count {
             0 => {
                 write_varint_bits(w, varint::zigzag_encode(t));
                 self.prev_ts = t;
             }
             1 => {
-                let delta = t - self.prev_ts;
+                let delta = t.checked_sub(self.prev_ts).ok_or_else(too_far)?;
                 write_varint_bits(w, varint::zigzag_encode(delta));
                 self.prev_delta = delta;
                 self.prev_ts = t;
             }
             _ => {
-                let delta = t - self.prev_ts;
-                let dod = delta - self.prev_delta;
+                let delta = t.checked_sub(self.prev_ts).ok_or_else(too_far)?;
+                let dod = delta.checked_sub(self.prev_delta).ok_or_else(too_far)?;
                 if dod == 0 {
                     w.write_bit(false);
                 } else {
                     let mut written = false;
                     for (i, &(prefix, prefix_bits, half_range)) in DOD_BUCKETS.iter().enumerate() {
                         if dod >= -half_range + 1 && dod <= half_range {
-                            w.write_bits(prefix as u64, prefix_bits);
-                            w.write_bits((dod + half_range - 1) as u64, DOD_BITS[i]);
+                            // Prefix and offset in one write of at most 24 bits.
+                            let bits = DOD_BITS[i];
+                            let offset = (dod + half_range - 1) as u64;
+                            w.write_bits(u64::from(prefix) << bits | offset, prefix_bits + bits);
                             written = true;
                             break;
                         }
@@ -83,10 +93,13 @@ impl TsCodec {
             }
         }
         self.count += 1;
+        Ok(())
     }
 
-    /// Decodes the next timestamp from `r`.
+    /// Decodes the next timestamp from `r`. A delta that takes the time
+    /// outside `i64` is corruption: the encoder never writes one.
     pub fn decode(&mut self, r: &mut BitReader<'_>) -> Result<Timestamp> {
+        let overflow = || Error::corruption("timestamp delta overflows i64");
         let t = match self.count {
             0 => {
                 let raw = read_varint_bits(r)?;
@@ -96,7 +109,7 @@ impl TsCodec {
                 let raw = read_varint_bits(r)?;
                 let delta = varint::zigzag_decode(raw);
                 self.prev_delta = delta;
-                self.prev_ts + delta
+                self.prev_ts.checked_add(delta).ok_or_else(overflow)?
             }
             _ => {
                 let dod = if !r.read_bit()? {
@@ -110,8 +123,10 @@ impl TsCodec {
                 } else {
                     r.read_bits(64)? as i64
                 };
-                self.prev_delta += dod;
-                self.prev_ts + self.prev_delta
+                self.prev_delta = self.prev_delta.checked_add(dod).ok_or_else(overflow)?;
+                self.prev_ts
+                    .checked_add(self.prev_delta)
+                    .ok_or_else(overflow)?
             }
         };
         self.prev_ts = t;
@@ -124,13 +139,14 @@ fn read_bucket(r: &mut BitReader<'_>, bits: u8, half_range: i64) -> Result<i64> 
     Ok(r.read_bits(bits)? as i64 - half_range + 1)
 }
 
-/// Writes a LEB128 varint bit-aligned into the bitstream.
-fn write_varint_bits(w: &mut BitWriter, v: u64) {
-    let mut buf = Vec::with_capacity(varint::MAX_VARINT_LEN);
-    varint::write_u64(&mut buf, v);
-    for b in buf {
-        w.write_bits(b as u64, 8);
+/// Writes a LEB128 varint bit-aligned into the bitstream: the bytes
+/// [`varint::write_u64`] gives, low 7-bit group first.
+fn write_varint_bits(w: &mut BitWriter, mut v: u64) {
+    while v >= 0x80 {
+        w.write_bits(v & 0x7f | 0x80, 8);
+        v >>= 7;
     }
+    w.write_bits(v, 8);
 }
 
 fn read_varint_bits(r: &mut BitReader<'_>) -> Result<u64> {
@@ -186,7 +202,6 @@ impl XorEncoder {
             w.write_bit(false);
             return;
         }
-        w.write_bit(true);
         let mut leading = xor.leading_zeros() as u8;
         let trailing = xor.trailing_zeros() as u8;
         // The leading-zero field is 5 bits wide; clamp like Gorilla does.
@@ -194,19 +209,18 @@ impl XorEncoder {
             leading = 31;
         }
         if self.leading != 0xff && leading >= self.leading && trailing >= self.trailing {
-            // Fits the previous window: '0' + meaningful bits in that window.
-            w.write_bit(false);
+            // Fits the previous window: '10' + meaningful bits in that window.
+            w.write_bits(0b10, 2);
             let sig = 64 - self.leading - self.trailing;
             w.write_bits(xor >> self.trailing, sig);
         } else {
-            // New window: '1' + 5 bits leading + 6 bits sig-length + bits.
+            // New window: '11' + 5 bits leading + 6 bits sig-length + bits.
             self.leading = leading;
             self.trailing = trailing;
             let sig = 64 - leading - trailing;
-            w.write_bit(true);
-            w.write_bits(leading as u64, 5);
             // sig is in 1..=64; store sig-1 in 6 bits.
-            w.write_bits((sig - 1) as u64, 6);
+            let header = 0b11 << 11 | u64::from(leading) << 6 | u64::from(sig - 1);
+            w.write_bits(header, 13);
             w.write_bits(xor >> trailing, sig);
         }
     }
@@ -242,9 +256,13 @@ impl XorDecoder {
             return Ok(Value::from_bits(self.prev_bits));
         }
         if r.read_bit()? {
-            self.leading = r.read_bits(5)? as u8;
+            let leading = r.read_bits(5)? as u8;
             let sig = r.read_bits(6)? as u8 + 1;
-            self.trailing = 64 - self.leading - sig;
+            // The encoder's window always fits the word.
+            self.trailing = 64u8
+                .checked_sub(leading + sig)
+                .ok_or_else(|| Error::corruption("xor window wider than 64 bits"))?;
+            self.leading = leading;
         }
         let sig = 64 - self.leading - self.trailing;
         let xor = r.read_bits(sig)? << self.trailing;
@@ -279,7 +297,7 @@ impl Default for ChunkEncoder {
 impl ChunkEncoder {
     pub fn new() -> Self {
         ChunkEncoder {
-            w: BitWriter::with_capacity(64),
+            w: BitWriter::with_capacity(STREAM_CAPACITY),
             ts: TsCodec::new(),
             xor: XorEncoder::new(),
             count: 0,
@@ -300,7 +318,7 @@ impl ChunkEncoder {
         if self.count == 0 {
             self.first_ts = t;
         }
-        self.ts.encode(&mut self.w, t);
+        self.ts.encode(&mut self.w, t)?;
         self.xor.encode(&mut self.w, v);
         self.stats.observe(t, v);
         self.last_ts = t;
@@ -331,19 +349,10 @@ impl ChunkEncoder {
         self.last_ts
     }
 
-    /// Current encoded size in bytes (including the 2-byte count header).
-    pub fn encoded_len(&self) -> usize {
-        2 + self.w.as_bytes().len()
-    }
-
     /// Serializes the chunk: `u16 LE sample count` followed by the
     /// bitstream.
     pub fn finish(self) -> Vec<u8> {
-        let body = self.w.finish();
-        let mut out = Vec::with_capacity(2 + body.len());
-        out.extend_from_slice(&self.count.to_le_bytes());
-        out.extend_from_slice(&body);
-        out
+        self.serialize(None)
     }
 
     /// Serializes the chunk inside a stats envelope
@@ -351,11 +360,20 @@ impl ChunkEncoder {
     /// the legacy layout (there is nothing to summarize).
     pub fn finish_framed(self) -> Vec<u8> {
         let stats = self.stats();
-        let inner = self.finish();
-        match stats {
-            Some(stats) => agg::frame_with_stats(&stats, &inner),
-            None => inner,
+        self.serialize(stats.as_ref())
+    }
+
+    /// The envelope for `stats`, if any, the count and the bitstream, in
+    /// one buffer.
+    fn serialize(self, stats: Option<&ChunkStats>) -> Vec<u8> {
+        let body = self.w.finish();
+        let mut out = Vec::with_capacity(agg::ENVELOPE_HEADER_LEN + 2 + body.len());
+        if let Some(stats) = stats {
+            agg::put_envelope(stats, &mut out);
         }
+        out.extend_from_slice(&self.count.to_le_bytes());
+        out.extend_from_slice(&body);
+        out
     }
 }
 
@@ -657,6 +675,20 @@ mod tests {
     }
 
     #[test]
+    fn refuses_deltas_outside_i64() {
+        let mut enc = ChunkEncoder::new();
+        enc.append(i64::MIN + 1, 1.0).unwrap();
+        assert!(enc.append(i64::MAX, 2.0).is_err(), "second delta");
+        enc.append(-1, 2.0).unwrap();
+        assert!(enc.append(i64::MAX, 3.0).is_err(), "later delta");
+        enc.append(0, 3.0).unwrap();
+        // A refused sample leaves the chunk as it was.
+        let back = decompress_chunk(&enc.finish()).unwrap();
+        let ts: Vec<i64> = back.iter().map(|s| s.t).collect();
+        assert_eq!(ts, [i64::MIN + 1, -1, 0]);
+    }
+
+    #[test]
     fn decoder_rejects_truncation() {
         let samples: Vec<Sample> = (0..32).map(|i| Sample::new(i, i as f64 * 1.7)).collect();
         let bytes = compress_chunk(&samples).unwrap();
@@ -691,7 +723,6 @@ mod tests {
         assert_eq!(enc.first_ts(), 100);
         assert_eq!(enc.last_ts(), 200);
         assert_eq!(enc.count(), 2);
-        assert!(enc.encoded_len() >= 2);
     }
 
     proptest! {

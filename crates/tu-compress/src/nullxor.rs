@@ -18,7 +18,7 @@
 
 use crate::agg::{self, AggKind, AggState, ChunkStats};
 use crate::bitstream::{BitReader, BitWriter};
-use crate::gorilla::{TsCodec, XorDecoder, XorEncoder};
+use crate::gorilla::{TsCodec, XorDecoder, XorEncoder, STREAM_CAPACITY};
 use tu_common::varint;
 use tu_common::{Error, Result, Timestamp, Value};
 
@@ -32,7 +32,7 @@ struct ColEncoder {
 impl ColEncoder {
     fn new() -> Self {
         ColEncoder {
-            w: BitWriter::new(),
+            w: BitWriter::with_capacity(STREAM_CAPACITY),
             xor: XorEncoder::new(),
         }
     }
@@ -127,19 +127,32 @@ impl GroupChunkEncoder {
                 self.cols.len()
             )));
         }
+        self.append_row_with(t, |c| values[c])
+    }
+
+    /// Appends one row whose value in column `c` is `value(c)`, asked of
+    /// every column in order, so the caller needs no row buffer.
+    pub fn append_row_with(
+        &mut self,
+        t: Timestamp,
+        mut value: impl FnMut(usize) -> Option<Value>,
+    ) -> Result<()> {
         if self.rows > 0 && t <= self.last_ts {
             return Err(Error::invalid(format!(
                 "group rows must be strictly increasing: {t} after {}",
                 self.last_ts
             )));
         }
+        self.ts.encode(&mut self.ts_w, t)?;
         if self.rows == 0 {
             self.first_ts = t;
         }
-        self.ts.encode(&mut self.ts_w, t);
-        for (col, v) in self.cols.iter_mut().zip(values) {
-            col.push(*v);
-            if let Some(v) = *v {
+        for (c, col) in self.cols.iter_mut().enumerate() {
+            let v = value(c);
+            col.push(v);
+            // Row by row, column by column: the order the stats footer's
+            // float sum was always folded in.
+            if let Some(v) = v {
                 self.vstats.observe(t, v);
             }
         }
@@ -165,41 +178,41 @@ impl GroupChunkEncoder {
         })
     }
 
-    /// Approximate serialized size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        4 + self.ts_w.as_bytes().len()
-            + self
-                .cols
-                .iter()
-                .map(|c| c.w.as_bytes().len() + 2)
-                .sum::<usize>()
-    }
-
     /// Serializes the chunk.
     pub fn finish(self) -> Vec<u8> {
-        let ts_bytes = self.ts_w.finish();
-        let mut out = Vec::with_capacity(8 + ts_bytes.len());
-        out.extend_from_slice(&self.rows.to_le_bytes());
-        out.extend_from_slice(&(self.cols.len() as u16).to_le_bytes());
-        varint::write_u64(&mut out, ts_bytes.len() as u64);
-        out.extend_from_slice(&ts_bytes);
-        for col in self.cols {
-            let bytes = col.w.finish();
-            varint::write_u64(&mut out, bytes.len() as u64);
-            out.extend_from_slice(&bytes);
-        }
-        out
+        self.serialize(None)
     }
 
     /// Serializes the chunk inside a stats envelope; chunks with no rows
     /// fall back to the legacy layout.
     pub fn finish_framed(self) -> Vec<u8> {
         let stats = self.stats();
-        let inner = self.finish();
-        match stats {
-            Some(stats) => agg::frame_with_stats(&stats, &inner),
-            None => inner,
+        self.serialize(stats.as_ref())
+    }
+
+    /// The envelope for `stats`, if any, the header and every bitstream,
+    /// in one buffer sized up front.
+    fn serialize(self, stats: Option<&ChunkStats>) -> Vec<u8> {
+        let columns = self.cols.len() as u16;
+        let streams: Vec<Vec<u8>> = std::iter::once(self.ts_w)
+            .chain(self.cols.into_iter().map(|c| c.w))
+            .map(BitWriter::finish)
+            .collect();
+        let body: usize = streams
+            .iter()
+            .map(|b| varint::encoded_len_u64(b.len() as u64) + b.len())
+            .sum();
+        let mut out = Vec::with_capacity(agg::ENVELOPE_HEADER_LEN + 4 + body);
+        if let Some(stats) = stats {
+            agg::put_envelope(stats, &mut out);
         }
+        out.extend_from_slice(&self.rows.to_le_bytes());
+        out.extend_from_slice(&columns.to_le_bytes());
+        for bytes in &streams {
+            varint::write_u64(&mut out, bytes.len() as u64);
+            out.extend_from_slice(bytes);
+        }
+        out
     }
 }
 
@@ -223,26 +236,10 @@ impl<'a> GroupChunkDecoder<'a> {
         let rows = u16::from_le_bytes([bytes[0], bytes[1]]);
         let cols = u16::from_le_bytes([bytes[2], bytes[3]]) as usize;
         let mut off = 4;
-        let (ts_len, n) = varint::read_u64(&bytes[off..])?;
-        off += n;
-        let ts_end = off + ts_len as usize;
-        if ts_end > bytes.len() {
-            return Err(Error::corruption("group chunk timestamp column truncated"));
-        }
-        let ts_bytes = &bytes[off..ts_end];
-        off = ts_end;
+        let ts_bytes = stream(bytes, &mut off, || "timestamp column".into())?;
         let mut col_bytes = Vec::with_capacity(cols);
         for i in 0..cols {
-            let (len, n) = varint::read_u64(&bytes[off..])?;
-            off += n;
-            let end = off + len as usize;
-            if end > bytes.len() {
-                return Err(Error::corruption(format!(
-                    "group chunk column {i} truncated"
-                )));
-            }
-            col_bytes.push(&bytes[off..end]);
-            off = end;
+            col_bytes.push(stream(bytes, &mut off, || format!("column {i}"))?);
         }
         Ok(GroupChunkDecoder {
             rows,
@@ -376,6 +373,20 @@ impl<'a> GroupChunkDecoder<'a> {
     }
 }
 
+/// The length-prefixed bitstream at `*off` in `bytes`, moving `off` past
+/// it; `what` names it in the error when it runs past the end.
+fn stream<'a>(bytes: &'a [u8], off: &mut usize, what: impl Fn() -> String) -> Result<&'a [u8]> {
+    let (len, n) = varint::read_u64(&bytes[*off..])?;
+    let start = *off + n;
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|len| start.checked_add(len))
+        .filter(|&end| end <= bytes.len())
+        .ok_or_else(|| Error::corruption(format!("group chunk {} truncated", what())))?;
+    *off = end;
+    Ok(&bytes[start..end])
+}
+
 /// Puts legacy group chunk bytes in a stats envelope: the bytes
 /// [`GroupChunkEncoder::finish_framed`] wrote for the same rows. A framed
 /// or empty chunk is refused.
@@ -386,11 +397,8 @@ pub fn frame_chunk(inner: &[u8]) -> Result<(ChunkStats, Vec<u8>)> {
     }
     let (ts, cols) = dec.decode_all()?;
     let mut enc = GroupChunkEncoder::new(cols.len());
-    let mut row = Vec::with_capacity(cols.len());
     for (i, &t) in ts.iter().enumerate() {
-        row.clear();
-        row.extend(cols.iter().map(|c| c[i]));
-        enc.append_row(t, &row)?;
+        enc.append_row_with(t, |c| cols[c][i])?;
     }
     let stats = enc
         .stats()

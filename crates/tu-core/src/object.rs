@@ -97,20 +97,17 @@ pub fn slot_size(chunk_samples: usize) -> usize {
     chunk_samples * ROW + 2
 }
 
-/// A slot's rows of `size` bytes, each decoded by `f`.
-fn decode<T>(payload: &[u8], size: usize, f: impl Fn(&[u8]) -> T) -> Result<Vec<T>> {
-    if !payload.len().is_multiple_of(size) {
-        return Err(Error::corruption("head slot misaligned"));
-    }
-    Ok(payload.chunks_exact(size).map(f).collect())
-}
-
 /// One value-column row: present, or NULL as all zeros.
 fn put_val(out: &mut [u8], v: Option<Value>) {
     if let Some(v) = v {
         out[0] = 1;
         out[1..VAL_ROW].copy_from_slice(&v.to_le_bytes());
     }
+}
+
+/// The value a value-column row holds, `None` for NULL.
+fn val(row: &[u8]) -> Option<Value> {
+    (row[0] != 0).then(|| f64_le(&row[1..]))
 }
 
 /// Writes `bytes` to a slot at offset `at`: the whole payload at 0, else
@@ -470,7 +467,7 @@ impl Object {
                 seq: first_seq + taken + k as u64,
                 first_ts: block.ts[0],
                 last_ts: block.ts[block.ts.len() - 1],
-                chunk: self.encode(&block)?,
+                chunk: self.encode(block.ts.len(), |i| block.ts[i], |c, i| block.cols[c][i])?,
                 late: true,
             });
         }
@@ -534,28 +531,43 @@ impl Object {
         Ok((at, taken))
     }
 
+    /// The head's slots as stored: a series' rows, or a group's
+    /// timestamps and then each member's value column, checked to be
+    /// whole rows and, for a group, as many in each column.
+    fn read_slots(&self, arenas: &Arenas) -> Result<(Vec<u8>, Vec<Vec<u8>>)> {
+        let misaligned = || Error::corruption("head slot misaligned");
+        let (first, size, members) = match &self.head {
+            Head::Rows(handle) => (arenas.rows.read(*handle)?, ROW, &[][..]),
+            Head::Columns(handle, m) => (arenas.ts.read(*handle)?, TS_ROW, &m.columns[..]),
+        };
+        if !first.len().is_multiple_of(size) {
+            return Err(misaligned());
+        }
+        let rows = first.len() / size;
+        let cols = members.iter().map(|&c| match arenas.vals.read(c)? {
+            col if col.len() == rows * VAL_ROW => Ok(col),
+            _ => Err(misaligned()),
+        });
+        Ok((first, cols.collect::<Result<_>>()?))
+    }
+
     /// The head's rows, decoded.
     fn read_head(&self, arenas: &Arenas) -> Result<Block> {
-        let vals =
-            |payload: &[u8]| decode(payload, VAL_ROW, |r| (r[0] != 0).then(|| f64_le(&r[1..])));
-        Ok(match &self.head {
-            Head::Rows(handle) => {
-                let rows = decode(&arenas.rows.read(*handle)?, ROW, |r| {
-                    (i64_le(r), Some(f64_le(&r[8..])))
-                })?;
-                let (ts, col) = rows.into_iter().unzip();
+        let (first, cols) = self.read_slots(arenas)?;
+        Ok(match self.head {
+            Head::Rows(_) => {
+                let rows = first.chunks_exact(ROW);
                 Block {
-                    ts,
-                    cols: vec![col],
+                    ts: rows.clone().map(i64_le).collect(),
+                    cols: vec![rows.map(|r| Some(f64_le(&r[8..]))).collect()],
                 }
             }
-            Head::Columns(handle, m) => Block {
-                ts: decode(&arenas.ts.read(*handle)?, TS_ROW, i64_le)?,
-                cols: m
-                    .columns
+            Head::Columns(..) => Block {
+                ts: first.chunks_exact(TS_ROW).map(i64_le).collect(),
+                cols: cols
                     .iter()
-                    .map(|&c| vals(&arenas.vals.read(c)?))
-                    .collect::<Result<_>>()?,
+                    .map(|c| c.chunks_exact(VAL_ROW).map(val).collect())
+                    .collect(),
             },
         })
     }
@@ -595,17 +607,27 @@ impl Object {
         out
     }
 
-    /// `rows` as a stats-framed chunk in the object's codec.
-    fn encode(&self, rows: &Block) -> Result<Vec<u8>> {
+    /// `n` rows as a stats-framed chunk in the object's codec, straight
+    /// from where they lie: row `i` is at `t(i)` and holds `v(slot, i)`
+    /// in each column.
+    fn encode(
+        &self,
+        n: usize,
+        t: impl Fn(usize) -> Timestamp,
+        v: impl Fn(usize, usize) -> Option<Value>,
+    ) -> Result<Vec<u8>> {
         if let Head::Rows(_) = self.head {
-            return gorilla::compress_chunk_framed(&rows.samples(0));
+            let mut enc = gorilla::ChunkEncoder::new();
+            for i in 0..n {
+                if let Some(v) = v(0, i) {
+                    enc.append(t(i), v)?;
+                }
+            }
+            return Ok(enc.finish_framed());
         }
-        let mut enc = nullxor::GroupChunkEncoder::new(rows.cols.len());
-        let mut row = Vec::with_capacity(rows.cols.len());
-        for (i, &t) in rows.ts.iter().enumerate() {
-            row.clear();
-            row.extend(rows.cols.iter().map(|c| c[i]));
-            enc.append_row(t, &row)?;
+        let mut enc = nullxor::GroupChunkEncoder::new(self.width());
+        for i in 0..n {
+            enc.append_row_with(t(i), |c| v(c, i))?;
         }
         Ok(enc.finish_framed())
     }
@@ -637,7 +659,19 @@ impl Object {
         if self.head_count == 0 {
             return Ok(None);
         }
-        let chunk = self.encode(&self.read_head(arenas)?)?;
+        let (first, cols) = self.read_slots(arenas)?;
+        let chunk = match self.head {
+            Head::Rows(_) => self.encode(
+                first.len() / ROW,
+                |i| i64_le(&first[i * ROW..]),
+                |_, i| Some(f64_le(&first[i * ROW + TS_ROW..])),
+            ),
+            Head::Columns(..) => self.encode(
+                first.len() / TS_ROW,
+                |i| i64_le(&first[i * TS_ROW..]),
+                |c, i| val(&cols[c][i * VAL_ROW..]),
+            ),
+        }?;
         let (first_ts, late) = (self.head_first, false);
         let last_ts = std::mem::replace(&mut self.head_last, i64::MIN);
         self.write_head(arenas, &Block::new(self.width()))?;
