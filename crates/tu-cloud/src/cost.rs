@@ -248,6 +248,11 @@ impl StorageStats {
 /// wave's makespan is modelled over this many slots.
 pub const WAVE_IN_FLIGHT: usize = 16;
 
+/// How many bytes of input files a batch of compaction work holds in
+/// flight: independent units join one batch, and its waves, while their
+/// inputs fit, and a unit larger than this runs alone.
+pub const WAVE_BYTES_IN_FLIGHT: u64 = 4 << 20;
+
 #[derive(Default)]
 struct ClockInner {
     /// What the callers waited: every charge outside a lane, and the

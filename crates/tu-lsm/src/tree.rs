@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use tu_common::lockdep::{self, Mutex};
 
-use tu_cloud::cost::WAVE_IN_FLIGHT;
+use tu_cloud::cost::{WAVE_BYTES_IN_FLIGHT, WAVE_IN_FLIGHT};
 use tu_cloud::StorageEnv;
 use tu_common::keys::{decode_id, decode_ts, decode_version, encode_key, encode_versioned_key};
 use tu_common::pool::{WorkerPool, INGEST_THREADS_ENV};
@@ -486,54 +486,62 @@ impl TimeTree {
         } else {
             self.opts.l0_compact_trigger
         };
-        self.compact_while(|lv| lv.l0.len() > trigger, Self::compact_l0_to_l1)
+        let mut obsolete = Vec::new();
+        while self.levels.lock().l0.len() > trigger {
+            obsolete.extend(self.compact_l0_to_l1()?);
+        }
+        Ok(Obsolete(obsolete))
     }
 
     /// Merges or uploads L1's windows into L2, oldest first: the closed
     /// ones, or every one when `drain`. A drain then merges every L2 table
-    /// that holds patches, so it leaves none on the fast tier. Then runs
-    /// dynamic size control.
+    /// that holds patches, so it leaves none on the fast tier. Both run
+    /// as units of [`TimeTree::compact_units`]. Then runs dynamic size
+    /// control.
     pub fn upload_windows(&self, drain: bool) -> Result<Obsolete> {
-        let due = |lv: &Levels| match drain {
-            true => !lv.l1.is_empty(),
-            false => l1_window_closed(lv),
-        };
-        let mut obsolete = self.compact_while(due, Self::compact_l1_to_l2)?;
+        let mut obsolete = self.compact_units(self.due_windows(drain))?;
         if drain {
-            obsolete.extend(self.merge_patched_tables()?);
+            obsolete.extend(self.compact_units(self.patched_tables())?);
         }
         self.dynamic_size_control();
-        Ok(obsolete)
+        Ok(Obsolete(obsolete))
     }
 
-    /// Merges every L2 table that holds patches into fresh base tables,
-    /// and returns the tables the merges replaced.
-    fn merge_patched_tables(&self) -> Result<Obsolete> {
-        let mut patched = Vec::new();
-        for p in &self.levels.lock().l2 {
-            for t in p.tables.iter().filter(|t| !t.patches.is_empty()) {
-                patched.push((p.range, t.base.name.clone()));
+    /// The L1 windows due for L2, oldest first, each with its tables: the
+    /// closed ones ([`window_closed`]), or every one when `drain`. A window
+    /// is the L2-grid window of the oldest L1 partition not yet taken; a
+    /// partition straddling its end (possible after resizes) widens it, so
+    /// every window takes at least one partition.
+    fn due_windows(&self, drain: bool) -> Vec<Unit> {
+        let lv = self.levels.lock();
+        let mut rest: Vec<&Partition> = lv.l1.iter().collect();
+        let mut due = Vec::new();
+        while let Some(oldest) = rest.first() {
+            if !drain && !window_closed(&lv.l0, &rest, lv.r2_ms) {
+                break;
             }
+            let w_start = oldest.range.start.div_euclid(lv.r2_ms) * lv.r2_ms;
+            let window = TimeRange::new(w_start, oldest.range.end.max(w_start + lv.r2_ms));
+            let (taken, left): (Vec<&Partition>, _) =
+                rest.into_iter().partition(|p| window.covers(&p.range));
+            let inputs = taken.into_iter().flat_map(|p| p.tables.iter().cloned());
+            due.push(Unit {
+                inputs: inputs.collect(),
+                kind: UnitKind::Window(window),
+            });
+            rest = left;
         }
-        let mut obsolete = Vec::new();
-        for (range, base) in patched {
-            obsolete.extend(self.merge_table(range, &base, Vec::new())?);
-        }
-        Ok(Obsolete(obsolete))
+        due
     }
 
-    /// The one compaction loop: runs `compact` while `due` holds, and
-    /// returns the tables the runs made obsolete.
-    fn compact_while(
-        &self,
-        due: impl Fn(&Levels) -> bool,
-        compact: fn(&Self) -> Result<Vec<TableMeta>>,
-    ) -> Result<Obsolete> {
-        let mut obsolete = Vec::new();
-        while due(&self.levels.lock()) {
-            obsolete.extend(compact(self)?);
-        }
-        Ok(Obsolete(obsolete))
+    /// A merge unit for every L2 table that holds patches.
+    fn patched_tables(&self) -> Vec<Unit> {
+        let lv = self.levels.lock();
+        let patched = lv.l2.iter().flat_map(|p| {
+            let tables = p.tables.iter().filter(|t| !t.patches.is_empty());
+            tables.map(|t| Unit::merge(p.range, t, Vec::new()))
+        });
+        patched.collect()
     }
 
     fn next_seq(&self) -> u64 {
@@ -616,44 +624,51 @@ impl TimeTree {
         Ok(out)
     }
 
-    /// Writes encoded blobs as tables of `level` — L2's to the slow tier,
-    /// the others to the fast tier — assigning sequence numbers and names
-    /// in blob order. The writes are independent and issued together, as
-    /// one wave ([`tu_cloud::cost::CostClock::wave`]).
+    /// Writes encoded blobs as tables of partition `range` of `level`,
+    /// assigning sequence numbers and names in blob order, as one wave
+    /// ([`TimeTree::write_wave`]).
     fn write_tables(
         &self,
         blobs: Vec<(Vec<u8>, TableProps)>,
         level: u8,
         range: TimeRange,
     ) -> Result<Vec<TableMeta>> {
-        let (blobs, metas): (Vec<Vec<u8>>, Vec<TableMeta>) = blobs
+        let tables: Vec<(Vec<u8>, TableMeta)> = blobs
             .into_iter()
-            .map(|(bytes, props)| {
-                let seq = self.next_seq();
-                let name = format!("l{level}/p{}-{}/sst-{seq:08}", range.start, range.end);
-                let on_slow = level == 2;
-                (
-                    bytes,
-                    TableMeta {
-                        name,
-                        seq,
-                        props,
-                        on_slow,
-                        range,
-                    },
-                )
-            })
-            .unzip();
+            .map(|(bytes, props)| (bytes, self.new_table(level, "sst", range, props)))
+            .collect();
+        self.write_wave(&tables)?;
+        Ok(tables.into_iter().map(|(_, meta)| meta).collect())
+    }
+
+    /// A table of partition `range` under the next sequence number, named
+    /// `l{level}/p{start}-{end}/{kind}-{seq}`. L2's base tables (`sst`)
+    /// live on the slow tier; every other table, L2's patches included, on
+    /// the fast tier.
+    fn new_table(&self, level: u8, kind: &str, range: TimeRange, props: TableProps) -> TableMeta {
+        let seq = self.next_seq();
+        TableMeta {
+            name: format!("l{level}/p{}-{}/{kind}-{seq:08}", range.start, range.end),
+            seq,
+            props,
+            on_slow: level == 2 && kind == "sst",
+            range,
+        }
+    }
+
+    /// Writes tables to their tiers — Puts to the slow tier, writes to the
+    /// fast tier. The writes are independent and issued together, as one
+    /// wave ([`tu_cloud::cost::CostClock::wave`]).
+    fn write_wave(&self, tables: &[(Vec<u8>, TableMeta)]) -> Result<()> {
         let pool = WorkerPool::new(WAVE_IN_FLIGHT);
-        let writes = self.env.clock.wave(pool, metas.len(), |i| {
-            let (meta, bytes) = (&metas[i], &blobs[i]);
+        let writes = self.env.clock.wave(pool, tables.len(), |i| {
+            let (bytes, meta) = &tables[i];
             match meta.on_slow {
                 true => self.env.object.put(&meta.name, bytes),
                 false => self.env.block.write_file(&meta.name, bytes),
             }
         });
-        writes.into_iter().collect::<Result<()>>()?;
-        Ok(metas)
+        writes.into_iter().collect()
     }
 
     fn source(&self, meta: &TableMeta) -> TableSource {
@@ -689,30 +704,25 @@ impl TimeTree {
         Ok(())
     }
 
-    /// Merges a set of tables newest-wins into sorted entries. Each table
-    /// costs one read request ([`Table::scan_file`]) and no open handle.
-    /// The scans — the I/O-heavy part, often against the slow tier — are
-    /// issued together as one wave ([`tu_cloud::cost::CostClock::wave`]);
-    /// the newest-wins fold runs sequentially in table order afterwards.
-    /// The wave runs on the flush workers, not on a thread per scan: a
-    /// scan holds its whole input file while it decodes it, and sixteen
-    /// at once raised the `ooo_backfill` drain's peak heap by up to 6 %.
-    fn merge_tables(&self, metas: &[TableMeta]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let scans = self.env.clock.wave(self.flush_pool, metas.len(), |i| {
-            Table::scan_file(self.source(&metas[i]))
-        });
-        let mut merged: BTreeMap<Vec<u8>, (u64, Vec<u8>)> = BTreeMap::new();
-        for (meta, scan) in metas.iter().zip(scans) {
-            for (k, v) in scan? {
-                match merged.get(&k) {
-                    Some((seq, _)) if *seq > meta.seq => {}
-                    _ => {
-                        merged.insert(k, (meta.seq, v));
-                    }
-                }
-            }
-        }
-        Ok(merged.into_iter().map(|(k, (_, v))| (k, v)).collect())
+    /// Merges a set of tables newest-wins into sorted entries: one scan
+    /// wave ([`TimeTree::scan_wave`]), then the fold.
+    fn merge_tables(&self, metas: &[TableMeta]) -> Result<Entries> {
+        let refs: Vec<&TableMeta> = metas.iter().collect();
+        let seqs = metas.iter().map(|m| m.seq);
+        fold(seqs.zip(self.scan_wave(&refs)), Vec::new())
+    }
+
+    /// Reads whole tables, each with one read request
+    /// ([`Table::scan_file`]) and no open handle. The scans — the
+    /// I/O-heavy part, often against the slow tier — are issued together
+    /// as one wave ([`tu_cloud::cost::CostClock::wave`]). The wave runs on
+    /// the flush workers, not on a thread per scan: a scan holds its whole
+    /// input file while it decodes it, and sixteen at once raised the
+    /// `ooo_backfill` drain's peak heap by up to 6 %.
+    fn scan_wave(&self, metas: &[&TableMeta]) -> Vec<Result<Entries>> {
+        self.env.clock.wave(self.flush_pool, metas.len(), |i| {
+            Table::scan_file(self.source(metas[i]))
+        })
     }
 
     // --- L0 -> L1 -------------------------------------------------------------
@@ -797,213 +807,236 @@ impl TimeTree {
 
     // --- L1 -> L2 -------------------------------------------------------------
 
-    /// Merges the oldest closed L2-grid window of L1 and uploads it: as
-    /// new L2 partitions, or as patches (or patch merges) of the L2 tables
-    /// it overlaps. The L1 inputs leave the levels only once every output
-    /// is in, so a reader always finds one or the other. Returns the
-    /// tables made obsolete — the L1 inputs and what the patch merges
-    /// replaced — for deletion once the saved manifest no longer names
-    /// them.
-    fn compact_l1_to_l2(&self) -> Result<Vec<TableMeta>> {
-        let _span = tu_obs::span("lsm.compact.l1_l2");
-        let (mut obsolete, window) = {
-            let lv = self.levels.lock();
-            let Some(oldest) = lv.l1.first() else {
-                return Ok(Vec::new());
-            };
-            let w_start = oldest.range.start.div_euclid(lv.r2_ms) * lv.r2_ms;
-            // A partition straddling the window's end (possible after
-            // resizes) widens the window, so progress is guaranteed.
-            let window = TimeRange::new(w_start, oldest.range.end.max(w_start + lv.r2_ms));
-            let selected = lv.l1.iter().filter(|p| window.covers(&p.range));
-            let tables: Vec<TableMeta> = selected.flat_map(|p| p.tables.iter().cloned()).collect();
-            (tables, window)
-        };
-        let input_tables = obsolete.len();
-        let merged = self.merge_tables(&obsolete)?;
+    /// Runs units of the L1→L2 step in order, in batches
+    /// ([`TimeTree::next_batch`]), each as [`TimeTree::compact_batch`]
+    /// runs it. A window's entries routed to a merge are in the levels only
+    /// once the merge has run, so the merges a batch's windows hand on run
+    /// (as units, in batches of their own) before the windows' L1 inputs
+    /// leave the levels. Returns the tables the units made obsolete — their
+    /// inputs — for deletion once the saved manifest no longer names them.
+    fn compact_units(&self, units: Vec<Unit>) -> Result<Vec<TableMeta>> {
+        let mut obsolete = Vec::new();
+        let mut units = units.into_iter().peekable();
+        while units.peek().is_some() {
+            let batch = self.next_batch(&mut units);
+            let done = self.compact_batch(batch)?;
+            obsolete.extend(done.inputs);
+            obsolete.extend(self.compact_units(done.merges)?);
+            if !done.windows.is_empty() {
+                let windows = &done.windows;
+                let mut lv = self.levels.lock();
+                lv.l1
+                    .retain(|p| !windows.iter().any(|w| w.covers(&p.range)));
+                drop(lv);
+                self.stats.lock().l1_to_l2_compactions += windows.len() as u64;
+            }
+        }
+        Ok(obsolete)
+    }
 
-        // Out-of-order: entries overlapping existing L2 partitions become
-        // patches; the rest forms new L2 partitions.
-        let overlapping: Vec<TimeRange> = {
-            let lv = self.levels.lock();
-            lv.l2
-                .iter()
-                .map(|p| p.range)
-                .filter(|r| r.overlaps(&window))
-                .collect()
-        };
-        let mut patch_groups: BTreeMap<i64, Vec<(Vec<u8>, Vec<u8>)>> = BTreeMap::new();
-        let mut fresh: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for (k, v) in merged {
-            let ts = decode_ts(&k)?;
-            match overlapping.iter().find(|r| r.contains(ts)) {
-                Some(r) => patch_groups.entry(r.start).or_default().push((k, v)),
-                None => fresh.push((k, v)),
+    /// Takes the next batch off `units`. Units join in order while the
+    /// file bytes of their inputs fit [`WAVE_BYTES_IN_FLIGHT`]; a unit
+    /// larger than that forms a batch alone. A window joins only if its
+    /// footprint ([`footprint`]) overlaps no other window's in the batch,
+    /// so it routes against the levels as the windows before it left them.
+    /// Merges never collide: each replaces a table no other unit touches.
+    fn next_batch(&self, units: &mut std::iter::Peekable<impl Iterator<Item = Unit>>) -> Vec<Unit> {
+        let lv = self.levels.lock();
+        let (mut batch, mut bytes, mut touched) = (Vec::new(), 0, Vec::<TimeRange>::new());
+        while let Some(unit) = units.peek() {
+            let reach = match unit.kind {
+                UnitKind::Window(window) => Some(footprint(&lv, window)),
+                UnitKind::Merge { .. } => None,
+            };
+            let apart = reach.is_none_or(|r| touched.iter().all(|t| !t.overlaps(&r)));
+            let fits = bytes + unit.input_bytes() <= WAVE_BYTES_IN_FLIGHT;
+            if !(batch.is_empty() || fits && apart) {
+                break;
             }
+            bytes += unit.input_bytes();
+            touched.extend(reach);
+            batch.extend(units.next());
         }
-        if !patch_groups.is_empty() {
-            obsolete.extend(self.append_patches(patch_groups)?);
+        batch
+    }
+
+    /// Runs one batch of units:
+    ///
+    /// 1. every input table of every unit is scanned, as one wave;
+    /// 2. each unit in turn is folded newest-wins and encoded — a merge
+    ///    into base tables of its partition, a window as it routes to L2
+    ///    ([`TimeTree::route_window`]) — and its tables take sequence
+    ///    numbers and names in order, so they follow unit order, then
+    ///    table order;
+    /// 3. every output — Puts to the slow tier, patches to the fast tier —
+    ///    is written as one wave.
+    ///
+    /// Then the levels take the outputs, unit by unit: a merge's replace
+    /// its table, a window's join L2 beside its inputs, which stay in L1
+    /// until [`TimeTree::compact_units`] retires them.
+    fn compact_batch(&self, batch: Vec<Unit>) -> Result<Batched> {
+        let _span = tu_obs::span("lsm.compact.l1_l2");
+        let (wait, work) = (self.env.clock.virtual_ns(), self.env.clock.work_ns());
+        let inputs: Vec<&TableMeta> = batch.iter().flat_map(|u| &u.inputs).collect();
+        let (input_tables, input_bytes) = (
+            inputs.len(),
+            batch.iter().map(Unit::input_bytes).sum::<u64>(),
+        );
+        let mut scans = self.scan_wave(&inputs).into_iter();
+        let (mut writes, mut placed) = (Vec::new(), Vec::with_capacity(batch.len()));
+        for mut unit in batch {
+            let seqs = unit.inputs.iter().map(|m| m.seq);
+            let (tables, merges) = match &mut unit.kind {
+                UnitKind::Window(window) => {
+                    self.route_window(*window, fold(seqs.zip(scans.by_ref()), Vec::new())?)?
+                }
+                UnitKind::Merge { range, newest, .. } => {
+                    let merged = fold(seqs.zip(scans.by_ref()), std::mem::take(newest))?;
+                    (self.encode_to(merged, &Dest::Base(*range))?, Vec::new())
+                }
+            };
+            let dests = tables.into_iter().map(|(bytes, props, dest)| {
+                let (kind, range) = match &dest {
+                    Dest::Base(range) => ("sst", *range),
+                    Dest::Patch(range, _) => ("patch", *range),
+                };
+                writes.push((bytes, self.new_table(2, kind, range, props)));
+                dest
+            });
+            placed.push((unit, dests.collect::<Vec<_>>(), merges));
         }
-        if !fresh.is_empty() {
-            // Time ranges not covered by existing partitions are split and
-            // aligned to the shortest selected L2 partition length — or the
-            // current R2 when none overlap (Figure 12, right).
-            let align = overlapping
-                .iter()
-                .map(|r| r.len())
-                .min()
-                .unwrap_or_else(|| self.l2_partition_ms())
-                .max(1);
-            let mut buckets: BTreeMap<i64, Vec<(Vec<u8>, Vec<u8>)>> = BTreeMap::new();
-            for (k, v) in fresh {
-                let ts = decode_ts(&k)?;
-                buckets
-                    .entry(ts.div_euclid(align))
-                    .or_default()
-                    .push((k, v));
+        self.write_wave(&writes)?;
+        let output_tables = writes.len();
+        let mut metas = writes.into_iter().map(|(_, meta)| meta);
+        let mut done = Batched::default();
+        let (mut patches, mut merged) = (0, 0);
+        for (unit, dests, merges) in placed {
+            let mut lv = self.levels.lock();
+            match &unit.kind {
+                UnitKind::Window(window) => {
+                    for (dest, meta) in dests.into_iter().zip(metas.by_ref()) {
+                        match dest {
+                            Dest::Base(range) => add_l2_bases(&mut lv, range, vec![meta]),
+                            Dest::Patch(range, base) => {
+                                l2_table(&mut lv, range, &base)?.patches.push(meta);
+                                patches += 1;
+                            }
+                        }
+                    }
+                    done.windows.push(*window);
+                }
+                UnitKind::Merge { range, base, .. } => {
+                    let p = l2_partition(&mut lv, *range)?;
+                    p.tables.retain(|t| t.base.name != *base);
+                    add_l2_bases(&mut lv, *range, metas.by_ref().take(dests.len()).collect());
+                    // Keep tables sorted by their first key for routing.
+                    let p = l2_partition(&mut lv, *range)?;
+                    p.tables
+                        .sort_by(|a, b| a.base.props.first_key.cmp(&b.base.props.first_key));
+                    merged += 1;
+                }
             }
-            for (slot, entries) in buckets {
-                let range = TimeRange::new(slot * align, (slot + 1) * align);
-                let metas = self.upload_l2_tables(entries, range)?;
-                add_l2_bases(&mut self.levels.lock(), range, metas);
-            }
+            drop(lv);
+            done.inputs.extend(unit.inputs);
+            done.merges.extend(merges);
         }
-        self.levels.lock().l1.retain(|p| !window.covers(&p.range));
-        self.stats.lock().l1_to_l2_compactions += 1;
+        {
+            let mut stats = self.stats.lock();
+            stats.patches_created += patches;
+            stats.patch_merges += merged;
+        }
         tu_obs::log::info(
             "lsm.compact",
-            "L1->L2 merge-and-upload",
+            "L1->L2 batch",
             &[
+                ("windows", done.windows.len().into()),
+                ("merges", merged.into()),
                 ("input_tables", input_tables.into()),
-                ("window_start", window.start.into()),
-                ("window_end", window.end.into()),
+                ("input_bytes", input_bytes.into()),
+                ("output_tables", output_tables.into()),
+                ("wait_ns", (self.env.clock.virtual_ns() - wait).into()),
+                ("work_ns", (self.env.clock.work_ns() - work).into()),
             ],
         );
-        Ok(obsolete)
+        Ok(done)
     }
 
-    /// Builds every SSTable of `entries`, then uploads them to the slow
-    /// tier as one wave of Puts: the caller waits for the slowest Put, not
-    /// for their sum.
-    fn upload_l2_tables(
+    /// Routes a window's merged entries to L2 and encodes them (Figure 11).
+    /// Entries inside an L2 partition go to the table whose ID range covers
+    /// them: as a patch on the fast tier, read back only by the merge that
+    /// consumes it and by queries until then — or, for a table that
+    /// already holds `patch_threshold` patches, as the newest input of a
+    /// merge unit, returned for the caller to run, so the patch that would
+    /// have tipped it over is never written nor read back. The rest forms
+    /// new L2 partitions, aligned to the shortest overlapping partition's
+    /// length, or to the current R2 when none overlaps (Figure 12, right).
+    fn route_window(
+        &self,
+        window: TimeRange,
+        merged: Entries,
+    ) -> Result<(Vec<Encoded>, Vec<Unit>)> {
+        let (overlapping, r2) = {
+            let lv = self.levels.lock();
+            let overlapping = lv.l2.iter().filter(|p| p.range.overlaps(&window));
+            (overlapping.cloned().collect::<Vec<_>>(), lv.r2_ms)
+        };
+        // Shares by (partition, table). ID ranges are disjoint: an entry
+        // goes to the first table whose range ends at or after its id, or
+        // to the last table for ids past every range.
+        let mut shares: BTreeMap<(usize, usize), Entries> = BTreeMap::new();
+        let mut fresh: BTreeMap<i64, Entries> = BTreeMap::new();
+        let align = fresh_align(overlapping.iter().map(|p| p.range), r2);
+        for (k, v) in merged {
+            let ts = decode_ts(&k)?;
+            let Some(p) = overlapping.iter().position(|p| p.range.contains(ts)) else {
+                fresh.entry(ts.div_euclid(align)).or_default().push((k, v));
+                continue;
+            };
+            let (id, tables) = (decode_id(&k)?, &overlapping[p].tables);
+            let last = tables.len().saturating_sub(1);
+            let t = tables.iter().position(|t| id <= t.base.last_id());
+            shares
+                .entry((p, t.unwrap_or(last)))
+                .or_default()
+                .push((k, v));
+        }
+        let (mut out, mut merges) = (Vec::new(), Vec::new());
+        for ((p, t), entries) in shares {
+            let range = overlapping[p].range;
+            match overlapping[p].tables.get(t) {
+                // A partition without tables (never written so) takes the
+                // entries as its base tables.
+                None => out.extend(self.encode_to(entries, &Dest::Base(range))?),
+                Some(table) if table.patches.len() >= self.opts.patch_threshold => {
+                    merges.push(Unit::merge(range, table, entries));
+                }
+                Some(table) => {
+                    let mut builder = TableBuilder::new();
+                    for (k, v) in &entries {
+                        builder.add(k, v)?;
+                    }
+                    let (bytes, props) = builder.finish()?;
+                    out.push((bytes, props, Dest::Patch(range, table.base.name.clone())));
+                }
+            }
+        }
+        for (slot, entries) in fresh {
+            let range = TimeRange::new(slot * align, (slot + 1) * align);
+            out.extend(self.encode_to(entries, &Dest::Base(range))?);
+        }
+        Ok((out, merges))
+    }
+
+    /// [`TimeTree::encode_tables`], each table bound for `dest`.
+    fn encode_to(
         &self,
         entries: impl IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
-        range: TimeRange,
-    ) -> Result<Vec<TableMeta>> {
-        self.write_tables(self.encode_tables(entries)?, 2, range)
-    }
-
-    /// Routes out-of-order entries to the L2 tables whose ID ranges cover
-    /// them (Figure 11). A table's share becomes a patch appended to it,
-    /// written to the fast tier: it is read back only by the merge that
-    /// consumes it, and by queries until then. But if the table already
-    /// holds `patch_threshold` patches, its base, its patches and the share
-    /// merge straight into fresh base tables, so the patch that would have
-    /// tipped it over is never written, nor read back to be merged.
-    /// Returns the tables the merges made obsolete.
-    fn append_patches(
-        &self,
-        groups: BTreeMap<i64, Vec<(Vec<u8>, Vec<u8>)>>,
-    ) -> Result<Vec<TableMeta>> {
-        let mut obsolete = Vec::new();
-        for (part_start, entries) in groups {
-            // Snapshot the partition's tables: base name and ID range.
-            let (range, targets) = {
-                let lv = self.levels.lock();
-                let p = lv.l2.iter().find(|p| p.range.start == part_start);
-                let p = p.ok_or_else(|| Error::corruption("patch target partition vanished"))?;
-                let bases = p
-                    .tables
-                    .iter()
-                    .map(|t| (t.base.name.clone(), t.base.last_id()));
-                (p.range, bases.collect::<Vec<_>>())
-            };
-            if targets.is_empty() {
-                // Partition had no tables (shouldn't happen): the entries
-                // become its base tables.
-                let metas = self.upload_l2_tables(entries, range)?;
-                add_l2_bases(&mut self.levels.lock(), range, metas);
-                continue;
-            }
-            // Split entries by target table (ID ranges are disjoint; route
-            // by the first range whose last_id >= id, falling back to the
-            // final table for ids beyond all ranges). Targets are found by
-            // base name, not position: a merge may split a table and shift
-            // the ones after it.
-            let mut per_table: BTreeMap<usize, Vec<(Vec<u8>, Vec<u8>)>> = BTreeMap::new();
-            for (k, v) in entries {
-                let id = decode_id(&k)?;
-                let idx = targets
-                    .iter()
-                    .position(|&(_, last)| id <= last)
-                    .unwrap_or(targets.len() - 1);
-                per_table.entry(idx).or_default().push((k, v));
-            }
-            for (idx, entries) in per_table {
-                let base_name = &targets[idx].0;
-                let patches = {
-                    let mut lv = self.levels.lock();
-                    l2_table(&mut lv, range, base_name)?.patches.len()
-                };
-                if patches >= self.opts.patch_threshold {
-                    obsolete.extend(self.merge_table(range, base_name, entries)?);
-                    continue;
-                }
-                let mut builder = TableBuilder::new();
-                for (k, v) in &entries {
-                    builder.add(k, v)?;
-                }
-                let (bytes, props) = builder.finish()?;
-                let seq = self.next_seq();
-                let name = format!("l2/p{}-{}/patch-{seq:08}", range.start, range.end);
-                self.env.block.write_file(&name, &bytes)?;
-                let meta = TableMeta {
-                    name,
-                    seq,
-                    props,
-                    on_slow: false,
-                    range,
-                };
-                l2_table(&mut self.levels.lock(), range, base_name)?
-                    .patches
-                    .push(meta);
-                self.stats.lock().patches_created += 1;
-            }
-        }
-        Ok(obsolete)
-    }
-
-    /// Merges the L2 table based at `base_name` — its base, then its
-    /// patches, then `newest`, each winning over the ones before on equal
-    /// keys — into fresh base tables that take its place (Figure 11: the
-    /// merge may split it into several with disjoint ID ranges). Returns
-    /// the base and patches it replaced.
-    fn merge_table(
-        &self,
-        range: TimeRange,
-        base_name: &str,
-        newest: Vec<(Vec<u8>, Vec<u8>)>,
-    ) -> Result<Vec<TableMeta>> {
-        let victim = l2_table(&mut self.levels.lock(), range, base_name)?.clone();
-        let mut inputs = vec![victim.base];
-        inputs.extend(victim.patches);
-        let mut merged: BTreeMap<Vec<u8>, Vec<u8>> =
-            self.merge_tables(&inputs)?.into_iter().collect();
-        merged.extend(newest);
-        let metas = self.upload_l2_tables(merged, range)?;
-        {
-            let mut lv = self.levels.lock();
-            l2_partition(&mut lv, range)?
-                .tables
-                .retain(|t| t.base.name != base_name);
-            add_l2_bases(&mut lv, range, metas);
-            // Keep tables sorted by their first key for routing.
-            let p = l2_partition(&mut lv, range)?;
-            p.tables
-                .sort_by(|a, b| a.base.props.first_key.cmp(&b.base.props.first_key));
-        }
-        self.stats.lock().patch_merges += 1;
-        Ok(inputs)
+        dest: &Dest,
+    ) -> Result<Vec<Encoded>> {
+        let tables = self.encode_tables(entries)?.into_iter();
+        Ok(tables
+            .map(|(bytes, props)| (bytes, props, dest.clone()))
+            .collect())
     }
 
     // --- dynamic size control (Algorithm 1) -----------------------------------
@@ -1565,18 +1598,137 @@ fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T> {
         .map_err(|_| Error::corruption(format!("manifest field {what} malformed")))
 }
 
-/// True when the oldest L2-grid window in L1 is "closed": newer data
-/// exists beyond its end, so no in-order data will arrive for it, and no
-/// L0 partition overlaps it, so none of it would follow as a patch. An L0
-/// partition older than the window does not hold it open.
-fn l1_window_closed(lv: &Levels) -> bool {
-    let Some(oldest) = lv.l1.iter().map(|p| p.range.start).min() else {
+/// True when the oldest L2-grid window of the L1 partitions `l1` is
+/// "closed": newer data exists beyond its end, so no in-order data will
+/// arrive for it, and no L0 partition overlaps it, so none of it would
+/// follow as a patch. An L0 partition older than the window does not hold
+/// it open.
+fn window_closed(l0: &[Partition], l1: &[&Partition], r2_ms: i64) -> bool {
+    let Some(oldest) = l1.iter().map(|p| p.range.start).min() else {
         return false;
     };
-    let start = oldest.div_euclid(lv.r2_ms) * lv.r2_ms;
-    let window = TimeRange::new(start, start + lv.r2_ms);
-    let newer = lv.l0.iter().chain(&lv.l1).any(|p| p.range.end > window.end);
-    newer && !lv.l0.iter().any(|p| p.range.overlaps(&window))
+    let start = oldest.div_euclid(r2_ms) * r2_ms;
+    let window = TimeRange::new(start, start + r2_ms);
+    let newer = l0
+        .iter()
+        .chain(l1.iter().copied())
+        .any(|p| p.range.end > window.end);
+    newer && !l0.iter().any(|p| p.range.overlaps(&window))
+}
+
+/// One independent unit of the L1→L2 step ([`TimeTree::compact_units`]).
+struct Unit {
+    /// The tables it reads.
+    inputs: Vec<TableMeta>,
+    kind: UnitKind,
+}
+
+enum UnitKind {
+    /// A due L1 window: its tables merge and go to L2
+    /// ([`TimeTree::route_window`]).
+    Window(TimeRange),
+    /// The L2 table of partition `range` based at `base`: its base, its
+    /// patches, then `newest`, each winning over the ones before on equal
+    /// keys, merge into fresh base tables that take its place (Figure 11:
+    /// the merge may split it into several with disjoint ID ranges).
+    Merge {
+        range: TimeRange,
+        base: String,
+        newest: Entries,
+    },
+}
+
+impl Unit {
+    fn merge(range: TimeRange, table: &L2Table, newest: Entries) -> Unit {
+        let mut inputs = vec![table.base.clone()];
+        inputs.extend(table.patches.iter().cloned());
+        let base = table.base.name.clone();
+        Unit {
+            inputs,
+            kind: UnitKind::Merge {
+                range,
+                base,
+                newest,
+            },
+        }
+    }
+
+    /// File bytes of its inputs: what it holds in flight.
+    fn input_bytes(&self) -> u64 {
+        self.inputs.iter().map(|t| t.props.file_len).sum()
+    }
+}
+
+/// Where an output table of a unit goes.
+#[derive(Clone)]
+enum Dest {
+    /// A base table of the L2 partition spanning the range.
+    Base(TimeRange),
+    /// A patch of the table based at the name, in the L2 partition
+    /// spanning the range.
+    Patch(TimeRange, String),
+}
+
+/// Sorted `(key, value)` entries, as a scan or a fold yields them.
+type Entries = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// An encoded output table, its properties and where it goes.
+type Encoded = (Vec<u8>, TableProps, Dest);
+
+/// What [`TimeTree::compact_batch`] leaves to its caller.
+#[derive(Default)]
+struct Batched {
+    /// Every input of the batch's units.
+    inputs: Vec<TableMeta>,
+    /// The windows whose L1 inputs are yet to leave the levels.
+    windows: Vec<TimeRange>,
+    /// The merges the windows routed entries to, yet to run.
+    merges: Vec<Unit>,
+}
+
+/// Folds table scans newest-wins — a higher seq wins an equal key, and of
+/// equal seqs the later scan — with `newest` winning over all of them,
+/// into sorted entries. Each scan is dropped once folded.
+fn fold(
+    scans: impl IntoIterator<Item = (u64, Result<Entries>)>,
+    newest: Entries,
+) -> Result<Entries> {
+    let mut merged: BTreeMap<Vec<u8>, (u64, Vec<u8>)> = BTreeMap::new();
+    for (seq, scan) in scans {
+        for (k, v) in scan? {
+            match merged.get(&k) {
+                Some((kept, _)) if *kept > seq => {}
+                _ => {
+                    merged.insert(k, (seq, v));
+                }
+            }
+        }
+    }
+    for (k, v) in newest {
+        merged.insert(k, (u64::MAX, v));
+    }
+    Ok(merged.into_iter().map(|(k, (_, v))| (k, v)).collect())
+}
+
+/// The grid new L2 partitions of a window align to: the shortest of the
+/// L2 partitions it overlaps, or R2 when it overlaps none.
+fn fresh_align(overlapping: impl Iterator<Item = TimeRange>, r2_ms: i64) -> i64 {
+    overlapping.map(|r| r.len()).min().unwrap_or(r2_ms).max(1)
+}
+
+/// The span of L2 a window's outputs can touch: the L2 partitions it
+/// overlaps, and the grid slots ([`fresh_align`]) its new partitions can
+/// take. Every key of the window lies inside it.
+fn footprint(lv: &Levels, window: TimeRange) -> TimeRange {
+    let overlapping = lv
+        .l2
+        .iter()
+        .map(|p| p.range)
+        .filter(|r| r.overlaps(&window));
+    let align = fresh_align(overlapping.clone(), lv.r2_ms);
+    let start = window.start.div_euclid(align) * align;
+    let end = (window.end - 1).div_euclid(align) * align + align;
+    overlapping.fold(TimeRange::new(start, end), |f, r| f.union(&r))
 }
 
 /// Adds fresh base tables to the L2 partition spanning exactly `range`,
@@ -2079,8 +2231,9 @@ mod tests {
             .collect();
         let (wait, work) = (env.clock.virtual_ns(), env.clock.work_ns());
         let puts = env.object.stats().put_requests;
+        let blobs = t.encode_tables(entries).unwrap();
         let metas = t
-            .upload_l2_tables(entries, TimeRange::new(0, 2 * HOUR))
+            .write_tables(blobs, 2, TimeRange::new(0, 2 * HOUR))
             .unwrap();
         assert!(metas.len() >= 4, "{} tables", metas.len());
         assert_eq!(env.object.stats().put_requests - puts, metas.len() as u64);
@@ -2097,36 +2250,208 @@ mod tests {
         assert!(waited < 2 * put_ns.iter().min().unwrap(), "{waited} ns");
     }
 
+    /// Puts one chunk for each of `series` series at every 30 minutes of
+    /// `windows` 2-hour windows, then flushes and compacts it all into L1
+    /// without uploading, and saves the manifest: `windows` closed L1
+    /// windows of four partitions each.
+    fn load_l1_windows(t: &TimeTree, windows: i64, series: u64) {
+        for w in 0..windows {
+            for c in 0..4 {
+                for id in 0..series {
+                    let tag = (w * 4 + c) as u64 * 100_000 + id;
+                    t.put(id, w * 2 * HOUR + c * 30 * MIN, chunk(tag));
+                }
+            }
+        }
+        t.seal();
+        t.flush_sealed().unwrap();
+        let obsolete = t.compact_l0(true).unwrap();
+        t.save_manifest().unwrap();
+        t.delete_obsolete(obsolete).unwrap();
+        assert_eq!(t.stats().l1_partitions, 4 * windows as usize);
+    }
+
+    /// File sizes of the tables of each L1 window, oldest first.
+    fn l1_window_bytes(t: &TimeTree) -> Vec<Vec<u64>> {
+        let lv = t.levels.lock();
+        let mut windows: BTreeMap<i64, Vec<u64>> = BTreeMap::new();
+        for p in &lv.l1 {
+            let lens = p.tables.iter().map(|m| m.props.file_len);
+            windows
+                .entry(p.range.start.div_euclid(lv.r2_ms))
+                .or_default()
+                .extend(lens);
+        }
+        windows.into_values().collect()
+    }
+
+    /// File sizes of the base tables of each L2 partition, oldest first.
+    fn l2_table_bytes(t: &TimeTree) -> Vec<Vec<u64>> {
+        let lv = t.levels.lock();
+        let lens = |p: &L2Partition| p.tables.iter().map(|t| t.base.props.file_len).collect();
+        lv.l2.iter().map(lens).collect()
+    }
+
+    /// What a wave of `lanes` makes its caller wait.
+    fn wave_wait(lanes: &[u64]) -> u64 {
+        let clock = tu_cloud::cost::CostClock::new(LatencyMode::Virtual);
+        clock.charge_wave(lanes);
+        clock.virtual_ns()
+    }
+
+    /// Modelled first reads of fast-tier files of these sizes, and Puts.
+    fn scan_ns(lens: &[u64]) -> Vec<u64> {
+        lens.iter()
+            .map(|&l| LatencyModel::ebs().read_ns(l, true))
+            .collect()
+    }
+    fn put_ns(lens: &[u64]) -> Vec<u64> {
+        lens.iter()
+            .map(|&l| LatencyModel::s3().write_ns(l))
+            .collect()
+    }
+
+    /// A drain's windows are independent units that fit one batch: every
+    /// input is scanned in one wave and every output Put in the next, so
+    /// the drain waits for one scan and one Put, not for each window's in
+    /// turn. The requests and their work are what they were one by one.
+    #[test]
+    fn a_drain_uploads_its_windows_as_one_wave() {
+        let dir = tempfile::tempdir().unwrap();
+        let env = StorageEnv::open(dir.path(), LatencyMode::Virtual).unwrap();
+        let t = TimeTree::open(env.clone(), small_opts()).unwrap();
+        const N: i64 = 5;
+        load_l1_windows(&t, N, 20);
+        let inputs: Vec<u64> = l1_window_bytes(&t).concat();
+        assert_eq!(inputs.len() as i64, 4 * N);
+        let (wait, work) = (env.clock.virtual_ns(), env.clock.work_ns());
+        let puts = env.object.stats().put_requests;
+        t.upload_windows(true).unwrap();
+        let outputs: Vec<u64> = l2_table_bytes(&t).concat();
+        assert_eq!(env.object.stats().put_requests - puts, N as u64);
+        assert_eq!(outputs.len() as i64, N);
+        let (scans, puts) = (scan_ns(&inputs), put_ns(&outputs));
+        let sum = |lanes: &[u64]| lanes.iter().sum::<u64>();
+        assert_eq!(env.clock.work_ns() - work, sum(&scans) + sum(&puts));
+        assert_eq!(
+            env.clock.virtual_ns() - wait,
+            wave_wait(&scans) + wave_wait(&puts)
+        );
+        assert_eq!(t.stats().l1_to_l2_compactions, N as u64);
+        for id in 0..20 {
+            assert_eq!(
+                t.range_chunks(id, 0, 2 * N * HOUR).unwrap().len(),
+                4 * N as usize
+            );
+        }
+    }
+
+    /// Every file under `dir`, by path, with its bytes.
+    fn store_files(dir: &std::path::Path) -> BTreeMap<String, Vec<u8>> {
+        let mut files = BTreeMap::new();
+        let mut dirs = vec![dir.to_path_buf()];
+        while let Some(d) = dirs.pop() {
+            for entry in std::fs::read_dir(&d).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else {
+                    let name = path.strip_prefix(dir).unwrap().display().to_string();
+                    files.insert(name, std::fs::read(&path).unwrap());
+                }
+            }
+        }
+        files
+    }
+
+    /// Three L1 windows of about 1.5 MiB each, drained: the first two fit
+    /// one batch of [`WAVE_BYTES_IN_FLIGHT`], the third does not and forms
+    /// the next. The drain waits for each batch's scan wave and Put wave
+    /// in turn.
+    fn drain_over_the_budget(t: &TimeTree) {
+        load_l1_windows(t, 3, 2800);
+        let inputs = l1_window_bytes(t);
+        let bytes: Vec<u64> = inputs.iter().map(|w| w.iter().sum()).collect();
+        assert!(bytes[0] + bytes[1] <= WAVE_BYTES_IN_FLIGHT, "{bytes:?}");
+        assert!(bytes[1] + bytes[2] <= WAVE_BYTES_IN_FLIGHT, "{bytes:?}");
+        assert!(
+            bytes.iter().sum::<u64>() > WAVE_BYTES_IN_FLIGHT,
+            "{bytes:?}"
+        );
+        let (clock, puts) = (&t.env.clock, t.env.object.stats().put_requests);
+        let (wait, work) = (clock.virtual_ns(), clock.work_ns());
+        t.upload_windows(true).unwrap();
+        let outputs = l2_table_bytes(t);
+        assert_eq!(outputs.len(), 3);
+        let batch = |windows: std::ops::Range<usize>| {
+            let scans = scan_ns(&inputs[windows.clone()].concat());
+            let puts = put_ns(&outputs[windows].concat());
+            (
+                wave_wait(&scans) + wave_wait(&puts),
+                scans.iter().chain(&puts).sum::<u64>(),
+            )
+        };
+        let (first, second, one) = (batch(0..2), batch(2..3), batch(0..3));
+        assert_eq!(clock.virtual_ns() - wait, first.0 + second.0);
+        assert!(first.0 + second.0 > one.0, "not split");
+        assert_eq!(clock.work_ns() - work, one.1);
+        let tables = outputs.concat().len() as u64;
+        assert_eq!(t.env.object.stats().put_requests - puts, tables);
+    }
+
     /// The modelled time of maintenance — flushes, both compactions,
     /// patches, their merges and drains — does not depend on the number of
-    /// flush workers, and its waves make the passes wait less than the
-    /// requests took one by one.
+    /// flush workers, nor does what it stores, file by file; and its waves
+    /// make the passes wait less than the requests took one by one. Also
+    /// for a drain whose windows exceed [`WAVE_BYTES_IN_FLIGHT`] and split
+    /// into batches.
     #[test]
     fn compaction_modelled_time_does_not_depend_on_flush_threads() {
-        let run = |flush_threads: usize| {
+        let run = |flush_threads: usize, opts: TreeOptions, work: &dyn Fn(&TimeTree)| {
             let dir = tempfile::tempdir().unwrap();
             let env = StorageEnv::open(dir.path(), LatencyMode::Virtual).unwrap();
             let opts = TreeOptions {
                 flush_threads,
-                ..small_opts()
+                ..opts
             };
             let t = TimeTree::open(env.clone(), opts).unwrap();
-            load(&t, 48, 12);
+            work(&t);
+            let (b, o) = (env.block.stats(), env.object.stats());
+            let clock = (env.clock.virtual_ns(), env.clock.work_ns(), b, o);
+            (clock, store_files(dir.path()))
+        };
+        let patched_passes = |t: &TimeTree| {
+            load(t, 48, 12);
             t.flush_all_to_slow().unwrap();
-            hold_newer_l0(&t);
+            hold_newer_l0(t);
             for r in 0..4u64 {
-                late_pass(&t, &[(r, 10 * MIN, 9000 + r), (r + 24, 70 * MIN, 9100 + r)]);
+                late_pass(t, &[(r, 10 * MIN, 9000 + r), (r + 24, 70 * MIN, 9100 + r)]);
             }
             t.flush_all_to_slow().unwrap();
             let s = t.stats();
             assert!(s.patch_merges > 0, "{s:?}");
-            let (b, o) = (env.block.stats(), env.object.stats());
-            (env.clock.virtual_ns(), env.clock.work_ns(), b, o)
         };
-        let one = run(1);
-        assert!(one.0 < one.1, "{one:?}");
-        for flush_threads in [2, 8] {
-            assert_eq!(run(flush_threads), one, "{flush_threads} flush threads");
+        let large = TreeOptions {
+            memtable_bytes: 64 << 20,
+            max_sstable_bytes: 512 << 10,
+            ..small_opts()
+        };
+        let scenarios: [(TreeOptions, &dyn Fn(&TimeTree)); 2] = [
+            (small_opts(), &patched_passes),
+            (large, &drain_over_the_budget),
+        ];
+        for (opts, work) in scenarios {
+            let one = run(1, opts.clone(), work);
+            assert!(one.0 .0 < one.0 .1, "{:?}", one.0);
+            assert!(one.1.keys().any(|name| name.contains("sst-")));
+            for flush_threads in [2, 8] {
+                let other = run(flush_threads, opts.clone(), work);
+                assert_eq!(other.0, one.0, "{flush_threads} flush threads");
+                assert!(
+                    other.1 == one.1,
+                    "{flush_threads} flush threads: the stores differ"
+                );
+            }
         }
     }
 
@@ -2143,9 +2468,42 @@ mod tests {
         }
     }
 
+    /// Opens a copy of the tree stored under `dir`: a crash image.
+    fn crash_image(dir: &std::path::Path) -> (tempfile::TempDir, TimeTree) {
+        let image = tempfile::tempdir().unwrap();
+        copy_dir(dir, image.path());
+        let env = StorageEnv::open(image.path(), LatencyMode::Off).unwrap();
+        (image, TimeTree::open(env, small_opts()).unwrap())
+    }
+
+    /// Every table the manifest names is stored, on its tier, and no
+    /// other table is.
+    fn assert_stored_tables_are_the_named_ones(t: &TimeTree) {
+        let (block, object) = (&t.env.block, &t.env.object);
+        let mut stored: Vec<String> = ["l0/", "l1/", "l2/"]
+            .iter()
+            .flat_map(|prefix| block.list_prefix(prefix))
+            .chain(object.list_prefix("l2/"))
+            .collect();
+        let mut named = Vec::new();
+        for meta in t.levels.lock().tables() {
+            let len = match meta.on_slow {
+                true => object.len(&meta.name),
+                false => block.len(&meta.name),
+            };
+            assert_eq!(len.unwrap(), meta.props.file_len, "{}", meta.name);
+            named.push(meta.name.clone());
+        }
+        stored.sort();
+        named.sort();
+        assert_eq!(stored, named);
+    }
+
     /// A crash between a compaction and the next manifest save leaves the
     /// manifest naming the compaction's inputs; they must still be there,
-    /// and the outputs nothing names are swept at open.
+    /// and the outputs nothing names are swept at open. So for a single
+    /// compaction, a drain's batch of windows, and a drain's batch of
+    /// patch merges, each imaged after its Puts.
     #[test]
     fn crash_before_the_manifest_save_keeps_every_named_table() {
         let dir = tempfile::tempdir().unwrap();
@@ -2169,6 +2527,45 @@ mod tests {
         }
         assert_eq!(env.block.list_prefix("l1/"), Vec::<String>::new());
         assert_eq!(env.block.list_prefix("l0/").len(), 2);
+
+        // All of a drain's four windows upload in one batch.
+        let (dir, t) = tree_with(small_opts());
+        load_l1_windows(&t, 4, 20);
+        let read = |t: &TimeTree| -> Vec<_> {
+            let ids = 0..40;
+            ids.map(|id| t.range_chunks(id, 0, 8 * HOUR).unwrap())
+                .collect()
+        };
+        let want = read(&t);
+        let puts = t.env.object.stats().put_requests;
+        t.upload_windows(true).unwrap();
+        assert_eq!(t.env.object.stats().put_requests - puts, 4);
+        let (_image, t) = crash_image(dir.path());
+        assert_stored_tables_are_the_named_ones(&t);
+        assert_eq!(t.env.object.list_prefix("l2/"), Vec::<String>::new());
+        assert_eq!(t.env.block.list_prefix("l1/").len(), 16);
+        assert_eq!(read(&t), want);
+
+        // A drain merges three patched tables in one batch.
+        let (dir, t) = tree_with(small_opts());
+        load(&t, 40, 12);
+        t.flush_all_to_slow().unwrap();
+        hold_newer_l0(&t);
+        late_pass(
+            &t,
+            &[(0, 10 * MIN, 1), (1, 130 * MIN, 2), (2, 250 * MIN, 3)],
+        );
+        assert_eq!(l2_patches(&t), vec![1, 1, 1]);
+        let (want, bases) = (read(&t), t.env.object.list_prefix("l2/"));
+        let puts = t.env.object.stats().put_requests;
+        t.upload_windows(true).unwrap();
+        assert_eq!(t.stats().patch_merges, 3);
+        assert_eq!(t.env.object.stats().put_requests - puts, 3);
+        let (_image, t) = crash_image(dir.path());
+        assert_stored_tables_are_the_named_ones(&t);
+        assert_eq!(t.env.object.list_prefix("l2/"), bases);
+        assert_eq!(l2_patches(&t), vec![1, 1, 1]);
+        assert_eq!(read(&t), want);
     }
 
     #[test]
