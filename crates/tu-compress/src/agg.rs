@@ -107,6 +107,32 @@ pub fn value_min(a: Value, b: Value) -> Value {
     }
 }
 
+/// `a + b`, with a NaN result that is a function of the inputs alone.
+///
+/// IEEE 754 leaves open which NaN the sum of two NaNs, or of +inf and
+/// -inf, comes out, and the code generator may swap the operands, so a
+/// debug and a release build could frame different stats bytes. Here a
+/// NaN input wins, `a` before `b`, quieted as hardware quiets it; +inf
+/// plus -inf gives the positive quiet NaN.
+#[inline]
+fn value_sum(a: Value, b: Value) -> Value {
+    let sum = a + b;
+    if !sum.is_nan() {
+        sum
+    } else if a.is_nan() {
+        quiet(a)
+    } else if b.is_nan() {
+        quiet(b)
+    } else {
+        f64::NAN
+    }
+}
+
+/// `nan` with its quiet bit set.
+fn quiet(nan: Value) -> Value {
+    f64::from_bits(nan.to_bits() | 1 << 51)
+}
+
 /// Running state of one aggregation window.
 ///
 /// [`AggState::observe`] folds samples in timestamp order; `sum` is
@@ -156,7 +182,7 @@ impl AggState {
             self.first_t = t;
             self.first_v = v;
         } else {
-            self.sum += v;
+            self.sum = value_sum(self.sum, v);
             self.min = value_min(self.min, v);
             self.max = value_max(self.max, v);
         }
@@ -180,7 +206,7 @@ impl AggState {
             self.min = s.min_v;
             self.max = s.max_v;
         } else {
-            self.sum += s.sum;
+            self.sum = value_sum(self.sum, s.sum);
             self.min = value_min(self.min, s.min_v);
             self.max = value_max(self.max, s.max_v);
         }
@@ -306,6 +332,26 @@ pub fn split_envelope(b: &[u8]) -> (Option<ChunkStats>, &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nan_sums_depend_on_the_inputs_alone() {
+        let (nan, neg_nan) = (f64::NAN, -f64::NAN);
+        let signalling = f64::from_bits(0x7ff0_0000_0000_0001);
+        let cases = [
+            (nan, neg_nan, nan),
+            (neg_nan, nan, neg_nan),
+            (1.0, neg_nan, neg_nan),
+            (neg_nan, f64::INFINITY, neg_nan),
+            (f64::INFINITY, f64::NEG_INFINITY, nan),
+            (f64::NEG_INFINITY, f64::INFINITY, nan),
+            (signalling, 1.0, f64::from_bits(0x7ff8_0000_0000_0001)),
+        ];
+        for (a, b, want) in cases {
+            let got = value_sum(a, b);
+            assert_eq!(got.to_bits(), want.to_bits(), "{a} + {b}");
+        }
+        assert_eq!(value_sum(1.5, -0.25), 1.25);
+    }
 
     #[test]
     fn stats_round_trip_through_envelope() {

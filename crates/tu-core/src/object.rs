@@ -626,9 +626,7 @@ impl Object {
             return Ok(enc.finish_framed());
         }
         let mut enc = nullxor::GroupChunkEncoder::new(self.width());
-        for i in 0..n {
-            enc.append_row_with(t(i), |c| v(c, i))?;
-        }
+        enc.append_rows(n, t, v)?;
         Ok(enc.finish_framed())
     }
 

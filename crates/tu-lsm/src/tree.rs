@@ -32,7 +32,8 @@
 //! embedding engine runs inside its own maintenance pass.
 
 use std::borrow::Borrow;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -1688,26 +1689,56 @@ struct Batched {
 
 /// Folds table scans newest-wins — a higher seq wins an equal key, and of
 /// equal seqs the later scan — with `newest` winning over all of them,
-/// into sorted entries. Each scan is dropped once folded.
+/// into sorted entries.
+///
+/// Every input is sorted already, so this is a k-way merge: a min-heap
+/// holds each input's next entry, ordered by (key, input), and of the
+/// entries sharing a key the one with the highest (seq, input) is kept.
+/// Entries move from input to output without a copy, and each input's
+/// buffer is freed once it is used up.
 fn fold(
     scans: impl IntoIterator<Item = (u64, Result<Entries>)>,
     newest: Entries,
 ) -> Result<Entries> {
-    let mut merged: BTreeMap<Vec<u8>, (u64, Vec<u8>)> = BTreeMap::new();
+    let mut ranks = Vec::new();
+    let mut inputs = Vec::new();
     for (seq, scan) in scans {
-        for (k, v) in scan? {
-            match merged.get(&k) {
-                Some((kept, _)) if *kept > seq => {}
-                _ => {
-                    merged.insert(k, (seq, v));
+        ranks.push(seq);
+        inputs.push(scan?.into_iter());
+    }
+    ranks.push(u64::MAX);
+    inputs.push(newest.into_iter());
+    let mut out: Entries = Vec::with_capacity(inputs.iter().map(|i| i.len()).sum());
+    // `(key, input, value)`: the heap holds one entry per input, so its
+    // order never reaches the value.
+    let mut heap = BinaryHeap::with_capacity(inputs.len());
+    for (input, entries) in inputs.iter_mut().enumerate() {
+        heap.extend(entries.next().map(|(k, v)| Reverse((k, input, v))));
+    }
+    // The (seq, input) rank of `out`'s last entry.
+    let mut kept = (0, 0);
+    while let Some(Reverse((key, input, value))) = heap.pop() {
+        match inputs[input].next() {
+            Some((k, v)) => heap.push(Reverse((k, input, v))),
+            None => inputs[input] = Vec::new().into_iter(),
+        }
+        let rank = (ranks[input], input);
+        match out.last_mut() {
+            // Equal keys pop by input, so a later input overwrites an
+            // earlier one unless its seq is lower.
+            Some(last) if last.0 == key => {
+                if rank >= kept {
+                    last.1 = value;
+                    kept = rank;
                 }
+            }
+            _ => {
+                out.push((key, value));
+                kept = rank;
             }
         }
     }
-    for (k, v) in newest {
-        merged.insert(k, (u64::MAX, v));
-    }
-    Ok(merged.into_iter().map(|(k, (_, v))| (k, v)).collect())
+    Ok(out)
 }
 
 /// The grid new L2 partitions of a window align to: the shortest of the
@@ -2858,5 +2889,74 @@ mod tests {
             slow.bytes_written,
             data
         );
+    }
+
+    /// The fold as a `BTreeMap` of every entry, newest-wins: what
+    /// [`fold`]'s merge must return.
+    fn fold_reference(scans: Vec<(u64, Result<Entries>)>, newest: Entries) -> Result<Entries> {
+        let mut merged: BTreeMap<Vec<u8>, (u64, Vec<u8>)> = BTreeMap::new();
+        for (seq, scan) in scans {
+            for (k, v) in scan? {
+                match merged.get(&k) {
+                    Some((kept, _)) if *kept > seq => {}
+                    _ => {
+                        merged.insert(k, (seq, v));
+                    }
+                }
+            }
+        }
+        for (k, v) in newest {
+            merged.insert(k, (u64::MAX, v));
+        }
+        Ok(merged.into_iter().map(|(k, (_, v))| (k, v)).collect())
+    }
+
+    /// Sorted entries whose values name their input, so the winner of a
+    /// shared key shows.
+    fn tagged(input: usize, map: &BTreeMap<Vec<u8>, u8>) -> Entries {
+        map.iter()
+            .map(|(k, &v)| (k.clone(), vec![input as u8, v]))
+            .collect()
+    }
+
+    fn scans_of(maps: &[(u64, BTreeMap<Vec<u8>, u8>)]) -> Vec<(u64, Result<Entries>)> {
+        (0..)
+            .zip(maps)
+            .map(|(i, (seq, map))| (*seq, Ok(tagged(i, map))))
+            .collect()
+    }
+
+    mod fold_props {
+        use super::*;
+        use proptest::collection::{btree_map, vec};
+        use proptest::prelude::*;
+
+        // Keys of 0 to 2 symbols over three letters: 13 keys in all, so
+        // scans share keys often; seqs from 0 to 2 tie often; and a scan
+        // may be empty.
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+            #[test]
+            fn merge_equals_the_btreemap_fold(
+                maps in vec((0u64..3, btree_map(vec(0u8..3, 0..3), any::<u8>(), 0..10)), 0..6),
+                newest in btree_map(vec(0u8..3, 0..3), any::<u8>(), 0..5),
+            ) {
+                let newest = tagged(99, &newest);
+                let want = fold_reference(scans_of(&maps), newest.clone()).unwrap();
+                prop_assert_eq!(fold(scans_of(&maps), newest).unwrap(), want);
+            }
+
+            #[test]
+            fn a_failed_scan_fails_the_fold(
+                maps in vec((0u64..3, btree_map(vec(0u8..3, 0..3), any::<u8>(), 0..10)), 1..6),
+                at in 0usize..6,
+            ) {
+                let mut scans = scans_of(&maps);
+                let at = at % scans.len();
+                scans[at].1 = Err(Error::corruption(format!("scan {at} failed")));
+                let err = fold(scans, Vec::new()).unwrap_err();
+                prop_assert_eq!(err.to_string(), Error::corruption(format!("scan {at} failed")).to_string());
+            }
+        }
     }
 }

@@ -165,6 +165,16 @@ struct GroupInput {
     add_before: Vec<usize>,
 }
 
+/// Rows of each sample's value beside its negation.
+fn beside_negation(
+    samples: impl IntoIterator<Item = Sample>,
+) -> Vec<(Timestamp, Vec<Option<Value>>)> {
+    samples
+        .into_iter()
+        .map(|s| (s.t, vec![Some(s.v), Some(-s.v)]))
+        .collect()
+}
+
 fn group_inputs() -> Vec<(String, GroupInput)> {
     let mut rng = Mix(0x6a0b_u64);
     let cols = 10;
@@ -181,13 +191,18 @@ fn group_inputs() -> Vec<(String, GroupInput)> {
     let sparse = rows(&mut |_, _| nulls.below(5) == 0);
     // Column 8 joins at row 12, column 9 at row 20: NULL before that.
     let joined = rows(&mut |r, c| (c == 8 && r < 12) || (c == 9 && r < 20));
-    // Halving keeps each NaN's bits. Which NaN a sum of two different
-    // NaNs (or of +inf and -inf) gives is up to the code generator, so
-    // the stats footer's sum meets one NaN only.
+    // Halving keeps each NaN's bits.
     let with_specials = special_values()
         .iter()
         .map(|s| (s.t, vec![Some(s.v), None, Some(s.v * 0.5)]))
         .collect();
+    // Each value beside its negation: the stats footer's sum meets two
+    // NaNs of opposite sign, and in `opposed` +inf and -inf before any
+    // NaN. The encoder fixes such a sum's bits whatever the code
+    // generator does, so both profiles frame the same bytes.
+    let negated = beside_negation(special_values());
+    let opposed = [1.5, f64::INFINITY, -0.0, f64::NAN, 2.0, f64::NEG_INFINITY];
+    let opposed = beside_negation((0..).zip(opposed).map(|(i, v)| Sample::new(i * 1_000, v)));
     vec![
         (
             "dense".to_string(),
@@ -218,6 +233,22 @@ fn group_inputs() -> Vec<(String, GroupInput)> {
             GroupInput {
                 rows: with_specials,
                 initial_columns: 3,
+                add_before: vec![],
+            },
+        ),
+        (
+            "negated".to_string(),
+            GroupInput {
+                rows: negated,
+                initial_columns: 2,
+                add_before: vec![],
+            },
+        ),
+        (
+            "opposed".to_string(),
+            GroupInput {
+                rows: opposed,
+                initial_columns: 2,
                 add_before: vec![],
             },
         ),
@@ -279,8 +310,9 @@ fn chunks() -> Vec<(String, Vec<u8>)> {
 }
 
 /// `(chunk, length, FNV-1a)`, recorded from the bit-at-a-time writer the
-/// formats were first written with. A change here is a change of the
-/// chunk formats.
+/// formats were first written with; `negated` and `opposed` from the
+/// first encoder to fix a NaN sum's bits, the same in debug and release
+/// builds. A change here is a change of the chunk formats.
 const LAYOUT: &[(&str, usize, u64)] = &[
     ("gorilla/devops", 1014, 0xc856daeb586a4de1),
     ("gorilla/devops/framed", 1061, 0x5af23e55cff4c162),
@@ -346,6 +378,10 @@ const LAYOUT: &[(&str, usize, u64)] = &[
     ("nullxor/added/framed", 2108, 0x12e5533d92ed51f4),
     ("nullxor/special", 134, 0x99468f653cd8c2a7),
     ("nullxor/special/framed", 181, 0xe76095595b37139d),
+    ("nullxor/negated", 126, 0x9aff2567867d5621),
+    ("nullxor/negated/framed", 173, 0xb955a11672d6d9ef),
+    ("nullxor/opposed", 55, 0xa1e9316c3319f5d2),
+    ("nullxor/opposed/framed", 102, 0xe3c7da216ab13e2d),
     ("nullxor/empty", 7, 0x90e8e069b1263f6d),
     ("nullxor/empty/framed", 7, 0x90e8e069b1263f6d),
     ("nullxor/one", 19, 0x0a22c5358509bd83),
