@@ -127,45 +127,16 @@ impl GroupChunkEncoder {
                 self.cols.len()
             )));
         }
-        self.append_rows(1, |_| t, |c, _| values[c])
+        self.append_row_with(t, |c| values[c])
     }
 
-    /// Appends `n` rows: row `i` at `t(i)`, holding `value(c, i)` in
-    /// column `c`, so the caller needs no row buffer. Each column is
-    /// encoded through all `n` rows before the next, so a wide group's
-    /// writers are touched one at a time; the stats footer is still folded
-    /// row by row, column by column, the order its float sum was always
-    /// folded in. On an error the rows before the failing one stay
-    /// appended.
-    pub fn append_rows(
+    /// Appends one row whose value in column `c` is `value(c)`, asked of
+    /// every column in order, so the caller needs no row buffer.
+    pub fn append_row_with(
         &mut self,
-        n: usize,
-        t: impl Fn(usize) -> Timestamp,
-        value: impl Fn(usize, usize) -> Option<Value>,
+        t: Timestamp,
+        mut value: impl FnMut(usize) -> Option<Value>,
     ) -> Result<()> {
-        let mut done = 0;
-        let pushed = (0..n).try_for_each(|i| self.push_timestamp(t(i)).map(|()| done += 1));
-        for (c, col) in self.cols.iter_mut().enumerate() {
-            for i in 0..done {
-                col.push(value(c, i));
-            }
-        }
-        // A local copy, which the fold can keep in registers.
-        let mut stats = self.vstats;
-        for i in 0..done {
-            let t = t(i);
-            for c in 0..self.cols.len() {
-                if let Some(v) = value(c, i) {
-                    stats.observe(t, v);
-                }
-            }
-        }
-        self.vstats = stats;
-        pushed
-    }
-
-    /// Encodes the next row's timestamp, which must pass the last one.
-    fn push_timestamp(&mut self, t: Timestamp) -> Result<()> {
         if self.rows > 0 && t <= self.last_ts {
             return Err(Error::invalid(format!(
                 "group rows must be strictly increasing: {t} after {}",
@@ -179,6 +150,15 @@ impl GroupChunkEncoder {
         self.ts.encode(&mut self.ts_w, t)?;
         if self.rows == 0 {
             self.first_ts = t;
+        }
+        for (c, col) in self.cols.iter_mut().enumerate() {
+            let v = value(c);
+            col.push(v);
+            // Row by row, column by column: the order the stats footer's
+            // float sum was always folded in.
+            if let Some(v) = v {
+                self.vstats.observe(t, v);
+            }
         }
         self.last_ts = t;
         self.rows = rows;
@@ -421,7 +401,9 @@ pub fn frame_chunk(inner: &[u8]) -> Result<(ChunkStats, Vec<u8>)> {
     }
     let (ts, cols) = dec.decode_all()?;
     let mut enc = GroupChunkEncoder::new(cols.len());
-    enc.append_rows(ts.len(), |i| ts[i], |c, i| cols[c][i])?;
+    for (i, &t) in ts.iter().enumerate() {
+        enc.append_row_with(t, |c| cols[c][i])?;
+    }
     let stats = enc
         .stats()
         .ok_or_else(|| Error::corruption("empty chunk"))?;
@@ -524,37 +506,6 @@ mod tests {
         enc.append_row(10, &[Some(1.0), None]).unwrap();
         assert!(enc.append_row(10, &[None, None]).is_err());
         assert!(enc.append_row(5, &[None, None]).is_err());
-    }
-
-    #[test]
-    fn append_rows_equals_row_by_row_appends() {
-        let ts: Vec<Timestamp> = (0..40).map(|i| 1_000 + i * 997 + (i * i) % 13).collect();
-        let value = |c: usize, i: usize| {
-            ((c + i) % 5 != 0).then(|| ((c * 31 + i * 7) as f64).sqrt() * 1.1 - 3.0)
-        };
-        let mut by_row = GroupChunkEncoder::new(7);
-        for (i, &t) in ts.iter().enumerate() {
-            let row: Vec<Option<f64>> = (0..7).map(|c| value(c, i)).collect();
-            by_row.append_row(t, &row).unwrap();
-        }
-        let mut at_once = GroupChunkEncoder::new(7);
-        at_once.append_rows(ts.len(), |i| ts[i], value).unwrap();
-        assert_eq!(at_once.stats(), by_row.stats());
-        assert_eq!(at_once.finish_framed(), by_row.finish_framed());
-    }
-
-    #[test]
-    fn append_rows_keeps_the_rows_before_a_rejected_one() {
-        let ts = [10, 20, 15, 30];
-        let mut enc = GroupChunkEncoder::new(2);
-        assert!(enc
-            .append_rows(ts.len(), |i| ts[i], |c, i| Some((c + i) as f64))
-            .is_err());
-        let mut want = GroupChunkEncoder::new(2);
-        want.append_row(10, &[Some(0.0), Some(1.0)]).unwrap();
-        want.append_row(20, &[Some(1.0), Some(2.0)]).unwrap();
-        assert_eq!((enc.rows(), enc.last_ts()), (2, 20));
-        assert_eq!(enc.finish_framed(), want.finish_framed());
     }
 
     #[test]

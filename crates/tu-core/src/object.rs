@@ -626,7 +626,9 @@ impl Object {
             return Ok(enc.finish_framed());
         }
         let mut enc = nullxor::GroupChunkEncoder::new(self.width());
-        enc.append_rows(n, t, v)?;
+        for i in 0..n {
+            enc.append_row_with(t(i), |c| v(c, i))?;
+        }
         Ok(enc.finish_framed())
     }
 
